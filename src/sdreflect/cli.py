@@ -10,21 +10,19 @@ import argparse
 import json
 import sys
 import time
-
-import numpy as np
+from dataclasses import replace
 
 from .consistency import (
+    CUBIC,
     StructureSet,
-    residual_boundary_dra,
-    residual_dybe,
-    residual_gybce,
+    residual_cubic,
     residual_projector_compat,
     residual_sdre,
     residual_theta_period,
-    residual_ybce,
     residual_zero_weight,
     residual_zwc,
 )
+from .exprparse import EvalOverflowError
 from .monodromy import (
     build_monodromy_direct,
     build_monodromy_factored,
@@ -38,21 +36,14 @@ from .parametrize import (
     build_D_twist,
     detwist,
 )
+from .sampling import RetryCapError
 from .scenarios import Scenario, ScenarioError, builtin_names, builtin_scenario, load_scenario
 from .shiftops import shiftop_difference_residual
 from .solutions import (
-    Decoration,
-    DecorationFactor,
     IntertwinerSpec,
     build_dual,
-    build_K_nondyn,
     constant_like,
     residual_intertwiner,
-)
-
-SUITES = (
-    "zero-weight", "ybce", "gybce", "dybe", "sdre", "intertwiner",
-    "detwist", "theta-period", "monodromy-factor", "transfer-commute", "zwc",
 )
 
 
@@ -87,6 +78,9 @@ class Rig:
         self.kappa = self.beta @ self.K @ self.q.inv()
         self.chi = build_dual(self.k, self.b, self.g, self.QL)
         self.points = scenario.sample(count=samples, seed=seed)
+        # cubic-relation reports by letter: ybce / gybce and dybe share
+        # relation d
+        self._cubic = {}
 
     @property
     def gauged(self):
@@ -95,125 +89,144 @@ class Rig:
     def monodromy_applicable(self):
         return self.Rbar is None and self.projs is None
 
+    def cubic(self, letter, name):
+        """Cubic relation ``letter`` under the check name ``name``; each
+        relation is evaluated once per rig."""
+        if letter not in self._cubic:
+            self._cubic[letter] = residual_cubic(self.S, letter, self.points, self.tol)
+        return replace(self._cubic[letter], check_name=name)
+
     def run_suite(self, suite):
         """Returns (reports, notices); empty reports with a notice means
         the suite does not apply to this scenario's ingredients."""
-        pts = self.points
-        tol = self.tol
-        g_id = self.g.is_identity
-        if suite == "zero-weight":
-            return [
-                residual_zero_weight(self.B, "B", pts, 1e-13),
-                residual_zero_weight(self.C, "C", pts, 1e-13),
-                residual_zero_weight(self.D, "D", pts, 1e-13),
-            ], []
-        if suite == "ybce":
-            if not g_id:
-                return [], ["ybce applies to identity-automorphism scenarios; see gybce"]
-            return list(residual_ybce(self.S, pts, tol).values()), []
-        if suite == "gybce":
-            if g_id:
-                return [], ["gybce duplicates ybce when the automorphism is trivial"]
-            return list(residual_gybce(self.S, pts, tol).values()), []
-        if suite == "zwc":
-            if g_id:
-                return [], ["zwc is trivial for the identity automorphism"]
-            return [residual_zwc(self.S, pts, tol)], []
-        if suite == "dybe":
-            return [residual_dybe(self.D, pts, tol)], []
-        if suite == "sdre":
-            reps = [residual_sdre(self.S, self.K, pts, tol)]
-            notes = []
-            if self.Rbar is None:
-                scalar = self.beta.inv() @ self.q
-                reps.append(residual_sdre(self.S, scalar, pts, tol, name="sdre_scalar"))
-            else:
-                notes.append("no invertible scalar solution exists when the "
-                             "twist core differs from R0; skipping sdre_scalar")
-            return reps, notes
-        if suite == "intertwiner":
-            rr = self.Rbar or self.R0
-            spec = IntertwinerSpec(self.R0, rr)
-            reps = [
-                residual_intertwiner(spec, self.Q, pts, tol, name="intertwiner_Q"),
-                residual_intertwiner(IntertwinerSpec(self.R0, self.R0), self.QL,
-                                     pts, tol, name="intertwiner_QL"),
-            ]
-            if self.projs is not None:
-                reps.append(residual_projector_compat(self.R0, self.projs, self.b,
-                                                      pts, tol))
-            return reps, []
-        if suite == "detwist":
-            candidates = []
-            if self.scenario.f is not None:
-                candidates.append(("f", self.scenario.f_auto()))
-            result = detwist(self.D, self.q, self.scheme, pts, tol,
-                             candidates=candidates)
-            reps = [result.nondyn_report] + list(result.quasi_reports.values())
-            return reps, [f"verdicts: {', '.join(result.verdicts)}"]
-        if suite == "theta-period":
-            return [residual_theta_period(self.kappa, pts, 1e-10)], []
-        if suite == "monodromy-factor":
-            if not g_id or not self.monodromy_applicable():
-                return [], ["factorization comparison needs the invertible "
-                            "identity-automorphism chain"]
-            reps = []
-            for N in sorted({1, min(2, max(1, self.sites))}):
-                uq = self.scenario.quantum_values(N)
-                u0 = 0.52 + 0.21j
-                Td = build_monodromy_direct(self.S, self.K, self.chi, N, uq, u0)
-                Tf = build_monodromy_factored(
-                    self.scheme, self.R0, self.b, self.q, self.k, self.Q,
-                    self.chi, N, uq, u0,
-                )
-                reps.append(shiftop_difference_residual(
-                    Td, Tf, pts[: min(8, len(pts))], 1e-8,
-                    name=f"monodromy_factorization_N{N}",
-                ))
-            return reps, []
-        if suite == "transfer-commute":
-            if not self.monodromy_applicable():
-                return [], ["the traced family needs the invertible single-R0 chain"]
-            u_list = [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j]
-            reps = []
-            for N in sorted({1, min(2, max(1, self.sites))}):
-                uq = self.scenario.quantum_values(N)
-                cert = certify_commuting_family(
-                    self.S, self.K, self.chi, self.kappa, N, u_list, uq,
-                    pts[: min(12, len(pts))], twist=self.q, tol=1e-8,
-                    ingredient_tol=self.tol,
-                    gauged=None if g_id else self.gauged,
-                )
-                if cert.failed_preconditions:
-                    for name in cert.failed_preconditions:
-                        reps.append(cert.ingredient_reports[name])
-                if cert.commutation is not None:
-                    rep = cert.commutation
-                    rep.check_name = f"transfer_commutation_N{N}"
-                    reps.append(rep)
-            return reps, []
-        raise ScenarioError(f"unknown suite {suite!r}")
+        if suite not in SUITE_TABLE:
+            raise ScenarioError(f"unknown suite {suite!r}")
+        why_not, run = SUITE_TABLE[suite]
+        reason = why_not(self)
+        return ([], [reason]) if reason else run(self)
+
+    # -- suite bodies, each returning (reports, notices) --------------------
+
+    def _zero_weight(self):
+        return [residual_zero_weight(X, kind, self.points, 1e-13)
+                for X, kind in ((self.B, "B"), (self.C, "C"), (self.D, "D"))], []
+
+    def _sdre(self):
+        reps = [residual_sdre(self.S, self.K, self.points, self.tol)]
+        notes = []
+        if self.Rbar is None:
+            scalar = self.beta.inv() @ self.q
+            reps.append(residual_sdre(self.S, scalar, self.points, self.tol,
+                                      name="sdre_scalar"))
+        else:
+            notes.append("no invertible scalar solution exists when the "
+                         "twist core differs from R0; skipping sdre_scalar")
+        return reps, notes
+
+    def _intertwiner(self):
+        pts, tol = self.points, self.tol
+        reps = [
+            residual_intertwiner(IntertwinerSpec(self.R0, self.Rbar or self.R0), self.Q,
+                                 pts, tol, name="intertwiner_Q"),
+            residual_intertwiner(IntertwinerSpec(self.R0, self.R0), self.QL,
+                                 pts, tol, name="intertwiner_QL"),
+        ]
+        if self.projs is not None:
+            reps.append(residual_projector_compat(self.R0, self.projs, self.b, pts, tol))
+        return reps, []
+
+    def _detwist(self):
+        candidates = []
+        if self.scenario.f is not None:
+            candidates.append(("f", self.scenario.f_auto()))
+        result = detwist(self.D, self.q, self.scheme, self.points, self.tol,
+                         candidates=candidates)
+        reps = [result.nondyn_report] + list(result.quasi_reports.values())
+        return reps, [f"verdicts: {', '.join(result.verdicts)}"]
+
+    def _chain_sizes(self):
+        return sorted({1, min(2, max(1, self.sites))})
+
+    def _monodromy_factor(self):
+        reps = []
+        for N in self._chain_sizes():
+            uq = self.scenario.quantum_values(N)
+            u0 = 0.52 + 0.21j
+            Td = build_monodromy_direct(self.S, self.K, self.chi, N, uq, u0)
+            Tf = build_monodromy_factored(
+                self.scheme, self.R0, self.b, self.q, self.k, self.Q,
+                self.chi, N, uq, u0,
+            )
+            reps.append(shiftop_difference_residual(
+                Td, Tf, self.points[: min(8, len(self.points))], 1e-8,
+                name=f"monodromy_factorization_N{N}",
+            ))
+        return reps, []
+
+    def _transfer_commute(self):
+        u_list = [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j]
+        reps = []
+        for N in self._chain_sizes():
+            uq = self.scenario.quantum_values(N)
+            cert = certify_commuting_family(
+                self.S, self.K, self.chi, self.kappa, N, u_list, uq,
+                self.points[: min(12, len(self.points))], twist=self.q, tol=1e-8,
+                ingredient_tol=self.tol,
+                gauged=None if self.g.is_identity else self.gauged,
+            )
+            for name in cert.failed_preconditions:
+                reps.append(cert.ingredient_reports[name])
+            if cert.commutation is not None:
+                rep = cert.commutation
+                rep.check_name = f"transfer_commutation_N{N}"
+                reps.append(rep)
+        return reps, []
+
+
+def _unless(applies, reason):
+    """A suite's reason-not-applicable: ``reason`` unless ``applies(rig)``."""
+    return lambda rig: None if applies(rig) else reason
+
+
+_ALWAYS = _unless(lambda rig: True, None)  # applies to every scenario
+_NONTRIVIAL_G = _unless(lambda rig: not rig.g.is_identity,
+                        "trivial for the identity automorphism")
+
+# suite -> (reason it does not apply to a rig, or None; run(rig) ->
+# (reports, notices)), in the order ``all`` runs them
+SUITE_TABLE = {
+    "zero-weight": (_ALWAYS, Rig._zero_weight),
+    "ybce": (_unless(lambda rig: rig.g.is_identity,
+                     "superseded by gybce for a non-trivial automorphism"),
+             lambda rig: ([rig.cubic(c, f"ybce_{c}") for c in CUBIC], [])),
+    "gybce": (_NONTRIVIAL_G, lambda rig: ([rig.cubic(c, f"gybce_{c}") for c in CUBIC], [])),
+    "dybe": (_ALWAYS, lambda rig: ([rig.cubic("d", "dybe")], [])),
+    "sdre": (_ALWAYS, Rig._sdre),
+    "intertwiner": (_ALWAYS, Rig._intertwiner),
+    "detwist": (_ALWAYS, Rig._detwist),
+    "theta-period": (_ALWAYS, lambda rig: (
+        [residual_theta_period(rig.kappa, rig.points, 1e-10)], [])),
+    "monodromy-factor": (
+        _unless(lambda rig: rig.g.is_identity and rig.monodromy_applicable(),
+                "needs the invertible identity-automorphism chain"),
+        Rig._monodromy_factor),
+    "transfer-commute": (_unless(Rig.monodromy_applicable,
+                                 "needs the invertible single-R0 chain"),
+                         Rig._transfer_commute),
+    "zwc": (_NONTRIVIAL_G, lambda rig: ([residual_zwc(rig.S, rig.points, rig.tol)], [])),
+}
+SUITES = tuple(SUITE_TABLE)
 
 
 def applicable_suites(rig: Rig):
     """(applicable, skipped) suite names for this scenario's ingredients."""
     out, skipped = [], []
-    for suite in SUITES:
-        if suite == "ybce" and not rig.g.is_identity:
-            skipped.append((suite, "superseded by gybce for a non-trivial automorphism"))
-            continue
-        if suite in ("gybce", "zwc") and rig.g.is_identity:
-            skipped.append((suite, "trivial for the identity automorphism"))
-            continue
-        if suite == "monodromy-factor" and (
-            not rig.g.is_identity or not rig.monodromy_applicable()
-        ):
-            skipped.append((suite, "needs the invertible identity-automorphism chain"))
-            continue
-        if suite == "transfer-commute" and not rig.monodromy_applicable():
-            skipped.append((suite, "needs the invertible single-R0 chain"))
-            continue
-        out.append(suite)
+    for suite, (why_not, _) in SUITE_TABLE.items():
+        reason = why_not(rig)
+        if reason:
+            skipped.append((suite, reason))
+        else:
+            out.append(suite)
     return out, skipped
 
 
@@ -289,7 +302,7 @@ def run(argv=None) -> int:
             reps, notes = rig.run_suite(suite)
             reports.extend(reps)
             notices.extend(f"[{suite}] {n}" for n in notes)
-    except (ScenarioError, OSError, ValueError) as exc:
+    except (ScenarioError, OSError, ValueError, RetryCapError, EvalOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,12 +2,20 @@
 
 Every checker evaluates both sides of an identity at sampled dynamical /
 spectral points and reports the maximum relative Frobenius residual
-``|LHS - RHS| / max(|LHS|, |RHS|, 1)``.
+``|LHS - RHS| / max(|LHS|, |RHS|, 1)``.  A non-finite residual fails
+its check.
+
+The :data:`CUBIC` table is the single place where the cubic relations
+(a)-(d) for (A, B, C, D) are written; ybce, gybce, dybe and the shifted
+YBE all read from it.  Every product identity goes through one engine,
+:func:`_product_residual`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -19,13 +27,18 @@ from .dyncore import (
     adjoint_auto,
     dyn_shift,
     embed,
-    identity_dynmat,
 )
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
     return float(np.linalg.norm(lhs - rhs) / denom)
+
+
+def worst_residual(values) -> float:
+    """Largest of some residuals (0.0 for none); unlike ``max`` it never
+    drops a NaN."""
+    return float(np.max(list(values), initial=0.0))
 
 
 @dataclass
@@ -69,20 +82,41 @@ class ResidualReport:
         )
 
 
+def _comm_residual(x, y):
+    """Relative residual of the commutator [x, y]."""
+    return rel_residual(x @ y, y @ x)
+
+
 def _collect(name, points, tol, func):
-    """Run ``func(lam, u) -> residual`` over points and assemble a report."""
+    """Run ``func(lam, u) -> residual`` over points and assemble a report.
+
+    The first NaN residual is kept as the maximum, with its point as the
+    worst point, so the report fails.
+    """
     worst = -1.0
     worst_pt = None
     count = 0
     for lam, u in points:
         r = func(lam, u)
         count += 1
-        if r > worst:
+        # NaN compares false both ways: test it, and never replace it
+        if worst == worst and not r <= worst:
             worst = r
-            worst_pt = (np.asarray(lam), dict(u))
+            worst_pt = (np.asarray(lam), dict(u or {}))
     if count == 0:
         raise ValueError("point list is empty")
     return ResidualReport(name, count, worst, tol, worst_pt)
+
+
+def _product_residual(name, lhs, rhs, points, tol):
+    """Report for prod(lhs) = prod(rhs), DynMat factors multiplied left
+    to right at each point."""
+
+    def func(lam, u):
+        return rel_residual(reduce(operator.matmul, [x.eval(lam, u) for x in lhs]),
+                            reduce(operator.matmul, [x.eval(lam, u) for x in rhs]))
+
+    return _collect(name, points, tol, func)
 
 
 @dataclass
@@ -130,141 +164,76 @@ def residual_zero_weight(X: DynMat, kind: str, points, tol=1e-9, name=None):
 
     def func(lam, u):
         m = X.eval(lam, u)
-        return max(rel_residual(h @ m, m @ h) for h in gens)
+        return worst_residual(_comm_residual(h, m) for h in gens)
 
     return _collect(name or f"zero_weight_{kind}", points, tol, func)
 
 
-# -- Yang-Baxter consistency families ---------------------------------------
+# -- cubic consistency relations --------------------------------------------
+
+# Relations (a)-(d) for (A, B, C, D) on legs (1, 2, 3), each side a
+# product multiplied left to right.  A factor is (matrix key, leg pair,
+# legs conjugated by g, lambda-shift legs): the matrix is placed on the
+# pair, conjugated by g on the named legs, then shifted by their weights.
+#   a) A12 A13^gg A23 = A23^gg A13 A12^gg
+#   b) A12 C13^g1 C23 = C23^g2 C13 A12^gg(h3)
+#   c) D12 B13 B23^g3(h1) = B23 B13^g3(h2) D12
+#   d) D12(h3) D13 D23(h1) = D23 D13(h2) D12   (the dynamical YBE)
+# With g the identity these are the plain relations.
+CUBIC = {
+    "a": ([("A", (1, 2), (), ()), ("A", (1, 3), (1, 3), ()), ("A", (2, 3), (), ())],
+          [("A", (2, 3), (2, 3), ()), ("A", (1, 3), (), ()), ("A", (1, 2), (1, 2), ())]),
+    "b": ([("A", (1, 2), (), ()), ("C", (1, 3), (1,), ()), ("C", (2, 3), (), ())],
+          [("C", (2, 3), (2,), ()), ("C", (1, 3), (), ()), ("A", (1, 2), (1, 2), (3,))]),
+    "c": ([("D", (1, 2), (), ()), ("B", (1, 3), (), ()), ("B", (2, 3), (3,), (1,))],
+          [("B", (2, 3), (), ()), ("B", (1, 3), (3,), (2,)), ("D", (1, 2), (), ())]),
+    "d": ([("D", (1, 2), (), (3,)), ("D", (1, 3), (), ()), ("D", (2, 3), (), (1,))],
+          [("D", (2, 3), (), ()), ("D", (1, 3), (), (2,)), ("D", (1, 2), (), ())]),
+}
 
 
-def _pair_embeddings(X: DynMat, legs3=(1, 2, 3)):
-    """X placed on the three pairs (12), (13), (23) of a 3-leg space."""
-    return {
-        (1, 2): embed(X, (legs3[0], legs3[1]), legs3),
-        (1, 3): embed(X, (legs3[0], legs3[2]), legs3),
-        (2, 3): embed(X, (legs3[1], legs3[2]), legs3),
-    }
+def _cubic(mats, g, letter, points, tol, name):
+    """Relation ``letter`` of :data:`CUBIC` for the matrices ``mats``
+    (key -> 2-leg DynMat), dressed by the automorphism ``g``."""
+    legs3 = (1, 2, 3)
+
+    def factor(key, pair, conj, shift):
+        X = embed(mats[key], pair, legs3)
+        if conj:
+            X = adjoint_auto(X, g, conj, "conjugate", 1)
+        return dyn_shift(X, shift, legs3) if shift else X
+
+    lhs, rhs = ([factor(*f) for f in side] for side in CUBIC[letter])
+    return _product_residual(name, lhs, rhs, points, tol)
 
 
-def _prod(ms):
-    out = ms[0]
-    for m in ms[1:]:
-        out = out @ m
-    return out
+def residual_cubic(S: StructureSet, letter, points, tol=1e-9, name=None):
+    """One cubic relation ('a' .. 'd') for S, dressed by S.g."""
+    return _cubic(vars(S), S.g, letter, points, tol, name or f"cubic_{letter}")
 
 
 def residual_ybce(S: StructureSet, points, tol=1e-9):
-    """The four cubic consistency relations for (A, B, C, D), plain case.
+    """The four cubic relations for (A, B, C, D), plain case.
 
-    a) A12 A13 A23 = A23 A13 A12
-    b) A12 C13 C23 = C23 C13 A12(h3)
-    c) D12 B13 B23(h1) = B23 B13(h2) D12
-    d) D12(h3) D13 D23(h1) = D23 D13(h2) D12
     Returns one report per relation, keyed 'ybce_a' .. 'ybce_d'.
     """
     if not S.g.is_identity:
         raise ValueError("plain consistency equations assume the identity automorphism")
-    legs3 = (1, 2, 3)
-    A = _pair_embeddings(S.A, legs3)
-    B = _pair_embeddings(S.B, legs3)
-    C = _pair_embeddings(S.C, legs3)
-    D = _pair_embeddings(S.D, legs3)
-    sh = lambda X, legs: dyn_shift(X, legs, legs3)
-
-    eqs = {
-        "ybce_a": ([A[(1, 2)], A[(1, 3)], A[(2, 3)]], [A[(2, 3)], A[(1, 3)], A[(1, 2)]]),
-        "ybce_b": (
-            [A[(1, 2)], C[(1, 3)], C[(2, 3)]],
-            [C[(2, 3)], C[(1, 3)], sh(A[(1, 2)], (3,))],
-        ),
-        "ybce_c": (
-            [D[(1, 2)], B[(1, 3)], sh(B[(2, 3)], (1,))],
-            [B[(2, 3)], sh(B[(1, 3)], (2,)), D[(1, 2)]],
-        ),
-        "ybce_d": (
-            [sh(D[(1, 2)], (3,)), D[(1, 3)], sh(D[(2, 3)], (1,))],
-            [D[(2, 3)], sh(D[(1, 3)], (2,)), D[(1, 2)]],
-        ),
-    }
-    reports = {}
-    for name, (lhs, rhs) in eqs.items():
-        reports[name] = _collect(
-            name,
-            points,
-            tol,
-            lambda lam, u, L=lhs, R=rhs: rel_residual(
-                _prod([x.eval(lam, u) for x in L]), _prod([x.eval(lam, u) for x in R])
-            ),
-        )
-    return reports
+    return {f"ybce_{c}": residual_cubic(S, c, points, tol, f"ybce_{c}") for c in CUBIC}
 
 
 def residual_gybce(S: StructureSet, points, tol=1e-9):
-    """Automorphism-extended consistency relations.
+    """Automorphism-extended cubic relations, keyed 'gybce_a' .. 'gybce_d'.
 
-    a) A12 A13^gg A23 = A23^gg A13 A12^gg
-    b) A12 C13^g1 C23 = C23^g2 C13 A12^gg(h3)
-    c) D12 B13 B23^g3(h1) = B23 B13^g3(h2) D12
-    d) identical to the plain relation d.
     All automorphism actions are adjoint, so every line is a finite
-    matrix identity.
+    matrix identity; relation d does not involve g.
     """
-    g = S.g
-    legs3 = (1, 2, 3)
-    A = _pair_embeddings(S.A, legs3)
-    B = _pair_embeddings(S.B, legs3)
-    C = _pair_embeddings(S.C, legs3)
-    D = _pair_embeddings(S.D, legs3)
-    ad = lambda X, legs: adjoint_auto(X, g, legs, "conjugate", 1)
-    sh = lambda X, legs: dyn_shift(X, legs, legs3)
-
-    eqs = {
-        "gybce_a": (
-            [A[(1, 2)], ad(A[(1, 3)], (1, 3)), A[(2, 3)]],
-            [ad(A[(2, 3)], (2, 3)), A[(1, 3)], ad(A[(1, 2)], (1, 2))],
-        ),
-        "gybce_b": (
-            [A[(1, 2)], ad(C[(1, 3)], (1,)), C[(2, 3)]],
-            [ad(C[(2, 3)], (2,)), C[(1, 3)], sh(ad(A[(1, 2)], (1, 2)), (3,))],
-        ),
-        "gybce_c": (
-            [D[(1, 2)], B[(1, 3)], sh(ad(B[(2, 3)], (3,)), (1,))],
-            [B[(2, 3)], sh(ad(B[(1, 3)], (3,)), (2,)), D[(1, 2)]],
-        ),
-        "gybce_d": (
-            [sh(D[(1, 2)], (3,)), D[(1, 3)], sh(D[(2, 3)], (1,))],
-            [D[(2, 3)], sh(D[(1, 3)], (2,)), D[(1, 2)]],
-        ),
-    }
-    reports = {}
-    for name, (lhs, rhs) in eqs.items():
-        reports[name] = _collect(
-            name,
-            points,
-            tol,
-            lambda lam, u, L=lhs, R=rhs: rel_residual(
-                _prod([x.eval(lam, u) for x in L]), _prod([x.eval(lam, u) for x in R])
-            ),
-        )
-    return reports
+    return {f"gybce_{c}": residual_cubic(S, c, points, tol, f"gybce_{c}") for c in CUBIC}
 
 
 def residual_dybe(D: DynMat, points, tol=1e-9, name="dybe"):
     """Dynamical Yang-Baxter residual D12(h3) D13 D23(h1) = D23 D13(h2) D12."""
-    legs3 = (1, 2, 3)
-    Dp = _pair_embeddings(D, legs3)
-    sh = lambda X, legs: dyn_shift(X, legs, legs3)
-    lhs = [sh(Dp[(1, 2)], (3,)), Dp[(1, 3)], sh(Dp[(2, 3)], (1,))]
-    rhs = [Dp[(2, 3)], sh(Dp[(1, 3)], (2,)), Dp[(1, 2)]]
-    return _collect(
-        name,
-        points,
-        tol,
-        lambda lam, u: rel_residual(
-            _prod([x.eval(lam, u) for x in lhs]), _prod([x.eval(lam, u) for x in rhs])
-        ),
-    )
+    return _cubic({"D": D}, Automorphism.identity(), "d", points, tol, name)
 
 
 def residual_shifted_ybe(R0: DynMat, g: Automorphism, points, tol=1e-9, name="shifted_ybe"):
@@ -272,19 +241,7 @@ def residual_shifted_ybe(R0: DynMat, g: Automorphism, points, tol=1e-9, name="sh
 
     R12 R13^gg R23 = R23^gg R13 R12^gg.
     """
-    legs3 = (1, 2, 3)
-    Rp = _pair_embeddings(R0, legs3)
-    ad = lambda X, legs: adjoint_auto(X, g, legs, "conjugate", 1)
-    lhs = [Rp[(1, 2)], ad(Rp[(1, 3)], (1, 3)), Rp[(2, 3)]]
-    rhs = [ad(Rp[(2, 3)], (2, 3)), Rp[(1, 3)], ad(Rp[(1, 2)], (1, 2))]
-    return _collect(
-        name,
-        points,
-        tol,
-        lambda lam, u: rel_residual(
-            _prod([x.eval(lam, u) for x in lhs]), _prod([x.eval(lam, u) for x in rhs])
-        ),
-    )
+    return _cubic({"A": R0}, g, "a", points, tol, name)
 
 
 # -- reflection relations ----------------------------------------------------
@@ -339,12 +296,7 @@ def residual_sdre(S: StructureSet, K, points, tol=1e-9, name="sdre"):
         shifts = {l: off for l in D.spectral_legs}
         D = D.shift_spectral(shifts) if shifts else D
 
-    def func(lam, u):
-        lhs = A.eval(lam, u) @ K1.eval(lam, u) @ B.eval(lam, u) @ K2s.eval(lam, u)
-        rhs = K2.eval(lam, u) @ C.eval(lam, u) @ K1s.eval(lam, u) @ D.eval(lam, u)
-        return rel_residual(lhs, rhs)
-
-    return _collect(name, points, tol, func)
+    return _product_residual(name, [A, K1, B, K2s], [K2, C, K1s, D], points, tol)
 
 
 def residual_boundary_dra(S: StructureSet, K, points, tol=1e-9, name="boundary_dra"):
@@ -358,13 +310,8 @@ def residual_boundary_dra(S: StructureSet, K, points, tol=1e-9, name="boundary_d
     legs = (1, 2)
     K1s = dyn_shift(embed(Km, (1,), legs), (2,), legs)
     K2s = dyn_shift(embed(Km, (2,), legs), (1,), legs)
-
-    def func(lam, u):
-        lhs = S.A.eval(lam, u) @ K1s.eval(lam, u) @ S.B.eval(lam, u) @ K2s.eval(lam, u)
-        rhs = K2s.eval(lam, u) @ S.C.eval(lam, u) @ K1s.eval(lam, u) @ S.D.eval(lam, u)
-        return rel_residual(lhs, rhs)
-
-    return _collect(name, points, tol, func)
+    return _product_residual(name, [S.A, K1s, S.B, K2s], [K2s, S.C, K1s, S.D],
+                             points, tol)
 
 
 # -- quasi-non-dynamicity and factorization ----------------------------------
@@ -385,11 +332,10 @@ def residual_quasi_nondyn(X: DynMat, f: Automorphism, points, tol=1e-9, name="qu
 
     def func(lam, u):
         rhs = conj.eval(lam, u)
-        worst = 0.0
-        for i in range(scheme.rank):
-            lhs = X.eval(lam + scheme.gamma * scheme.unit(i), u)
-            worst = max(worst, rel_residual(lhs, rhs))
-        return worst
+        return worst_residual(
+            rel_residual(X.eval(lam + scheme.gamma * scheme.unit(i), u), rhs)
+            for i in range(scheme.rank)
+        )
 
     return _collect(name, points, tol, func)
 
@@ -400,12 +346,10 @@ def residual_nondynamical(X: DynMat, points, tol=1e-9, name="nondynamical"):
 
     def func(lam, u):
         base = X.eval(lam, u)
-        worst = 0.0
-        for i in range(scheme.rank):
-            worst = max(
-                worst, rel_residual(X.eval(lam + scheme.gamma * scheme.unit(i), u), base)
-            )
-        return worst
+        return worst_residual(
+            rel_residual(X.eval(lam + scheme.gamma * scheme.unit(i), u), base)
+            for i in range(scheme.rank)
+        )
 
     return _collect(name, points, tol, func)
 
@@ -425,10 +369,7 @@ def residual_theta_period(kappa: DynMat, points, tol=1e-9, name="theta_period"):
             kappa.eval(lam + scheme.gamma * scheme.unit(i), u)
             for i in range(scheme.rank)
         ]
-        worst = 0.0
-        for i in range(1, scheme.rank):
-            worst = max(worst, rel_residual(vals[i], vals[0]))
-        return worst
+        return worst_residual(rel_residual(v, vals[0]) for v in vals[1:])
 
     return _collect(name, points, tol, func)
 
@@ -446,16 +387,13 @@ def residual_projector_compat(R: DynMat, projs, b: DynMat, points, tol=1e-9,
             raise ValueError("projectors must be idempotent")
 
     def func(lam, u):
-        worst = 0.0
-        for i, p in enumerate(projs):
-            for q in projs[i + 1:]:
-                worst = max(worst, rel_residual(p @ q, q @ p))
-            bm = b.eval(lam, {l: u[l] for l in b.spectral_legs} if u else None)
-            worst = max(worst, rel_residual(p @ bm, bm @ p))
-            pp = np.kron(p, p)
-            rm = R.eval(lam, u)
-            worst = max(worst, rel_residual(pp @ rm, rm @ pp))
-        return worst
+        bm = b.eval(lam, {l: u[l] for l in b.spectral_legs} if u else None)
+        rm = R.eval(lam, u)
+        return worst_residual(
+            [_comm_residual(p, q) for i, p in enumerate(projs) for q in projs[i + 1:]]
+            + [_comm_residual(p, bm) for p in projs]
+            + [_comm_residual(np.kron(p, p), rm) for p in projs]
+        )
 
     return _collect(name, points, tol, func)
 
@@ -483,7 +421,7 @@ def residual_zwc(S: StructureSet, points, tol=1e-9):
                 checks.append((X, X))
 
         def func(lam, u):
-            return max(
+            return worst_residual(
                 rel_residual(orig.eval(lam, u), moved.eval(lam, u))
                 for orig, moved in checks
             )
@@ -493,10 +431,7 @@ def residual_zwc(S: StructureSet, points, tol=1e-9):
     gm = g.matrix_at()
     n = S.scheme.rank
     eye = np.eye(n, dtype=complex)
-    hcomm = max(
-        rel_residual(S.scheme.projector(i) @ gm, gm @ S.scheme.projector(i))
-        for i in range(n)
-    )
+    hcomm = worst_residual(_comm_residual(S.scheme.projector(i), gm) for i in range(n))
     pairs = [
         (S.D, np.kron(gm, gm)),
         (S.B, np.kron(gm, eye)),
@@ -504,10 +439,6 @@ def residual_zwc(S: StructureSet, points, tol=1e-9):
     ]
 
     def func(lam, u):
-        worst = hcomm
-        for X, G in pairs:
-            m = X.eval(lam, u)
-            worst = max(worst, rel_residual(G @ m, m @ G))
-        return worst
+        return worst_residual([hcomm] + [_comm_residual(G, X.eval(lam, u)) for X, G in pairs])
 
     return _collect("zwc", points, tol, func)

@@ -339,32 +339,29 @@ def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
     xe = embed(X, X.legs, all_legs)
     total = len(all_legs)
     pos = [all_legs.index(l) for l in shift_legs]
+    # per weight-index tuple: the lambda offset and the diagonal of the
+    # projector prod_k e_{i_k i_k} on the shift legs (multiplied on the right)
+    terms = []
+    for idx in itertools.product(range(n), repeat=len(shift_legs)):
+        diag = np.ones((n,) * total, dtype=complex)
+        for p, i in zip(pos, idx):
+            sel = np.zeros(n)
+            sel[i] = 1.0
+            shape = [1] * total
+            shape[p] = n
+            diag = diag * sel.reshape(shape)
+        terms.append((gamma * sum(scheme.unit(i) for i in idx), diag.reshape(-1)[None, :]))
 
     def fn(lam, u):
         acc = np.zeros((n ** total,) * 2, dtype=complex)
-        for idx in itertools.product(range(n), repeat=len(shift_legs)):
-            delta = gamma * sum(scheme.unit(i) for i in idx)
-            m = xe.fn(lam + delta, u)
-            # diagonal projector prod_k e_{i_k i_k} on the shift legs,
-            # multiplied on the right
-            diag = np.ones((n,) * total, dtype=complex)
-            for p, i in zip(pos, idx):
-                sel = np.zeros(n)
-                sel[i] = 1.0
-                shape = [1] * total
-                shape[p] = n
-                diag = diag * sel.reshape(shape)
-            acc += m * diag.reshape(-1)[None, :]
+        for delta, diag in terms:
+            acc += xe.fn(lam + delta, u) * diag
         return acc
 
     poles = None
     if xe.poles is not None:
         def poles(lam, u, _p=xe.poles):
-            for idx in itertools.product(range(n), repeat=len(shift_legs)):
-                delta = gamma * sum(scheme.unit(i) for i in idx)
-                if _p(lam + delta, u):
-                    return True
-            return False
+            return any(_p(lam + delta, u) for delta, _ in terms)
 
     return DynMat(scheme, all_legs, fn, xe.spectral_legs, poles)
 
@@ -493,6 +490,16 @@ def sigma_power(g: Automorphism, lam) -> Automorphism:
     raise AutomorphismError("sigma power supported for constant and shift automorphisms")
 
 
+def _on_legs(X: DynMat, legs, matrix_of):
+    """Product over ``legs`` of the n x n matrices ``matrix_of(leg)``,
+    each placed on its leg of X."""
+    n, total = X.scheme.rank, len(X.legs)
+    out = np.eye(n ** total, dtype=complex)
+    for l in legs:
+        out = out @ _place_matrix(matrix_of(l), [X.legs.index(l)], total, n)
+    return out
+
+
 def adjoint_auto(X: DynMat, g: Automorphism, legs, side="conjugate", power=1) -> DynMat:
     """Adjoint (or one-sided) action of g**power on the named legs of X.
 
@@ -518,23 +525,19 @@ def adjoint_auto(X: DynMat, g: Automorphism, legs, side="conjugate", power=1) ->
         slotted = {l: power * g.step for l in legs if l in X.spectral_legs}
         return X.shift_spectral(slotted) if slotted else X
 
-    n = X.scheme.rank
     f = X.fn
     xspect = X.spectral_legs
     # a spectrally dependent automorphism turns its legs into slots of
     # the result even when the underlying matrix ignores them
     spect = xspect
-    if g.variant == Automorphism.FACTORIZABLE:
+    fact = g.variant == Automorphism.FACTORIZABLE
+    if fact:
         spect = xspect | frozenset(legs)
 
     def fn(lam, u):
         m = f(lam, {l: u[l] for l in xspect})
-        total = len(X.legs)
-        gfull = np.eye(n ** total, dtype=complex)
-        for l in legs:
-            uval = u.get(l) if g.variant == Automorphism.FACTORIZABLE else None
-            gl = g.matrix_at(u=uval, power=power)
-            gfull = gfull @ _place_matrix(gl, [X.legs.index(l)], total, n)
+        gfull = _on_legs(X, legs, lambda l: g.matrix_at(u=u.get(l) if fact else None,
+                                                       power=power))
         if side == "left":
             return gfull @ m
         if side == "right":
@@ -567,16 +570,11 @@ def sigma_conjugate(X: DynMat, g: Automorphism, legs, sign=-1) -> DynMat:
         return DynMat(X.scheme, X.legs, fn, X.spectral_legs, X.poles)
     if g.variant != Automorphism.CONSTANT:
         raise AutomorphismError("sigma conjugation needs a constant or shift automorphism")
-    n = X.scheme.rank
     f = X.fn
 
     def fn(lam, u):
-        s = sigma_of(lam)
-        gm = g.complex_power(sign * s)
-        total = len(X.legs)
-        gfull = np.eye(n ** total, dtype=complex)
-        for l in legs:
-            gfull = gfull @ _place_matrix(gm, [X.legs.index(l)], total, n)
+        gm = g.complex_power(sign * sigma_of(lam))
+        gfull = _on_legs(X, legs, lambda l: gm)
         return gfull @ f(lam, u) @ np.linalg.inv(gfull)
 
     return DynMat(X.scheme, X.legs, fn, X.spectral_legs, X.poles)
@@ -617,52 +615,44 @@ class ZeroWeightDecomposition:
         self.source = D
         self.n = D.scheme.rank
 
-    def tables(self, lam, u=None):
-        n = self.n
-        m = self.source.eval(lam, u)
-        d = np.zeros((n, n), dtype=complex)
-        delta = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                d[i, j] = m[i * n + j, i * n + j]
-                if i != j:
-                    delta[i, j] = m[i * n + j, j * n + i]
+    def _split(self, m):
+        """(d, delta) read off a matrix; row (i, j) meets column (k, l)
+        at m4[i, j, k, l]."""
+        m4 = m.reshape((self.n,) * 4)
+        d = np.einsum("ijij->ij", m4).copy()
+        delta = np.einsum("ijji->ij", m4).copy()
+        np.fill_diagonal(delta, 0.0)
         return d, delta
 
-    def offslot_residual(self, lam, u=None):
+    def _join(self, d, delta):
         n = self.n
-        m = self.source.eval(lam, u).copy()
-        for i in range(n):
-            for j in range(n):
-                m[i * n + j, i * n + j] = 0.0
-                if i != j:
-                    m[i * n + j, j * n + i] = 0.0
-        denom = max(np.linalg.norm(self.source.eval(lam, u)), 1.0)
-        return np.linalg.norm(m) / denom
+        m4 = np.zeros((n,) * 4, dtype=complex)
+        i, j = np.indices((n, n))
+        m4[i, j, j, i] = delta
+        m4[i, j, i, j] = d  # after delta: the i == j slots are d's
+        return m4.reshape(n * n, n * n)
+
+    def tables(self, lam, u=None):
+        return self._split(self.source.eval(lam, u))
+
+    def offslot_residual(self, lam, u=None):
+        m = self.source.eval(lam, u)
+        return np.linalg.norm(m - self._join(*self._split(m))) / max(np.linalg.norm(m), 1.0)
 
     def reassemble(self, lam, u=None):
-        n = self.n
-        d, delta = self.tables(lam, u)
-        m = np.zeros((n * n, n * n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                m[i * n + j, i * n + j] = d[i, j]
-                if i != j:
-                    m[i * n + j, j * n + i] = delta[i, j]
-        return m
+        return self._join(*self.tables(lam, u))
 
 
 def decompose_zero_weight(D: DynMat, points, tol=1e-9):
     """Decompose a zero-weight 2-leg matrix into its d / Delta tables.
 
     ``points`` is a list of (lam, u) pairs used to certify that no mass
-    sits outside the zero-weight slots; raises ValueError otherwise.
+    sits outside the zero-weight slots; raises ValueError otherwise,
+    including for a non-finite off-slot residual.
     """
     dec = ZeroWeightDecomposition(D)
-    worst = 0.0
-    for lam, u in points:
-        worst = max(worst, dec.offslot_residual(lam, u))
-    if worst > tol:
+    worst = float(np.max([dec.offslot_residual(lam, u) for lam, u in points], initial=0.0))
+    if not worst <= tol:
         raise ValueError(
             f"matrix is not zero-weight: off-slot residual {worst:.3e} exceeds {tol:.1e}"
         )

@@ -45,12 +45,12 @@ from .dyncore import (
     DynMat,
     LegError,
     WeightScheme,
-    adjoint_auto,
+    _place_matrix,
     constant_dynmat,
     dyn_shift,
     embed,
 )
-from .shiftops import ShiftOpSum, shiftop_commutator, shiftop_difference_residual
+from .shiftops import ShiftOpSum, shiftop_commutator
 
 
 def all_legs(N: int):
@@ -92,6 +92,35 @@ def _site_shift(k: int, N: int):
     return tuple(range(2 * k + 1, 2 * N, 2))
 
 
+def _chain_values(u_quantum, u_aux):
+    """Spectral values of the chain legs: auxiliary leg 0, then the quantum legs."""
+    uvals = {} if u_aux is None else {0: complex(u_aux)}
+    uvals.update({int(a): complex(v) for a, v in dict(u_quantum).items()})
+    return uvals
+
+
+def _site_product(block, N: int, legs):
+    """prod_{k=N..1} block(k), each site block shifted by the odd legs above it."""
+    out = None
+    for k in range(N, 0, -1):
+        blk = block(k)
+        s = _site_shift(k, N)
+        if s:
+            blk = dyn_shift(blk, s, legs)
+        out = blk if out is None else out @ blk
+    return out
+
+
+def _with_aux_shift(core: DynMat, scheme: WeightScheme, legs) -> ShiftOpSum:
+    """core followed by the expanded auxiliary weight-shift factor E_0."""
+    return ShiftOpSum.from_matrix(core).compose(ShiftOpSum.weight_shift(scheme, legs, 0))
+
+
+def _conjugate_by(O: DynMat, mid: ShiftOpSum) -> ShiftOpSum:
+    """O^-1 . mid . O as operator sums."""
+    return ShiftOpSum.from_matrix(O.inv()).compose(mid).compose(ShiftOpSum.from_matrix(O))
+
+
 def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
                            u_quantum, u_aux) -> ShiftOpSum:
     """Site-by-site monodromy operator on legs 0..2N.
@@ -113,10 +142,8 @@ def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
             "automorphism only; use build_monodromy_factored for the "
             "gauged chain"
         )
-    scheme = S.scheme
     legs = all_legs(N)
-    uvals = {0: complex(u_aux)}
-    uvals.update({int(a): complex(v) for a, v in dict(u_quantum).items()})
+    uvals = _chain_values(u_quantum, u_aux)
     A, B, C, D = S.A, S.B, S.C, S.D
 
     def place_pair(X, a, shift):
@@ -134,9 +161,7 @@ def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
     for k in range(1, N + 1):
         s = _site_shift(k, N)
         mat = mat @ place_pair(D, 2 * k - 1, s) @ place_pair(B, 2 * k, s)
-    return ShiftOpSum.from_matrix(mat).compose(
-        ShiftOpSum.weight_shift(scheme, legs, 0)
-    )
+    return _with_aux_shift(mat, S.scheme, legs)
 
 
 def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, scheme: WeightScheme,
@@ -153,17 +178,11 @@ def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, scheme: WeightScheme,
     if N < 1:
         raise ValueError("N must be at least 1")
     legs = all_legs(N)
-    uvals = {int(a): complex(v) for a, v in dict(u_quantum).items()}
     if g is not None and not g.is_identity:
         b = auto_dress(b, g)
-    out = None
-    for k in range(N, 0, -1):
-        blk = embed(q, (2 * k - 1,), legs) @ embed(b, (2 * k,), legs)
-        s = _site_shift(k, N)
-        if s:
-            blk = dyn_shift(blk, s, legs)
-        out = blk if out is None else out @ blk
-    return bind_spectral(out, uvals)
+    out = _site_product(lambda k: embed(q, (2 * k - 1,), legs) @ embed(b, (2 * k,), legs),
+                        N, legs)
+    return bind_spectral(out, _chain_values(u_quantum, None))
 
 
 def build_gauged_core(scheme: WeightScheme, R0: DynMat, b: DynMat, q: DynMat,
@@ -188,8 +207,7 @@ def build_gauged_core(scheme: WeightScheme, R0: DynMat, b: DynMat, q: DynMat,
 
     legs = all_legs(N)
     n = scheme.rank
-    uvals = {0: complex(u_aux)}
-    uvals.update({int(a): complex(v) for a, v in dict(u_quantum).items()})
+    uvals = _chain_values(u_quantum, u_aux)
     beta = auto_dress(b, g)
     kinv_binv = bind_spectral(embed((k.inv() @ beta.inv()), (0,), legs), uvals)
     QLi = embed(constant_dynmat(scheme, b.legs, np.linalg.inv(np.asarray(QL, complex))),
@@ -219,7 +237,7 @@ def build_gauged_core(scheme: WeightScheme, R0: DynMat, b: DynMat, q: DynMat,
     bk = bind_spectral(embed(beta @ k, (0,), legs), uvals)
 
     def fn(lam, u):
-        g0 = _place0(g.matrix_at(), legs, n)
+        g0 = _place_matrix(g.matrix_at(), [0], len(legs), n)
         m = kinv_binv.eval(lam) @ QLi.eval(lam)
         for a in order:
             if a is None:
@@ -227,15 +245,9 @@ def build_gauged_core(scheme: WeightScheme, R0: DynMat, b: DynMat, q: DynMat,
             else:
                 Re = bind_spectral(embed(R0, (0, a), legs), uvals)
                 m = m @ g0 @ Re.eval(lam)
-        return m @ bk.eval(lam) @ _place0(g.matrix_at(power=-2 * N), legs, n)
+        return m @ bk.eval(lam) @ _place_matrix(g.matrix_at(power=-2 * N), [0], len(legs), n)
 
     return DynMat(scheme, legs, fn, frozenset())
-
-
-def _place0(mat, legs, n):
-    from .dyncore import _place_matrix
-
-    return _place_matrix(np.asarray(mat, complex), [0], len(legs), n)
 
 
 def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
@@ -262,57 +274,36 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
             raise ValueError("the gauged chain needs the dual core QL")
         core = build_gauged_core(scheme, R0, b, q, k, Q, QL, g, N, u_quantum, u_aux)
         O = build_ON(b, q, N, u_quantum, scheme, g=g)
-        mid = ShiftOpSum.from_matrix(core).compose(
-            ShiftOpSum.weight_shift(scheme, all_legs(N), 0)
-        )
-        return ShiftOpSum.from_matrix(O.inv()).compose(mid).compose(
-            ShiftOpSum.from_matrix(O)
-        )
+        return _conjugate_by(O, _with_aux_shift(core, scheme, all_legs(N)))
     legs = all_legs(N)
-    uvals = {0: complex(u_aux)}
-    uvals.update({int(a): complex(v) for a, v in dict(u_quantum).items()})
-    n = scheme.rank
+    uvals = _chain_values(u_quantum, u_aux)
 
-    def pl1(X, a):
-        return bind_spectral(embed(X, (a,), legs), uvals)
+    def pl(X, *at):
+        return bind_spectral(embed(X, at, legs), uvals)
 
-    def pl2(X, a0, a1):
-        return bind_spectral(embed(X, (a0, a1), legs), uvals)
-
-    core = pl1(chi_t, 0) @ pl1(b.inv(), 0)
+    core = pl(chi_t, 0) @ pl(b.inv(), 0)
     for kk in range(N, 0, -1):
-        core = core @ pl2(R0, 0, 2 * kk)
+        core = core @ pl(R0, 0, 2 * kk)
     if Rbar is None:
         Qm = np.asarray(Q, dtype=complex)
-        core = core @ pl1(constant_dynmat(scheme, q.legs, Qm), 0)
+        core = core @ pl(constant_dynmat(scheme, q.legs, Qm), 0)
     else:
         if chi0 is None:
             raise ValueError("the non-similar variant needs an explicit chi0")
         # interleaved twisted reflection block:
         # (prod_k q_{2k-1}(h odd above)) b_0 chi0(h odd above) q_0^-1 (prod)^-1
         odd = tuple(range(1, 2 * N, 2))
-        qprod = None
-        for kk in range(N, 0, -1):
-            f = embed(q, (2 * kk - 1,), legs)
-            s = _site_shift(kk, N)
-            if s:
-                f = dyn_shift(f, s, legs)
-            qprod = f if qprod is None else qprod @ f
-        qprod = bind_spectral(qprod, uvals)
+        qprod = bind_spectral(
+            _site_product(lambda kk: embed(q, (2 * kk - 1,), legs), N, legs), uvals)
         mid = bind_spectral(dyn_shift(embed(chi0, (0,), legs), odd, legs), uvals)
-        core = core @ qprod @ pl1(b, 0) @ mid @ pl1(q.inv(), 0) @ qprod.inv()
+        core = core @ qprod @ pl(b, 0) @ mid @ pl(q.inv(), 0) @ qprod.inv()
     odd_R = Rbar if Rbar is not None else R0
     for kk in range(1, N + 1):
-        core = core @ pl2(odd_R, 0, 2 * kk - 1)
-    core = core @ pl1(b, 0) @ pl1(k, 0)
+        core = core @ pl(odd_R, 0, 2 * kk - 1)
+    core = core @ pl(b, 0) @ pl(k, 0)
 
     O = build_ON(b, q, N, u_quantum, scheme)
-    Osum = ShiftOpSum.from_matrix(O)
-    Oinv = ShiftOpSum.from_matrix(O.inv())
-    mid = ShiftOpSum.from_matrix(core).compose(
-        ShiftOpSum.weight_shift(scheme, legs, 0)
-    )
-    return Oinv.compose(mid).compose(Osum)
+    return _conjugate_by(O, _with_aux_shift(core, scheme, legs))
 
 
 def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int,
@@ -430,6 +421,8 @@ def certify_commuting_family(S: StructureSet, Q0: DynMat, chi_t: DynMat,
         for j in range(i + 1, len(traced)):
             r = shiftop_commutator(traced[i], traced[j], points, tol,
                                    name="transfer_commutation")
-            if worst is None or r.max_residual > worst.max_residual:
+            # keep the first NaN: it compares false both ways
+            if worst is None or (worst.max_residual == worst.max_residual
+                                 and not r.max_residual <= worst.max_residual):
                 worst = r
     return CommutationCertificate(reports, worst, [])

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .consistency import (
-    ResidualReport,
     residual_nondynamical,
     residual_quasi_nondyn,
     residual_shifted_ybe,

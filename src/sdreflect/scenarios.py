@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprparse as ep
-from .dyncore import Automorphism, DynMat, PoleError, WeightScheme, function_dynmat
+from .dyncore import Automorphism, DynMat, PoleError, WeightScheme
 from .sampling import invertibility_guard, sample_points
 
 
@@ -61,6 +61,18 @@ MATRIX_KINDS = ("identity", "diagonal", "matrix", "yangian", "yangian_offdiag",
 AUTO_KINDS = ("identity", "constant", "spectral_shift", "factorizable")
 
 
+def _spec_kind(spec, kinds, fields, path, label):
+    """Validate a ``{"kind": ...}`` spec object and return its kind."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ScenarioError(f"{path}: expected an object with a 'kind' field")
+    if spec["kind"] not in kinds:
+        raise ScenarioError(f"{path}.kind: unknown {label} {spec['kind']!r}")
+    extra = set(spec) - fields
+    if extra:
+        raise ScenarioError(f"{path}: unknown fields {sorted(extra)}")
+    return spec["kind"]
+
+
 def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     """Compile a matrix spec into a DynMat on the given legs.
 
@@ -70,17 +82,9 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     Expression entries may reference u1..uk for the spectral slots of
     the k legs, in leg order.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioError(f"{path}: expected an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind not in MATRIX_KINDS:
-        raise ScenarioError(f"{path}.kind: unknown kind {kind!r}")
+    kind = _spec_kind(spec, MATRIX_KINDS, {"kind", "entries", "mu"}, path, "kind")
     n = scheme.rank
     legs = tuple(sorted(legs))
-    known = {"kind", "entries", "mu"}
-    extra = set(spec) - known
-    if extra:
-        raise ScenarioError(f"{path}: unknown fields {sorted(extra)}")
 
     if kind == "identity":
         d = n ** len(legs)
@@ -179,15 +183,8 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
 def compile_automorphism_spec(spec, path="automorphism") -> Automorphism:
     if spec is None:
         return Automorphism.identity()
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioError(f"{path}: expected an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind not in AUTO_KINDS:
-        raise ScenarioError(f"{path}.kind: unknown automorphism kind {kind!r}")
-    known = {"kind", "matrix", "step", "entries"}
-    extra = set(spec) - known
-    if extra:
-        raise ScenarioError(f"{path}: unknown fields {sorted(extra)}")
+    kind = _spec_kind(spec, AUTO_KINDS, {"kind", "matrix", "step", "entries"}, path,
+                      "automorphism kind")
     if kind == "identity":
         return Automorphism.identity()
     if kind == "constant":

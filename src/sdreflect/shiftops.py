@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .consistency import ResidualReport, rel_residual
+from .consistency import _collect, rel_residual, worst_residual
 from .dyncore import DynMat, LegError, WeightScheme, constant_dynmat, embed
 
 
@@ -97,11 +97,9 @@ def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8
                                 name="shiftop_equal"):
     """Per-shift-vector relative residual between two operator sums."""
     keys = set(S1.terms) | set(S2.terms)
-    worst = -1.0
-    worst_pt = None
-    count = 0
-    for lam, u in points:
-        count += 1
+
+    def func(lam, u):
+        out = []
         for m in keys:
             a = S1.terms[m].eval(lam, u) if m in S1.terms else None
             b = S2.terms[m].eval(lam, u) if m in S2.terms else None
@@ -109,10 +107,10 @@ def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8
                 a = np.zeros_like(b)
             if b is None:
                 b = np.zeros_like(a)
-            r = rel_residual(a, b)
-            if r > worst:
-                worst, worst_pt = r, (np.asarray(lam), dict(u or {}))
-    return ResidualReport(name, count, worst, tol, worst_pt)
+            out.append(rel_residual(a, b))
+        return worst_residual(out)
+
+    return _collect(name, points, tol, func)
 
 
 def shiftop_commutator(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8,

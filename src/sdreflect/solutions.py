@@ -9,21 +9,19 @@ decorated exchange relation handled by :func:`residual_intertwiner`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import ResidualReport, StructureSet, _collect, rel_residual, residual_zwc
-from .dyncore import (
-    Automorphism,
-    AutomorphismError,
-    DynMat,
-    LegError,
-    WeightScheme,
-    embed,
-    sigma_of,
+from .consistency import (
+    ShiftedSolution,
+    StructureSet,
+    _collect,
+    rel_residual,
+    residual_zwc,
+    worst_residual,
 )
-from .consistency import ShiftedSolution
+from .dyncore import Automorphism, AutomorphismError, DynMat, LegError, sigma_of
 
 PAIR = (1, 2)
 
@@ -121,7 +119,6 @@ def _as_core_fn(Q):
             raise LegError("the core must live on a single leg")
         leg = Q.legs[0]
         spect = bool(Q.spectral_legs)
-        lam_probe = None
         return lambda lam, uval: Q.fn(lam, {leg: uval} if spect else {})
     m = np.asarray(Q, dtype=complex)
     return lambda lam, uval: m
@@ -292,11 +289,10 @@ def residual_quasi_condition(qtilde: DynMat, a: Automorphism, scheme, points,
             rhs = base
         else:
             raise AutomorphismError("quasi condition implemented for finite automorphisms")
-        worst = 0.0
-        for i in range(scheme.rank):
-            lhs = qtilde.eval(lam + scheme.gamma * scheme.unit(i), uvals)
-            worst = max(worst, rel_residual(lhs, rhs))
-        return worst
+        return worst_residual(
+            rel_residual(qtilde.eval(lam + scheme.gamma * scheme.unit(i), uvals), rhs)
+            for i in range(scheme.rank)
+        )
 
     return _collect(name, points, tol, func)
 

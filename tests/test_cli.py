@@ -159,3 +159,64 @@ def test_sites_flag_limits_chain_size(capsys):
     out = capsys.readouterr().out
     assert "transfer_commutation_N1" in out
     assert "transfer_commutation_N2" not in out
+
+
+def test_sampler_exhaustion_is_usage_error(tmp_path, capsys):
+    # b overflows on the whole sampling box, so every draw is rejected
+    data = builtin_scenario("trivial_yangian").to_dict()
+    data["b"] = {"kind": "matrix",
+                 "entries": [["exp(400*lambda1)", "0"], ["0", "1"]]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    assert run(["--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_list_suites_output_is_stable(capsys):
+    assert run(["--list-suites"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "zero-weight", "ybce", "gybce", "dybe", "sdre", "intertwiner", "detwist",
+        "theta-period", "monodromy-factor", "transfer-commute", "zwc", "all",
+    ]
+
+
+@pytest.mark.parametrize("name,suites", [
+    ("constant_g", ["gybce", "dybe"]),
+    ("diagonal_dressed", ["ybce", "dybe"]),
+    ("diagonal_dressed", ["dybe", "ybce"]),
+])
+def test_cubic_relation_d_is_evaluated_once(name, suites, monkeypatch, capsys):
+    from sdreflect import consistency
+
+    engine = consistency._product_residual
+    calls = []
+
+    def counted(check_name, *args, **kwargs):
+        calls.append(check_name)
+        return engine(check_name, *args, **kwargs)
+
+    monkeypatch.setattr(consistency, "_product_residual", counted)
+    argv = ["--builtin", name, "--samples", "4", "--seed", "3", "--format", "structured"]
+    for s in suites:
+        argv += ["--suite", s]
+    assert run(argv) == 0
+    assert len(calls) == 4  # relations a, b, c and d, each once
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    cubic = next(s for s in suites if s != "dybe")
+    shared = dict(checks[f"{cubic}_d"], name="dybe")
+    assert shared == checks["dybe"]
+
+
+def test_skip_reason_is_the_explicit_notice():
+    from sdreflect.cli import Rig, applicable_suites
+    from sdreflect.scenarios import builtin_names
+
+    seen = 0
+    for name in builtin_names():
+        rig = Rig(builtin_scenario(name), samples=2, seed=1)
+        _, skipped = applicable_suites(rig)
+        for suite, why in skipped:
+            assert rig.run_suite(suite) == ([], [why])
+            seen += 1
+    assert seen > 0

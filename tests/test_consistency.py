@@ -397,3 +397,62 @@ def test_gybce_factorizable_automorphism():
     reps = residual_gybce(S2, PTS, 1e-9)
     assert not reps["gybce_a"].passed
     assert reps["gybce_d"].passed
+
+
+# -- non-finite residuals -----------------------------------------------------
+
+
+def test_all_nan_matrix_fails():
+    X = constant_dynmat(SCH, (1, 2), np.full((4, 4), np.nan))
+    for rep in (residual_dybe(X, PTS, 1e-9), residual_zero_weight(X, "D", PTS, 1e-9)):
+        assert not rep.passed
+        assert np.isnan(rep.max_residual)
+        np.testing.assert_array_equal(rep.worst_point[0], PTS[0][0])
+
+
+def test_nan_at_one_point_fails_and_is_the_worst_point():
+    from sdreflect.consistency import residual_nondynamical
+
+    bad = PTS[5][0]
+
+    def fn(lam, u):
+        if np.array_equal(lam, bad):
+            return np.full((4, 4), np.nan)
+        # lambda-dependent, so every other point has a finite residual
+        return np.diag([lam[0], 1.0, 1.0, 1.0])
+
+    rep = residual_nondynamical(function_dynmat(SCH, (1, 2), fn), PTS, 1e-9)
+    assert not rep.passed
+    assert np.isnan(rep.max_residual)
+    np.testing.assert_array_equal(rep.worst_point[0], bad)
+
+
+def test_nan_inside_a_per_point_max_fails():
+    # with gamma = 100 only the shift along e_2 leaves |lam_2| < 50, so one
+    # of the two per-index sub-residuals is NaN and the other is 0
+    sch = WeightScheme(2, 100.0)
+    pts = sample_points(sch, (1, 2, 3), count=4, seed=3)
+
+    def fn(lam, u):
+        return np.eye(4) if abs(lam[1]) < 50 else np.full((4, 4), np.nan)
+
+    X = function_dynmat(sch, (1, 2), fn)
+    rep = residual_quasi_nondyn(X, Automorphism.identity(), pts, 1e-9)
+    assert not rep.passed and np.isnan(rep.max_residual)
+
+
+def test_nan_operator_coefficient_fails():
+    from sdreflect.shiftops import ShiftOpSum, shiftop_difference_residual
+
+    one = ShiftOpSum.from_matrix(identity_dynmat(SCH, (1,)))
+    nan = ShiftOpSum.from_matrix(constant_dynmat(SCH, (1,), np.full((2, 2), np.nan)))
+    rep = shiftop_difference_residual(one, nan, PTS, 1e-8)
+    assert not rep.passed and np.isnan(rep.max_residual)
+
+
+def test_nan_matrix_is_not_zero_weight():
+    from sdreflect import decompose_zero_weight
+
+    X = constant_dynmat(SCH, (1, 2), np.full((4, 4), np.nan))
+    with pytest.raises(ValueError):
+        decompose_zero_weight(X, PTS[:2])
