@@ -12,10 +12,16 @@ weight-projector resolved sum
 
 with the projector multiplied on the right; nested shifts add one sum
 per shift leg.
+
+Placing a k-leg matrix on some of the legs (identity on the others)
+copies its entries through flat index tables, built once per (positions,
+leg count, rank) and cached; a matrix already on all the legs in order
+is returned as it is.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -272,17 +278,34 @@ def yangian_r(scheme: WeightScheme, legs=(1, 2), min_gap=1e-12) -> DynMat:
 # -- leg placement -------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _placement_tables(positions, total, n):
+    """Read-only flat (dst, src) index tables placing an n**k matrix on the
+    given positions of n**total legs: out.flat[dst] = m.flat[src]."""
+    k, d = len(positions), n ** total
+    rows, sub = np.arange(d), np.arange(n ** k)
+    # place value of each placed leg in an ambient and in the matrix's index
+    ambient = n ** (total - 1 - np.array(positions, dtype=np.intp))
+    own = n ** np.arange(k - 1, -1, -1)
+    digits = rows[:, None] // ambient % n
+    # row R meets column R with its placed digits replaced by those of sub
+    cols = (rows - digits @ ambient)[:, None] + (sub[:, None] // own % n) @ ambient
+    tables = ((rows[:, None] * d + cols).ravel(),
+              ((digits @ own)[:, None] * n ** k + sub).ravel())
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _place_matrix(m, positions, total, n):
     """Embed an n**k matrix into n**total legs at the given positions."""
-    k = len(positions)
-    rest = [p for p in range(total) if p not in positions]
-    full = np.kron(m, np.eye(n ** (total - k), dtype=complex))
-    full = full.reshape((n,) * (2 * total))
-    # current row-axis order: X legs then identity legs
-    src_order = list(positions) + rest
-    perm = [src_order.index(p) for p in range(total)]
-    axes = perm + [total + a for a in perm]
-    return full.transpose(axes).reshape(n ** total, n ** total)
+    positions = tuple(positions)
+    if positions == tuple(range(total)):
+        return np.asarray(m, dtype=complex)
+    dst, src = _placement_tables(positions, total, n)
+    out = np.zeros(n ** (2 * total), dtype=complex)
+    out[dst] = np.ravel(m)[src]
+    return out.reshape(n ** total, n ** total)
 
 
 def embed(X: DynMat, target_legs, all_legs) -> DynMat:

@@ -11,12 +11,15 @@ Grammar (ASCII):
 
 Two evaluators are provided: the AST evaluator used by the scenario
 machinery, and an independent single-pass evaluator (no AST) used as a
-cross-check oracle.
+cross-check oracle.  The AST evaluator compiles each node once into a
+closure, kept on the node, and computes sigma only for expressions that
+reference it; :func:`reference_eval` stays the tree-free oracle.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -267,48 +270,84 @@ def parse_expr(src: str):
 POLE_FLOOR = 1e-12
 
 
-def eval_ast(node, lam, u=None, gamma=1.0):
-    """Evaluate an AST at (lambda, u, gamma); sigma = sum(lambda)."""
-    lam = np.asarray(lam, dtype=complex)
-    u = {} if u is None else u
-    sigma = complex(np.sum(lam))
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
-    def ev(n):
-        if isinstance(n, Num):
-            return complex(n.value)
-        if isinstance(n, Const):
-            return 1j if n.name == "i" else (complex(gamma) if n.name == "gamma" else sigma)
-        if isinstance(n, LambdaVar):
-            if n.index > len(lam):
-                raise ValueError(f"lambda{n.index} out of range for rank {len(lam)}")
-            return complex(lam[n.index - 1])
-        if isinstance(n, UVar):
-            if n.index not in u:
-                raise ValueError(f"no spectral value bound for u{n.index}")
-            return complex(u[n.index])
-        if isinstance(n, BinOp):
-            a, b = ev(n.left), ev(n.right)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
+
+def _compile(n):
+    """(closure, uses sigma) for an AST node.  The closure maps (lam, u,
+    gamma, sigma) to the node's value by the operations of a tree walk,
+    in its order and with its pole and overflow checks."""
+    if isinstance(n, Num):
+        v = complex(n.value)
+        return (lambda lam, u, g, s: v), False
+    if isinstance(n, Const):
+        if n.name == "i":
+            return (lambda lam, u, g, s: 1j), False
+        if n.name == "gamma":
+            return (lambda lam, u, g, s: complex(g)), False
+        return (lambda lam, u, g, s: s), True
+    if isinstance(n, LambdaVar):
+        k = n.index
+
+        def var(lam, u, g, s):
+            if k > len(lam):
+                raise ValueError(f"lambda{k} out of range for rank {len(lam)}")
+            return complex(lam[k - 1])
+
+        return var, False
+    if isinstance(n, UVar):
+        k = n.index
+
+        def uvar(lam, u, g, s):
+            if k not in u:
+                raise ValueError(f"no spectral value bound for u{k}")
+            return complex(u[k])
+
+        return uvar, False
+    if isinstance(n, BinOp):
+        (fa, sa), (fb, sb) = _compile(n.left), _compile(n.right)
+        if n.op in _ARITH:
+            op = _ARITH[n.op]
+            return (lambda lam, u, g, s: op(fa(lam, u, g, s), fb(lam, u, g, s))), sa or sb
+        pos = n.pos
+
+        def div(lam, u, g, s):
+            a, b = fa(lam, u, g, s), fb(lam, u, g, s)
             if abs(b) < POLE_FLOOR:
-                raise EvalPoleError(
-                    f"division by (near-)zero at position {n.pos}", n.pos
-                )
+                raise EvalPoleError(f"division by (near-)zero at position {pos}", pos)
             return a / b
-        if isinstance(n, Pow):
-            base = ev(n.base)
-            if n.exponent < 0 and abs(base) < POLE_FLOOR:
-                raise EvalPoleError("negative power of (near-)zero")
-            return base ** n.exponent
-        if isinstance(n, Exp):
-            return _cexp(ev(n.arg))
-        raise TypeError(f"unknown node {n!r}")
 
-    return ev(node)
+        return div, sa or sb
+    if isinstance(n, Pow):
+        fb, sb = _compile(n.base)
+        e = n.exponent
+
+        def power(lam, u, g, s):
+            base = fb(lam, u, g, s)
+            if e < 0 and abs(base) < POLE_FLOOR:
+                raise EvalPoleError("negative power of (near-)zero")
+            return base ** e
+
+        return power, sb
+    if isinstance(n, Exp):
+        fa, sa = _compile(n.arg)
+        return (lambda lam, u, g, s: _cexp(fa(lam, u, g, s))), sa
+    raise TypeError(f"unknown node {n!r}")
+
+
+def eval_ast(node, lam, u=None, gamma=1.0):
+    """Evaluate an AST at (lambda, u, gamma); sigma = sum(lambda).
+
+    The node is compiled on its first evaluation and keeps the closure.
+    """
+    code = getattr(node, "_code", None)
+    if code is None:
+        code = _compile(node)
+        object.__setattr__(node, "_code", code)
+    fn, uses_sigma = code
+    lam = np.asarray(lam, dtype=complex)
+    return fn(lam, {} if u is None else u, gamma,
+              complex(np.sum(lam)) if uses_sigma else None)
 
 
 def collect_u_indices(node):

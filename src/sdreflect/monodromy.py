@@ -320,6 +320,7 @@ def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int,
     n = scheme.rank
     qlegs = tuple(l for l in T.legs if l != 0)
     dq = n ** len(qlegs)
+    total = len(T.legs)
     terms = []
     for m, coeff in T.terms.items():
         def tr(lam, u, _c=coeff):
@@ -327,8 +328,9 @@ def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int,
             if twist is not None:
                 uvals = {twist.legs[0]: complex(u_aux)} if twist.spectral_legs else {}
                 w = twist.fn(lam, uvals)
-                W = np.kron(w, np.eye(dq, dtype=complex))
-                M = np.kron(np.linalg.inv(w), np.eye(dq, dtype=complex)) @ M @ W
+                # leg 0 leads T's legs
+                W = _place_matrix(w, [0], total, n)
+                M = _place_matrix(np.linalg.inv(w), [0], total, n) @ M @ W
             return np.einsum("iaib->ab", M.reshape(n, dq, n, dq))
         terms.append((m, DynMat(scheme, qlegs, tr, frozenset())))
     return ShiftOpSum(scheme, qlegs, terms)

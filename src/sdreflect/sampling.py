@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyncore import WeightScheme
+from .dyncore import PoleError, WeightScheme
 
 
 class RetryCapError(RuntimeError):
@@ -86,7 +86,10 @@ def invertibility_guard(dynmats, floor=0.05, probe_shifts=()):
             for off in offsets:
                 try:
                     m = X.eval(lam + off, uvals)
-                except Exception:
+                except (PoleError, np.linalg.LinAlgError, ZeroDivisionError,
+                        OverflowError):
+                    # a pole, a singular inverse, or an entry-expression
+                    # pole or overflow; anything else is a fault and raises
                     return True
                 s = np.linalg.svd(m, compute_uv=False)
                 if s[-1] < floor:

@@ -165,8 +165,16 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     leg = legs[0]
     gamma = scheme.gamma
 
+    # values by the exact bytes of (lam, u1); pole points raise every time
+    memo = {}
+
     def fn(lam, u):
         uu = {1: u[leg]} if spectral else {}
+        key = (np.asarray(lam, dtype=complex).tobytes(),
+               np.complex128(uu.get(1, 0.0)).tobytes())
+        m = memo.get(key)
+        if m is not None:
+            return m
         m = np.zeros((n, n), dtype=complex)
         for i in range(n):
             for j in range(n):
@@ -175,6 +183,8 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
                         m[i, j] = ep.eval_ast(asts[i][j], lam, uu, gamma)
                     except ep.EvalPoleError as exc:
                         raise PoleError(str(exc), lam, u)
+        m.setflags(write=False)
+        memo[key] = m
         return m
 
     return DynMat(scheme, legs, fn, spectral)

@@ -5,6 +5,7 @@ from sdreflect import (
     Automorphism,
     WeightScheme,
     constant_dynmat,
+    embed,
     function_dynmat,
     identity_dynmat,
     yangian_r,
@@ -456,3 +457,20 @@ def test_nan_matrix_is_not_zero_weight():
     X = constant_dynmat(SCH, (1, 2), np.full((4, 4), np.nan))
     with pytest.raises(ValueError):
         decompose_zero_weight(X, PTS[:2])
+
+
+def test_nan_survives_index_placement_and_shift():
+    # the index tables copy a NaN into its own entries only (no NaN*0
+    # smear over identity blocks); the product check must still fail
+    bad = PTS[4][0]
+
+    def fn(lam, u):
+        if np.array_equal(lam, bad):
+            return np.full((2, 2), np.nan)
+        return np.diag([2.0 + lam[0], 1.5])
+
+    X = function_dynmat(SCH, (1,), fn)
+    rep = residual_dybe(embed(X, (1,), (1, 2)), PTS, 1e-9)
+    assert not rep.passed
+    assert np.isnan(rep.max_residual)
+    np.testing.assert_array_equal(rep.worst_point[0], bad)

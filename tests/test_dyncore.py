@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from sdreflect import (
     sigma_theta_inverse,
     yangian_r,
 )
-from sdreflect.dyncore import LegError, PoleError, SpectralValueError
+from sdreflect.dyncore import LegError, PoleError, SpectralValueError, _place_matrix
 
 SCH2 = WeightScheme(2, 1.0)
 SCH3 = WeightScheme(3, 1.0)
@@ -334,3 +336,39 @@ def test_factorizable_automorphism_needs_slot_value():
     X = identity_dynmat(SCH2, (1, 2))
     with pytest.raises(SpectralValueError):
         adjoint_auto(X, f, (1,), "conjugate", 1).eval(rand_lam())
+
+
+# -- index-table placement ---------------------------------------------------
+
+
+def _kron_place(m, positions, total, n):
+    """Placement by Kronecker product with the identity and an axis
+    transpose: the reference the index tables must reproduce."""
+    k = len(positions)
+    rest = [p for p in range(total) if p not in positions]
+    full = np.kron(m, np.eye(n ** (total - k), dtype=complex))
+    full = full.reshape((n,) * (2 * total))
+    src_order = list(positions) + rest
+    perm = [src_order.index(p) for p in range(total)]
+    axes = perm + [total + a for a in perm]
+    return full.transpose(axes).reshape(n ** total, n ** total)
+
+
+@pytest.mark.parametrize("n,max_total,max_k", [(2, 5, 5), (3, 4, 3)])
+def test_place_matrix_matches_kron_reference(n, max_total, max_k):
+    rng = np.random.default_rng(11)
+    for total in range(1, max_total + 1):
+        for k in range(1, min(total, max_k) + 1):
+            for pos in itertools.permutations(range(total), k):
+                d = n ** k
+                m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                got = _place_matrix(m, list(pos), total, n)
+                assert np.array_equal(got, _kron_place(m, pos, total, n)), (total, pos)
+
+
+def test_place_matrix_on_all_legs_in_order_is_the_matrix():
+    m = np.arange(16.0).reshape(4, 4) + 0j
+    assert _place_matrix(m, [0, 1], 2, 2) is m
+    swapped = _place_matrix(m, [1, 0], 2, 2)
+    p = permutation_operator(2)
+    np.testing.assert_array_equal(swapped, p @ m @ p)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdreflect.exprparse import (
     EvalOverflowError,
@@ -100,3 +102,39 @@ def test_unbound_spectral_variable():
     ast = parse_expr("u2+1")
     with pytest.raises(ValueError):
         eval_ast(ast, [0, 0], {1: 1.0})
+
+
+def _outcome(f, *args):
+    """('ok', repr of the value) or ('raised', error class)."""
+    try:
+        return "ok", repr(f(*args))
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_eval_is_exactly_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    src = random_expression(rng, rank=3, u_count=2, depth=int(rng.integers(1, 5)))
+    lam = rng.normal(size=3) + 1j * rng.normal(size=3)
+    u = {1: complex(*rng.normal(size=2)), 2: complex(*rng.normal(size=2))}
+    gamma = complex(*rng.normal(size=2))
+    got = _outcome(eval_ast, parse_expr(src), lam, u, gamma)
+    assert got == _outcome(reference_eval, src, lam, u, gamma), src
+
+
+def test_compiled_eval_is_reused_and_raises_like_the_walk():
+    ast = parse_expr("lambda1/(u1-1)")
+    assert eval_ast(ast, [2.0, 0.0], {1: 3.0}) == 1.0
+    code = ast._code
+    assert eval_ast(ast, [4.0, 0.0], {1: 3.0}) == 2.0
+    assert ast._code is code
+    with pytest.raises(EvalPoleError):
+        eval_ast(ast, [4.0, 0.0], {1: 1.0})
+    with pytest.raises(ValueError, match="no spectral value"):
+        eval_ast(ast, [4.0, 0.0])
+    with pytest.raises(ValueError, match="out of range"):
+        eval_ast(parse_expr("lambda3"), [1.0, 2.0])
+    with pytest.raises(TypeError):
+        eval_ast(object(), [1.0, 2.0])

@@ -6,7 +6,7 @@ import pytest
 from sdreflect.consistency import rel_residual
 from sdreflect.dyncore import PoleError
 from sdreflect.parametrize import auto_dress
-from sdreflect.sampling import RetryCapError, sample_points
+from sdreflect.sampling import RetryCapError, invertibility_guard, sample_points
 from sdreflect.scenarios import (
     Scenario,
     ScenarioError,
@@ -16,7 +16,8 @@ from sdreflect.scenarios import (
     load_scenario,
     scenario_from_dict,
 )
-from sdreflect import WeightScheme
+from sdreflect import WeightScheme, exprparse, function_dynmat
+from sdreflect.cli import Rig
 
 SCH = WeightScheme(2, 1.0)
 
@@ -154,3 +155,69 @@ def test_spectral_entry_binding():
     assert m.spectral_legs == frozenset({1})
     v = m.eval(np.zeros(2), {1: 2.0})
     assert np.isclose(v[0, 0], np.exp(0.4))
+
+
+# -- per-point leaf memo ------------------------------------------------------
+
+
+def _count_leaf_evals(monkeypatch):
+    calls = []
+    real = exprparse.eval_ast
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exprparse, "eval_ast", counted)
+    return calls
+
+
+def test_compiled_leaf_memoizes_by_exact_point(monkeypatch):
+    calls = _count_leaf_evals(monkeypatch)
+    spec = {"kind": "diagonal", "entries": ["1+lambda1*u1", "2-lambda2"]}
+    m = compile_matrix_spec(spec, SCH, (1,), "b")
+    lam = np.array([0.3 + 0.1j, -0.2 + 0.4j])
+    first = m.eval(lam, {1: 0.7})
+    assert len(calls) == 2  # one per entry expression
+    second = m.eval(lam.copy(), {1: 0.7})
+    assert len(calls) == 2 and second is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    m.eval(lam, {1: 0.8})  # another spectral value is another point
+    m.eval(lam + 1e-15, {1: 0.7})
+    assert len(calls) == 6
+
+
+def test_compiled_leaf_pole_raises_every_time(monkeypatch):
+    calls = _count_leaf_evals(monkeypatch)
+    spec = {"kind": "diagonal", "entries": ["1/(lambda1-lambda2)", "1"]}
+    m = compile_matrix_spec(spec, SCH, (1,), "b")
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            m.eval(np.array([0.5, 0.5]))
+    assert len(calls) == 2
+
+
+def test_rigs_share_no_leaf_memo(monkeypatch):
+    sc = builtin_scenario("diagonal_dressed")
+    r1, r2 = Rig(sc, samples=2), Rig(sc, samples=2)
+    calls = _count_leaf_evals(monkeypatch)
+    lam = np.array([0.31 + 0.2j, -0.4 + 0.1j])
+    np.testing.assert_array_equal(r1.b.eval(lam), r2.b.eval(lam))
+    assert len(calls) == 4  # two diagonal entries, once in each rig
+    r1.b.eval(lam)
+    assert len(calls) == 4
+
+
+def test_guard_rejects_poles_and_raises_faults():
+    def pole(lam, u):
+        raise PoleError("pole", lam, u)
+
+    def broken(lam, u):
+        raise KeyError("missing table entry")
+
+    lam = np.array([0.1 + 0.2j, 0.3 - 0.1j])
+    assert invertibility_guard([function_dynmat(SCH, (1,), pole)])(lam, {})
+    with pytest.raises(KeyError):
+        invertibility_guard([function_dynmat(SCH, (1,), broken)])(lam, {})
