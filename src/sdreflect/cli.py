@@ -77,7 +77,8 @@ class Rig:
         self.K = self.beta.inv() @ constant_like(self.b, self.Q) @ self.q
         self.kappa = self.beta @ self.K @ self.q.inv()
         self.chi = build_dual(self.k, self.b, self.g, self.QL)
-        self.points = scenario.sample(count=samples, seed=seed)
+        self.points = scenario.sample(count=samples, seed=seed,
+                                       guard_mats=(self.b, self.q, self.k))
         # cubic-relation reports by letter: ybce / gybce and dybe share
         # relation d
         self._cubic = {}

@@ -50,7 +50,7 @@ from .dyncore import (
     dyn_shift,
     embed,
 )
-from .shiftops import ShiftOpSum, shiftop_commutator
+from .shiftops import ShiftOpSum, _TableSum, shiftop_commutator
 
 
 def all_legs(N: int):
@@ -217,6 +217,9 @@ def build_gauged_core(scheme: WeightScheme, R0: DynMat, b: DynMat, q: DynMat,
 
     if g.variant == Automorphism.SHIFT:
         s = g.step
+        placed = {a: embed(R0, (0, a), legs) for a in order if a is not None}
+        right = embed(beta @ k, (0,), legs)
+        rv = {l: uvals[l] + (2 * N * s if l == 0 else 0.0) for l in right.spectral_legs}
 
         def fn(lam, u):
             m = kinv_binv.eval(lam) @ QLi.eval(lam)
@@ -226,26 +229,24 @@ def build_gauged_core(scheme: WeightScheme, R0: DynMat, b: DynMat, q: DynMat,
                     m = m @ Qm.eval(lam)
                     continue
                 count += 1
-                Re = embed(R0, (0, a), legs)
-                m = m @ Re.eval(lam, {0: uvals[0] + count * s, a: uvals[a]})
-            right = embed(beta @ k, (0,), legs)
-            rv = {l: uvals[l] + (2 * N * s if l == 0 else 0.0) for l in right.spectral_legs}
+                m = m @ placed[a].eval(lam, {0: uvals[0] + count * s, a: uvals[a]})
             return m @ right.eval(lam, rv)
 
         return DynMat(scheme, legs, fn, frozenset())
 
     bk = bind_spectral(embed(beta @ k, (0,), legs), uvals)
+    placed = {a: bind_spectral(embed(R0, (0, a), legs), uvals) for a in order if a is not None}
+    g0 = _place_matrix(g.matrix_at(), [0], len(legs), n)
+    g_last = _place_matrix(g.matrix_at(power=-2 * N), [0], len(legs), n)
 
     def fn(lam, u):
-        g0 = _place_matrix(g.matrix_at(), [0], len(legs), n)
         m = kinv_binv.eval(lam) @ QLi.eval(lam)
         for a in order:
             if a is None:
                 m = m @ Qm.eval(lam)
             else:
-                Re = bind_spectral(embed(R0, (0, a), legs), uvals)
-                m = m @ g0 @ Re.eval(lam)
-        return m @ bk.eval(lam) @ _place_matrix(g.matrix_at(power=-2 * N), [0], len(legs), n)
+                m = m @ g0 @ placed[a].eval(lam)
+        return m @ bk.eval(lam) @ g_last
 
     return DynMat(scheme, legs, fn, frozenset())
 
@@ -308,12 +309,15 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
 
 def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int,
                    twist: DynMat = None, u_aux=None) -> ShiftOpSum:
-    """Partial trace over the auxiliary leg, term by term.
+    """Partial trace over the auxiliary leg, as a map of T's tables.
 
     Each term (M, m) becomes (Tr_0[w^-1 M w], m) on the quantum legs,
     with w the optional auxiliary twist insertion evaluated at
-    (lam, u_aux); shifts are preserved because the auxiliary shift
-    factor was already expanded with weight projectors.
+    (lam, u_aux) once per point; shifts are preserved because the
+    auxiliary shift factor was already expanded with weight projectors.
+    Since w acts on leg 0 only, cyclicity of the partial trace over leg 0
+    gives Tr_0[w^-1 M w] = Tr_0[M]: the twist changes a traced operator
+    by round-off only.
     """
     if 0 not in T.legs:
         raise LegError("transfer trace needs the auxiliary leg 0")
@@ -321,19 +325,25 @@ def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int,
     qlegs = tuple(l for l in T.legs if l != 0)
     dq = n ** len(qlegs)
     total = len(T.legs)
-    terms = []
-    for m, coeff in T.terms.items():
-        def tr(lam, u, _c=coeff):
-            M = _c.eval(lam)
+    if twist is not None:
+        uvals = {twist.legs[0]: complex(u_aux)} if twist.spectral_legs else {}
+
+    def table(lam, u):
+        terms = T.eval_terms(lam, u)
+        if twist is not None:
+            w = twist.fn(lam, uvals)
+            # leg 0 leads T's legs
+            W = _place_matrix(w, [0], total, n)
+            Wi = _place_matrix(np.linalg.inv(w), [0], total, n)
+        out = {}
+        for m in list(terms):
+            M = terms.pop(m)
             if twist is not None:
-                uvals = {twist.legs[0]: complex(u_aux)} if twist.spectral_legs else {}
-                w = twist.fn(lam, uvals)
-                # leg 0 leads T's legs
-                W = _place_matrix(w, [0], total, n)
-                M = _place_matrix(np.linalg.inv(w), [0], total, n) @ M @ W
-            return np.einsum("iaib->ab", M.reshape(n, dq, n, dq))
-        terms.append((m, DynMat(scheme, qlegs, tr, frozenset())))
-    return ShiftOpSum(scheme, qlegs, terms)
+                M = Wi @ M @ W
+            out[m] = np.einsum("iaib->ab", M.reshape(n, dq, n, dq))
+        return out
+
+    return _TableSum(scheme, qlegs, T.terms, table)
 
 
 @dataclass

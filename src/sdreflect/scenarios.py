@@ -327,8 +327,13 @@ class Scenario:
             raise ScenarioError("quantum_spectral: need two values per site")
         return {i + 1: vals[i] for i in range(2 * N)}
 
-    def sample(self, count=None, seed=None, spectral_legs=(1, 2, 3)):
-        """Pole-aware samples for this scenario's checks."""
+    def sample(self, count=None, seed=None, spectral_legs=(1, 2, 3), guard_mats=None):
+        """Pole-aware samples for this scenario's checks.
+
+        ``guard_mats`` is the compiled (b, q, k) the guard probes; by
+        default they are compiled afresh.  Passing a rig's own matrices
+        lets verification reuse the leaf values the guard computed.
+        """
         cfg = dict(self.sampler)
         count = cfg.get("count", 50) if count is None else count
         seed = cfg.get("seed", 1) if seed is None else seed
@@ -343,8 +348,10 @@ class Scenario:
                     shifts.append(
                         gamma * (self.scheme.unit(i) + self.scheme.unit(j)
                                  + self.scheme.unit(l)))
+        if guard_mats is None:
+            guard_mats = (self.b_mat(), self.q_mat(), self.k_mat())
         guards = [invertibility_guard(
-            [self.b_mat(), self.q_mat(), self.k_mat()],
+            list(guard_mats),
             floor=0.05, probe_shifts=shifts,
         )]
         return sample_points(

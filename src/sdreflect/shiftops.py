@@ -7,6 +7,13 @@ shift vector m; products compose as
 
 Coefficients are :class:`~sdreflect.dyncore.DynMat` values sharing one
 leg set; spectral values must already be bound into the coefficients.
+
+``eval_terms(lam, u)`` evaluates a whole operator at a point, as a table
+shift vector -> matrix.  A product is evaluated table by table: the left
+factor's table once at lam, and the right factor's once at each shifted
+point lam + gamma*m1, so every coefficient is computed once per point it
+is needed at.  The ``terms`` of a product (or of a traced operator) are a
+view: each coefficient reads its key from the table at its point.
 """
 
 from __future__ import annotations
@@ -56,37 +63,45 @@ class ShiftOpSum:
             terms.append((tuple(m), proj))
         return cls(scheme, legs, terms)
 
-    @property
-    def shifts(self):
-        return sorted(self.terms)
-
     def compose(self, other: "ShiftOpSum") -> "ShiftOpSum":
+        """The product self . other, evaluated as per-point tables."""
         if self.legs != other.legs:
             raise LegError("composition needs a shared leg set")
         gamma = self.scheme.gamma
-        out = []
-        for m1, c1 in self.terms.items():
-            delta = gamma * np.asarray(m1, dtype=complex)
-            for m2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                out.append((key, c1 @ c2.shift_lambda(delta)))
-        return ShiftOpSum(self.scheme, self.legs, out)
 
-    def __add__(self, other):
-        if self.legs != other.legs:
-            raise LegError("addition needs a shared leg set")
-        return ShiftOpSum(
-            self.scheme, self.legs, list(self.terms.items()) + list(other.terms.items())
-        )
+        def table(lam, u):
+            # keys in first-appearance order, sums (x + y) + z left to
+            # right; each used entry is dropped before the next right table
+            out, left = {}, self.eval_terms(lam, u)
+            for m1 in list(left):
+                right = other.eval_terms(lam + gamma * np.asarray(m1, dtype=complex), u)
+                a = left.pop(m1)
+                for m2 in list(right):
+                    key = tuple(x + y for x, y in zip(m1, m2))
+                    ab = a @ right.pop(m2)
+                    out[key] = out[key] + ab if key in out else ab
+                a = ab = None
+            return out
 
-    def scale(self, c):
-        return ShiftOpSum(
-            self.scheme, self.legs, [(m, coeff * c) for m, coeff in self.terms.items()]
-        )
+        keys = [tuple(x + y for x, y in zip(m1, m2)) for m1 in self.terms for m2 in other.terms]
+        return _TableSum(self.scheme, self.legs, keys, table)
 
     def eval_terms(self, lam, u=None):
         """Dict shift-vector -> coefficient matrix at the point."""
         return {m: coeff.eval(lam, u) for m, coeff in self.terms.items()}
+
+
+class _TableSum(ShiftOpSum):
+    """An operator sum computed one whole table at a time by
+    ``table(lam, u)``; each of its ``terms`` reads its key from the table."""
+
+    def __init__(self, scheme, legs, keys, table):
+        self.scheme, self.legs, self._table = scheme, legs, table
+        self.terms = {m: DynMat(scheme, legs, lambda lam, u, m=m: table(lam, u)[m])
+                      for m in dict.fromkeys(keys)}
+
+    def eval_terms(self, lam, u=None):
+        return self._table(self.scheme.check_point(lam), u)
 
 
 def shiftop_compose(S1: ShiftOpSum, S2: ShiftOpSum) -> ShiftOpSum:
@@ -95,14 +110,18 @@ def shiftop_compose(S1: ShiftOpSum, S2: ShiftOpSum) -> ShiftOpSum:
 
 def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8,
                                 name="shiftop_equal"):
-    """Per-shift-vector relative residual between two operator sums."""
+    """Per-shift-vector relative residual between two operator sums,
+    each evaluated as one table per point."""
     keys = set(S1.terms) | set(S2.terms)
 
     def func(lam, u):
+        # S2 first: callers pass the deeper operand (the factored
+        # monodromy) second, so its temporaries never meet S1's table
+        t2 = S2.eval_terms(lam, u)
+        t1 = S1.eval_terms(lam, u)
         out = []
         for m in keys:
-            a = S1.terms[m].eval(lam, u) if m in S1.terms else None
-            b = S2.terms[m].eval(lam, u) if m in S2.terms else None
+            a, b = t1.pop(m, None), t2.pop(m, None)
             if a is None:
                 a = np.zeros_like(b)
             if b is None:

@@ -274,3 +274,47 @@ def test_build_ON_identity_automorphism_reduces():
     O2 = build_ON(b, q, 2, U_Q, sch, g=Automorphism.identity())
     lam = RNG.uniform(-1, 1, 2)
     np.testing.assert_allclose(O1.eval(lam), O2.eval(lam), atol=1e-13)
+
+
+def test_factored_terms_view_equals_table():
+    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    u0 = 0.52 + 0.21j
+    T = build_monodromy_factored(sch, R, b, q, k, Q, chi, 2, U_Q, u0)
+    t = transfer_trace(T, sch, 2, twist=q, u_aux=u0)
+    lam = lam_points(2)[0][0]
+    for op in (T, t):
+        table = op.eval_terms(lam)
+        assert list(table) == list(op.terms)
+        for m, coeff in op.terms.items():
+            np.testing.assert_array_equal(coeff.eval(lam), table[m])
+
+
+def test_twist_cancels_in_the_partial_trace():
+    # Tr_0[w^-1 M w] = Tr_0[M] for w on leg 0 alone (cyclicity over leg 0)
+    sch = WeightScheme(2, 1.0)
+    rng = np.random.default_rng(31)
+    M = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    w = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    T = ShiftOpSum.from_matrix(constant_dynmat(sch, (0, 1, 2, 3, 4), M))
+    twist = constant_dynmat(sch, (1,), w)
+    plain = transfer_trace(T, sch, 2).eval_terms(np.zeros(2))
+    twisted = transfer_trace(T, sch, 2, twist=twist, u_aux=0.3).eval_terms(np.zeros(2))
+    assert rel_residual(plain[(0, 0)], twisted[(0, 0)]) < 1e-13
+    np.testing.assert_allclose(plain[(0, 0)], np.einsum("iaib->ab", M.reshape(2, 16, 2, 16)))
+
+
+@pytest.mark.parametrize("g", [Automorphism.constant(np.diag([2.0, 1.0])),
+                               Automorphism.spectral_shift(0.3)])
+def test_gauged_core_builds_nothing_per_evaluation(monkeypatch, g):
+    import sdreflect.monodromy as mono
+
+    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    core = build_gauged_core(sch, R, b, q, k, Q, QL, g, 2, U_Q, 0.52 + 0.21j)
+    lam = lam_points(2)[0][0]
+    first = core.eval(lam)
+    calls = []
+    for name in ("embed", "bind_spectral", "_place_matrix"):
+        real = getattr(mono, name)
+        monkeypatch.setattr(mono, name, lambda *a, _r=real, **kw: calls.append(1) or _r(*a, **kw))
+    np.testing.assert_array_equal(core.eval(lam), first)
+    assert calls == []

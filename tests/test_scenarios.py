@@ -221,3 +221,16 @@ def test_guard_rejects_poles_and_raises_faults():
     assert invertibility_guard([function_dynmat(SCH, (1,), pole)])(lam, {})
     with pytest.raises(KeyError):
         invertibility_guard([function_dynmat(SCH, (1,), broken)])(lam, {})
+
+
+def test_sampler_guard_probes_the_rigs_matrices(monkeypatch):
+    sc = builtin_scenario("diagonal_dressed")
+    fresh = sc.sample(count=4)
+    rig = Rig(sc, samples=4)
+    for (lam1, u1), (lam2, u2) in zip(fresh, rig.points):
+        assert lam1.tobytes() == lam2.tobytes() and u1 == u2
+    calls = _count_leaf_evals(monkeypatch)
+    for X in (rig.b, rig.q, rig.k):
+        for lam, u in rig.points:
+            X.eval(lam, {l: u[l] for l in X.spectral_legs})
+    assert calls == []  # every sampled point was probed by the guard

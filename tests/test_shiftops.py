@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdreflect import WeightScheme, constant_dynmat, function_dynmat, identity_dynmat
-from sdreflect.dyncore import LegError
+from sdreflect.dyncore import LegError, PoleError
 from sdreflect.shiftops import (
     ShiftOpSum,
     shiftop_commutator,
@@ -109,3 +109,94 @@ def test_pure_shift_commutes_with_constant_quantum_coefficient():
     m = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
     C = ShiftOpSum.from_matrix(constant_dynmat(SCH, legs, np.kron(np.eye(2), m)))
     assert shiftop_commutator(W, C, PTS, 1e-13).passed
+
+
+def _counted(shift, fn, calls):
+    """A one-term sum whose coefficient records each point it is evaluated at."""
+    def counted(lam, u):
+        calls.append(np.asarray(lam).tobytes())
+        return fn(lam, u)
+
+    return ShiftOpSum(SCH, LEGS, [(shift, function_dynmat(SCH, LEGS, counted))])
+
+
+def _random_sum(rng, shifts):
+    terms = []
+    for shift in shifts:
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        c = rng.normal(size=2)
+        terms.append((shift, function_dynmat(
+            SCH, LEGS, lambda lam, u, m=m, c=c: m * np.exp(c @ lam))))
+    return ShiftOpSum(SCH, LEGS, terms)
+
+
+def test_triple_product_table_matches_explicit_formula():
+    rng = np.random.default_rng(5)
+    S1 = _random_sum(rng, [(0, 0), (1, 0)])
+    S2 = _random_sum(rng, [(0, 1), (1, -1)])
+    S3 = _random_sum(rng, [(0, 0), (-1, 1), (2, 0)])
+    lam = PTS[1][0]
+    gamma = SCH.gamma
+    expect = {}
+    for m1, c1 in S1.terms.items():
+        for m2, c2 in S2.terms.items():
+            for m3, c3 in S3.terms.items():
+                key = tuple(np.add(np.add(m1, m2), m3))
+                val = (c1.eval(lam) @ c2.eval(lam + gamma * np.asarray(m1))
+                       @ c3.eval(lam + gamma * np.add(m1, m2)))
+                expect[key] = expect.get(key, 0) + val
+    for prod in (S1.compose(S2).compose(S3), S1.compose(S2.compose(S3))):
+        got = prod.eval_terms(lam)
+        assert list(got) == list(prod.terms)
+        assert set(got) == set(expect)
+        for key, val in expect.items():
+            np.testing.assert_allclose(got[key], val, rtol=1e-13, atol=1e-13)
+
+
+def test_product_evaluates_each_coefficient_once_per_shifted_point():
+    calls = {"a": [], "b": [], "c": []}
+    diag = lambda lam, u: np.diag([lam[0], lam[1] + 2.0])
+    A = _counted((1, 0), diag, calls["a"]).compose(ShiftOpSum.weight_shift(SCH, LEGS, 1))
+    B = _counted((0, 0), diag, calls["b"])
+    C = _counted((0, 1), diag, calls["c"])
+    prod = A.compose(B).compose(C)
+    prod.eval_terms(PTS[0][0])
+    # A at lam; B at lam + (2, 0) and lam + (1, 1); C at the same two points
+    assert len(calls["a"]) == 1
+    for name in ("b", "c"):
+        assert len(calls[name]) == 2 == len(set(calls[name]))
+
+
+def test_product_raises_at_a_shifted_pole():
+    lam = PTS[0][0]
+    pole_at = lam + SCH.gamma * np.array([1.0, 0.0])
+
+    def poles(x, u):
+        return np.allclose(x, pole_at)
+
+    S1 = term((1, 0), lambda x, u: np.eye(2, dtype=complex))
+    S2 = ShiftOpSum(SCH, LEGS, [((0, 0), function_dynmat(
+        SCH, LEGS, lambda x, u: np.eye(2, dtype=complex), poles=poles))])
+    S2.eval_terms(lam)  # no pole at lam itself
+    prod = S1.compose(S2)
+    with pytest.raises(PoleError):
+        prod.eval_terms(lam)
+    with pytest.raises(PoleError):
+        prod.terms[(1, 0)].eval(lam)
+
+
+def test_commutator_nan_coefficient_fails_the_report():
+    bad = PTS[3][0]
+
+    def coeff(lam, u):
+        m = np.diag([lam[0], 2.0]).astype(complex)
+        if np.array_equal(lam, bad):
+            m[0, 0] = np.nan
+        return m
+
+    S1 = term((0, 0), coeff)
+    S2 = term((1, 0), lambda lam, u: np.diag([2.0, 3.0]).astype(complex))
+    rep = shiftop_commutator(S1, S2, PTS, 1e-10)
+    assert not rep.passed
+    assert np.isnan(rep.max_residual)
+    np.testing.assert_array_equal(rep.worst_point[0], bad)
