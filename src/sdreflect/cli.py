@@ -37,7 +37,14 @@ from .parametrize import (
     detwist,
 )
 from .sampling import RetryCapError
-from .scenarios import Scenario, ScenarioError, builtin_names, builtin_scenario, load_scenario
+from .scenarios import (
+    Scenario,
+    ScenarioError,
+    builtin_names,
+    builtin_scenario,
+    is_tolerance,
+    load_scenario,
+)
 from .shiftops import shiftop_difference_residual
 from .solutions import (
     IntertwinerSpec,
@@ -275,6 +282,12 @@ def run(argv=None) -> int:
         return 0
     if not args.scenario and not args.builtin:
         print("error: a scenario is required (--scenario or --builtin)", file=sys.stderr)
+        return 2
+    if args.tol is not None and not is_tolerance(args.tol):
+        print(f"error: --tol must be finite and positive, got {args.tol}", file=sys.stderr)
+        return 2
+    if args.sites is not None and args.sites < 1:
+        print(f"error: --sites must be at least 1, got {args.sites}", file=sys.stderr)
         return 2
 
     t0 = time.monotonic()

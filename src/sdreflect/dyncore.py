@@ -17,12 +17,24 @@ Placing a k-leg matrix on some of the legs (identity on the others)
 copies its entries through flat index tables, built once per (positions,
 leg count, rank) and cached; a matrix already on all the legs in order
 is returned as it is.
+
+A placed DynMat (from :func:`embed`, and carried through
+:meth:`DynMat.inv`, :func:`dyn_shift` and spectral binding) also keeps
+its small factor and the positions of its legs (``DynMat.local``), and
+products use them instead of the dense n**L embedding: two placed
+factors multiply on the union of their legs and stay placed; a dense
+matrix times a placed factor is contracted on the factor's legs only
+(one gather of the rows or columns, one BLAS call on the factor, one
+scatter back; see :class:`Placed`); the inverse inverts the small factor.
+Operators of dimension n**L <= 32 are multiplied dense, as there the
+contraction's fixed cost exceeds the saving.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +122,10 @@ class DynMat:
     ``fn(lam, u)`` receives the validated lambda vector and a dict mapping
     each spectral leg to its value; it must return an
     (n**k, n**k) array for k legs.
+
+    ``local`` is None or ``(factor, positions)`` for a placed matrix:
+    ``fn`` equals ``factor`` (same arguments) placed at ``positions`` of
+    ``legs``, identity on the other legs.
     """
 
     scheme: WeightScheme
@@ -117,6 +133,7 @@ class DynMat:
     fn: object
     spectral_legs: frozenset = field(default_factory=frozenset)
     poles: object = None
+    local: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "legs", tuple(self.legs))
@@ -130,30 +147,42 @@ class DynMat:
     def dim(self) -> int:
         return self.scheme.rank ** len(self.legs)
 
-    def eval(self, lam, u=None) -> np.ndarray:
-        return eval_dynmat(self, lam, u)
+    def eval(self, lam, u=None, local=False) -> np.ndarray:
+        """The matrix at a point; with ``local`` a placed matrix comes
+        back as its :class:`Placed` factor."""
+        return eval_dynmat(self, lam, u, local)
 
     # -- pointwise algebra on a shared leg set --------------------------
 
-    def _binary(self, other, op):
+    def _binary(self, other, op, value=None):
+        """Pointwise ``op`` of the two values ``value(X, lam, u)`` (by
+        default the dense ``X.fn``)."""
         if not isinstance(other, DynMat):
             raise TypeError("expected a DynMat")
         if self.legs != other.legs or self.scheme != other.scheme:
             raise LegError("operands must share legs and scheme")
         spect = self.spectral_legs | other.spectral_legs
         a, b = self, other
+        value = value or (lambda X, lam, u: X.fn(lam, u))
 
         def fn(lam, u):
             return op(
-                a.fn(lam, {l: u[l] for l in a.spectral_legs}),
-                b.fn(lam, {l: u[l] for l in b.spectral_legs}),
+                value(a, lam, {l: u[l] for l in a.spectral_legs}),
+                value(b, lam, {l: u[l] for l in b.spectral_legs}),
             )
 
         poles = _merge_poles(a.poles, b.poles)
         return DynMat(self.scheme, self.legs, fn, spect, poles)
 
     def __matmul__(self, other):
-        return self._binary(other, lambda x, y: x @ y)
+        """Pointwise product; placed factors multiply leg-locally (two
+        placed factors stay placed on the union of their legs)."""
+        if self.local is None or getattr(other, "local", None) is None:
+            return self._binary(other, operator.matmul, _value)
+        union = tuple(sorted(set(self.local[1]) | set(other.local[1])))
+        prod = self._binary(other, _union_product, _value)
+        return _placed(self.scheme, self.legs, prod.fn, union, prod.spectral_legs,
+                       prod.poles)
 
     def __add__(self, other):
         return self._binary(other, lambda x, y: x + y)
@@ -174,17 +203,28 @@ class DynMat:
     __rmul__ = __mul__
 
     def inv(self):
-        """Pointwise matrix inverse; singular points are poles."""
-        f = self.fn
+        """Pointwise matrix inverse; singular points are poles.  A placed
+        matrix inverts its factor."""
 
-        def fn(lam, u):
-            m = f(lam, u)
-            try:
-                return np.linalg.inv(m)
-            except np.linalg.LinAlgError:
-                raise PoleError("singular matrix encountered in inverse", lam, u)
+        def inverse(f):
+            def fn(lam, u):
+                m = f(lam, u)
+                try:
+                    return np.linalg.inv(m)
+                except np.linalg.LinAlgError:
+                    raise PoleError("singular matrix encountered in inverse", lam, u)
 
-        return DynMat(self.scheme, self.legs, fn, self.spectral_legs, self.poles)
+            return fn
+
+        return self.map_factor(inverse, self.spectral_legs, self.poles)
+
+    def map_factor(self, wrap, spectral_legs, poles):
+        """The matrix whose factor function is ``wrap(factor)``, on the same
+        legs and placement (the dense ``fn`` is the factor when not placed)."""
+        if self.local is None:
+            return DynMat(self.scheme, self.legs, wrap(self.fn), spectral_legs, poles)
+        factor, positions = self.local
+        return _placed(self.scheme, self.legs, wrap(factor), positions, spectral_legs, poles)
 
     def shift_lambda(self, delta):
         """The matrix function lam -> X(lam + delta), same legs."""
@@ -219,8 +259,12 @@ def _merge_poles(p1, p2):
     return lambda lam, u: p1(lam, u) or p2(lam, u)
 
 
-def eval_dynmat(X: DynMat, lam, u=None) -> np.ndarray:
-    """Evaluate X at a point, validating spectral slots and poles."""
+def eval_dynmat(X: DynMat, lam, u=None, local=False):
+    """Evaluate X at a point, validating spectral slots and poles.
+
+    With ``local`` a placed X is returned as its :class:`Placed` factor
+    instead of the dense matrix.
+    """
     lam = X.scheme.check_point(lam)
     ud = _as_u_dict(sorted(X.spectral_legs), u)
     missing = X.spectral_legs - set(ud)
@@ -229,10 +273,16 @@ def eval_dynmat(X: DynMat, lam, u=None) -> np.ndarray:
     ud = {l: complex(ud[l]) for l in X.spectral_legs}
     if X.poles is not None and X.poles(lam, ud):
         raise PoleError(f"evaluation at a pole (lam={lam}, u={ud})", lam, ud)
-    m = np.asarray(X.fn(lam, ud), dtype=complex)
-    if m.shape != (X.dim, X.dim):
-        raise ValueError(f"evaluation returned shape {m.shape}, expected {(X.dim, X.dim)}")
-    return m
+    if local and X.local is not None:
+        factor, positions = X.local
+        d = X.scheme.rank ** len(positions)
+        m = np.asarray(factor(lam, ud), dtype=complex)
+    else:
+        d, positions = X.dim, None
+        m = np.asarray(X.fn(lam, ud), dtype=complex)
+    if m.shape != (d, d):
+        raise ValueError(f"evaluation returned shape {m.shape}, expected {(d, d)}")
+    return m if positions is None else Placed(m, positions, len(X.legs), X.scheme.rank)
 
 
 # -- constructors --------------------------------------------------------
@@ -308,6 +358,115 @@ def _place_matrix(m, positions, total, n):
     return out.reshape(n ** total, n ** total)
 
 
+# operators up to this dimension are multiplied dense
+DENSE_MAX_DIM = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _leg_order(positions, total, n, lead):
+    """(gather, scatter) flat index tables that move the legs at
+    ``positions`` (in that order) to the front (``lead``) or the back of
+    a multi-index over n**total, and back; None when nothing moves."""
+    rest = tuple(p for p in range(total) if p not in positions)
+    order = positions + rest if lead else rest + positions
+    if order == tuple(range(total)):
+        return None
+    gather = np.arange(n ** total).reshape((n,) * total).transpose(order).ravel()
+    tables = (gather, np.argsort(gather))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _apply_right(M, m, positions, total, n):
+    """M @ (m placed at positions of n**total legs), contracting the
+    columns of M on the placed legs only."""
+    tables = _leg_order(tuple(positions), total, n, False)
+    G = M if tables is None else np.take(M, tables[0], axis=1)
+    out = (G.reshape(-1, m.shape[0]) @ m).reshape(G.shape)
+    return out if tables is None else np.take(out, tables[1], axis=1)
+
+
+def _apply_left(m, positions, M, total, n):
+    """(m placed at positions of n**total legs) @ M, contracting the rows
+    of M on the placed legs only."""
+    tables = _leg_order(tuple(positions), total, n, True)
+    G = M if tables is None else np.take(M, tables[0], axis=0)
+    out = (m @ G.reshape(m.shape[0], -1)).reshape(G.shape)
+    return out if tables is None else np.take(out, tables[1], axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class Placed:
+    """The n**k factor ``m`` at ``positions`` of ``total`` legs, identity
+    on the others: a placed matrix without its dense embedding.
+
+    ``Placed @ array`` and ``array @ Placed`` contract on the factor's
+    legs and return dense arrays; :meth:`dense` embeds it.
+    """
+
+    m: np.ndarray
+    positions: tuple
+    total: int
+    n: int
+    __array_ufunc__ = None  # ndarray @ Placed defers to __rmatmul__
+
+    def dense(self):
+        return _place_matrix(self.m, self.positions, self.total, self.n)
+
+    def __matmul__(self, other):
+        if isinstance(other, Placed):
+            other = other.dense()
+        return _apply_left(self.m, self.positions, other, self.total, self.n)
+
+    def __rmatmul__(self, other):
+        return _apply_right(other, self.m, self.positions, self.total, self.n)
+
+
+def place(m, positions, total, n):
+    """m at the given positions of n**total legs: a :class:`Placed`
+    factor above the dense size, else the dense embedding."""
+    positions = tuple(positions)
+    if n ** total <= DENSE_MAX_DIM or positions == tuple(range(total)):
+        return _place_matrix(m, positions, total, n)
+    return Placed(np.asarray(m, dtype=complex), positions, total, n)
+
+
+def _union_product(a: Placed, b: Placed) -> np.ndarray:
+    """The factor of a @ b on the sorted union of their positions: the
+    factor with more legs is placed on the union, the other contracted."""
+    union = tuple(sorted(set(a.positions) | set(b.positions)))
+    k, n = len(union), a.n
+    ra = [union.index(p) for p in a.positions]
+    rb = [union.index(p) for p in b.positions]
+    if len(ra) >= len(rb):
+        return _apply_right(_place_matrix(a.m, ra, k, n), b.m, rb, k, n)
+    return _apply_left(a.m, ra, _place_matrix(b.m, rb, k, n), k, n)
+
+
+def _value(X: DynMat, lam, u):
+    """X's value at a point without validation: its :class:`Placed`
+    factor when X is placed, else the dense matrix."""
+    if X.local is None:
+        return X.fn(lam, u)
+    factor, positions = X.local
+    return Placed(factor(lam, u), positions, len(X.legs), X.scheme.rank)
+
+
+def _placed(scheme, legs, factor, positions, spectral_legs=frozenset(), poles=None):
+    """The DynMat ``factor`` placed at ``positions`` of ``legs``; it keeps
+    the factor (``local``) above the dense size."""
+    positions, total, n = tuple(positions), len(legs), scheme.rank
+    if positions == tuple(range(total)):
+        return DynMat(scheme, legs, factor, spectral_legs, poles)
+
+    def fn(lam, u):
+        return _place_matrix(factor(lam, u), positions, total, n)
+
+    local = (factor, positions) if n ** total > DENSE_MAX_DIM else None
+    return DynMat(scheme, legs, fn, spectral_legs, poles, local)
+
+
 def embed(X: DynMat, target_legs, all_legs) -> DynMat:
     """Place X on target_legs inside all_legs, identity elsewhere.
 
@@ -322,21 +481,21 @@ def embed(X: DynMat, target_legs, all_legs) -> DynMat:
         raise LegError("target legs must be contained in the ambient legs")
     if len(set(target_legs)) != len(target_legs):
         raise LegError("target legs must be distinct")
-    n = X.scheme.rank
-    positions = [all_legs.index(t) for t in target_legs]
+    # a placed X embeds its factor directly
+    factor, inner = X.local or (X.fn, range(len(X.legs)))
     spect = frozenset(
         target_legs[X.legs.index(l)] for l in X.spectral_legs
     )
     rebind = dict(zip(target_legs, X.legs))
 
-    def fn(lam, u):
-        m = X.fn(lam, {rebind[t]: u[t] for t in spect})
-        return _place_matrix(m, positions, len(all_legs), n)
+    def small(lam, u):
+        return factor(lam, {rebind[t]: u[t] for t in spect})
 
     poles = None
     if X.poles is not None:
         poles = lambda lam, u: X.poles(lam, {rebind[t]: u.get(t) for t in spect})
-    return DynMat(X.scheme, all_legs, fn, spect, poles)
+    positions = [all_legs.index(target_legs[p]) for p in inner]
+    return _placed(X.scheme, all_legs, small, positions, spect, poles)
 
 
 def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
@@ -345,7 +504,8 @@ def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
     Returns lam -> sum over weight indices of
     X(lam + gamma*(e_{i1}+...+e_{ir})) . prod_k e_{i_k i_k}^(shift_leg_k),
     embedded into the union of X's legs and the shift legs (or into
-    all_legs when given).
+    all_legs when given).  A placed X gives a matrix placed on the union
+    of its legs and the shift legs.
     """
     shift_legs = tuple(shift_legs)
     scheme = X.scheme
@@ -357,11 +517,23 @@ def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
         all_legs = tuple(sorted(all_legs))
         if not (set(X.legs) | set(shift_legs)) <= set(all_legs):
             raise LegError("ambient legs must contain the matrix and shift legs")
-    if not shift_legs:
-        return embed(X, X.legs, all_legs)
     xe = embed(X, X.legs, all_legs)
-    total = len(all_legs)
-    pos = [all_legs.index(l) for l in shift_legs]
+    if not shift_legs:
+        return xe
+    shift_pos = [all_legs.index(l) for l in shift_legs]
+    # the sum is formed on the support: X's legs and the shift legs
+    if xe.local is None:
+        support, xfn = tuple(range(len(all_legs))), xe.fn
+    else:
+        factor, xpos = xe.local
+        support = tuple(sorted(set(xpos) | set(shift_pos)))
+        inner = [support.index(p) for p in xpos]
+
+        def xfn(lam, u):
+            return _place_matrix(factor(lam, u), inner, len(support), n)
+
+    total = len(support)
+    pos = [support.index(p) for p in shift_pos]
     # per weight-index tuple: the lambda offset and the diagonal of the
     # projector prod_k e_{i_k i_k} on the shift legs (multiplied on the right)
     terms = []
@@ -378,7 +550,7 @@ def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
     def fn(lam, u):
         acc = np.zeros((n ** total,) * 2, dtype=complex)
         for delta, diag in terms:
-            acc += xe.fn(lam + delta, u) * diag
+            acc += xfn(lam + delta, u) * diag
         return acc
 
     poles = None
@@ -386,7 +558,7 @@ def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
         def poles(lam, u, _p=xe.poles):
             return any(_p(lam + delta, u) for delta, _ in terms)
 
-    return DynMat(scheme, all_legs, fn, xe.spectral_legs, poles)
+    return _placed(scheme, all_legs, fn, support, xe.spectral_legs, poles)
 
 
 def pi_transpose(X: DynMat) -> DynMat:

@@ -49,8 +49,9 @@ from .dyncore import (
     constant_dynmat,
     dyn_shift,
     embed,
+    place,
 )
-from .shiftops import ShiftOpSum, _TableSum, shiftop_commutator
+from .shiftops import ShiftOpSum, _TableSum, shiftop_commutators
 
 
 def all_legs(N: int):
@@ -62,19 +63,19 @@ def quantum_legs(N: int):
 
 
 def bind_spectral(X: DynMat, uvals) -> DynMat:
-    """Freeze the spectral slots of X at fixed values."""
+    """Freeze the spectral slots of X at fixed values (a placed X stays
+    placed)."""
     if not X.spectral_legs:
         return X
     missing = [l for l in X.spectral_legs if l not in uvals]
     if missing:
         raise ValueError(f"missing spectral values for legs {missing}")
-    f = X.fn
     spect = X.spectral_legs
     fixed = {l: complex(uvals[l]) for l in spect}
     poles = None
     if X.poles is not None:
         poles = lambda lam, u, _p=X.poles: _p(lam, fixed)
-    return DynMat(X.scheme, X.legs, lambda lam, u: f(lam, fixed), frozenset(), poles)
+    return X.map_factor(lambda f: (lambda lam, u: f(lam, fixed)), frozenset(), poles)
 
 
 def locality_preset(u_ref, N: int):
@@ -111,13 +112,15 @@ def _site_product(block, N: int, legs):
     return out
 
 
-def _with_aux_shift(core: DynMat, scheme: WeightScheme, legs) -> ShiftOpSum:
-    """core followed by the expanded auxiliary weight-shift factor E_0."""
-    return ShiftOpSum.from_matrix(core).compose(ShiftOpSum.weight_shift(scheme, legs, 0))
+def _with_aux_shift(core: DynMat) -> ShiftOpSum:
+    """core followed by the expanded auxiliary weight-shift factor E_0,
+    a column selection on leg 0."""
+    return ShiftOpSum.weight_shifted(core, 0)
 
 
 def _conjugate_by(O: DynMat, mid: ShiftOpSum) -> ShiftOpSum:
-    """O^-1 . mid . O as operator sums."""
+    """O^-1 . mid . O as operator sums; a placed O (on the quantum legs)
+    is applied leg-locally inside the product tables."""
     return ShiftOpSum.from_matrix(O.inv()).compose(mid).compose(ShiftOpSum.from_matrix(O))
 
 
@@ -161,7 +164,7 @@ def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
     for k in range(1, N + 1):
         s = _site_shift(k, N)
         mat = mat @ place_pair(D, 2 * k - 1, s) @ place_pair(B, 2 * k, s)
-    return _with_aux_shift(mat, S.scheme, legs)
+    return _with_aux_shift(mat)
 
 
 def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, scheme: WeightScheme,
@@ -275,7 +278,7 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
             raise ValueError("the gauged chain needs the dual core QL")
         core = build_gauged_core(scheme, R0, b, q, k, Q, QL, g, N, u_quantum, u_aux)
         O = build_ON(b, q, N, u_quantum, scheme, g=g)
-        return _conjugate_by(O, _with_aux_shift(core, scheme, all_legs(N)))
+        return _conjugate_by(O, _with_aux_shift(core))
     legs = all_legs(N)
     uvals = _chain_values(u_quantum, u_aux)
 
@@ -304,7 +307,7 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
     core = core @ pl(b, 0) @ pl(k, 0)
 
     O = build_ON(b, q, N, u_quantum, scheme)
-    return _conjugate_by(O, _with_aux_shift(core, scheme, legs))
+    return _conjugate_by(O, _with_aux_shift(core))
 
 
 def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int,
@@ -333,8 +336,8 @@ def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int,
         if twist is not None:
             w = twist.fn(lam, uvals)
             # leg 0 leads T's legs
-            W = _place_matrix(w, [0], total, n)
-            Wi = _place_matrix(np.linalg.inv(w), [0], total, n)
+            W = place(w, [0], total, n)
+            Wi = place(np.linalg.inv(w), [0], total, n)
         out = {}
         for m in list(terms):
             M = terms.pop(m)
@@ -429,12 +432,9 @@ def certify_commuting_family(S: StructureSet, Q0: DynMat, chi_t: DynMat,
                              (points[0][0], dict(points[0][1])))
         return CommutationCertificate(reports, rep, [])
     worst = None
-    for i in range(len(traced)):
-        for j in range(i + 1, len(traced)):
-            r = shiftop_commutator(traced[i], traced[j], points, tol,
-                                   name="transfer_commutation")
-            # keep the first NaN: it compares false both ways
-            if worst is None or (worst.max_residual == worst.max_residual
-                                 and not r.max_residual <= worst.max_residual):
-                worst = r
+    for r in shiftop_commutators(traced, points, tol, name="transfer_commutation"):
+        # keep the first NaN: it compares false both ways
+        if worst is None or (worst.max_residual == worst.max_residual
+                             and not r.max_residual <= worst.max_residual):
+            worst = r
     return CommutationCertificate(reports, worst, [])

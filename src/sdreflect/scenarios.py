@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,6 +226,11 @@ _FIELDS = {
 }
 
 
+def is_tolerance(value) -> bool:
+    """True for a usable residual tolerance: finite and positive."""
+    return math.isfinite(value) and value > 0
+
+
 @dataclass
 class Scenario:
     """A fully specified verification instance (see module docstring)."""
@@ -258,8 +264,8 @@ class Scenario:
         self.gamma = complex(self.gamma)
         if self.gamma == 0:
             raise ScenarioError("gamma: must be nonzero")
-        if float(self.tolerance) <= 0:
-            raise ScenarioError("tolerance: must be positive")
+        if not is_tolerance(float(self.tolerance)):
+            raise ScenarioError("tolerance: must be finite and positive")
         self.Q = np.asarray(self.Q, dtype=complex)
         self.Q_L = np.asarray(self.Q_L, dtype=complex)
         self._scheme = WeightScheme(self.rank, self.gamma)

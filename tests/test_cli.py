@@ -220,3 +220,25 @@ def test_skip_reason_is_the_explicit_notice():
             assert rig.run_suite(suite) == ([], [why])
             seen += 1
     assert seen > 0
+
+
+@pytest.mark.parametrize("flag,value", [("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"),
+                                        ("--tol", "0"), ("--sites", "0"), ("--sites", "-2")])
+def test_bad_tolerance_or_sites_is_usage_error(flag, value, capsys):
+    code = run(["--builtin", "trivial_yangian", "--suite", "zero-weight",
+                "--samples", "2", flag, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.out == ""
+
+
+def test_rank3_two_site_factorization():
+    from sdreflect.cli import Rig
+
+    rig = Rig(builtin_scenario("diagonal_dressed", {"rank": 3, "sites": 2}), samples=2)
+    reports, notices = rig.run_suite("monodromy-factor")
+    assert [r.check_name for r in reports] == ["monodromy_factorization_N1",
+                                               "monodromy_factorization_N2"]
+    for rep in reports:
+        assert rep.passed and rep.samples == 2, str(rep)

@@ -372,3 +372,145 @@ def test_place_matrix_on_all_legs_in_order_is_the_matrix():
     swapped = _place_matrix(m, [1, 0], 2, 2)
     p = permutation_operator(2)
     np.testing.assert_array_equal(swapped, p @ m @ p)
+
+
+# -- leg-local products of placed factors ------------------------------------
+
+
+def _rand(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def _position_tuples(n, max_total, max_k):
+    for total in range(1, max_total + 1):
+        for k in range(1, min(total, max_k) + 1):
+            for pos in itertools.permutations(range(total), k):
+                yield total, pos
+
+
+def _close(got, want):
+    scale = max(np.linalg.norm(want), 1.0)
+    return np.linalg.norm(got - want) <= 1e-13 * scale
+
+
+@pytest.fixture
+def leg_local(monkeypatch):
+    """Placed DynMats keep their factor at every dimension."""
+    import sdreflect.dyncore as dc
+
+    monkeypatch.setattr(dc, "DENSE_MAX_DIM", 0)
+
+
+@pytest.mark.parametrize("n,max_total,max_k", [(2, 5, 5), (3, 4, 3)])
+def test_placed_products_match_dense_placement(n, max_total, max_k):
+    from sdreflect.dyncore import Placed, _union_product
+
+    rng = np.random.default_rng(23)
+    tuples = list(_position_tuples(n, max_total, max_k))
+    for total, pos in tuples:
+        d, m = n ** total, _rand(rng, n ** len(pos))
+        M = _rand(rng, d)
+        P = Placed(m, pos, total, n)
+        dense = _place_matrix(m, pos, total, n)
+        assert _close(M @ P, M @ dense), (total, pos)
+        assert _close(P @ M, dense @ M), (total, pos)
+        # a second placed factor on the same legs: the union support
+        others = [p for t, p in tuples if t == total]
+        pos2 = others[rng.integers(len(others))]
+        Q = Placed(_rand(rng, n ** len(pos2)), pos2, total, n)
+        union = tuple(sorted(set(pos) | set(pos2)))
+        got = _place_matrix(_union_product(P, Q), union, total, n)
+        assert _close(got, dense @ Q.dense()), (total, pos, pos2)
+        assert _close(P @ Q, dense @ Q.dense()), (total, pos, pos2)
+
+
+@pytest.mark.parametrize("n,max_total,max_k", [(2, 5, 5), (3, 4, 3)])
+def test_placed_dynmat_operations_match_dense_placement(n, max_total, max_k, leg_local):
+    from sdreflect.monodromy import bind_spectral
+
+    sch = WeightScheme(n, 1.0)
+    rng = np.random.default_rng(29)
+    lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for total, pos in _position_tuples(n, max_total, max_k):
+        legs = tuple(range(total))
+        target = tuple(legs[p] for p in pos)
+        k = len(pos)
+        base = _rand(rng, n ** k) + 3 * np.eye(n ** k)
+        slope = _rand(rng, n ** k) * 0.1
+        grad = rng.normal(size=n)
+
+        def fn(lam, u, base=base, slope=slope, grad=grad):
+            return base + slope * (grad @ lam) + slope.T * u[0]
+
+        X = function_dynmat(sch, tuple(range(k)), fn, spectral_legs=(0,))
+        Xe = embed(X, target, legs)
+        u = {target[0]: 0.3 - 0.2j}
+        dense = _place_matrix(fn(lam, {0: u[target[0]]}), pos, total, n)
+        assert (Xe.local is not None) == (pos != legs)
+        assert _close(Xe.eval(lam, u), dense)
+        bound = bind_spectral(Xe, u)
+        assert _close(bound.eval(lam), dense)
+        assert _close(bound.inv().eval(lam), np.linalg.inv(dense))
+        # product with a second placed factor, and with a dense matrix
+        Y = embed(constant_dynmat(sch, (0,), _rand(rng, n)), (legs[-1],), legs)
+        ydense = Y.eval(lam)
+        assert _close((bound @ Y).eval(lam), dense @ ydense)
+        assert _close((Y @ bound).eval(lam), ydense @ dense)
+        full = constant_dynmat(sch, legs, _rand(rng, n ** total))
+        assert _close((full @ bound).eval(lam), full.eval(lam) @ dense)
+        assert _close((bound @ full).eval(lam), dense @ full.eval(lam))
+        # a dynamical shift by the first leg outside the factor (or by its own)
+        shift = next((l for l in legs if l not in target), target[0])
+        want = sum(
+            _place_matrix(fn(lam + sch.unit(i), {0: u[target[0]]}), pos, total, n)
+            @ _place_matrix(sch.projector(i), [legs.index(shift)], total, n)
+            for i in range(n)
+        )
+        assert _close(dyn_shift(bound, (shift,), legs).eval(lam), want), (total, pos)
+
+
+def test_weight_shifted_is_a_column_selection_of_the_projector_product():
+    from sdreflect.shiftops import ShiftOpSum
+
+    rng = np.random.default_rng(31)
+    for n, total in ((2, 3), (3, 4)):
+        sch = WeightScheme(n, 1.0)
+        legs = tuple(range(total))
+        M = constant_dynmat(sch, legs, _rand(rng, n ** total))
+        for leg in (0, total - 1):
+            table = ShiftOpSum.weight_shifted(M, leg).eval_terms(np.zeros(n))
+            for i in range(n):
+                key = tuple(int(j == i) for j in range(n))
+                proj = _place_matrix(sch.projector(i), [leg], total, n)
+                np.testing.assert_array_equal(table[key], M.eval(np.zeros(n)) @ proj)
+
+
+def test_nan_in_a_placed_conjugated_core_fails_the_difference(leg_local):
+    from sdreflect.monodromy import _conjugate_by
+    from sdreflect.shiftops import ShiftOpSum, shiftop_difference_residual
+
+    n, legs = 3, (0, 1, 2, 3)
+    sch = WeightScheme(n, 1.0)
+    rng = np.random.default_rng(37)
+    pts = [(rng.normal(size=n) + 0j, {}) for _ in range(3)]
+    bad = pts[1][0]
+    m = _rand(rng, n ** 4)
+
+    def core(lam, u):
+        out = m * (1 + lam[0])
+        if np.array_equal(lam, bad):
+            out = out.copy()
+            out[5, 7] = np.nan
+        return out
+
+    O = embed(constant_dynmat(sch, (1, 2, 3), _rand(rng, n ** 3) + 4 * np.eye(n ** 3)),
+              (1, 2, 3), legs)
+    assert O.local is not None
+    good = _conjugate_by(O, ShiftOpSum.weight_shifted(
+        constant_dynmat(sch, legs, m), 0))
+    broken = _conjugate_by(O, ShiftOpSum.weight_shifted(
+        function_dynmat(sch, legs, core), 0))
+    rep = shiftop_difference_residual(broken, good, pts, 1e-8)
+    assert not rep.passed
+    assert np.isnan(rep.max_residual)
+    np.testing.assert_array_equal(rep.worst_point[0], bad)

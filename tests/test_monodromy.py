@@ -318,3 +318,51 @@ def test_gauged_core_builds_nothing_per_evaluation(monkeypatch, g):
         monkeypatch.setattr(mono, name, lambda *a, _r=real, **kw: calls.append(1) or _r(*a, **kw))
     np.testing.assert_array_equal(core.eval(lam), first)
     assert calls == []
+
+
+def test_commuting_family_evaluates_each_traced_table_once_per_point(monkeypatch):
+    import sdreflect.monodromy as mono
+    from sdreflect.cli import Rig
+    from sdreflect.scenarios import builtin_scenario
+    from sdreflect.shiftops import _TableSum
+
+    traced, calls = [], {}
+    real_trace, real_eval = mono.transfer_trace, _TableSum.eval_terms
+
+    def trace(*args, **kwargs):
+        traced.append(real_trace(*args, **kwargs))
+        return traced[-1]
+
+    def counted(self, lam, u=None):
+        if any(self is t for t in traced):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+        return real_eval(self, lam, u)
+
+    monkeypatch.setattr(mono, "transfer_trace", trace)
+    monkeypatch.setattr(_TableSum, "eval_terms", counted)
+    rig = Rig(builtin_scenario("diagonal_dressed"), samples=3, seed=2)
+    reports, _ = rig.run_suite("transfer-commute")
+    assert [r.check_name for r in reports] == ["transfer_commutation_N1",
+                                               "transfer_commutation_N2"]
+    # three traced operators per chain size, each evaluated at every point
+    # and at its rank shifted points once, shared by the three commutators
+    assert len(traced) == 6
+    assert [calls.get(id(t)) for t in traced] == [3 * (1 + 2)] * 6
+    # the shared tables give the report of the worst pairwise commutator
+    monkeypatch.setattr(_TableSum, "eval_terms", real_eval)
+    for N, rep in zip((1, 2), reports):
+        ops = traced[3 * (N - 1): 3 * N]
+        pairwise = [shiftop_commutator(ops[i], ops[j], rig.points, 1e-8)
+                    for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert rep.max_residual == max(r.max_residual for r in pairwise)
+
+
+def test_rank3_two_site_conjugator_is_placed_on_the_quantum_legs():
+    sch, S, R, b, q, k, Q, QL, K, chi = scenario(n=3)
+    O = build_ON(b, q, 2, U_Q, sch)
+    Oinv = O.inv()
+    assert O.local[1] == Oinv.local[1] == (1, 2, 3, 4)
+    lam = lam_points(3)[0][0]
+    small = Oinv.eval(lam, local=True)
+    assert small.m.shape == (81, 81)
+    np.testing.assert_allclose(small.dense(), np.linalg.inv(O.eval(lam)), atol=1e-12)

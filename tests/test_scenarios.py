@@ -234,3 +234,19 @@ def test_sampler_guard_probes_the_rigs_matrices(monkeypatch):
         for lam, u in rig.points:
             X.eval(lam, {l: u[l] for l in X.spectral_legs})
     assert calls == []  # every sampled point was probed by the guard
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9, 0.0])
+def test_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
+    from sdreflect.cli import run
+
+    data = builtin_scenario("trivial_yangian").to_dict()
+    data["tolerance"] = tol
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert "tolerance" in str(err.value)
+    # json writes NaN / Infinity tokens, which the loader parses
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(data))
+    assert run(["--scenario", str(path), "--suite", "zero-weight", "--samples", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: tolerance")
