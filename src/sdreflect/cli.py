@@ -153,7 +153,9 @@ class Rig:
         return reps, [f"verdicts: {', '.join(result.verdicts)}"]
 
     def _chain_sizes(self):
-        return sorted({1, min(2, max(1, self.sites))})
+        """The chain lengths the chain suites certify: one site and the
+        requested length."""
+        return sorted({1, self.sites})
 
     def _monodromy_factor(self):
         reps = []
@@ -174,6 +176,7 @@ class Rig:
     def _transfer_commute(self):
         u_list = [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j]
         reps = []
+        gate = None  # the ingredient reports, computed for the first size only
         for N in self._chain_sizes():
             uq = self.scenario.quantum_values(N)
             cert = certify_commuting_family(
@@ -181,7 +184,9 @@ class Rig:
                 self.points[: min(12, len(self.points))], twist=self.q, tol=1e-8,
                 ingredient_tol=self.tol,
                 gauged=None if self.g.is_identity else self.gauged,
+                ingredients=gate,
             )
+            gate = cert.ingredient_reports
             for name in cert.failed_preconditions:
                 reps.append(cert.ingredient_reports[name])
             if cert.commutation is not None:

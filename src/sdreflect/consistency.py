@@ -3,7 +3,9 @@
 Every checker evaluates both sides of an identity at sampled dynamical /
 spectral points and reports the maximum relative Frobenius residual
 ``|LHS - RHS| / max(|LHS|, |RHS|, 1)``.  A non-finite residual fails
-its check.
+its check.  A checker evaluates its identity once over the whole
+stacked point list (see :func:`_collect`); its worst point is the first
+point with a NaN residual, else the first with the largest.
 
 The :data:`CUBIC` table is the single place where the cubic relations
 (a)-(d) for (A, B, C, D) are written; ybce, gybce, dybe and the shifted
@@ -30,15 +32,36 @@ from .dyncore import (
 )
 
 
-def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-    return float(np.linalg.norm(lhs - rhs) / denom)
+def _frobenius(x):
+    """Frobenius norm over the last two axes, summed as ``np.linalg.norm``
+    sums a whole matrix (real and imaginary parts of the raveled array),
+    so a batch reproduces the one-matrix norms bit for bit."""
+    x = np.asarray(x)
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    if np.iscomplexobj(flat):
+        return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    flat = flat.astype(float, copy=False)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
-def worst_residual(values) -> float:
-    """Largest of some residuals (0.0 for none); unlike ``max`` it never
-    drops a NaN."""
-    return float(np.max(list(values), initial=0.0))
+def _scalar(x):
+    """A 0-d result as a float; a batch stays an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def rel_residual(lhs: np.ndarray, rhs: np.ndarray):
+    """Relative Frobenius residual; per matrix of two (..., d, d) stacks."""
+    denom = np.maximum(np.maximum(_frobenius(lhs), _frobenius(rhs)), 1.0)
+    return _scalar(_frobenius(lhs - rhs) / denom)
+
+
+def worst_residual(values):
+    """Largest of some residuals, per point of a batch (0.0 for none);
+    unlike ``max`` it never drops a NaN."""
+    values = [np.asarray(v, dtype=float) for v in values]
+    if not values:
+        return 0.0
+    return _scalar(np.max(np.broadcast_arrays(*values), axis=0, initial=0.0))
 
 
 @dataclass
@@ -88,29 +111,38 @@ def _comm_residual(x, y):
 
 
 def _collect(name, points, tol, func):
-    """Run ``func(lam, u) -> residual`` over points and assemble a report.
-
-    The first NaN residual is kept as the maximum, with its point as the
-    worst point, so the report fails.
-    """
-    worst = -1.0
-    worst_pt = None
-    count = 0
-    for lam, u in points:
-        r = func(lam, u)
-        count += 1
-        # NaN compares false both ways: test it, and never replace it
-        if worst == worst and not r <= worst:
-            worst = r
-            worst_pt = (np.asarray(lam), dict(u or {}))
-    if count == 0:
+    """Run ``func(lam, u) -> residuals`` once over the stacked points and
+    assemble a report: ``lam`` has shape (P, n), and each spectral leg
+    that every point has a value for gets a value array of shape (P,)."""
+    points = list(points)
+    if not points:
         raise ValueError("point list is empty")
-    return ResidualReport(name, count, worst, tol, worst_pt)
+    lam = np.stack([np.asarray(l, dtype=complex) for l, _ in points])
+    legs = set.intersection(*(set(u or {}) for _, u in points))
+    u = {l: np.array([p[l] for _, p in points], dtype=complex) for l in sorted(legs)}
+    return _report(name, points, tol, func(lam, u))
+
+
+def _report(name, points, tol, residuals):
+    """The report for one residual per point (or one for all).
+
+    The worst point is the first with a NaN residual, so the report
+    fails, else the first with the largest residual.
+    """
+    points = list(points)
+    if not points:
+        raise ValueError("point list is empty")
+    r = np.broadcast_to(np.asarray(residuals, dtype=float), (len(points),))
+    nan = np.flatnonzero(np.isnan(r))
+    k = int(nan[0]) if nan.size else int(np.argmax(r))
+    lam, u = points[k]
+    return ResidualReport(name, len(points), float(r[k]), tol,
+                          (np.asarray(lam), dict(u or {})))
 
 
 def _product_residual(name, lhs, rhs, points, tol):
     """Report for prod(lhs) = prod(rhs), DynMat factors multiplied left
-    to right at each point."""
+    to right at every point."""
 
     def func(lam, u):
         return rel_residual(reduce(operator.matmul, [x.eval(lam, u) for x in lhs]),

@@ -28,12 +28,22 @@ matrix times a placed factor is contracted on the factor's legs only
 scatter back; see :class:`Placed`); the inverse inverts the small factor.
 Operators of dimension n**L <= 32 are multiplied dense, as there the
 contraction's fixed cost exceeds the saving.
+
+Every matrix function is shape-polymorphic: ``lam`` may carry leading
+batch axes, shape (..., n), and spectral values shape (...); the value
+then has shape (..., d, d), or is a constant (d, d) that broadcasts to
+it.  One call on a stacked point list evaluates a whole sample batch,
+and a point is the batch-free call of the same function.  A pole or a
+singular inverse anywhere in a batch raises :class:`PoleError` carrying
+the first such point.  :func:`function_dynmat` lifts a one-point
+function to batches point by point.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -87,8 +97,9 @@ class WeightScheme:
         return v
 
     def check_point(self, lam) -> np.ndarray:
+        """lam as a complex array of shape (..., rank)."""
         lam = np.asarray(lam, dtype=complex)
-        if lam.shape != (self.rank,):
+        if lam.shape[-1:] != (self.rank,):
             raise ValueError(f"lambda point must have {self.rank} coordinates")
         return lam
 
@@ -119,9 +130,11 @@ def _as_u_dict(legs, u):
 class DynMat:
     """Matrix-valued pure function of (lam, u) on an ordered list of legs.
 
-    ``fn(lam, u)`` receives the validated lambda vector and a dict mapping
-    each spectral leg to its value; it must return an
-    (n**k, n**k) array for k legs.
+    ``fn(lam, u)`` receives the validated lambda array, shape (..., n),
+    and a dict mapping each spectral leg to its value, a number or an
+    array of shape (...); it must return an (..., n**k, n**k) array for
+    k legs, or an (n**k, n**k) one that broadcasts to it.  ``poles(lam,
+    u)`` returns a bool of the same batch shape.
 
     ``local`` is None or ``(factor, positions)`` for a placed matrix:
     ``fn`` equals ``factor`` (same arguments) placed at ``positions`` of
@@ -212,7 +225,14 @@ class DynMat:
                 try:
                     return np.linalg.inv(m)
                 except np.linalg.LinAlgError:
-                    raise PoleError("singular matrix encountered in inverse", lam, u)
+                    # the first singular matrix of a batch names the point
+                    for k, mk in enumerate(np.reshape(m, (-1,) + np.shape(m)[-2:])):
+                        try:
+                            np.linalg.inv(mk)
+                        except np.linalg.LinAlgError:
+                            raise PoleError("singular matrix encountered in inverse",
+                                            *_point_at(lam, u, k))
+                    raise
 
             return fn
 
@@ -256,23 +276,46 @@ def _merge_poles(p1, p2):
         return p2
     if p2 is None:
         return p1
-    return lambda lam, u: p1(lam, u) or p2(lam, u)
+    return lambda lam, u: np.logical_or(p1(lam, u), p2(lam, u))
+
+
+def _batch_shape(lam, u):
+    """The batch shape of a point: lam's leading axes and the spectral
+    values' shapes, broadcast."""
+    shapes = [np.shape(v) for v in u.values() if not isinstance(v, complex)]
+    if any(shapes):
+        return np.broadcast_shapes(np.shape(lam)[:-1], *shapes)
+    return np.shape(lam)[:-1]
+
+
+def _point_at(lam, u, k):
+    """(lam, u) of the k-th point (flat index) of a batch."""
+    shape = _batch_shape(lam, u)
+    lam = np.broadcast_to(lam, shape + np.shape(lam)[-1:])
+    idx = np.unravel_index(k, shape)
+    return lam[idx], {l: complex(np.broadcast_to(v, shape)[idx]) for l, v in u.items()}
 
 
 def eval_dynmat(X: DynMat, lam, u=None, local=False):
-    """Evaluate X at a point, validating spectral slots and poles.
+    """Evaluate X at a point or a batch of points, validating spectral
+    slots and poles.
 
-    With ``local`` a placed X is returned as its :class:`Placed` factor
-    instead of the dense matrix.
+    A pole anywhere in a batch raises :class:`PoleError` for the first
+    point at a pole.  With ``local`` a placed X is returned as its
+    :class:`Placed` factor instead of the dense matrix.
     """
     lam = X.scheme.check_point(lam)
     ud = _as_u_dict(sorted(X.spectral_legs), u)
     missing = X.spectral_legs - set(ud)
     if missing:
         raise SpectralValueError(f"missing spectral value for legs {sorted(missing)}")
-    ud = {l: complex(ud[l]) for l in X.spectral_legs}
-    if X.poles is not None and X.poles(lam, ud):
-        raise PoleError(f"evaluation at a pole (lam={lam}, u={ud})", lam, ud)
+    ud = {l: _as_complex(ud[l]) for l in X.spectral_legs}
+    shape = _batch_shape(lam, ud)
+    if X.poles is not None:
+        mask = np.asarray(X.poles(lam, ud))
+        if mask.any():
+            plam, pu = _point_at(lam, ud, int(np.argmax(np.broadcast_to(mask, shape))))
+            raise PoleError(f"evaluation at a pole (lam={plam}, u={pu})", plam, pu)
     if local and X.local is not None:
         factor, positions = X.local
         d = X.scheme.rank ** len(positions)
@@ -280,9 +323,19 @@ def eval_dynmat(X: DynMat, lam, u=None, local=False):
     else:
         d, positions = X.dim, None
         m = np.asarray(X.fn(lam, ud), dtype=complex)
-    if m.shape != (d, d):
-        raise ValueError(f"evaluation returned shape {m.shape}, expected {(d, d)}")
+    if m.shape != shape + (d, d):
+        if m.shape != (d, d):
+            raise ValueError(f"evaluation returned shape {m.shape}, "
+                             f"expected {shape + (d, d)}")
+        m = np.broadcast_to(m, shape + (d, d))
     return m if positions is None else Placed(m, positions, len(X.legs), X.scheme.rank)
+
+
+def _as_complex(v):
+    """A spectral value as a complex number, or a complex array for a batch."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        return v.astype(complex, copy=False)
+    return complex(v)
 
 
 # -- constructors --------------------------------------------------------
@@ -303,7 +356,26 @@ def constant_dynmat(scheme: WeightScheme, legs, matrix) -> DynMat:
 
 
 def function_dynmat(scheme, legs, fn, spectral_legs=(), poles=None) -> DynMat:
-    return DynMat(scheme, tuple(sorted(legs)), fn, frozenset(spectral_legs), poles)
+    """A DynMat from one-point functions ``fn(lam, u)`` (and ``poles``):
+    ``lam`` of shape (n,) and complex spectral values; a batch is
+    evaluated point by point and the values stacked."""
+    poles = None if poles is None else _per_point(poles)
+    return DynMat(scheme, tuple(sorted(legs)), _per_point(fn), frozenset(spectral_legs),
+                  poles)
+
+
+def _per_point(f):
+    """The shape-polymorphic version of a one-point function f(lam, u)."""
+
+    def batched(lam, u):
+        shape = _batch_shape(lam, u)
+        if not shape:
+            return f(lam, u)
+        count = int(np.prod(shape))
+        vals = np.asarray([f(*_point_at(lam, u, k)) for k in range(count)])
+        return vals.reshape(shape + vals.shape[1:])
+
+    return batched
 
 
 def yangian_r(scheme: WeightScheme, legs=(1, 2), min_gap=1e-12) -> DynMat:
@@ -317,7 +389,7 @@ def yangian_r(scheme: WeightScheme, legs=(1, 2), min_gap=1e-12) -> DynMat:
     l1, l2 = legs
 
     def fn(lam, u):
-        return eye + p / (u[l1] - u[l2])
+        return eye + p / np.asarray(u[l1] - u[l2])[..., None, None]
 
     def poles(lam, u):
         return abs(u[l1] - u[l2]) < min_gap
@@ -329,9 +401,17 @@ def yangian_r(scheme: WeightScheme, legs=(1, 2), min_gap=1e-12) -> DynMat:
 
 
 @functools.lru_cache(maxsize=None)
-def _placement_tables(positions, total, n):
-    """Read-only flat (dst, src) index tables placing an n**k matrix on the
-    given positions of n**total legs: out.flat[dst] = m.flat[src]."""
+def _placement_tables(positions, total, n, count=1):
+    """Read-only flat (dst, src) index tables placing a stack of ``count``
+    n**k matrices on the given positions of n**total legs:
+    out.flat[dst] = m.flat[src]."""
+    if count > 1:
+        one = _placement_tables(positions, total, n)
+        tables = tuple((t + size * np.arange(count)[:, None]).ravel()
+                       for t, size in zip(one, (n ** (2 * total), n ** (2 * len(positions)))))
+        for t in tables:
+            t.setflags(write=False)
+        return tables
     k, d = len(positions), n ** total
     rows, sub = np.arange(d), np.arange(n ** k)
     # place value of each placed leg in an ambient and in the matrix's index
@@ -348,14 +428,18 @@ def _placement_tables(positions, total, n):
 
 
 def _place_matrix(m, positions, total, n):
-    """Embed an n**k matrix into n**total legs at the given positions."""
+    """Embed an n**k matrix (or a stack of them, shape (..., n**k, n**k))
+    into n**total legs at the given positions."""
     positions = tuple(positions)
+    m = np.asarray(m, dtype=complex)
     if positions == tuple(range(total)):
-        return np.asarray(m, dtype=complex)
-    dst, src = _placement_tables(positions, total, n)
-    out = np.zeros(n ** (2 * total), dtype=complex)
-    out[dst] = np.ravel(m)[src]
-    return out.reshape(n ** total, n ** total)
+        return m
+    batch = m.shape[:-2]
+    dst, src = _placement_tables(positions, total, n, math.prod(batch))
+    out = np.zeros(math.prod(batch) * n ** (2 * total), dtype=complex)
+    # flat indexing: one gather and one scatter for the whole stack
+    out[dst] = m.ravel()[src]
+    return out.reshape(batch + (n ** total, n ** total))
 
 
 # operators up to this dimension are multiplied dense
@@ -380,20 +464,22 @@ def _leg_order(positions, total, n, lead):
 
 def _apply_right(M, m, positions, total, n):
     """M @ (m placed at positions of n**total legs), contracting the
-    columns of M on the placed legs only."""
+    columns of M on the placed legs only; both may carry batch axes."""
     tables = _leg_order(tuple(positions), total, n, False)
-    G = M if tables is None else np.take(M, tables[0], axis=1)
-    out = (G.reshape(-1, m.shape[0]) @ m).reshape(G.shape)
-    return out if tables is None else np.take(out, tables[1], axis=1)
+    G = M if tables is None else np.take(M, tables[0], axis=-1)
+    out = G.reshape(G.shape[:-2] + (-1, m.shape[-1])) @ m
+    out = out.reshape(out.shape[:-2] + G.shape[-2:])
+    return out if tables is None else np.take(out, tables[1], axis=-1)
 
 
 def _apply_left(m, positions, M, total, n):
     """(m placed at positions of n**total legs) @ M, contracting the rows
-    of M on the placed legs only."""
+    of M on the placed legs only; both may carry batch axes."""
     tables = _leg_order(tuple(positions), total, n, True)
-    G = M if tables is None else np.take(M, tables[0], axis=0)
-    out = (m @ G.reshape(m.shape[0], -1)).reshape(G.shape)
-    return out if tables is None else np.take(out, tables[1], axis=0)
+    G = M if tables is None else np.take(M, tables[0], axis=-2)
+    out = m @ G.reshape(G.shape[:-2] + (m.shape[-1], -1))
+    out = out.reshape(out.shape[:-2] + G.shape[-2:])
+    return out if tables is None else np.take(out, tables[1], axis=-2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -548,15 +634,19 @@ def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
         terms.append((gamma * sum(scheme.unit(i) for i in idx), diag.reshape(-1)[None, :]))
 
     def fn(lam, u):
-        acc = np.zeros((n ** total,) * 2, dtype=complex)
+        acc = None
         for delta, diag in terms:
-            acc += xfn(lam + delta, u) * diag
+            term = xfn(lam + delta, u) * diag
+            if acc is None:
+                acc = np.zeros(term.shape, dtype=complex)
+            acc += term
         return acc
 
     poles = None
     if xe.poles is not None:
         def poles(lam, u, _p=xe.poles):
-            return any(_p(lam + delta, u) for delta, _ in terms)
+            return functools.reduce(np.logical_or,
+                                    (_p(lam + delta, u) for delta, _ in terms))
 
     return _placed(scheme, all_legs, fn, support, xe.spectral_legs, poles)
 
@@ -634,7 +724,10 @@ class Automorphism:
         elif self.variant == self.FACTORIZABLE:
             if u is None:
                 raise SpectralValueError("factorizable automorphism needs a spectral value")
-            base = np.asarray(self.matrix_fn(u), dtype=complex)
+            # matrix_fn takes one value: a batch is evaluated value by value
+            vals = [self.matrix_fn(complex(x)) for x in np.ravel(u)]
+            base = np.asarray(vals, dtype=complex)
+            base = base.reshape(np.shape(u) + base.shape[1:])
         else:
             raise AutomorphismError("spectral shift is not a finite matrix")
         if power == 1:
@@ -657,16 +750,18 @@ class Automorphism:
         return self._eig
 
     def complex_power(self, exponent) -> np.ndarray:
-        """Principal-branch matrix power g**exponent for constant g."""
+        """Principal-branch matrix power g**exponent for constant g; an
+        exponent of shape (...) gives powers of shape (..., n, n)."""
         if self.variant != self.CONSTANT:
             raise AutomorphismError("complex powers require a constant automorphism")
         w, v, vinv = self._eigendata()
-        return (v * np.exp(exponent * np.log(w))) @ vinv
+        scale = np.exp(np.asarray(exponent)[..., None] * np.log(w))
+        return (v * scale[..., None, :]) @ vinv
 
 
 def sigma_of(lam) -> complex:
-    """Sum of the dynamical coordinates."""
-    return complex(np.sum(np.asarray(lam, dtype=complex)))
+    """Sum of the dynamical coordinates (per point of a batch)."""
+    return np.sum(np.asarray(lam, dtype=complex), axis=-1)
 
 
 def sigma_power(g: Automorphism, lam) -> Automorphism:

@@ -58,10 +58,6 @@ def all_legs(N: int):
     return tuple(range(0, 2 * N + 1))
 
 
-def quantum_legs(N: int):
-    return tuple(range(1, 2 * N + 1))
-
-
 def bind_spectral(X: DynMat, uvals) -> DynMat:
     """Freeze the spectral slots of X at fixed values (a placed X stays
     placed)."""
@@ -377,7 +373,8 @@ class CommutationCertificate:
 def certify_commuting_family(S: StructureSet, Q0: DynMat, chi_t: DynMat,
                              kappa: DynMat, N: int, u_list, u_quantum, points,
                              twist: DynMat = None, tol=1e-8,
-                             ingredient_tol=1e-9, gauged=None) -> CommutationCertificate:
+                             ingredient_tol=1e-9, gauged=None,
+                             ingredients=None) -> CommutationCertificate:
     """Build traced operators for each auxiliary value and certify
     pairwise commutation, gating on the ingredient residuals first.
 
@@ -388,25 +385,14 @@ def certify_commuting_family(S: StructureSet, Q0: DynMat, chi_t: DynMat,
     reflection residual for Q0, and the factorization condition for
     kappa.  On ingredient failure the commutation stage is skipped and
     the failing names are listed, localizing the violated hypothesis.
+
+    The gate does not depend on N: ``ingredients``, the
+    ``ingredient_reports`` of an earlier certificate for the same S, Q0,
+    kappa, points and ingredient_tol, is reused instead of recomputed.
     """
-    reports = {}
-    reports["zero_weight_B"] = residual_zero_weight(S.B, "B", points, ingredient_tol)
-    reports["zero_weight_C"] = residual_zero_weight(S.C, "C", points, ingredient_tol)
-    reports["twist_zero_weight_D"] = residual_zero_weight(
-        S.D, "D", points, ingredient_tol, name="twist_zero_weight_D"
-    )
-    if S.g.is_identity:
-        reports.update(residual_ybce(S, points, ingredient_tol))
-    else:
-        reports.update(residual_gybce(S, points, ingredient_tol))
-        reports["zwc"] = residual_zwc(S, points, ingredient_tol)
-    reports["sdre_reflection"] = residual_sdre(
-        S, Q0, points, ingredient_tol, name="sdre_reflection"
-    )
-    if kappa is not None:
-        reports["theta_period"] = residual_theta_period(
-            kappa, points, max(ingredient_tol, 1e-10)
-        )
+    reports = ingredients
+    if reports is None:
+        reports = _ingredient_reports(S, Q0, kappa, points, ingredient_tol)
     failed = [name for name, rep in reports.items() if not rep.passed]
     if failed:
         return CommutationCertificate(reports, None, failed)
@@ -438,3 +424,26 @@ def certify_commuting_family(S: StructureSet, Q0: DynMat, chi_t: DynMat,
                              and not r.max_residual <= worst.max_residual):
             worst = r
     return CommutationCertificate(reports, worst, [])
+
+
+def _ingredient_reports(S, Q0, kappa, points, ingredient_tol):
+    """The ingredient gate of :func:`certify_commuting_family`, by name."""
+    reports = {}
+    reports["zero_weight_B"] = residual_zero_weight(S.B, "B", points, ingredient_tol)
+    reports["zero_weight_C"] = residual_zero_weight(S.C, "C", points, ingredient_tol)
+    reports["twist_zero_weight_D"] = residual_zero_weight(
+        S.D, "D", points, ingredient_tol, name="twist_zero_weight_D"
+    )
+    if S.g.is_identity:
+        reports.update(residual_ybce(S, points, ingredient_tol))
+    else:
+        reports.update(residual_gybce(S, points, ingredient_tol))
+        reports["zwc"] = residual_zwc(S, points, ingredient_tol)
+    reports["sdre_reflection"] = residual_sdre(
+        S, Q0, points, ingredient_tol, name="sdre_reflection"
+    )
+    if kappa is not None:
+        reports["theta_period"] = residual_theta_period(
+            kappa, points, max(ingredient_tol, 1e-10)
+        )
+    return reports

@@ -87,11 +87,13 @@ def build_BC_projector(b: DynMat, projs, scheme: WeightScheme):
     binv = b.inv()
 
     def fn(lam, u):
-        acc = np.zeros((n * n, n * n), dtype=complex)
-        for i in range(n):
-            bi = binv.fn(lam, u) @ b.fn(lam + scheme.gamma * scheme.unit(i), u)
-            e = scheme.projector(i)
-            acc += np.kron(e, projs[i] @ bi)
+        blocks = [projs[i] @ (binv.fn(lam, u) @ b.fn(lam + scheme.gamma * scheme.unit(i), u))
+                  for i in range(n)]
+        acc = np.zeros(np.broadcast_shapes(*(x.shape for x in blocks))[:-2]
+                       + (n * n, n * n), dtype=complex)
+        # e_ii (x) block_i: the i-th diagonal block
+        for i, block in enumerate(blocks):
+            acc[..., i * n:(i + 1) * n, i * n:(i + 1) * n] = block
         return acc
 
     leg = b.legs[0]

@@ -76,24 +76,23 @@ def invertibility_guard(dynmats, floor=0.05, probe_shifts=()):
 
     ``probe_shifts`` is a list of lambda offset vectors; the matrices are
     probed at the shifted points as well, so that dynamical shifts
-    performed downstream stay away from singularities.
+    performed downstream stay away from singularities.  Each matrix is
+    evaluated once over the batch of the point and its shifts.
     """
 
     def guard(lam, u):
-        offsets = [np.zeros_like(lam)] + [np.asarray(s, dtype=complex) for s in probe_shifts]
+        at = lam + np.array([np.zeros_like(lam)] + list(probe_shifts), dtype=complex)
         for X in dynmats:
             uvals = {l: u[l] for l in X.spectral_legs if l in u}
-            for off in offsets:
-                try:
-                    m = X.eval(lam + off, uvals)
-                except (PoleError, np.linalg.LinAlgError, ZeroDivisionError,
-                        OverflowError):
-                    # a pole, a singular inverse, or an entry-expression
-                    # pole or overflow; anything else is a fault and raises
-                    return True
-                s = np.linalg.svd(m, compute_uv=False)
-                if s[-1] < floor:
-                    return True
+            try:
+                m = X.eval(at, uvals)
+            except (PoleError, np.linalg.LinAlgError, ZeroDivisionError,
+                    OverflowError):
+                # a pole, a singular inverse, or an entry-expression
+                # pole or overflow; anything else is a fault and raises
+                return True
+            if np.any(np.linalg.svd(m, compute_uv=False)[..., -1] < floor):
+                return True
         return False
 
     return guard

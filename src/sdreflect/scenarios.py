@@ -119,7 +119,7 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
         l1, l2 = legs
 
         def fn(lam, u):
-            base = eye + p / (u[l1] - u[l2])
+            base = eye + p / np.asarray(u[l1] - u[l2])[..., None, None]
             return base + slot
 
         def poles(lam, u):
@@ -169,8 +169,8 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     # values by the exact bytes of (lam, u1); pole points raise every time
     memo = {}
 
-    def fn(lam, u):
-        uu = {1: u[leg]} if spectral else {}
+    def at_point(lam, uval):
+        uu = {1: uval} if spectral else {}
         key = (np.asarray(lam, dtype=complex).tobytes(),
                np.complex128(uu.get(1, 0.0)).tobytes())
         m = memo.get(key)
@@ -183,9 +183,31 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
                     try:
                         m[i, j] = ep.eval_ast(asts[i][j], lam, uu, gamma)
                     except ep.EvalPoleError as exc:
-                        raise PoleError(str(exc), lam, u)
+                        raise PoleError(str(exc), lam, {leg: uval} if spectral else {})
         m.setflags(write=False)
         memo[key] = m
+        return m
+
+    # a batch stacks its points' values, kept by the batch's (shape, bytes)
+    stacks = {}
+
+    def fn(lam, u):
+        uval = u[leg] if spectral else None
+        if lam.ndim == 1 and not (isinstance(uval, np.ndarray) and uval.ndim):
+            return at_point(lam, uval)
+        lam = np.asarray(lam, dtype=complex)
+        uval = np.asarray(0.0 if uval is None else uval, dtype=complex)
+        shape = np.broadcast_shapes(lam.shape[:-1], uval.shape)
+        lam = np.broadcast_to(lam, shape + lam.shape[-1:])
+        uval = np.broadcast_to(uval, shape)
+        key = (shape, lam.tobytes(), uval.tobytes())
+        m = stacks.get(key)
+        if m is None:
+            flat = lam.reshape(-1, lam.shape[-1])
+            m = np.stack([at_point(l, complex(x) if spectral else None)
+                          for l, x in zip(flat, uval.ravel())]).reshape(shape + (n, n))
+            m.setflags(write=False)
+            stacks[key] = m
         return m
 
     return DynMat(scheme, legs, fn, spectral)

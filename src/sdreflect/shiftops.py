@@ -22,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .consistency import _collect, rel_residual, worst_residual
+from .consistency import _report, rel_residual, worst_residual
 from .dyncore import DynMat, LegError, WeightScheme, identity_dynmat
 
 
@@ -128,10 +128,6 @@ class _TableSum(ShiftOpSum):
     _operands = eval_terms
 
 
-def shiftop_compose(S1: ShiftOpSum, S2: ShiftOpSum) -> ShiftOpSum:
-    return S1.compose(S2)
-
-
 def _difference(t1, t2, keys):
     """Worst relative residual between two tables over ``keys`` (a missing
     entry counts as zero); entries are dropped as they are compared."""
@@ -151,14 +147,13 @@ def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8
     """Per-shift-vector relative residual between two operator sums,
     each evaluated as one table per point."""
     keys = set(S1.terms) | set(S2.terms)
-
-    def func(lam, u):
+    residuals = []
+    for lam, u in points:
         # S2 first: callers pass the deeper operand (the factored
         # monodromy) second, so its temporaries never meet S1's table
         t2 = S2.eval_terms(lam, u)
-        return _difference(S1.eval_terms(lam, u), t2, keys)
-
-    return _collect(name, points, tol, func)
+        residuals.append(_difference(S1.eval_terms(lam, u), t2, keys))
+    return _report(name, points, tol, residuals)
 
 
 def shiftop_commutators(ops, points, tol=1e-8, name="shiftop_commutator"):
@@ -192,8 +187,7 @@ def shiftop_commutators(ops, points, tol=1e-8, name="shiftop_commutator"):
             ba = _table_product(at(j), lambda m1: at(i, m1), dict.get)
             residuals[p].append(_difference(ab, ba, keys[p]))
         tables = ab = ba = None
-    return [_collect(name, points, tol, lambda lam, u, it=iter(r): next(it))
-            for r in residuals]
+    return [_report(name, points, tol, r) for r in residuals]
 
 
 def shiftop_commutator(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8,

@@ -21,7 +21,14 @@ from .consistency import (
     residual_zwc,
     worst_residual,
 )
-from .dyncore import Automorphism, AutomorphismError, DynMat, LegError, sigma_of
+from .dyncore import (
+    Automorphism,
+    AutomorphismError,
+    DynMat,
+    LegError,
+    _place_matrix,
+    sigma_of,
+)
 
 PAIR = (1, 2)
 
@@ -135,7 +142,7 @@ def _decorated_core(Q_fn, decorations, lam, uval):
     for deco in decorations:
         for f in deco.factors:
             kind, val = f.resolve(lam)
-            if kind == "ushift" and val:
+            if kind == "ushift" and np.any(val):
                 if deco.mode != "conjugate":
                     raise UnrepresentableError(
                         "one-sided multiplication by a non-factorizable "
@@ -143,8 +150,8 @@ def _decorated_core(Q_fn, decorations, lam, uval):
                     )
                 ushift_total += val
     m = Q_fn(lam, uval + ushift_total)
-    pre = np.eye(m.shape[0], dtype=complex)
-    post = np.eye(m.shape[0], dtype=complex)
+    pre = np.eye(m.shape[-1], dtype=complex)
+    post = np.eye(m.shape[-1], dtype=complex)
     for deco in decorations:
         if deco.mode == "conjugate":
             for f in deco.factors:
@@ -190,9 +197,10 @@ def residual_intertwiner(spec: IntertwinerSpec, Q, points, tol=1e-9,
         q2 = Q_fn(lam, u2)
         d2 = _decorated_core(Q_fn, spec.decorations, lam, u2)
         d1 = _decorated_core(Q_fn, spec.decorations, lam, u1)
-        eye = np.eye(n, dtype=complex)
-        lhs = spec.R_left.eval(lam, u) @ np.kron(q1, eye) @ np.kron(eye, d2)
-        rhs = np.kron(eye, q2) @ np.kron(d1, eye) @ spec.R_right.eval(lam, u)
+        lhs = (spec.R_left.eval(lam, u) @ _place_matrix(q1, [0], 2, n)
+               @ _place_matrix(d2, [1], 2, n))
+        rhs = (_place_matrix(q2, [1], 2, n) @ _place_matrix(d1, [0], 2, n)
+               @ spec.R_right.eval(lam, u))
         return rel_residual(lhs, rhs)
 
     return _collect(name, points, tol, func)
@@ -424,7 +432,6 @@ def residual_reduced_exchange(R: DynMat, Rt: DynMat, kappa: DynMat, points,
     scheme = kappa.scheme
     step = scheme.gamma * scheme.unit(0)
     n = scheme.rank
-    eye = np.eye(n, dtype=complex)
 
     def kval(lam, u, leg):
         uvals = {kappa.legs[0]: u[leg]} if kappa.spectral_legs and u else {}
@@ -435,8 +442,10 @@ def residual_reduced_exchange(R: DynMat, Rt: DynMat, kappa: DynMat, points,
         k_hi_2 = kval(lam + step, u, 2)
         k_lo_2 = kval(lam, u, 2)
         k_hi_1 = kval(lam + step, u, 1)
-        lhs = R.eval(lam, u) @ np.kron(k_lo_1, k_hi_2)
-        rhs = np.kron(k_hi_1, k_lo_2) @ Rt.eval(lam, u)
+        lhs = R.eval(lam, u) @ (_place_matrix(k_lo_1, [0], 2, n)
+                                @ _place_matrix(k_hi_2, [1], 2, n))
+        rhs = (_place_matrix(k_hi_1, [0], 2, n)
+               @ _place_matrix(k_lo_2, [1], 2, n)) @ Rt.eval(lam, u)
         return rel_residual(lhs, rhs)
 
     return _collect(name, points, tol, func)

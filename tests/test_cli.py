@@ -242,3 +242,46 @@ def test_rank3_two_site_factorization():
                                                "monodromy_factorization_N2"]
     for rep in reports:
         assert rep.passed and rep.samples == 2, str(rep)
+
+
+def test_transfer_commute_gates_once_per_rig(monkeypatch):
+    # the ingredient gate does not depend on the chain length: two sizes
+    # (N = 1, 2) share one evaluation of it
+    from sdreflect import monodromy
+
+    ybce = monodromy.residual_ybce
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ybce(*args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "residual_ybce", counted)
+    assert run(["--builtin", "diagonal_dressed", "--suite", "transfer-commute",
+                "--samples", "4", "--seed", "2"]) == 0
+    assert len(calls) == 1
+
+
+def test_sites_flag_sets_the_chain_length(capsys):
+    code = run(["--builtin", "diagonal_dressed", "--sites", "3", "--suite",
+                "monodromy-factor", "--samples", "2", "--format", "structured"])
+    assert code == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert names == ["monodromy_factorization_N1", "monodromy_factorization_N3"]
+
+
+def test_chain_length_without_spectral_values_is_usage_error(capsys):
+    code = run(["--builtin", "diagonal_dressed", "--sites", "9", "--suite",
+                "monodromy-factor", "--samples", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_rank4_placed_products_over_a_batch(tmp_path, capsys):
+    # three rank-4 legs (d = 64) take the leg-local placed path with batch axes
+    path = tmp_path / "rank4.json"
+    builtin_scenario("trivial_yangian", {"rank": 4}).save(path)
+    code = run(["--scenario", str(path), "--suite", "ybce", "--suite", "sdre",
+                "--samples", "4"])
+    assert code == 0, capsys.readouterr().out

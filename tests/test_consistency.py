@@ -474,3 +474,75 @@ def test_nan_survives_index_placement_and_shift():
     assert not rep.passed
     assert np.isnan(rep.max_residual)
     np.testing.assert_array_equal(rep.worst_point[0], bad)
+
+
+# -- batched evaluation ---------------------------------------------------------
+
+
+def test_batched_residuals_equal_the_per_point_calls(monkeypatch):
+    # every _collect check of the builtins' suites: the residual vector of
+    # the one stacked call equals the batch-free calls point by point
+    from sdreflect import consistency, solutions
+    from sdreflect.cli import Rig, applicable_suites
+    from sdreflect.scenarios import builtin_names, builtin_scenario
+
+    collect = consistency._collect
+    seen = []
+
+    def checked(name, points, tol, func):
+        batched = []
+
+        def once(lam, u):
+            batched.append(np.broadcast_to(func(lam, u), (len(points),)))
+            return batched[-1]
+
+        report = collect(name, points, tol, once)
+        np.testing.assert_array_equal(batched[0], [func(lam, u) for lam, u in points])
+        seen.append(name)
+        return report
+
+    monkeypatch.setattr(consistency, "_collect", checked)
+    monkeypatch.setattr(solutions, "_collect", checked)
+    for builtin in builtin_names():
+        rig = Rig(builtin_scenario(builtin), samples=5, seed=3)
+        for suite in applicable_suites(rig)[0]:
+            if suite not in ("monodromy-factor", "transfer-commute"):
+                for rep in rig.run_suite(suite)[0]:
+                    assert rep.passed, str(rep)
+    assert {"cubic_a", "zero_weight_D", "sdre", "intertwiner_Q", "projector_compat",
+            "detwist_nondynamical", "theta_period", "zwc"} <= set(seen)
+
+
+def test_first_nan_of_a_batch_is_the_worst_point():
+    from sdreflect.consistency import residual_nondynamical
+
+    nans = {PTS[3][0].tobytes(), PTS[9][0].tobytes()}
+
+    def fn(lam, u):
+        if lam.tobytes() in nans:
+            return np.full((2, 2), np.nan)
+        # a large finite residual at point 1, before the first NaN
+        return np.diag([1.0 + (1e3 if np.array_equal(lam, PTS[1][0]) else 1.0) * lam[0],
+                        1.0])
+
+    rep = residual_nondynamical(function_dynmat(SCH, (1,), fn), PTS, 1e-9)
+    assert not rep.passed and np.isnan(rep.max_residual)
+    np.testing.assert_array_equal(rep.worst_point[0], PTS[3][0])
+
+
+def test_singular_inverse_in_a_batch_names_its_point():
+    from sdreflect.dyncore import PoleError
+
+    singular = {PTS[6][0].tobytes(), PTS[11][0].tobytes()}
+
+    def fn(lam, u):
+        return np.zeros((4, 4)) if lam.tobytes() in singular else np.eye(4) * (2 + lam[0])
+
+    Xinv = function_dynmat(SCH, (1, 2), fn).inv()
+    lams = np.stack([lam for lam, _ in PTS])
+    with pytest.raises(PoleError) as exc:
+        Xinv.eval(lams)
+    np.testing.assert_array_equal(exc.value.lam, PTS[6][0])
+    with pytest.raises(PoleError) as exc:
+        residual_zero_weight(Xinv, "D", PTS, 1e-9)
+    np.testing.assert_array_equal(exc.value.lam, PTS[6][0])

@@ -6,7 +6,6 @@ from sdreflect.dyncore import LegError, PoleError
 from sdreflect.shiftops import (
     ShiftOpSum,
     shiftop_commutator,
-    shiftop_compose,
     shiftop_difference_residual,
 )
 
@@ -23,7 +22,7 @@ def term(shift, fn):
 def test_identity_element():
     S = term((1, 0), lambda lam, u: np.diag([lam[0], lam[1] ** 2]))
     one = ShiftOpSum.from_matrix(identity_dynmat(SCH, LEGS))
-    out = shiftop_compose(one, S)
+    out = one.compose(S)
     assert set(out.terms) == {(1, 0)}
     lam = PTS[0][0]
     np.testing.assert_allclose(out.terms[(1, 0)].eval(lam), S.terms[(1, 0)].eval(lam))
