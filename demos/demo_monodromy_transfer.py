@@ -51,7 +51,7 @@ for name in ("trivial_yangian", "diagonal_dressed"):
     cert = certify_commuting_family(
         S, K, chi, constant_like(b, scenario.Q), 2,
         [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j],
-        scenario.quantum_values(2), points[:6], twist=q,
+        scenario.quantum_values(2), points[:6],
     )
     print(f"  commuting family certified: {cert.passed}")
     print(f"  {cert.commutation}")

@@ -181,7 +181,7 @@ class Rig:
             uq = self.scenario.quantum_values(N)
             cert = certify_commuting_family(
                 self.S, self.K, self.chi, self.kappa, N, u_list, uq,
-                self.points[: min(12, len(self.points))], twist=self.q, tol=1e-8,
+                self.points[: min(12, len(self.points))], tol=1e-8,
                 ingredient_tol=self.tol,
                 gauged=None if self.g.is_identity else self.gauged,
                 ingredients=gate,

@@ -49,7 +49,6 @@ from .dyncore import (
     constant_dynmat,
     dyn_shift,
     embed,
-    place,
 )
 from .shiftops import ShiftOpSum, _TableSum, shiftop_commutators
 
@@ -306,39 +305,26 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
     return _conjugate_by(O, _with_aux_shift(core))
 
 
-def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int,
-                   twist: DynMat = None, u_aux=None) -> ShiftOpSum:
+def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int) -> ShiftOpSum:
     """Partial trace over the auxiliary leg, as a map of T's tables.
 
-    Each term (M, m) becomes (Tr_0[w^-1 M w], m) on the quantum legs,
-    with w the optional auxiliary twist insertion evaluated at
-    (lam, u_aux) once per point; shifts are preserved because the
-    auxiliary shift factor was already expanded with weight projectors.
-    Since w acts on leg 0 only, cyclicity of the partial trace over leg 0
-    gives Tr_0[w^-1 M w] = Tr_0[M]: the twist changes a traced operator
-    by round-off only.
+    Each term (M, m) becomes (Tr_0 M, m) on the quantum legs; shifts are
+    preserved because the auxiliary shift factor was already expanded
+    with weight projectors.  An auxiliary twist w on leg 0 would change
+    nothing: cyclicity of the partial trace over leg 0 gives
+    Tr_0[w^-1 M w] = Tr_0[M].
     """
     if 0 not in T.legs:
         raise LegError("transfer trace needs the auxiliary leg 0")
     n = scheme.rank
     qlegs = tuple(l for l in T.legs if l != 0)
     dq = n ** len(qlegs)
-    total = len(T.legs)
-    if twist is not None:
-        uvals = {twist.legs[0]: complex(u_aux)} if twist.spectral_legs else {}
 
     def table(lam, u):
         terms = T.eval_terms(lam, u)
-        if twist is not None:
-            w = twist.fn(lam, uvals)
-            # leg 0 leads T's legs
-            W = place(w, [0], total, n)
-            Wi = place(np.linalg.inv(w), [0], total, n)
         out = {}
         for m in list(terms):
             M = terms.pop(m)
-            if twist is not None:
-                M = Wi @ M @ W
             out[m] = np.einsum("iaib->ab", M.reshape(n, dq, n, dq))
         return out
 
@@ -371,8 +357,7 @@ class CommutationCertificate:
 
 
 def certify_commuting_family(S: StructureSet, Q0: DynMat, chi_t: DynMat,
-                             kappa: DynMat, N: int, u_list, u_quantum, points,
-                             twist: DynMat = None, tol=1e-8,
+                             kappa: DynMat, N: int, u_list, u_quantum, points, tol=1e-8,
                              ingredient_tol=1e-9, gauged=None,
                              ingredients=None) -> CommutationCertificate:
     """Build traced operators for each auxiliary value and certify
@@ -412,7 +397,7 @@ def certify_commuting_family(S: StructureSet, Q0: DynMat, chi_t: DynMat,
                 scheme, gauged["R0"], gauged["b"], gauged["q"], gauged["k"],
                 gauged["Q"], chi_t, N, u_quantum, u0, g=S.g, QL=gauged["QL"],
             )
-        traced.append(transfer_trace(T, scheme, N, twist=twist, u_aux=u0))
+        traced.append(transfer_trace(T, scheme, N))
     if len(traced) < 2:
         rep = ResidualReport("transfer_commutation", len(points), 0.0, tol,
                              (points[0][0], dict(points[0][1])))

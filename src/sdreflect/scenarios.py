@@ -11,6 +11,7 @@ names below; unknown fields are errors.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -355,27 +356,22 @@ class Scenario:
             raise ScenarioError("quantum_spectral: need two values per site")
         return {i + 1: vals[i] for i in range(2 * N)}
 
-    def sample(self, count=None, seed=None, spectral_legs=(1, 2, 3), guard_mats=None):
+    def sample(self, count=None, seed=None, guard_mats=None):
         """Pole-aware samples for this scenario's checks.
 
-        ``guard_mats`` is the compiled (b, q, k) the guard probes; by
-        default they are compiled afresh.  Passing a rig's own matrices
-        lets verification reuse the leaf values the guard computed.
+        The guard keeps each matrix invertible at the point and at every
+        point shifted by a sum of one to three weight steps gamma e_i,
+        each distinct shift probed once.  ``guard_mats`` is the compiled
+        (b, q, k) the guard probes; by default they are compiled afresh.
+        Passing a rig's own matrices lets verification reuse the leaf
+        values the guard computed.
         """
         cfg = dict(self.sampler)
         count = cfg.get("count", 50) if count is None else count
         seed = cfg.get("seed", 1) if seed is None else seed
-        n = self.rank
-        gamma = self.gamma
-        shifts = []
-        for i in range(n):
-            shifts.append(gamma * self.scheme.unit(i))
-            for j in range(n):
-                shifts.append(gamma * (self.scheme.unit(i) + self.scheme.unit(j)))
-                for l in range(n):
-                    shifts.append(
-                        gamma * (self.scheme.unit(i) + self.scheme.unit(j)
-                                 + self.scheme.unit(l)))
+        units = [self.gamma * self.scheme.unit(i) for i in range(self.rank)]
+        shifts = [sum(c) for r in (1, 2, 3)
+                  for c in itertools.combinations_with_replacement(units, r)]
         if guard_mats is None:
             guard_mats = (self.b_mat(), self.q_mat(), self.k_mat())
         guards = [invertibility_guard(
@@ -384,7 +380,7 @@ class Scenario:
         )]
         return sample_points(
             self.scheme,
-            spectral_legs=spectral_legs if self.spectral else (),
+            spectral_legs=(1, 2, 3) if self.spectral else (),
             count=count,
             seed=seed,
             box=cfg.get("box", 2.0),

@@ -1,10 +1,21 @@
 """Builders for reflection solutions and the quadratic intertwiner residual.
 
 All solution families share one shape: an invertible dressing on the
-left, a non-dynamical core (possibly conjugated by sigma-powers of
-automorphisms), and a twist matrix on the right.  The quadratic relation
-the core must satisfy varies per family and is expressed here as a
-decorated exchange relation handled by :func:`residual_intertwiner`.
+left, a non-dynamical core decorated by powers of automorphisms, and a
+twist matrix on the right.  The quadratic relation the core must
+satisfy varies per family and is expressed here as a decorated exchange
+relation handled by :func:`residual_intertwiner`.
+
+A decoration is data, a list of :class:`Decoration` blocks, and one
+engine applies it to a 1-leg core (:func:`_decorated_core`):
+
+- conjugation blocks act on the core in list order, so the first
+  listed factor is innermost: [a^s, g^-s] gives g^-s a^s Q a^-s g^s;
+- a spectral-shift conjugation moves the core's spectral argument;
+- one-sided blocks multiply outside every conjugation, left blocks on
+  the left and right blocks on the right, each in list order;
+- a spectral shift inside a one-sided block is not a finite matrix and
+  raises :class:`UnrepresentableError` when the result is evaluated.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from .consistency import (
     ShiftedSolution,
     StructureSet,
     _collect,
+    _product_residual,
     rel_residual,
     residual_zwc,
     worst_residual,
@@ -26,7 +38,8 @@ from .dyncore import (
     AutomorphismError,
     DynMat,
     LegError,
-    _place_matrix,
+    constant_dynmat,
+    embed,
     sigma_of,
 )
 
@@ -49,7 +62,7 @@ class UnrepresentableError(RuntimeError):
     """
 
 
-# -- decorated quadratic exchange relations ---------------------------------
+# -- decorated cores and exchange relations ----------------------------------
 
 
 @dataclass(frozen=True)
@@ -119,129 +132,72 @@ class IntertwinerSpec:
             raise LegError("exchange relations live on legs (1, 2)")
 
 
-def _as_core_fn(Q):
-    """Normalize the core to a callable u -> n x n matrix."""
-    if isinstance(Q, DynMat):
-        if len(Q.legs) != 1:
-            raise LegError("the core must live on a single leg")
-        leg = Q.legs[0]
-        spect = bool(Q.spectral_legs)
-        return lambda lam, uval: Q.fn(lam, {leg: uval} if spect else {})
-    m = np.asarray(Q, dtype=complex)
-    return lambda lam, uval: m
+def _decorated_core(core: DynMat, decorations) -> DynMat:
+    """The 1-leg ``core`` dressed by a :class:`Decoration` list, on the
+    core's leg (the semantics are in the module docstring)."""
+    if len(core.legs) != 1:
+        raise LegError("the core must live on a single leg")
+    leg = core.legs[0]
+    decorations = tuple(decorations)
 
-
-def _decorated_core(Q_fn, decorations, lam, uval):
-    """Apply the decoration pipeline to the core at one point.
-
-    Slot shifts from spectral-shift conjugations commute with the
-    (u-independent) matrix factors, so they are absorbed into the base
-    evaluation argument first.
-    """
-    ushift_total = 0.0
-    for deco in decorations:
-        for f in deco.factors:
-            kind, val = f.resolve(lam)
-            if kind == "ushift" and np.any(val):
-                if deco.mode != "conjugate":
+    def resolve(lam):
+        """The core's spectral offset and the conjugating, left and right
+        matrices at lam, each in list order."""
+        offset, mats = 0.0, {"conjugate": [], "left": [], "right": []}
+        for deco in decorations:
+            for f in deco.factors:
+                kind, val = f.resolve(lam)
+                if kind == "matrix":
+                    if val is not None:
+                        mats[deco.mode].append(val)
+                elif deco.mode != "conjugate":
                     raise UnrepresentableError(
                         "one-sided multiplication by a non-factorizable "
                         "automorphism power is not a finite matrix"
                     )
-                ushift_total += val
-    m = Q_fn(lam, uval + ushift_total)
-    pre = np.eye(m.shape[-1], dtype=complex)
-    post = np.eye(m.shape[-1], dtype=complex)
-    for deco in decorations:
-        if deco.mode == "conjugate":
-            for f in deco.factors:
-                kind, val = f.resolve(lam)
-                if kind == "matrix" and val is not None:
-                    m = val @ m @ np.linalg.inv(val)
-        else:
-            block = None
-            for f in deco.factors:
-                kind, val = f.resolve(lam)
-                if val is not None:
-                    block = val if block is None else block @ val
-            if block is None:
-                continue
-            if deco.mode == "left":
-                pre = pre @ block
-            else:
-                post = post @ block
-    return pre @ m @ post
+                else:
+                    offset = offset + val
+        return offset, mats
+
+    def moved(u, offset):
+        return {leg: u[leg] + offset} if core.spectral_legs else {}
+
+    def fn(lam, u):
+        offset, mats = resolve(lam)
+        m = core.fn(lam, moved(u, offset))
+        for g in mats["conjugate"]:
+            m = g @ m @ np.linalg.inv(g)
+        for g in reversed(mats["left"]):
+            m = g @ m
+        for g in mats["right"]:
+            m = m @ g
+        return m
+
+    poles = None
+    if core.poles is not None:
+        poles = lambda lam, u: core.poles(lam, moved(u, resolve(lam)[0]))
+    return DynMat(core.scheme, core.legs, fn, core.spectral_legs, poles)
 
 
 def residual_intertwiner(spec: IntertwinerSpec, Q, points, tol=1e-9,
-                         name="intertwiner", dynamical_check=True):
-    """Residual of the decorated quadratic relation for a core Q.
+                         name="intertwiner"):
+    """Residual of the decorated quadratic relation for a core Q, a
+    1-leg DynMat or a plain matrix.
 
     Q must be non-dynamical (lambda-independent); a dynamical core is
     rejected because the relation is then outside this family.
     """
-    Q_fn = _as_core_fn(Q)
-    if dynamical_check:
-        lam0, u0 = points[0]
-        uprobe = next(iter(u0.values())) if u0 else 0.0
-        a = Q_fn(np.asarray(lam0, dtype=complex), uprobe)
-        b = Q_fn(np.asarray(lam0, dtype=complex) + 0.37, uprobe)
-        if rel_residual(a, b) > 1e-12:
-            raise ValueError("the supplied core is dynamical (lambda-dependent)")
-    n = spec.R_left.scheme.rank
-
-    def func(lam, u):
-        u1 = u.get(1, 0.0)
-        u2 = u.get(2, 0.0)
-        q1 = Q_fn(lam, u1)
-        q2 = Q_fn(lam, u2)
-        d2 = _decorated_core(Q_fn, spec.decorations, lam, u2)
-        d1 = _decorated_core(Q_fn, spec.decorations, lam, u1)
-        lhs = (spec.R_left.eval(lam, u) @ _place_matrix(q1, [0], 2, n)
-               @ _place_matrix(d2, [1], 2, n))
-        rhs = (_place_matrix(q2, [1], 2, n) @ _place_matrix(d1, [0], 2, n)
-               @ spec.R_right.eval(lam, u))
-        return rel_residual(lhs, rhs)
-
-    return _collect(name, points, tol, func)
-
-
-# -- sigma-power sandwiches ---------------------------------------------------
-
-
-def _sigma_sandwich(Q_fn, pipeline, lam, uval):
-    """Apply nested sigma-conjugations (auto, sign) to the core, innermost
-    last in the list; one-sided entries are (auto, sign, 'left'/'right')."""
-    m = Q_fn(lam, uval)
-    s = sigma_of(lam)
-    for entry in reversed(pipeline):
-        auto, sign = entry[0], entry[1]
-        mode = entry[2] if len(entry) > 2 else "conjugate"
-        if auto.is_identity:
-            continue
-        if auto.variant == Automorphism.SHIFT:
-            if mode != "conjugate":
-                raise UnrepresentableError(
-                    "one-sided sigma power of a spectral shift is not a "
-                    "finite matrix; only factorizable instances are constructible"
-                )
-            m = Q_fn(lam, uval + sign * s * auto.step)
-            continue
-        g = auto.complex_power(sign * s)
-        if mode == "conjugate":
-            m = g @ m @ np.linalg.inv(g)
-        elif mode == "left":
-            m = g @ m
-        else:
-            m = m @ g
-    return m
-
-
-def _one_leg(scheme, b, build, spectral=None):
-    """Package a builder closure as a 1-leg DynMat on b's leg."""
-    leg = b.legs[0]
-    spect = b.spectral_legs if spectral is None else spectral
-    return DynMat(scheme, (leg,), build, spect, b.poles)
+    if not isinstance(Q, DynMat):
+        Q = constant_dynmat(spec.R_left.scheme, (1,), Q)
+    D = _decorated_core(Q, spec.decorations)
+    lam0, u0 = points[0]
+    lam0 = np.asarray(lam0, dtype=complex)
+    probe = {l: next(iter((u0 or {}).values()), 0.0) for l in Q.spectral_legs}
+    if rel_residual(Q.eval(lam0, probe), Q.eval(lam0 + 0.37, probe)) > 1e-12:
+        raise ValueError("the supplied core is dynamical (lambda-dependent)")
+    Q1, Q2, D1, D2 = (embed(X, (l,), PAIR) for X in (Q, D) for l in PAIR)
+    return _product_residual(name, [spec.R_left, Q1, D2], [Q2, D1, spec.R_right],
+                             points, tol)
 
 
 # -- solution builders --------------------------------------------------------
@@ -268,16 +224,10 @@ def build_K_quasinondyn(Q, a: Automorphism, b: DynMat, q: DynMat,
     ``check_points`` is given this is verified and a failing residual
     raises :class:`PreconditionError`.
     """
-    Qm = np.asarray(Q, dtype=complex)
-    scheme = b.scheme
-    Q_fn = lambda lam, uval: Qm
-    middle = _one_leg(
-        scheme, b,
-        lambda lam, u: _sigma_sandwich(Q_fn, [(a, +1)], lam, 0.0),
-        spectral=frozenset(),
-    )
+    middle = _decorated_core(constant_like(b, Q),
+                             [Decoration("conjugate", [DecorationFactor(a, "sigma")])])
     if check_points is not None:
-        rep = residual_quasi_condition(middle, a, scheme, check_points, tol)
+        rep = residual_quasi_condition(middle, a, b.scheme, check_points, tol)
         if not rep.passed:
             raise PreconditionError("quasi-non-dynamicity fails for the dressed core", rep)
     return b.inv() @ middle @ q
@@ -320,32 +270,28 @@ def build_K_g(Q0, g: Automorphism, b: DynMat, q: DynMat, variant="prop4a",
     """
     from .parametrize import auto_dress
 
-    Qm = np.asarray(Q0, dtype=complex)
-    Q_fn = lambda lam, uval: Qm
-    scheme = b.scheme
     beta_inv = auto_dress(b, g).inv()
+    g_minus = DecorationFactor(g, "-sigma")
     if variant == "prop4a":
-        pipeline = [(g, -1)]
+        deco = [Decoration("conjugate", [g_minus])]
     elif variant == "prop4b":
         if a is None:
             raise ValueError("prop4b needs the automorphism a")
-        pipeline = [(g, -1), (a, +1)]
+        deco = [Decoration("conjugate", [DecorationFactor(a, "sigma"), g_minus])]
     elif variant == "f_case1":
         if f is None:
             raise ValueError("f_case1 needs the automorphism f")
-        pipeline = [(g, -1, "left"), (f, +1, "right")]
+        deco = [Decoration("left", [g_minus]),
+                Decoration("right", [DecorationFactor(f, "sigma")])]
     elif variant == "f_case2":
         if a is None or f is None:
             raise ValueError("f_case2 needs both a and f")
-        pipeline = [(g, -1, "left"), (a, -1), (f, +1, "right")]
+        deco = [Decoration("conjugate", [DecorationFactor(a, "-sigma")]),
+                Decoration("left", [g_minus]),
+                Decoration("right", [DecorationFactor(f, "sigma")])]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-
-    def middle_fn(lam, u):
-        return _sigma_sandwich(Q_fn, pipeline, lam, 0.0)
-
-    middle = _one_leg(scheme, b, middle_fn, spectral=frozenset())
-    return beta_inv @ middle @ q
+    return beta_inv @ _decorated_core(constant_like(b, Q0), deco) @ q
 
 
 def dress(K0: DynMat, Q, b: DynMat, g: Automorphism = None, variant="prop3") -> DynMat:
@@ -364,12 +310,8 @@ def dress(K0: DynMat, Q, b: DynMat, g: Automorphism = None, variant="prop3") -> 
         if g is None:
             raise ValueError("prop5 needs the automorphism g")
         beta = auto_dress(b, g)
-        Q_fn = lambda lam, uval: Qm
-        middle = _one_leg(
-            b.scheme, b,
-            lambda lam, u: _sigma_sandwich(Q_fn, [(g, -1)], lam, 0.0),
-            spectral=frozenset(),
-        )
+        middle = _decorated_core(constant_like(b, Qm),
+                                 [Decoration("conjugate", [DecorationFactor(g, "-sigma")])])
         return beta.inv() @ middle @ beta @ K0
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -412,12 +354,8 @@ def build_dual(k: DynMat, b: DynMat, g: Automorphism, QL) -> DynMat:
 
     QLinv = np.linalg.inv(np.asarray(QL, dtype=complex))
     beta = auto_dress(b, g)
-    Q_fn = lambda lam, uval: QLinv
-    middle = _one_leg(
-        b.scheme, b,
-        lambda lam, u: _sigma_sandwich(Q_fn, [(g, -1)], lam, 0.0),
-        spectral=frozenset(),
-    )
+    middle = _decorated_core(constant_like(b, QLinv),
+                             [Decoration("conjugate", [DecorationFactor(g, "-sigma")])])
     return k.inv() @ beta.inv() @ middle @ beta
 
 
@@ -430,22 +368,6 @@ def residual_reduced_exchange(R: DynMat, Rt: DynMat, kappa: DynMat, points,
     for a 1-leg kappa depending on lambda only through s = sigma.
     """
     scheme = kappa.scheme
-    step = scheme.gamma * scheme.unit(0)
-    n = scheme.rank
-
-    def kval(lam, u, leg):
-        uvals = {kappa.legs[0]: u[leg]} if kappa.spectral_legs and u else {}
-        return kappa.fn(lam, uvals)
-
-    def func(lam, u):
-        k_lo_1 = kval(lam, u, 1)
-        k_hi_2 = kval(lam + step, u, 2)
-        k_lo_2 = kval(lam, u, 2)
-        k_hi_1 = kval(lam + step, u, 1)
-        lhs = R.eval(lam, u) @ (_place_matrix(k_lo_1, [0], 2, n)
-                                @ _place_matrix(k_hi_2, [1], 2, n))
-        rhs = (_place_matrix(k_hi_1, [0], 2, n)
-               @ _place_matrix(k_lo_2, [1], 2, n)) @ Rt.eval(lam, u)
-        return rel_residual(lhs, rhs)
-
-    return _collect(name, points, tol, func)
+    shifted = kappa.shift_lambda(scheme.gamma * scheme.unit(0))
+    k1, k2, s1, s2 = (embed(X, (l,), PAIR) for X in (kappa, shifted) for l in PAIR)
+    return _product_residual(name, [R, k1, s2], [k2, s1, Rt], points, tol)

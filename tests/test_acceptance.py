@@ -196,7 +196,7 @@ def test_criterion_7_transfer_commutation():
         for N in (1, 2):
             uq = sc.quantum_values(N)
             cert = certify_commuting_family(S, K, chi, kappa, N, u_list, uq,
-                                            pts[:8], twist=q, tol=1e-8)
+                                            pts[:8], tol=1e-8)
             assert cert.passed, cert.summary()
             worst = max(worst, cert.commutation.max_residual)
     # deliberately broken diagonal weight condition: the certificate must
@@ -206,7 +206,7 @@ def test_criterion_7_transfer_commutation():
                                 lambda lam, u: 0.05 * np.kron(E12, np.eye(2)))
     Sbad = StructureSet(S.A, S.B, S.C, bad, sc.scheme)
     cert = certify_commuting_family(Sbad, K, chi, None, 1, u_list,
-                                    sc.quantum_values(1), pts[:6], twist=q)
+                                    sc.quantum_values(1), pts[:6])
     named = (not cert.passed) and "twist_zero_weight_D" in cert.failed_preconditions
     dt = time.monotonic() - t0
     verdict(7, worst < 1e-8 and named and dt < 15.0,

@@ -451,6 +451,28 @@ def test_nan_operator_coefficient_fails():
     assert not rep.passed and np.isnan(rep.max_residual)
 
 
+def test_nan_core_fails_both_exchange_residuals():
+    from sdreflect.solutions import (
+        Decoration,
+        DecorationFactor,
+        IntertwinerSpec,
+        residual_intertwiner,
+        residual_reduced_exchange,
+    )
+
+    R = yangian_r(SCH, (1, 2))
+    nan = np.full((2, 2), np.nan)
+    g = Automorphism.constant(np.diag([2.0, 1.0]))
+    decorated = IntertwinerSpec(R, R, [Decoration("conjugate", [DecorationFactor(g, "-sigma")])])
+    reps = [residual_intertwiner(IntertwinerSpec(R, R), nan, PTS, 1e-9),
+            residual_intertwiner(decorated, nan, PTS, 1e-9),
+            residual_reduced_exchange(R, R, constant_dynmat(SCH, (1,), nan), PTS, 1e-9)]
+    for rep in reps:
+        assert not rep.passed
+        assert np.isnan(rep.max_residual)
+        np.testing.assert_array_equal(rep.worst_point[0], PTS[0][0])
+
+
 def test_nan_matrix_is_not_zero_weight():
     from sdreflect import decompose_zero_weight
 

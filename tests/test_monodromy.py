@@ -127,12 +127,17 @@ def test_transfer_pure_shift():
 
 
 def test_transfer_twisted_identity_matches_plain():
+    # Tr_0[w^-1 M w], formed by hand with the twist w = q on leg 0, is the
+    # untwisted trace of every term
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
     T = build_monodromy_direct(S, K, chi, 1, U_Q, 0.4)
-    t_plain = transfer_trace(T, sch, 1)
-    one = identity_dynmat(sch, (1,))
-    t_tw = transfer_trace(T, sch, 1, twist=one, u_aux=0.4)
-    assert shiftop_difference_residual(t_plain, t_tw, lam_points(2), 1e-13).passed
+    t = transfer_trace(T, sch, 1)
+    for lam, _ in lam_points(2):
+        w = np.kron(q.eval(lam), np.eye(4))
+        traced = t.eval_terms(lam)
+        for m, M in T.eval_terms(lam).items():
+            twisted = (np.linalg.inv(w) @ M @ w).reshape(2, 4, 2, 4)
+            assert rel_residual(np.einsum("iaib->ab", twisted), traced[m]) < 1e-13
 
 
 def test_transfer_trivial_coefficients():
@@ -156,7 +161,7 @@ def test_commuting_family(dressed, N):
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=dressed)
     kappa = constant_like(b, Q)
     cert = certify_commuting_family(
-        S, K, chi, kappa, N, U_LIST, U_Q, lam_points(2), twist=q, tol=1e-8
+        S, K, chi, kappa, N, U_LIST, U_Q, lam_points(2), tol=1e-8
     )
     assert cert.passed, cert.summary()
     assert cert.commutation.max_residual < 1e-12
@@ -165,7 +170,7 @@ def test_commuting_family(dressed, N):
 def test_single_element_family_vacuous():
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=False)
     cert = certify_commuting_family(
-        S, K, chi, None, 1, [0.5], U_Q, lam_points(2), twist=q
+        S, K, chi, None, 1, [0.5], U_Q, lam_points(2)
     )
     assert cert.passed and cert.commutation.max_residual == 0.0
 
@@ -179,7 +184,7 @@ def test_broken_D_names_decisive_precondition():
     )
     Sbad = StructureSet(S.A, S.B, S.C, bad, sch)
     cert = certify_commuting_family(
-        Sbad, K, chi, None, 1, U_LIST, U_Q, lam_points(2), twist=q
+        Sbad, K, chi, None, 1, U_LIST, U_Q, lam_points(2)
     )
     assert not cert.passed
     assert "twist_zero_weight_D" in cert.failed_preconditions
@@ -195,9 +200,9 @@ def test_conjugation_neutrality():
     traced_c = []
     for u0 in U_LIST:
         Td = build_monodromy_direct(S, K, chi, 1, U_Q, u0)
-        traced_d.append(transfer_trace(Td, sch, 1, twist=q, u_aux=u0))
+        traced_d.append(transfer_trace(Td, sch, 1))
         core = build_monodromy_factored(sch, R, b, q, k, Q, chi, 1, U_Q, u0)
-        traced_c.append(transfer_trace(core, sch, 1, twist=q, u_aux=u0))
+        traced_c.append(transfer_trace(core, sch, 1))
     for ts in (traced_d, traced_c):
         worst = max(
             shiftop_commutator(ts[i], ts[j], pts, 1e-8).max_residual
@@ -236,7 +241,7 @@ def test_gauged_chain_constant_automorphism():
     K = beta.inv() @ constant_like(b, Q) @ q
     chi = build_dual(k, b, g, QL)
     cert = certify_commuting_family(
-        S, K, chi, None, 1, U_LIST, U_Q, lam_points(2), twist=q,
+        S, K, chi, None, 1, U_LIST, U_Q, lam_points(2),
         gauged=dict(R0=R, b=b, q=q, k=k, Q=Q, QL=QL),
     )
     assert cert.passed, cert.summary()
@@ -280,7 +285,7 @@ def test_factored_terms_view_equals_table():
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
     u0 = 0.52 + 0.21j
     T = build_monodromy_factored(sch, R, b, q, k, Q, chi, 2, U_Q, u0)
-    t = transfer_trace(T, sch, 2, twist=q, u_aux=u0)
+    t = transfer_trace(T, sch, 2)
     lam = lam_points(2)[0][0]
     for op in (T, t):
         table = op.eval_terms(lam)
@@ -294,12 +299,11 @@ def test_twist_cancels_in_the_partial_trace():
     sch = WeightScheme(2, 1.0)
     rng = np.random.default_rng(31)
     M = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-    w = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    w = np.kron(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), np.eye(16))
     T = ShiftOpSum.from_matrix(constant_dynmat(sch, (0, 1, 2, 3, 4), M))
-    twist = constant_dynmat(sch, (1,), w)
     plain = transfer_trace(T, sch, 2).eval_terms(np.zeros(2))
-    twisted = transfer_trace(T, sch, 2, twist=twist, u_aux=0.3).eval_terms(np.zeros(2))
-    assert rel_residual(plain[(0, 0)], twisted[(0, 0)]) < 1e-13
+    twisted = np.einsum("iaib->ab", (np.linalg.inv(w) @ M @ w).reshape(2, 16, 2, 16))
+    assert rel_residual(plain[(0, 0)], twisted) < 1e-13
     np.testing.assert_allclose(plain[(0, 0)], np.einsum("iaib->ab", M.reshape(2, 16, 2, 16)))
 
 

@@ -111,6 +111,42 @@ def test_malformed_json_reported(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("name,box", [(name, None) for name in builtin_names()]
+                         + [("spectral_shift_g", 8.0)])
+def test_sample_matches_the_guard_over_every_ordered_shift(name, box):
+    # the guard over the n + n^2 + n^3 ordered weight-step sums (repeats
+    # included) rejects exactly the points the scenario's guard rejects;
+    # the builtins' own boxes reject nothing, the wide box does
+    data = builtin_scenario(name).to_dict()
+    if box is not None:
+        data["sampler"]["box"] = box
+    sc = scenario_from_dict(data)
+    units = [sc.gamma * sc.scheme.unit(i) for i in range(sc.rank)]
+    shifts = []
+    for a in units:
+        shifts.append(a)
+        for b in units:
+            shifts.append(a + b)
+            shifts.extend(a + b + c for c in units)
+    guard = invertibility_guard([sc.b_mat(), sc.q_mat(), sc.k_mat()], floor=0.05,
+                                probe_shifts=shifts)
+    verdicts = []
+
+    def counted(lam, u):
+        verdicts.append(guard(lam, u))
+        return verdicts[-1]
+
+    ref = sample_points(sc.scheme, (1, 2, 3) if sc.spectral else (), count=12,
+                        seed=4, box=sc.sampler["box"],
+                        min_sep=sc.sampler["min_separation"], guards=[counted])
+    assert any(verdicts) == (box is not None)
+    got = sc.sample(count=12, seed=4)
+    assert len(got) == len(ref)
+    for (la, ua), (lb, ub) in zip(got, ref):
+        np.testing.assert_array_equal(la, lb)
+        assert ua == ub
+
+
 def test_sampler_determinism_and_separation():
     sc = builtin_scenario("diagonal_dressed")
     a = sc.sample(count=10, seed=5)

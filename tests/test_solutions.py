@@ -240,6 +240,37 @@ def test_build_K_g_prop4b_and_f_variants():
         Kbad.eval(RNG.uniform(-1, 1, 2))
 
 
+def _principal_power(m, s):
+    """m**s on the principal branch, for a diagonalizable m."""
+    w, v = np.linalg.eig(m)
+    return (v * np.exp(s * np.log(w))) @ np.linalg.inv(v)
+
+
+@pytest.mark.parametrize("variant", ["f_case1", "f_case2"])
+def test_build_K_g_f_variants_match_their_formulas(variant):
+    # f_case1: K = g b^-1 g^-1 g^-s Q0 f^s q
+    # f_case2: K = g b^-1 g^-1 g^-s a^-s Q0 a^s f^s q
+    # with non-diagonal, non-commuting a and f the order of the powers shows
+    S, b, q, R, g = gauged_scenario()
+    am = np.array([[2.0, 0.6], [0.3, 1.2]])
+    fm = np.array([[1.5, -0.4], [0.7, 0.9]])
+    assert rel_residual(am @ fm, fm @ am) > 0.1
+    Q0 = np.array([[1.0, 0.45], [0.21, 1.3]])
+    K = build_K_g(Q0, g, b, q, variant, a=Automorphism.constant(am),
+                  f=Automorphism.constant(fm))
+    gm = g.matrix_at()
+    for _ in range(5):
+        lam = RNG.uniform(-1, 1, 2) + 1j * RNG.uniform(-1, 1, 2)
+        s = np.sum(lam)
+        core = Q0
+        if variant == "f_case2":
+            core = _principal_power(am, -s) @ Q0 @ _principal_power(am, s)
+        expect = (np.linalg.inv(gm @ b.eval(lam) @ np.linalg.inv(gm))
+                  @ _principal_power(gm, -s) @ core @ _principal_power(fm, s)
+                  @ q.eval(lam))
+        assert rel_residual(K.eval(lam), expect) < 1e-12
+
+
 def test_dress_prop3_matches_direct_builder():
     S, b, q, R = plain_scenario()
     Q = np.array([[1.0, 0.45], [0.21, 1.3]])
