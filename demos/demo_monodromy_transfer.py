@@ -7,14 +7,11 @@ commute as shift-operator sums: the working definition of an integrable
 family here.
 """
 
-import numpy as np
-
 from sdreflect.consistency import StructureSet
 from sdreflect.monodromy import (
     build_monodromy_direct,
     build_monodromy_factored,
     certify_commuting_family,
-    transfer_trace,
 )
 from sdreflect.parametrize import build_A, build_BC, build_D_twist
 from sdreflect.scenarios import builtin_scenario

@@ -7,9 +7,7 @@ consistency relations, and untwisting D with the same q returns a
 lambda-independent core, while a wrong twist returns 'neither'.
 """
 
-import numpy as np
-
-from sdreflect import Automorphism, WeightScheme, yangian_r
+from sdreflect import Automorphism
 from sdreflect.consistency import residual_sdre, residual_ybce, residual_zero_weight, StructureSet
 from sdreflect.parametrize import build_A, build_BC, build_D_twist, detwist
 from sdreflect.scenarios import builtin_scenario

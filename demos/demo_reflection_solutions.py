@@ -9,7 +9,7 @@ the summed variable.
 
 import numpy as np
 
-from sdreflect import Automorphism, WeightScheme
+from sdreflect import Automorphism
 from sdreflect.consistency import StructureSet, residual_sdre, residual_theta_period
 from sdreflect.parametrize import build_A, build_BC, build_D_twist
 from sdreflect.scenarios import builtin_scenario

@@ -350,15 +350,14 @@ def residual_boundary_dra(S: StructureSet, K, points, tol=1e-9, name="boundary_d
 
 
 def residual_quasi_nondyn(X: DynMat, f: Automorphism, points, tol=1e-9, name="quasi_nondyn"):
-    """Quasi-non-dynamicity residual of a 2-leg matrix:
+    """Quasi-non-dynamicity residual of a matrix on any legs:
 
     for every weight index i,
-        X(lam + gamma e_i) = (f (x) f) X(lam) (f (x) f)^(-1).
-    Checking per index is strictly stronger than assembling the projector
-    sum and coincides with it when the identity holds.
+        X(lam + gamma e_i) = F X(lam) F^(-1),  F = f (x) ... (x) f
+    on every leg of X.  Checking per index is strictly stronger than
+    assembling the projector sum and coincides with it when the identity
+    holds.
     """
-    if len(X.legs) != 2:
-        raise LegError("quasi-non-dynamicity check needs a 2-leg matrix")
     scheme = X.scheme
     conj = adjoint_auto(X, f, X.legs, "conjugate", 1)
 
@@ -374,16 +373,7 @@ def residual_quasi_nondyn(X: DynMat, f: Automorphism, points, tol=1e-9, name="qu
 
 def residual_nondynamical(X: DynMat, points, tol=1e-9, name="nondynamical"):
     """Lambda-variation residual: X(lam + gamma e_i) = X(lam) for all i."""
-    scheme = X.scheme
-
-    def func(lam, u):
-        base = X.eval(lam, u)
-        return worst_residual(
-            rel_residual(X.eval(lam + scheme.gamma * scheme.unit(i), u), base)
-            for i in range(scheme.rank)
-        )
-
-    return _collect(name, points, tol, func)
+    return residual_quasi_nondyn(X, Automorphism.identity(), points, tol, name)
 
 
 def residual_theta_period(kappa: DynMat, points, tol=1e-9, name="theta_period"):
@@ -444,13 +434,8 @@ def residual_zwc(S: StructureSet, points, tol=1e-9):
         return _collect("zwc", points, tol, func)
 
     if g.variant == Automorphism.SHIFT:
-        checks = []
-        for X, legs, nm in ((S.D, (1, 2), "D"), (S.B, (1,), "B"), (S.C, (2,), "C")):
-            legs = tuple(l for l in legs if l in X.spectral_legs)
-            if legs:
-                checks.append((X, adjoint_auto(X, g, legs, "conjugate", 1)))
-            else:
-                checks.append((X, X))
+        checks = [(X, adjoint_auto(X, g, legs, "conjugate", 1))
+                  for X, legs in ((S.D, (1, 2)), (S.B, (1,)), (S.C, (2,)))]
 
         def func(lam, u):
             return worst_residual(

@@ -37,6 +37,12 @@ and a point is the batch-free call of the same function.  A pole or a
 singular inverse anywhere in a batch raises :class:`PoleError` carrying
 the first such point.  :func:`function_dynmat` lifts a one-point
 function to batches point by point.
+
+Every automorphism action goes through one engine, :func:`decorate`,
+which applies a list of :class:`Decoration` blocks of automorphism
+powers on named legs; a spectral-shift conjugation moves the slots and
+the poles.  :func:`adjoint_auto` and :func:`sigma_conjugate` are single
+calls of it.
 """
 
 from __future__ import annotations
@@ -780,14 +786,131 @@ def sigma_power(g: Automorphism, lam) -> Automorphism:
     raise AutomorphismError("sigma power supported for constant and shift automorphisms")
 
 
-def _on_legs(X: DynMat, legs, matrix_of):
-    """Product over ``legs`` of the n x n matrices ``matrix_of(leg)``,
-    each placed on its leg of X."""
+class UnrepresentableError(RuntimeError):
+    """The requested object is not a finite-size matrix function.
+
+    Raised when a power of a spectral shift would have to appear in a
+    one-sided position.
+    """
+
+
+@dataclass(frozen=True)
+class DecorationFactor:
+    """One automorphism power in a decoration.
+
+    ``power`` is an integer, or the strings 'sigma' / '-sigma' for the
+    dynamical powers exp[+/- sigma log a].
+    """
+
+    auto: Automorphism
+    power: object = 1
+
+    def resolve(self, lam, u=None):
+        """The power at lam: a slot offset for a spectral shift, else a
+        matrix (a stack for a batch); a factorizable automorphism reads
+        the leg's spectral value ``u``."""
+        a, p = self.auto, self.power
+        if p in ("sigma", "-sigma"):
+            s = sigma_of(lam) * (1 if p == "sigma" else -1)
+            if a.variant == Automorphism.SHIFT:
+                return s * a.step
+            if a.variant != Automorphism.CONSTANT:
+                raise AutomorphismError("sigma powers need a constant or shift automorphism")
+            return a.complex_power(s)
+        if a.variant == Automorphism.SHIFT:
+            return int(p) * a.step
+        return a.matrix_at(u, power=int(p))
+
+
+@dataclass(frozen=True)
+class Decoration:
+    """A block of a decoration: mode 'conjugate', 'left' or 'right', with
+    a product of automorphism powers as its value."""
+
+    mode: str
+    factors: tuple
+
+    def __post_init__(self):
+        if self.mode not in ("conjugate", "left", "right"):
+            raise ValueError("mode must be conjugate, left or right")
+        object.__setattr__(self, "factors", tuple(self.factors))
+
+
+def decorate(X: DynMat, legs, decorations) -> DynMat:
+    """X dressed on the named legs by a :class:`Decoration` list.
+
+    Each factor acts on every named leg at once: it is placed on each
+    leg and the placements are multiplied.  Conjugations apply in list
+    order, so the first listed is innermost: [a^s, g^-s] gives
+    g^-s a^s X a^-s g^s.  A spectral-shift conjugation moves X's slots on
+    the named legs, and X's poles with them.  One-sided blocks multiply
+    outside every conjugation, left blocks on the left and right blocks
+    on the right, each in list order; a spectral shift there is not a
+    finite matrix and raises :class:`UnrepresentableError` when the
+    result is evaluated.  A factorizable factor reads each leg's own
+    spectral value, so the named legs become slots of the result.
+    Identity factors and zero powers are dropped; if nothing is left, X
+    itself is returned.
+    """
+    legs = tuple(legs)
+    if not set(legs) <= set(X.legs):
+        raise LegError("decorated legs must belong to the matrix")
+    moved = X.spectral_legs & set(legs)
+    shifts, steps = [], []
+    for deco in decorations:
+        for f in deco.factors:
+            if f.auto.is_identity or f.power == 0:
+                continue
+            if f.auto.variant != Automorphism.SHIFT or deco.mode != "conjugate":
+                steps.append((deco.mode, f))
+            elif moved:  # conjugating a slot-less leg is the identity map
+                shifts.append(f)
+    if not (legs and (shifts or steps)):
+        return X
     n, total = X.scheme.rank, len(X.legs)
-    out = np.eye(n ** total, dtype=complex)
-    for l in legs:
-        out = out @ _place_matrix(matrix_of(l), [X.legs.index(l)], total, n)
-    return out
+    pos = [X.legs.index(l) for l in legs]
+
+    def slots(lam, u):
+        """X's spectral arguments, moved by the shift conjugations; only
+        the offsets are computed."""
+        if not shifts:
+            return {l: u[l] for l in X.spectral_legs}
+        off = sum(f.resolve(lam) for f in shifts)
+        return {l: u[l] + off if l in moved else u[l] for l in X.spectral_legs}
+
+    def on_legs(f, lam, u):
+        if f.auto.variant == Automorphism.SHIFT:
+            raise UnrepresentableError("one-sided multiplication by a spectral-shift "
+                                       "power is not a finite matrix")
+        if f.auto.variant == Automorphism.FACTORIZABLE:
+            mats = [f.resolve(lam, u[l]) for l in legs]
+        else:
+            mats = [f.resolve(lam)] * len(legs)
+        return functools.reduce(operator.matmul, [_place_matrix(m, [p], total, n)
+                                                  for m, p in zip(mats, pos)])
+
+    def fn(lam, u):
+        m = X.fn(lam, slots(lam, u))
+        left, right = [], []
+        for mode, f in steps:
+            g = on_legs(f, lam, u)
+            if mode == "conjugate":
+                m = g @ m @ np.linalg.inv(g)
+            else:
+                (left if mode == "left" else right).append(g)
+        for g in reversed(left):
+            m = g @ m
+        for g in right:
+            m = m @ g
+        return m
+
+    poles = X.poles
+    if poles is not None and shifts:
+        poles = lambda lam, u: X.poles(lam, slots(lam, u))
+    spect = X.spectral_legs
+    if any(f.auto.variant == Automorphism.FACTORIZABLE for _, f in steps):
+        spect = spect | set(legs)
+    return DynMat(X.scheme, X.legs, fn, spect, poles)
 
 
 def adjoint_auto(X: DynMat, g: Automorphism, legs, side="conjugate", power=1) -> DynMat:
@@ -798,43 +921,12 @@ def adjoint_auto(X: DynMat, g: Automorphism, legs, side="conjugate", power=1) ->
     u -> u + power*s; one-sided multiplication is rejected because such a
     product is no longer a plain matrix function.
     """
-    legs = tuple(legs)
-    if not set(legs) <= set(X.legs):
-        raise LegError("adjoint legs must belong to the matrix")
-    if side not in ("conjugate", "left", "right"):
-        raise ValueError("side must be conjugate, left or right")
-    if g.is_identity or power == 0:
-        return X
-    if g.variant == Automorphism.SHIFT:
-        if side != "conjugate":
-            raise AutomorphismError(
-                "one-sided spectral-shift action is not a finite matrix; "
-                "only adjoint actions are representable here"
-            )
-        # conjugating a slot-less leg is exactly the identity map
-        slotted = {l: power * g.step for l in legs if l in X.spectral_legs}
-        return X.shift_spectral(slotted) if slotted else X
-
-    f = X.fn
-    xspect = X.spectral_legs
-    # a spectrally dependent automorphism turns its legs into slots of
-    # the result even when the underlying matrix ignores them
-    spect = xspect
-    fact = g.variant == Automorphism.FACTORIZABLE
-    if fact:
-        spect = xspect | frozenset(legs)
-
-    def fn(lam, u):
-        m = f(lam, {l: u[l] for l in xspect})
-        gfull = _on_legs(X, legs, lambda l: g.matrix_at(u=u.get(l) if fact else None,
-                                                       power=power))
-        if side == "left":
-            return gfull @ m
-        if side == "right":
-            return m @ gfull
-        return gfull @ m @ np.linalg.inv(gfull)
-
-    return DynMat(X.scheme, X.legs, fn, spect, X.poles)
+    if g.variant == Automorphism.SHIFT and side != "conjugate" and power != 0:
+        raise AutomorphismError(
+            "one-sided spectral-shift action is not a finite matrix; "
+            "only adjoint actions are representable here"
+        )
+    return decorate(X, legs, [Decoration(side, [DecorationFactor(g, power)])])
 
 
 def sigma_conjugate(X: DynMat, g: Automorphism, legs, sign=-1) -> DynMat:
@@ -843,31 +935,8 @@ def sigma_conjugate(X: DynMat, g: Automorphism, legs, sign=-1) -> DynMat:
     sign=-1 gives exp(-sigma log g) X exp(+sigma log g); for a spectral
     shift this rewrites u -> u + sign*sigma*s on the named slots.
     """
-    legs = tuple(legs)
-    if g.is_identity:
-        return X
-    if g.variant == Automorphism.SHIFT:
-        slotted = [l for l in legs if l in X.spectral_legs]
-        if not slotted:
-            return X
-        f = X.fn
-        step = g.step
-
-        def fn(lam, u):
-            s = sigma_of(lam)
-            return f(lam, {l: u[l] + (sign * s * step if l in slotted else 0.0) for l in u})
-
-        return DynMat(X.scheme, X.legs, fn, X.spectral_legs, X.poles)
-    if g.variant != Automorphism.CONSTANT:
-        raise AutomorphismError("sigma conjugation needs a constant or shift automorphism")
-    f = X.fn
-
-    def fn(lam, u):
-        gm = g.complex_power(sign * sigma_of(lam))
-        gfull = _on_legs(X, legs, lambda l: gm)
-        return gfull @ f(lam, u) @ np.linalg.inv(gfull)
-
-    return DynMat(X.scheme, X.legs, fn, X.spectral_legs, X.poles)
+    power = "sigma" if sign > 0 else "-sigma"
+    return decorate(X, legs, [Decoration("conjugate", [DecorationFactor(g, power)])])
 
 
 # -- dynamical-variable changes ------------------------------------------

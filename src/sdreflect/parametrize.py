@@ -40,8 +40,6 @@ PAIR = (1, 2)
 
 def auto_dress(b: DynMat, g: Automorphism) -> DynMat:
     """The dressed matrix g b g^-1 as a function of (lam, u)."""
-    if g.is_identity:
-        return b
     return adjoint_auto(b, g, b.legs, "conjugate", 1)
 
 

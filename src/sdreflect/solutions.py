@@ -6,16 +6,11 @@ twist matrix on the right.  The quadratic relation the core must
 satisfy varies per family and is expressed here as a decorated exchange
 relation handled by :func:`residual_intertwiner`.
 
-A decoration is data, a list of :class:`Decoration` blocks, and one
-engine applies it to a 1-leg core (:func:`_decorated_core`):
-
-- conjugation blocks act on the core in list order, so the first
-  listed factor is innermost: [a^s, g^-s] gives g^-s a^s Q a^-s g^s;
-- a spectral-shift conjugation moves the core's spectral argument;
-- one-sided blocks multiply outside every conjugation, left blocks on
-  the left and right blocks on the right, each in list order;
-- a spectral shift inside a one-sided block is not a finite matrix and
-  raises :class:`UnrepresentableError` when the result is evaluated.
+Decorations are data, lists of :class:`~sdreflect.dyncore.Decoration`
+blocks, applied by the one engine :func:`~sdreflect.dyncore.decorate`
+(its docstring gives the order); the builders call it directly or
+through :func:`~sdreflect.dyncore.sigma_conjugate`.  The decoration
+types are importable from here too.
 """
 
 from __future__ import annotations
@@ -27,21 +22,24 @@ import numpy as np
 from .consistency import (
     ShiftedSolution,
     StructureSet,
-    _collect,
     _product_residual,
     rel_residual,
+    residual_quasi_nondyn,
     residual_zwc,
-    worst_residual,
 )
-from .dyncore import (
+from .dyncore import (  # noqa: F401 (re-exports the decoration types)
     Automorphism,
-    AutomorphismError,
+    Decoration,
+    DecorationFactor,
     DynMat,
     LegError,
+    UnrepresentableError,
     constant_dynmat,
+    decorate,
     embed,
-    sigma_of,
+    sigma_conjugate,
 )
+from .parametrize import auto_dress
 
 PAIR = (1, 2)
 
@@ -54,61 +52,7 @@ class PreconditionError(RuntimeError):
         self.report = report
 
 
-class UnrepresentableError(RuntimeError):
-    """The requested object is not a finite-size matrix function.
-
-    Raised when a sigma-power of a non-factorizable automorphism would
-    have to appear in a one-sided position.
-    """
-
-
-# -- decorated cores and exchange relations ----------------------------------
-
-
-@dataclass(frozen=True)
-class DecorationFactor:
-    """One automorphism power in a decoration pipeline.
-
-    ``power`` is an integer, or the strings 'sigma' / '-sigma' for the
-    dynamical powers exp[+/- sigma log a].
-    """
-
-    auto: Automorphism
-    power: object = 1
-
-    def resolve(self, lam):
-        """Return ('matrix', M) or ('ushift', offset) at the given lam."""
-        a = self.auto
-        p = self.power
-        if a.is_identity:
-            return ("matrix", None)
-        if p == "sigma" or p == "-sigma":
-            s = sigma_of(lam) * (1 if p == "sigma" else -1)
-            if a.variant == Automorphism.CONSTANT:
-                return ("matrix", a.complex_power(s))
-            if a.variant == Automorphism.SHIFT:
-                return ("ushift", s * a.step)
-            raise AutomorphismError("sigma powers need a constant or shift automorphism")
-        p = int(p)
-        if p == 0:
-            return ("matrix", None)
-        if a.variant == Automorphism.SHIFT:
-            return ("ushift", p * a.step)
-        return ("matrix", a.matrix_at(power=p))
-
-
-@dataclass(frozen=True)
-class Decoration:
-    """A decoration applied to one core factor: mode 'conjugate', 'left'
-    or 'right', with a product of automorphism powers as its value."""
-
-    mode: str
-    factors: tuple
-
-    def __post_init__(self):
-        if self.mode not in ("conjugate", "left", "right"):
-            raise ValueError("mode must be conjugate, left or right")
-        object.__setattr__(self, "factors", tuple(self.factors))
+# -- exchange relations --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -132,53 +76,6 @@ class IntertwinerSpec:
             raise LegError("exchange relations live on legs (1, 2)")
 
 
-def _decorated_core(core: DynMat, decorations) -> DynMat:
-    """The 1-leg ``core`` dressed by a :class:`Decoration` list, on the
-    core's leg (the semantics are in the module docstring)."""
-    if len(core.legs) != 1:
-        raise LegError("the core must live on a single leg")
-    leg = core.legs[0]
-    decorations = tuple(decorations)
-
-    def resolve(lam):
-        """The core's spectral offset and the conjugating, left and right
-        matrices at lam, each in list order."""
-        offset, mats = 0.0, {"conjugate": [], "left": [], "right": []}
-        for deco in decorations:
-            for f in deco.factors:
-                kind, val = f.resolve(lam)
-                if kind == "matrix":
-                    if val is not None:
-                        mats[deco.mode].append(val)
-                elif deco.mode != "conjugate":
-                    raise UnrepresentableError(
-                        "one-sided multiplication by a non-factorizable "
-                        "automorphism power is not a finite matrix"
-                    )
-                else:
-                    offset = offset + val
-        return offset, mats
-
-    def moved(u, offset):
-        return {leg: u[leg] + offset} if core.spectral_legs else {}
-
-    def fn(lam, u):
-        offset, mats = resolve(lam)
-        m = core.fn(lam, moved(u, offset))
-        for g in mats["conjugate"]:
-            m = g @ m @ np.linalg.inv(g)
-        for g in reversed(mats["left"]):
-            m = g @ m
-        for g in mats["right"]:
-            m = m @ g
-        return m
-
-    poles = None
-    if core.poles is not None:
-        poles = lambda lam, u: core.poles(lam, moved(u, resolve(lam)[0]))
-    return DynMat(core.scheme, core.legs, fn, core.spectral_legs, poles)
-
-
 def residual_intertwiner(spec: IntertwinerSpec, Q, points, tol=1e-9,
                          name="intertwiner"):
     """Residual of the decorated quadratic relation for a core Q, a
@@ -189,7 +86,7 @@ def residual_intertwiner(spec: IntertwinerSpec, Q, points, tol=1e-9,
     """
     if not isinstance(Q, DynMat):
         Q = constant_dynmat(spec.R_left.scheme, (1,), Q)
-    D = _decorated_core(Q, spec.decorations)
+    D = decorate(Q, Q.legs, spec.decorations)
     lam0, u0 = points[0]
     lam0 = np.asarray(lam0, dtype=complex)
     probe = {l: next(iter((u0 or {}).values()), 0.0) for l in Q.spectral_legs}
@@ -224,8 +121,7 @@ def build_K_quasinondyn(Q, a: Automorphism, b: DynMat, q: DynMat,
     ``check_points`` is given this is verified and a failing residual
     raises :class:`PreconditionError`.
     """
-    middle = _decorated_core(constant_like(b, Q),
-                             [Decoration("conjugate", [DecorationFactor(a, "sigma")])])
+    middle = sigma_conjugate(constant_like(b, Q), a, b.legs, sign=+1)
     if check_points is not None:
         rep = residual_quasi_condition(middle, a, b.scheme, check_points, tol)
         if not rep.passed:
@@ -235,24 +131,9 @@ def build_K_quasinondyn(Q, a: Automorphism, b: DynMat, q: DynMat,
 
 def residual_quasi_condition(qtilde: DynMat, a: Automorphism, scheme, points,
                              tol=1e-10, name="quasi_condition"):
-    """Residual of qt(lam + gamma e_i) = a qt(lam) a^-1 for every i."""
-
-    def func(lam, u):
-        uvals = {l: u[l] for l in qtilde.spectral_legs if l in u}
-        base = qtilde.eval(lam, uvals)
-        if a.variant == Automorphism.CONSTANT:
-            am = a.matrix_at()
-            rhs = am @ base @ np.linalg.inv(am)
-        elif a.is_identity:
-            rhs = base
-        else:
-            raise AutomorphismError("quasi condition implemented for finite automorphisms")
-        return worst_residual(
-            rel_residual(qtilde.eval(lam + scheme.gamma * scheme.unit(i), uvals), rhs)
-            for i in range(scheme.rank)
-        )
-
-    return _collect(name, points, tol, func)
+    """Residual of qt(lam + gamma e_i) = a qt(lam) a^-1 for every i
+    (gamma is that of qtilde's scheme; ``scheme`` is not read)."""
+    return residual_quasi_nondyn(qtilde, a, points, tol, name)
 
 
 def build_K_g(Q0, g: Automorphism, b: DynMat, q: DynMat, variant="prop4a",
@@ -268,8 +149,6 @@ def build_K_g(Q0, g: Automorphism, b: DynMat, q: DynMat, variant="prop4a",
     (s = sigma).  Variants with one-sided sigma powers of a spectral
     shift are rejected as unrepresentable.
     """
-    from .parametrize import auto_dress
-
     beta_inv = auto_dress(b, g).inv()
     g_minus = DecorationFactor(g, "-sigma")
     if variant == "prop4a":
@@ -291,7 +170,7 @@ def build_K_g(Q0, g: Automorphism, b: DynMat, q: DynMat, variant="prop4a",
                 Decoration("right", [DecorationFactor(f, "sigma")])]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return beta_inv @ _decorated_core(constant_like(b, Q0), deco) @ q
+    return beta_inv @ decorate(constant_like(b, Q0), b.legs, deco) @ q
 
 
 def dress(K0: DynMat, Q, b: DynMat, g: Automorphism = None, variant="prop3") -> DynMat:
@@ -301,8 +180,6 @@ def dress(K0: DynMat, Q, b: DynMat, g: Automorphism = None, variant="prop3") -> 
     relation); prop5: K = g b^-1 g^-1 (exp[-s log g] Q exp[+s log g])
     g b g^-1 K0.
     """
-    from .parametrize import auto_dress
-
     Qm = np.asarray(Q, dtype=complex)
     if variant == "prop3":
         return b.inv() @ constant_like(b, Qm) @ b @ K0
@@ -310,8 +187,7 @@ def dress(K0: DynMat, Q, b: DynMat, g: Automorphism = None, variant="prop3") -> 
         if g is None:
             raise ValueError("prop5 needs the automorphism g")
         beta = auto_dress(b, g)
-        middle = _decorated_core(constant_like(b, Qm),
-                                 [Decoration("conjugate", [DecorationFactor(g, "-sigma")])])
+        middle = sigma_conjugate(constant_like(b, Qm), g, b.legs, sign=-1)
         return beta.inv() @ middle @ beta @ K0
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -350,12 +226,9 @@ def build_dual(k: DynMat, b: DynMat, g: Automorphism, QL) -> DynMat:
     level, whereas an uninverted trailing dressing factor breaks
     commutation outright.
     """
-    from .parametrize import auto_dress
-
     QLinv = np.linalg.inv(np.asarray(QL, dtype=complex))
     beta = auto_dress(b, g)
-    middle = _decorated_core(constant_like(b, QLinv),
-                             [Decoration("conjugate", [DecorationFactor(g, "-sigma")])])
+    middle = sigma_conjugate(constant_like(b, QLinv), g, b.legs, sign=-1)
     return k.inv() @ beta.inv() @ middle @ beta
 
 

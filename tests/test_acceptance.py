@@ -3,11 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import json
 import time
 
 import numpy as np
-import pytest
 
 from sdreflect import (
     Automorphism,
@@ -26,7 +24,6 @@ from sdreflect.consistency import (
     residual_gybce,
     residual_quasi_nondyn,
     residual_sdre,
-    residual_shifted_ybe,
     residual_theta_period,
     residual_ybce,
     residual_zero_weight,

@@ -26,7 +26,7 @@ from sdreflect.consistency import (
 )
 from sdreflect.parametrize import build_A, build_BC, build_D_twist
 from sdreflect.sampling import sample_points
-from sdreflect.solutions import build_K_nondyn, constant_like
+from sdreflect.solutions import build_K_nondyn
 
 SCH = WeightScheme(2, 1.0)
 RNG = np.random.default_rng(7)
@@ -504,7 +504,7 @@ def test_nan_survives_index_placement_and_shift():
 def test_batched_residuals_equal_the_per_point_calls(monkeypatch):
     # every _collect check of the builtins' suites: the residual vector of
     # the one stacked call equals the batch-free calls point by point
-    from sdreflect import consistency, solutions
+    from sdreflect import consistency
     from sdreflect.cli import Rig, applicable_suites
     from sdreflect.scenarios import builtin_names, builtin_scenario
 
@@ -524,7 +524,6 @@ def test_batched_residuals_equal_the_per_point_calls(monkeypatch):
         return report
 
     monkeypatch.setattr(consistency, "_collect", checked)
-    monkeypatch.setattr(solutions, "_collect", checked)
     for builtin in builtin_names():
         rig = Rig(builtin_scenario(builtin), samples=5, seed=3)
         for suite in applicable_suites(rig)[0]:

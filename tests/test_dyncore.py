@@ -338,6 +338,97 @@ def test_factorizable_automorphism_needs_slot_value():
         adjoint_auto(X, f, (1,), "conjugate", 1).eval(rand_lam())
 
 
+# -- the decoration engine ---------------------------------------------------
+
+
+def test_shift_conjugation_moves_the_pole():
+    # conjugating leg 1 by a shift of 1 reads R at u1 + 1: the pole
+    # u1 = u2 moves to u1 + 1 = u2
+    R = yangian_r(SCH2, (1, 2))
+    X = adjoint_auto(R, Automorphism.spectral_shift(1.0), (1,))
+    lam = rand_lam()
+    with pytest.raises(PoleError):
+        X.eval(lam, {1: 0.5, 2: 1.5})
+    np.testing.assert_array_equal(X.eval(lam, {1: 0.5, 2: 0.5}),
+                                  R.eval(lam, {1: 1.5, 2: 0.5}))
+
+
+def test_sigma_shift_conjugation_moves_the_pole():
+    # sign -1 reads R at u1 - sigma: with sigma = 0.75 the pole sits at
+    # u1 - 0.75 = u2, also inside a batch
+    from sdreflect import sigma_conjugate
+
+    R = yangian_r(SCH2, (1, 2))
+    X = sigma_conjugate(R, Automorphism.spectral_shift(1.0), (1,), sign=-1)
+    lam = np.array([0.5, 0.25])
+    with pytest.raises(PoleError):
+        X.eval(lam, {1: 1.75, 2: 1.0})
+    with pytest.raises(PoleError) as err:
+        X.eval(np.stack([lam, lam]), {1: np.array([2.0, 1.75]), 2: 1.0})
+    assert err.value.u == {1: 1.75, 2: 1.0}
+    np.testing.assert_array_equal(X.eval(lam, {1: 1.0, 2: 1.0}),
+                                  R.eval(lam, {1: 0.25, 2: 1.0}))
+
+
+def test_sigma_conjugate_of_a_factorizable_automorphism_fails_on_evaluation():
+    from sdreflect import sigma_conjugate
+    from sdreflect.dyncore import AutomorphismError
+
+    f = Automorphism.factorizable(lambda u: np.diag([1.0 + 0.1 * u, 1.0]))
+    X = sigma_conjugate(yangian_r(SCH2, (1, 2)), f, (1, 2), sign=-1)
+    with pytest.raises(AutomorphismError):
+        X.eval(rand_lam(), {1: 2.0, 2: -1.0})
+
+
+def _power(m, s):
+    """m**s on the principal branch, for a diagonalizable m."""
+    w, v = np.linalg.eig(m)
+    return (v * np.exp(s * np.log(w))) @ np.linalg.inv(v)
+
+
+@pytest.mark.parametrize("legs", [(1, 2), (2,)])
+def test_decorate_on_legs_matches_kron_products(legs):
+    # each factor is placed on every named leg; conjugations innermost
+    # first, then left blocks on the left and right blocks on the right,
+    # each in list order
+    from sdreflect.dyncore import Decoration, DecorationFactor, decorate
+
+    am = np.array([[2.0, 0.6], [0.3, 1.2]])
+    gm = np.array([[1.5, -0.4], [0.7, 0.9]])
+    a, g = Automorphism.constant(am), Automorphism.constant(gm)
+    R = yangian_r(SCH2, (1, 2))
+    X = decorate(R, legs, [
+        Decoration("conjugate", [DecorationFactor(a, "sigma"), DecorationFactor(g, 2)]),
+        Decoration("left", [DecorationFactor(g, -1), DecorationFactor(a, "-sigma")]),
+        Decoration("right", [DecorationFactor(a, "sigma"), DecorationFactor(g, 1)]),
+    ])
+
+    def on(m):
+        return np.kron(m, m) if legs == (1, 2) else np.kron(np.eye(2), m)
+
+    for _ in range(5):
+        lam = rand_lam()
+        s = np.sum(lam)
+        u = {1: 1.3 + 0.2j, 2: -0.4}
+        c1, c2 = on(_power(am, s)), on(gm @ gm)
+        core = c2 @ c1 @ R.eval(lam, u) @ np.linalg.inv(c1) @ np.linalg.inv(c2)
+        expect = (on(np.linalg.inv(gm)) @ on(_power(am, -s)) @ core
+                  @ on(_power(am, s)) @ on(gm))
+        got = X.eval(lam, u)
+        assert np.linalg.norm(got - expect) / np.linalg.norm(expect) < 1e-12
+
+
+def test_decorate_without_an_action_returns_the_matrix():
+    from sdreflect.dyncore import Decoration, DecorationFactor, decorate
+
+    X = constant_dynmat(SCH2, (1, 2), RNG.normal(size=(4, 4)))
+    g = Automorphism.constant(np.diag([2.0, 1.0]))
+    shift = Automorphism.spectral_shift(1.0)
+    assert decorate(X, (1, 2), [Decoration("conjugate", [
+        DecorationFactor(Automorphism.identity()), DecorationFactor(g, 0),
+        DecorationFactor(shift, "sigma")])]) is X
+
+
 # -- index-table placement ---------------------------------------------------
 
 

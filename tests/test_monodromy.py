@@ -11,7 +11,6 @@ from sdreflect import (
 )
 from sdreflect.consistency import StructureSet, rel_residual
 from sdreflect.monodromy import (
-    bind_spectral,
     build_gauged_core,
     build_monodromy_direct,
     build_monodromy_factored,

@@ -14,13 +14,11 @@ from sdreflect.consistency import (
     StructureSet,
     rel_residual,
     residual_gybce,
-    residual_nondynamical,
     residual_sdre,
     residual_ybce,
     residual_zero_weight,
 )
 from sdreflect.parametrize import (
-    auto_dress,
     build_A,
     build_b_family,
     build_BC,

@@ -8,7 +8,6 @@ from sdreflect.dyncore import PoleError
 from sdreflect.parametrize import auto_dress
 from sdreflect.sampling import RetryCapError, invertibility_guard, sample_points
 from sdreflect.scenarios import (
-    Scenario,
     ScenarioError,
     builtin_names,
     builtin_scenario,

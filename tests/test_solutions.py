@@ -95,6 +95,31 @@ def test_intertwiner_one_sided_variant():
     assert residual_intertwiner(spec, np.eye(2), PTS, 1e-12).passed
 
 
+def test_intertwiner_factorizable_one_sided_variant():
+    # a factorizable f in a one-sided block reads the leg's own value:
+    # deco(Q) = Q f(u_leg), so the relation is R Q1 (Q f(u2))_2 = Q2 (Q f(u1))_1 R
+    def fm(u):
+        return np.diag([1 + 0.1 * u, 1])
+
+    R = yangian_r(SCH, (1, 2))
+    deco = [Decoration("right", [DecorationFactor(Automorphism.factorizable(fm), 1)])]
+    Q = np.array([[1.0, 0.45], [0.21, 1.3]])
+    rep = residual_intertwiner(IntertwinerSpec(R, R, deco), Q, PTS, 1e-9)
+
+    from sdreflect import constant_dynmat
+    from sdreflect.dyncore import decorate
+
+    core = decorate(constant_dynmat(SCH, (1,), Q), (1,), deco)
+    by_hand = []
+    for lam, u in PTS:
+        np.testing.assert_allclose(core.eval(lam, {1: u[1]}), Q @ fm(u[1]), rtol=1e-14)
+        Rm = R.eval(lam, u)
+        by_hand.append(rel_residual(Rm @ np.kron(Q, Q @ fm(u[2])),
+                                    np.kron(Q @ fm(u[1]), Q) @ Rm))
+    assert max(by_hand) > 1e-3
+    assert np.isclose(rep.max_residual, max(by_hand), rtol=1e-10)
+
+
 def test_intertwiner_rejects_dynamical_core():
     R = yangian_r(SCH, (1, 2))
     spec = IntertwinerSpec(R, R)
@@ -183,6 +208,15 @@ def test_quasi_condition_residual():
     assert residual_quasi_condition(qt, a, SCH, PTS, 1e-10).passed
     bad = function_dynmat(SCH, (1,), lambda lam, u: lam[0] * E12)
     assert not residual_quasi_condition(bad, a, SCH, PTS, 1e-10).passed
+
+
+def test_quasi_condition_accepts_a_spectral_shift():
+    # qt = diag(u + sigma, 1) moves by gamma under lam -> lam + gamma e_i,
+    # which is the conjugation by a shift of gamma
+    qt = function_dynmat(SCH, (1,), lambda lam, u: np.diag([u[1] + np.sum(lam), 1.0]), (1,))
+    shift = Automorphism.spectral_shift
+    assert residual_quasi_condition(qt, shift(1.0), SCH, PTS, 1e-12).passed
+    assert not residual_quasi_condition(qt, shift(2.0), SCH, PTS, 1e-12).passed
 
 
 # -- automorphism-extended builders ------------------------------------------------
