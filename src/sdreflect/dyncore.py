@@ -515,15 +515,6 @@ class Placed:
         return _apply_right(other, self.m, self.positions, self.total, self.n)
 
 
-def place(m, positions, total, n):
-    """m at the given positions of n**total legs: a :class:`Placed`
-    factor above the dense size, else the dense embedding."""
-    positions = tuple(positions)
-    if n ** total <= DENSE_MAX_DIM or positions == tuple(range(total)):
-        return _place_matrix(m, positions, total, n)
-    return Placed(np.asarray(m, dtype=complex), positions, total, n)
-
-
 def _union_product(a: Placed, b: Placed) -> np.ndarray:
     """The factor of a @ b on the sorted union of their positions: the
     factor with more legs is placed on the union, the other contracted."""
@@ -848,54 +839,72 @@ def decorate(X: DynMat, legs, decorations) -> DynMat:
     on the right, each in list order; a spectral shift there is not a
     finite matrix and raises :class:`UnrepresentableError` when the
     result is evaluated.  A factorizable factor reads each leg's own
-    spectral value, so the named legs become slots of the result.
-    Identity factors and zero powers are dropped; if nothing is left, X
-    itself is returned.
+    spectral value, so the named legs become slots of the result; in a
+    conjugation it reads the value moved by every spectral-shift
+    conjugation listed after it.  Identity factors and zero powers are
+    dropped; if nothing is left, X itself is returned.
     """
     legs = tuple(legs)
     if not set(legs) <= set(X.legs):
         raise LegError("decorated legs must belong to the matrix")
     moved = X.spectral_legs & set(legs)
+    slotted = bool(moved)  # whether the legs carry slots inside the next factor
+    # steps are (mode, factor, k): a conjugation is moved by shifts[k:],
+    # a one-sided block (k None) by none of them
     shifts, steps = [], []
     for deco in decorations:
+        conj = deco.mode == "conjugate"
         for f in deco.factors:
             if f.auto.is_identity or f.power == 0:
                 continue
-            if f.auto.variant != Automorphism.SHIFT or deco.mode != "conjugate":
-                steps.append((deco.mode, f))
-            elif moved:  # conjugating a slot-less leg is the identity map
+            if f.auto.variant != Automorphism.SHIFT or not conj:
+                steps.append((deco.mode, f, len(shifts) if conj else None))
+                slotted = slotted or (conj and f.auto.variant == Automorphism.FACTORIZABLE)
+            elif slotted:  # conjugating a slot-less leg is the identity map
                 shifts.append(f)
     if not (legs and (shifts or steps)):
         return X
     n, total = X.scheme.rank, len(X.legs)
     pos = [X.legs.index(l) for l in legs]
 
+    def offset(lam, k=0):
+        """The slot offset of the shift conjugations from the k-th on."""
+        return sum(f.resolve(lam) for f in shifts[k:])
+
     def slots(lam, u):
         """X's spectral arguments, moved by the shift conjugations; only
         the offsets are computed."""
         if not shifts:
             return {l: u[l] for l in X.spectral_legs}
-        off = sum(f.resolve(lam) for f in shifts)
+        off = offset(lam)
         return {l: u[l] + off if l in moved else u[l] for l in X.spectral_legs}
 
-    def on_legs(f, lam, u):
+    def on_legs(f, lam, u, k):
         if f.auto.variant == Automorphism.SHIFT:
             raise UnrepresentableError("one-sided multiplication by a spectral-shift "
                                        "power is not a finite matrix")
         if f.auto.variant == Automorphism.FACTORIZABLE:
-            mats = [f.resolve(lam, u[l]) for l in legs]
+            off = 0.0 if k is None else offset(lam, k)
+            mats = [f.resolve(lam, u[l] + off) for l in legs]
         else:
             mats = [f.resolve(lam)] * len(legs)
         return functools.reduce(operator.matmul, [_place_matrix(m, [p], total, n)
                                                   for m, p in zip(mats, pos)])
 
+    # a constant integer power is placed, and inverted, once
+    fixed = []
+    for _, f, k in steps:
+        const = f.auto.variant == Automorphism.CONSTANT and f.power not in ("sigma", "-sigma")
+        g = on_legs(f, None, None, k) if const else None
+        fixed.append(None if g is None else (g, np.linalg.inv(g)))
+
     def fn(lam, u):
         m = X.fn(lam, slots(lam, u))
         left, right = [], []
-        for mode, f in steps:
-            g = on_legs(f, lam, u)
+        for (mode, f, k), pair in zip(steps, fixed):
+            g, ginv = pair or (on_legs(f, lam, u, k), None)
             if mode == "conjugate":
-                m = g @ m @ np.linalg.inv(g)
+                m = g @ m @ (np.linalg.inv(g) if ginv is None else ginv)
             else:
                 (left if mode == "left" else right).append(g)
         for g in reversed(left):
@@ -908,7 +917,7 @@ def decorate(X: DynMat, legs, decorations) -> DynMat:
     if poles is not None and shifts:
         poles = lambda lam, u: X.poles(lam, slots(lam, u))
     spect = X.spectral_legs
-    if any(f.auto.variant == Automorphism.FACTORIZABLE for _, f in steps):
+    if any(f.auto.variant == Automorphism.FACTORIZABLE for _, f, _ in steps):
         spect = spect | set(legs)
     return DynMat(X.scheme, X.legs, fn, spect, poles)
 

@@ -22,6 +22,16 @@ factorizes through a quantum-leg conjugator O_N:
 with O_N = prod_{k=N..1} [q_{2k-1} b_{2k}](h over odd legs > 2k).  The
 shift factor acts on the right O_N during conjugation, producing its
 argument shifts automatically.
+
+Every factorized core (this one, the non-similar one with a second
+matrix Rbar on the odd legs, and the automorphism-gauged one) is one
+product, left . R_{0,2N} ... R_{02} . middle . R_{01} ... R_{0,2N-1} .
+right, in which each factor X is read as Ad(g0^c) X = g0^c X g0^-c on
+the auxiliary leg, c counting the R factors up to and including X.  For
+the identity that is the plain product; for a constant g it telescopes
+to left . g0 R_{0,2N} ... g0 R_{0,2N-1} . right . g0^(-2N); for a
+spectral shift by s the c-th R factor reads the auxiliary value
+u_0 + c*s.
 """
 
 from __future__ import annotations
@@ -45,11 +55,12 @@ from .dyncore import (
     DynMat,
     LegError,
     WeightScheme,
-    _place_matrix,
+    adjoint_auto,
     constant_dynmat,
     dyn_shift,
     embed,
 )
+from .parametrize import auto_dress
 from .shiftops import ShiftOpSum, _TableSum, shiftop_commutators
 
 
@@ -107,10 +118,40 @@ def _site_product(block, N: int, legs):
     return out
 
 
-def _with_aux_shift(core: DynMat) -> ShiftOpSum:
-    """core followed by the expanded auxiliary weight-shift factor E_0,
-    a column selection on leg 0."""
-    return ShiftOpSum.weight_shifted(core, 0)
+def _place(X: DynMat, at, legs, uvals, shift=()) -> DynMat:
+    """X embedded at legs ``at`` of ``legs``, dynamically shifted by the
+    ``shift`` legs, with its spectral slots bound to ``uvals`` (a placed
+    factor stays placed)."""
+    Xe = embed(X, at, legs)
+    if shift:
+        Xe = dyn_shift(Xe, shift, legs)
+    return bind_spectral(Xe, uvals)
+
+
+def _core_product(R: DynMat, left, middle, R_odd: DynMat, right, N: int, uvals,
+                  g: Automorphism = None) -> DynMat:
+    """The factorized chain core on legs 0..2N,
+
+        left . R_{0,2N} ... R_{02} . middle . R_odd_{01} ... R_odd_{0,2N-1} . right,
+
+    where ``left``, ``middle`` and ``right`` list placements ``(X, at)``
+    or ``(X, at, shift)`` (see :func:`_place`).  Before it is placed,
+    each factor X is conjugated on its first leg (the one placed on leg
+    0) by g**c, with c the number of R factors up to and including it
+    (the Ad(g0^c) reading of the module docstring).
+    """
+    legs = all_legs(N)
+    g = g or Automorphism.identity()
+    factors = [(0, f) for f in left]
+    factors += [(N - kk + 1, (R, (0, 2 * kk))) for kk in range(N, 0, -1)]
+    factors += [(N, f) for f in middle]
+    factors += [(N + kk, (R_odd, (0, 2 * kk - 1))) for kk in range(1, N + 1)]
+    factors += [(2 * N, f) for f in right]
+    core = None
+    for c, (X, at, *shift) in factors:
+        X = _place(adjoint_auto(X, g, X.legs[:1], "conjugate", c), at, legs, uvals, *shift)
+        core = X if core is None else core @ X
+    return core
 
 
 def _conjugate_by(O: DynMat, mid: ShiftOpSum) -> ShiftOpSum:
@@ -142,28 +183,20 @@ def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
         )
     legs = all_legs(N)
     uvals = _chain_values(u_quantum, u_aux)
-    A, B, C, D = S.A, S.B, S.C, S.D
-
-    def place_pair(X, a, shift):
-        Xe = embed(X, (0, a), legs)
-        if shift:
-            Xe = dyn_shift(Xe, shift, legs)
-        return bind_spectral(Xe, uvals)
-
-    mat = bind_spectral(embed(chi_t, (0,), legs), uvals)
+    mat = _place(chi_t, (0,), legs, uvals)
     for k in range(N, 0, -1):
         s = _site_shift(k, N)
-        mat = mat @ place_pair(A, 2 * k, s) @ place_pair(C, 2 * k - 1, s)
-    q0 = dyn_shift(embed(Q0, (0,), legs), tuple(range(1, 2 * N, 2)), legs)
-    mat = mat @ bind_spectral(q0, uvals)
+        mat = (mat @ _place(S.A, (0, 2 * k), legs, uvals, s)
+               @ _place(S.C, (0, 2 * k - 1), legs, uvals, s))
+    mat = mat @ _place(Q0, (0,), legs, uvals, tuple(range(1, 2 * N, 2)))
     for k in range(1, N + 1):
         s = _site_shift(k, N)
-        mat = mat @ place_pair(D, 2 * k - 1, s) @ place_pair(B, 2 * k, s)
-    return _with_aux_shift(mat)
+        mat = (mat @ _place(S.D, (0, 2 * k - 1), legs, uvals, s)
+               @ _place(S.B, (0, 2 * k), legs, uvals, s))
+    return ShiftOpSum.weight_shifted(mat, 0)
 
 
-def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, scheme: WeightScheme,
-             g: Automorphism = None) -> DynMat:
+def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) -> DynMat:
     """Quantum-leg conjugator: odd legs carry q, even legs carry b,
     each site block shifted by the odd legs above it.
 
@@ -171,82 +204,38 @@ def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, scheme: WeightScheme,
     dressed versions g b g^-1 and (g b g^-1) k; pass q = (g b g^-1) k in
     that case.
     """
-    from .parametrize import auto_dress
-
     if N < 1:
         raise ValueError("N must be at least 1")
     legs = all_legs(N)
-    if g is not None and not g.is_identity:
+    if g is not None:
         b = auto_dress(b, g)
     out = _site_product(lambda k: embed(q, (2 * k - 1,), legs) @ embed(b, (2 * k,), legs),
                         N, legs)
     return bind_spectral(out, _chain_values(u_quantum, None))
 
 
-def build_gauged_core(scheme: WeightScheme, R0: DynMat, b: DynMat, q: DynMat,
-                      k: DynMat, Q, QL, g: Automorphism, N: int, u_quantum,
-                      u_aux) -> DynMat:
+def build_gauged_core(scheme: WeightScheme, R0: DynMat, b: DynMat, k: DynMat, Q, QL,
+                      g: Automorphism, N: int, u_quantum, u_aux) -> DynMat:
     """Automorphism-dressed chain core on legs 0..2N:
 
         k0^-1 beta0^-1 . QL^-1 .
         [g0 R_{0,2N} ... g0 R_{02} . Q_0 . g0 R_{01} ... g0 R_{0,2N-1}] .
         beta0 k0 . g0^(-2N)
 
-    with beta = g b g^-1.  For a constant automorphism the g0 factors
-    are plain matrices; for a spectral shift each insertion translates
-    the auxiliary argument of everything to its right and the final
-    power cancels the residue, leaving a finite matrix.  The sigma-power
-    sandwich and the quantum-leg sigma dressing cancel each other for
-    the commuting-R0 class this builder supports and are therefore not
-    assembled; the traced family built from this core commutes
-    (certified numerically).
+    with beta = g b g^-1, built by :func:`_core_product` as the product
+    of the factors Ad(g0^c) X.  For a constant automorphism that product
+    telescopes to the form above; for a spectral shift by s the c-th R
+    factor reads the auxiliary value u_0 + c*s, and the trailing power
+    leaves a finite matrix.  The sigma-power sandwich and the
+    quantum-leg sigma dressing cancel each other for the commuting-R0
+    class this builder supports and are therefore not assembled; the
+    traced family built from this core commutes (certified numerically).
     """
-    from .parametrize import auto_dress
-
-    legs = all_legs(N)
-    n = scheme.rank
-    uvals = _chain_values(u_quantum, u_aux)
     beta = auto_dress(b, g)
-    kinv_binv = bind_spectral(embed((k.inv() @ beta.inv()), (0,), legs), uvals)
-    QLi = embed(constant_dynmat(scheme, b.legs, np.linalg.inv(np.asarray(QL, complex))),
-                (0,), legs)
-    Qm = embed(constant_dynmat(scheme, b.legs, np.asarray(Q, complex)), (0,), legs)
-    order = [2 * kk for kk in range(N, 0, -1)] + [None] + [2 * kk - 1 for kk in range(1, N + 1)]
-
-    if g.variant == Automorphism.SHIFT:
-        s = g.step
-        placed = {a: embed(R0, (0, a), legs) for a in order if a is not None}
-        right = embed(beta @ k, (0,), legs)
-        rv = {l: uvals[l] + (2 * N * s if l == 0 else 0.0) for l in right.spectral_legs}
-
-        def fn(lam, u):
-            m = kinv_binv.eval(lam) @ QLi.eval(lam)
-            count = 0
-            for a in order:
-                if a is None:
-                    m = m @ Qm.eval(lam)
-                    continue
-                count += 1
-                m = m @ placed[a].eval(lam, {0: uvals[0] + count * s, a: uvals[a]})
-            return m @ right.eval(lam, rv)
-
-        return DynMat(scheme, legs, fn, frozenset())
-
-    bk = bind_spectral(embed(beta @ k, (0,), legs), uvals)
-    placed = {a: bind_spectral(embed(R0, (0, a), legs), uvals) for a in order if a is not None}
-    g0 = _place_matrix(g.matrix_at(), [0], len(legs), n)
-    g_last = _place_matrix(g.matrix_at(power=-2 * N), [0], len(legs), n)
-
-    def fn(lam, u):
-        m = kinv_binv.eval(lam) @ QLi.eval(lam)
-        for a in order:
-            if a is None:
-                m = m @ Qm.eval(lam)
-            else:
-                m = m @ g0 @ placed[a].eval(lam)
-        return m @ bk.eval(lam) @ g_last
-
-    return DynMat(scheme, legs, fn, frozenset())
+    QLi = constant_dynmat(scheme, b.legs, np.linalg.inv(np.asarray(QL, complex)))
+    Qm = constant_dynmat(scheme, b.legs, np.asarray(Q, complex))
+    return _core_product(R0, [(k.inv() @ beta.inv(), (0,)), (QLi, (0,))], [(Qm, (0,))],
+                         R0, [(beta @ k, (0,))], N, _chain_values(u_quantum, u_aux), g)
 
 
 def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
@@ -271,41 +260,27 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
             raise ValueError("the gauged chain supports only the single-R0 case")
         if QL is None:
             raise ValueError("the gauged chain needs the dual core QL")
-        core = build_gauged_core(scheme, R0, b, q, k, Q, QL, g, N, u_quantum, u_aux)
-        O = build_ON(b, q, N, u_quantum, scheme, g=g)
-        return _conjugate_by(O, _with_aux_shift(core))
-    legs = all_legs(N)
-    uvals = _chain_values(u_quantum, u_aux)
-
-    def pl(X, *at):
-        return bind_spectral(embed(X, at, legs), uvals)
-
-    core = pl(chi_t, 0) @ pl(b.inv(), 0)
-    for kk in range(N, 0, -1):
-        core = core @ pl(R0, 0, 2 * kk)
-    if Rbar is None:
-        Qm = np.asarray(Q, dtype=complex)
-        core = core @ pl(constant_dynmat(scheme, q.legs, Qm), 0)
+        core = build_gauged_core(scheme, R0, b, k, Q, QL, g, N, u_quantum, u_aux)
     else:
-        if chi0 is None:
-            raise ValueError("the non-similar variant needs an explicit chi0")
-        # interleaved twisted reflection block:
-        # (prod_k q_{2k-1}(h odd above)) b_0 chi0(h odd above) q_0^-1 (prod)^-1
-        odd = tuple(range(1, 2 * N, 2))
-        qprod = bind_spectral(
-            _site_product(lambda kk: embed(q, (2 * kk - 1,), legs), N, legs), uvals)
-        mid = bind_spectral(dyn_shift(embed(chi0, (0,), legs), odd, legs), uvals)
-        core = core @ qprod @ pl(b, 0) @ mid @ pl(q.inv(), 0) @ qprod.inv()
-    odd_R = Rbar if Rbar is not None else R0
-    for kk in range(1, N + 1):
-        core = core @ pl(odd_R, 0, 2 * kk - 1)
-    core = core @ pl(b, 0) @ pl(k, 0)
+        left, right = [(chi_t, (0,)), (b.inv(), (0,))], [(b, (0,)), (k, (0,))]
+        if Rbar is None:
+            middle = [(constant_dynmat(scheme, q.legs, np.asarray(Q, dtype=complex)), (0,))]
+        else:
+            if chi0 is None:
+                raise ValueError("the non-similar variant needs an explicit chi0")
+            # interleaved twisted reflection block:
+            # (prod_k q_{2k-1}(h odd above)) b_0 chi0(h odd above) q_0^-1 (prod)^-1
+            legs = all_legs(N)
+            qprod = _site_product(lambda kk: embed(q, (2 * kk - 1,), legs), N, legs)
+            middle = [(qprod, legs), (b, (0,)), (chi0, (0,), tuple(range(1, 2 * N, 2))),
+                      (q.inv(), (0,)), (qprod.inv(), legs)]
+        core = _core_product(R0, left, middle, Rbar or R0, right, N,
+                             _chain_values(u_quantum, u_aux))
+    O = build_ON(b, q, N, u_quantum, g)
+    return _conjugate_by(O, ShiftOpSum.weight_shifted(core, 0))
 
-    O = build_ON(b, q, N, u_quantum, scheme)
-    return _conjugate_by(O, _with_aux_shift(core))
 
-
-def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int) -> ShiftOpSum:
+def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
     """Partial trace over the auxiliary leg, as a map of T's tables.
 
     Each term (M, m) becomes (Tr_0 M, m) on the quantum legs; shifts are
@@ -316,7 +291,7 @@ def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int) -> ShiftOpSum:
     """
     if 0 not in T.legs:
         raise LegError("transfer trace needs the auxiliary leg 0")
-    n = scheme.rank
+    n = T.scheme.rank
     qlegs = tuple(l for l in T.legs if l != 0)
     dq = n ** len(qlegs)
 
@@ -328,7 +303,7 @@ def transfer_trace(T: ShiftOpSum, scheme: WeightScheme, N: int) -> ShiftOpSum:
             out[m] = np.einsum("iaib->ab", M.reshape(n, dq, n, dq))
         return out
 
-    return _TableSum(scheme, qlegs, T.terms, table)
+    return _TableSum(T.scheme, qlegs, T.terms, table)
 
 
 @dataclass
@@ -397,7 +372,7 @@ def certify_commuting_family(S: StructureSet, Q0: DynMat, chi_t: DynMat,
                 scheme, gauged["R0"], gauged["b"], gauged["q"], gauged["k"],
                 gauged["Q"], chi_t, N, u_quantum, u0, g=S.g, QL=gauged["QL"],
             )
-        traced.append(transfer_trace(T, scheme, N))
+        traced.append(transfer_trace(T))
     if len(traced) < 2:
         rep = ResidualReport("transfer_commutation", len(points), 0.0, tol,
                              (points[0][0], dict(points[0][1])))

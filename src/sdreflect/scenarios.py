@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprparse as ep
-from .dyncore import Automorphism, DynMat, PoleError, WeightScheme
+from .dyncore import Automorphism, DynMat, PoleError, WeightScheme, permutation_operator
+from .monodromy import locality_preset
 from .sampling import invertibility_guard, sample_points
 
 
@@ -101,8 +102,6 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     if kind in ("yangian", "yangian_offdiag"):
         if len(legs) != 2:
             raise ScenarioError(f"{path}: R-matrix kinds need exactly 2 legs")
-        from .dyncore import permutation_operator
-
         p = permutation_operator(n)
         eye = np.eye(n * n, dtype=complex)
         mu = _unpack_complex(spec.get("mu", 1.0), f"{path}.mu")
@@ -337,8 +336,6 @@ class Scenario:
 
     def quantum_values(self, N=None, u_ref=0.0):
         """Quantum-leg spectral values as a dict leg -> value."""
-        from .monodromy import locality_preset
-
         N = self.sites if N is None else N
         qs = self.quantum_spectral
         if isinstance(qs, str):

@@ -429,6 +429,29 @@ def test_decorate_without_an_action_returns_the_matrix():
         DecorationFactor(shift, "sigma")])]) is X
 
 
+@pytest.mark.parametrize("spectral", [True, False])
+def test_factorizable_conjugation_reads_the_value_moved_by_later_shifts(spectral):
+    # listed before (inside) a shift conjugation, f reads the moved leg
+    # value, Ad_s(f X f^-1) = F(u1 + 1) X(u1 + 1, u2) F(u1 + 1)^-1, also on a
+    # slot-less X; listed after (outside) it, f reads u1
+    from sdreflect.dyncore import Decoration, DecorationFactor, decorate
+
+    def fm(u):
+        return np.array([[1 + 0.1 * u, 0.3], [0, 1]])
+
+    f, shift = Automorphism.factorizable(fm), Automorphism.spectral_shift(1.0)
+    X = yangian_r(SCH2, (1, 2)) if spectral else constant_dynmat(
+        SCH2, (1, 2), RNG.normal(size=(4, 4)))
+    lam, u = rand_lam(), {1: 0.4 + 0.3j, 2: -0.7}
+    inner = X.eval(lam, {1: u[1] + 1.0, 2: u[2]} if spectral else None)
+    for order, uf in (((f, shift), u[1] + 1.0), ((shift, f), u[1])):
+        got = decorate(X, (1,), [Decoration("conjugate", [DecorationFactor(a, 1)
+                                                          for a in order])]).eval(lam, u)
+        F = np.kron(fm(uf), np.eye(2))
+        expect = F @ inner @ np.linalg.inv(F)
+        assert np.linalg.norm(got - expect) / np.linalg.norm(expect) < 1e-13
+
+
 # -- index-table placement ---------------------------------------------------
 
 

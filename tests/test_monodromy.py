@@ -94,11 +94,11 @@ def test_all_identity_structure_gives_pure_shift():
 
 def test_build_ON_examples():
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=False)
-    O = build_ON(b, q, 1, U_Q, sch)
+    O = build_ON(b, q, 1, U_Q)
     np.testing.assert_allclose(O.eval(np.zeros(2)), np.eye(8))
     # diagonal case: O_1 = q on leg 1 times b on leg 2
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
-    O = build_ON(b, q, 1, U_Q, sch)
+    O = build_ON(b, q, 1, U_Q)
     lam = RNG.uniform(-1, 1, 2)
     expect = np.kron(np.eye(2), np.kron(q.eval(lam), b.eval(lam)))
     np.testing.assert_allclose(O.eval(lam), expect, atol=1e-12)
@@ -119,7 +119,7 @@ def test_factorization_identity(n, N, dressed):
 def test_transfer_pure_shift():
     sch = WeightScheme(2, 1.0)
     W = ShiftOpSum.weight_shift(sch, (0, 1, 2), 0)
-    t = transfer_trace(W, sch, 1)
+    t = transfer_trace(W)
     lam = np.zeros(2)
     for m in ((1, 0), (0, 1)):
         np.testing.assert_allclose(t.terms[m].eval(lam), np.eye(4))
@@ -130,7 +130,7 @@ def test_transfer_twisted_identity_matches_plain():
     # untwisted trace of every term
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
     T = build_monodromy_direct(S, K, chi, 1, U_Q, 0.4)
-    t = transfer_trace(T, sch, 1)
+    t = transfer_trace(T)
     for lam, _ in lam_points(2):
         w = np.kron(q.eval(lam), np.eye(4))
         traced = t.eval_terms(lam)
@@ -143,7 +143,7 @@ def test_transfer_trivial_coefficients():
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=False)
     u0 = 0.52 + 0.21j
     T = build_monodromy_direct(S, K, chi, 1, U_Q, u0)
-    t = transfer_trace(T, sch, 1)
+    t = transfer_trace(T)
     from sdreflect.dyncore import embed
 
     lam = np.zeros(2)
@@ -199,9 +199,9 @@ def test_conjugation_neutrality():
     traced_c = []
     for u0 in U_LIST:
         Td = build_monodromy_direct(S, K, chi, 1, U_Q, u0)
-        traced_d.append(transfer_trace(Td, sch, 1))
+        traced_d.append(transfer_trace(Td))
         core = build_monodromy_factored(sch, R, b, q, k, Q, chi, 1, U_Q, u0)
-        traced_c.append(transfer_trace(core, sch, 1))
+        traced_c.append(transfer_trace(core))
     for ts in (traced_d, traced_c):
         worst = max(
             shiftop_commutator(ts[i], ts[j], pts, 1e-8).max_residual
@@ -246,6 +246,45 @@ def test_gauged_chain_constant_automorphism():
     assert cert.passed, cert.summary()
 
 
+def _kron_legs(mats, L, n=2):
+    """The Kronecker product over legs 0..L-1 of mats[leg], identity elsewhere."""
+    out = np.eye(1)
+    for leg in range(L):
+        out = np.kron(out, mats.get(leg, np.eye(n)))
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("g", [Automorphism.constant(np.array([[1.3, 0.4], [0.2, 0.9]])),
+                               Automorphism.spectral_shift(0.3)], ids=["constant", "shift"])
+def test_gauged_core_matches_its_formula(g, N):
+    # k0^-1 beta0^-1 QL^-1 [g0 R_{0,2N} ... g0 R_{02} Q_0 g0 R_{01} ... g0 R_{0,2N-1}]
+    # beta0 k0 g0^(-2N) with beta = g b g^-1, formed densely; a spectral
+    # shift by s has no g0 factors and reads the c-th R factor at u0 + c s
+    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    u0, L = 0.52 + 0.21j, 2 * N + 1
+    core = build_gauged_core(sch, R, b, k, Q, QL, g, N, U_Q, u0)
+    shift = g.variant == Automorphism.SHIFT
+    gm = np.eye(2) if shift else g.matrix
+    E = [[np.outer(np.eye(2)[i], np.eye(2)[j]) for j in range(2)] for i in range(2)]
+    order = [2 * kk for kk in range(N, 0, -1)] + [None] + [2 * kk - 1 for kk in range(1, N + 1)]
+    for lam, _ in lam_points(2):
+        bm, km = b.eval(lam), k.eval(lam)
+        beta = gm @ bm @ np.linalg.inv(gm)
+        m = _kron_legs({0: np.linalg.inv(km) @ np.linalg.inv(beta) @ np.linalg.inv(QL)}, L)
+        c = 0
+        for a in order:
+            if a is None:
+                m = m @ _kron_legs({0: Q}, L)
+                continue
+            c += 1
+            P = sum(_kron_legs({0: E[i][j], a: E[j][i]}, L) for i in range(2) for j in range(2))
+            x = (u0 + c * g.step if shift else u0) - U_Q[a]
+            m = m @ _kron_legs({0: gm}, L) @ (np.eye(2 ** L) + P / x)
+        m = m @ _kron_legs({0: beta @ km @ np.linalg.matrix_power(np.linalg.inv(gm), 2 * N)}, L)
+        assert rel_residual(core.eval(lam), m) < 1e-13
+
+
 def test_nonsimilar_chain_assembles_with_interleaved_twist():
     # structural check: the two-R variant with an explicit dual block
     # builds an 8x8 operator sum at one site
@@ -274,8 +313,8 @@ def test_locality_preset_pattern():
 
 def test_build_ON_identity_automorphism_reduces():
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
-    O1 = build_ON(b, q, 2, U_Q, sch)
-    O2 = build_ON(b, q, 2, U_Q, sch, g=Automorphism.identity())
+    O1 = build_ON(b, q, 2, U_Q)
+    O2 = build_ON(b, q, 2, U_Q, g=Automorphism.identity())
     lam = RNG.uniform(-1, 1, 2)
     np.testing.assert_allclose(O1.eval(lam), O2.eval(lam), atol=1e-13)
 
@@ -284,7 +323,7 @@ def test_factored_terms_view_equals_table():
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
     u0 = 0.52 + 0.21j
     T = build_monodromy_factored(sch, R, b, q, k, Q, chi, 2, U_Q, u0)
-    t = transfer_trace(T, sch, 2)
+    t = transfer_trace(T)
     lam = lam_points(2)[0][0]
     for op in (T, t):
         table = op.eval_terms(lam)
@@ -300,7 +339,7 @@ def test_twist_cancels_in_the_partial_trace():
     M = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
     w = np.kron(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), np.eye(16))
     T = ShiftOpSum.from_matrix(constant_dynmat(sch, (0, 1, 2, 3, 4), M))
-    plain = transfer_trace(T, sch, 2).eval_terms(np.zeros(2))
+    plain = transfer_trace(T).eval_terms(np.zeros(2))
     twisted = np.einsum("iaib->ab", (np.linalg.inv(w) @ M @ w).reshape(2, 16, 2, 16))
     assert rel_residual(plain[(0, 0)], twisted) < 1e-13
     np.testing.assert_allclose(plain[(0, 0)], np.einsum("iaib->ab", M.reshape(2, 16, 2, 16)))
@@ -312,11 +351,11 @@ def test_gauged_core_builds_nothing_per_evaluation(monkeypatch, g):
     import sdreflect.monodromy as mono
 
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
-    core = build_gauged_core(sch, R, b, q, k, Q, QL, g, 2, U_Q, 0.52 + 0.21j)
+    core = build_gauged_core(sch, R, b, k, Q, QL, g, 2, U_Q, 0.52 + 0.21j)
     lam = lam_points(2)[0][0]
     first = core.eval(lam)
     calls = []
-    for name in ("embed", "bind_spectral", "_place_matrix"):
+    for name in ("embed", "bind_spectral", "adjoint_auto"):
         real = getattr(mono, name)
         monkeypatch.setattr(mono, name, lambda *a, _r=real, **kw: calls.append(1) or _r(*a, **kw))
     np.testing.assert_array_equal(core.eval(lam), first)
@@ -362,7 +401,7 @@ def test_commuting_family_evaluates_each_traced_table_once_per_point(monkeypatch
 
 def test_rank3_two_site_conjugator_is_placed_on_the_quantum_legs():
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(n=3)
-    O = build_ON(b, q, 2, U_Q, sch)
+    O = build_ON(b, q, 2, U_Q)
     Oinv = O.inv()
     assert O.local[1] == Oinv.local[1] == (1, 2, 3, 4)
     lam = lam_points(3)[0][0]
