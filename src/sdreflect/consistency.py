@@ -110,17 +110,22 @@ def _comm_residual(x, y):
     return rel_residual(x @ y, y @ x)
 
 
+def _stack(points):
+    """A non-empty point list as one batch (lam, u): ``lam`` has shape
+    (P, n), and each spectral leg that every point has a value for gets a
+    value array of shape (P,)."""
+    lam = np.stack([np.asarray(l, dtype=complex) for l, _ in points])
+    legs = set.intersection(*(set(u or {}) for _, u in points))
+    return lam, {l: np.array([p[l] for _, p in points], dtype=complex) for l in sorted(legs)}
+
+
 def _collect(name, points, tol, func):
-    """Run ``func(lam, u) -> residuals`` once over the stacked points and
-    assemble a report: ``lam`` has shape (P, n), and each spectral leg
-    that every point has a value for gets a value array of shape (P,)."""
+    """Run ``func(lam, u) -> residuals`` once over the stacked points
+    (:func:`_stack`) and assemble a report."""
     points = list(points)
     if not points:
         raise ValueError("point list is empty")
-    lam = np.stack([np.asarray(l, dtype=complex) for l, _ in points])
-    legs = set.intersection(*(set(u or {}) for _, u in points))
-    u = {l: np.array([p[l] for _, p in points], dtype=complex) for l in sorted(legs)}
-    return _report(name, points, tol, func(lam, u))
+    return _report(name, points, tol, func(*_stack(points)))
 
 
 def _report(name, points, tol, residuals):

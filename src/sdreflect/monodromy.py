@@ -283,11 +283,11 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
 def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
     """Partial trace over the auxiliary leg, as a map of T's tables.
 
-    Each term (M, m) becomes (Tr_0 M, m) on the quantum legs; shifts are
-    preserved because the auxiliary shift factor was already expanded
-    with weight projectors.  An auxiliary twist w on leg 0 would change
-    nothing: cyclicity of the partial trace over leg 0 gives
-    Tr_0[w^-1 M w] = Tr_0[M].
+    Each term (M, m) becomes (Tr_0 M, m) on the quantum legs, per point
+    of a batch; shifts are preserved because the auxiliary shift factor
+    was already expanded with weight projectors.  An auxiliary twist w
+    on leg 0 would change nothing: cyclicity of the partial trace over
+    leg 0 gives Tr_0[w^-1 M w] = Tr_0[M].
     """
     if 0 not in T.legs:
         raise LegError("transfer trace needs the auxiliary leg 0")
@@ -300,7 +300,7 @@ def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
         out = {}
         for m in list(terms):
             M = terms.pop(m)
-            out[m] = np.einsum("iaib->ab", M.reshape(n, dq, n, dq))
+            out[m] = np.einsum("...iaib->...ab", M.reshape(M.shape[:-2] + (n, dq, n, dq)))
         return out
 
     return _TableSum(T.scheme, qlegs, T.terms, table)

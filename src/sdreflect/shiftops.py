@@ -8,12 +8,19 @@ shift vector m; products compose as
 Coefficients are :class:`~sdreflect.dyncore.DynMat` values sharing one
 leg set; spectral values must already be bound into the coefficients.
 
-``eval_terms(lam, u)`` evaluates a whole operator at a point, as a table
-shift vector -> matrix.  A product is evaluated table by table: the left
-factor's table once at lam, and the right factor's once at each shifted
-point lam + gamma*m1, so every coefficient is computed once per point it
-is needed at.  The ``terms`` of a product (or of a traced operator) are a
-view: each coefficient reads its key from the table at its point.
+``eval_terms(lam, u)`` evaluates a whole operator at a point, or at a
+stacked batch of points, as a table shift vector -> matrix.  A product is
+evaluated table by table: the left factor's table once at lam, and the
+right factor's once at each shifted point lam + gamma*m1, so every
+coefficient is computed once per point it is needed at.  The ``terms``
+of a product (or of a traced operator) are a view: each coefficient
+reads its key from the table at its point.
+
+The residual checks evaluate their tables over consecutive blocks of
+the sample points (:func:`_blocks`): a block holds as many points as
+keep one stacked d x d coefficient within :data:`BLOCK_BYTES`, so small
+operators are checked a few points per call and the dense rank-3
+operators (d = 243) point by point.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from .consistency import _report, rel_residual, worst_residual
+from .consistency import _report, _stack, rel_residual, worst_residual
 from .dyncore import DynMat, LegError, WeightScheme, identity_dynmat
 
 
@@ -72,7 +79,7 @@ class ShiftOpSum:
         return _TableSum(M.scheme, M.legs, keys, table)
 
     def compose(self, other: "ShiftOpSum") -> "ShiftOpSum":
-        """The product self . other, evaluated as per-point tables; placed
+        """The product self . other, evaluated table by table; placed
         coefficients multiply leg-locally."""
         if self.legs != other.legs:
             raise LegError("composition needs a shared leg set")
@@ -128,6 +135,26 @@ class _TableSum(ShiftOpSum):
     _operands = eval_terms
 
 
+# the most bytes one stacked d x d complex coefficient of a block may take:
+# larger blocks cut per-point overhead but raise the peak memory of a check
+BLOCK_BYTES = 16 * 1024
+
+
+def _blocks(points, ops):
+    """The points in consecutive blocks, each as one (lam, u).
+
+    A block holds as many points as keep a stacked d x d complex matrix
+    within :data:`BLOCK_BYTES`, d the largest dimension of ``ops``, and at
+    least one; a one-point block is the point itself (the batch-free
+    call), a longer one a stacked batch (:func:`consistency._stack`).
+    """
+    dim = max(S.scheme.rank ** len(S.legs) for S in ops)
+    size = max(1, BLOCK_BYTES // (16 * dim * dim))
+    for s in range(0, len(points), size):
+        block = points[s:s + size]
+        yield block[0] if len(block) == 1 else _stack(block)
+
+
 def _difference(t1, t2, keys):
     """Worst relative residual between two tables over ``keys`` (a missing
     entry counts as zero); entries are dropped as they are compared."""
@@ -145,14 +172,14 @@ def _difference(t1, t2, keys):
 def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8,
                                 name="shiftop_equal"):
     """Per-shift-vector relative residual between two operator sums,
-    each evaluated as one table per point."""
+    each evaluated as one table per block of points (:func:`_blocks`)."""
     keys = set(S1.terms) | set(S2.terms)
-    residuals = []
-    for lam, u in points:
+    points, residuals = list(points), []
+    for lam, u in _blocks(points, (S1, S2)):
         # S2 first: callers pass the deeper operand (the factored
         # monodromy) second, so its temporaries never meet S1's table
         t2 = S2.eval_terms(lam, u)
-        residuals.append(_difference(S1.eval_terms(lam, u), t2, keys))
+        residuals.extend(np.atleast_1d(_difference(S1.eval_terms(lam, u), t2, keys)))
     return _report(name, points, tol, residuals)
 
 
@@ -160,23 +187,24 @@ def shiftop_commutators(ops, points, tol=1e-8, name="shiftop_commutator"):
     """Residuals of S_i S_j - S_j S_i for every pair i < j of ``ops``, in
     that order, each grouped by shift vector as in :func:`shiftop_commutator`.
 
-    At each point every operator's table is evaluated once at the point
-    and once at each shifted point the products need, and all pairs share
-    them; only one point's tables are kept.
+    For each block of points (:func:`_blocks`) every operator's table is
+    evaluated once at the block and once at each shifted block the
+    products need, and all pairs share them; only one block's tables are
+    kept.
     """
     if any(S.legs != ops[0].legs for S in ops):
         raise LegError("commutators need a shared leg set")
     pairs = list(itertools.combinations(range(len(ops)), 2))
     keys = [{tuple(x + y for x, y in zip(m1, m2)) for m1 in ops[i].terms for m2 in ops[j].terms}
             for i, j in pairs]
-    residuals = [[] for _ in pairs]
-    for lam, u in points:
-        scheme = ops[0].scheme
+    points, residuals = list(points), [[] for _ in pairs]
+    scheme = ops[0].scheme
+    for lam, u in _blocks(points, ops):
         lam = scheme.check_point(lam)
         tables = {}
 
         def at(i, m1=None):
-            """ops[i]'s table at lam (+ gamma*m1), evaluated once per point."""
+            """ops[i]'s table at lam (+ gamma*m1), evaluated once per block."""
             if (i, m1) not in tables:
                 pt = lam if m1 is None else lam + scheme.gamma * np.asarray(m1, dtype=complex)
                 tables[i, m1] = ops[i].eval_terms(pt, u)
@@ -185,7 +213,7 @@ def shiftop_commutators(ops, points, tol=1e-8, name="shiftop_commutator"):
         for p, (i, j) in enumerate(pairs):
             ab = _table_product(at(i), lambda m1: at(j, m1), dict.get)
             ba = _table_product(at(j), lambda m1: at(i, m1), dict.get)
-            residuals[p].append(_difference(ab, ba, keys[p]))
+            residuals[p].extend(np.atleast_1d(_difference(ab, ba, keys[p])))
         tables = ab = ba = None
     return [_report(name, points, tol, r) for r in residuals]
 

@@ -534,6 +534,45 @@ def test_batched_residuals_equal_the_per_point_calls(monkeypatch):
             "detwist_nondynamical", "theta_period", "zwc"} <= set(seen)
 
 
+def test_blocked_shiftop_residuals_equal_the_per_point_calls(monkeypatch):
+    # both shift-operator checks of the chain suites: the per-point residual
+    # vector of the blocked call (blocks as sized, or all points in one)
+    # equals the batch-free calls, one point per block, bit for bit
+    from sdreflect import shiftops
+    from sdreflect.cli import Rig, applicable_suites
+    from sdreflect.scenarios import builtin_names, builtin_scenario
+
+    report, seen = shiftops._report, []
+
+    def recorded(name, points, tol, residuals):
+        seen.append((name, np.asarray(residuals, dtype=float)))
+        return report(name, points, tol, residuals)
+
+    def residuals(rig, suites, budget):
+        monkeypatch.setattr(shiftops, "BLOCK_BYTES", budget)
+        seen.clear()
+        for suite in suites:
+            for rep in rig.run_suite(suite)[0]:
+                assert rep.passed, str(rep)
+        return list(seen)
+
+    monkeypatch.setattr(shiftops, "_report", recorded)
+    names = set()
+    for builtin in builtin_names():
+        rig = Rig(builtin_scenario(builtin), samples=5, seed=3)
+        suites = [s for s in applicable_suites(rig)[0]
+                  if s in ("monodromy-factor", "transfer-commute")]
+        per_point = residuals(rig, suites, 1)
+        for budget in (shiftops.BLOCK_BYTES, 2 ** 40):
+            got = residuals(rig, suites, budget)
+            assert [n for n, _ in got] == [n for n, _ in per_point]
+            for (_, r), (_, expect) in zip(got, per_point):
+                np.testing.assert_array_equal(r, expect)
+        names |= {n for n, _ in per_point}
+    assert {"monodromy_factorization_N1", "monodromy_factorization_N2",
+            "transfer_commutation"} <= names
+
+
 def test_first_nan_of_a_batch_is_the_worst_point():
     from sdreflect.consistency import residual_nondynamical
 

@@ -362,7 +362,7 @@ def test_gauged_core_builds_nothing_per_evaluation(monkeypatch, g):
     assert calls == []
 
 
-def test_commuting_family_evaluates_each_traced_table_once_per_point(monkeypatch):
+def test_commuting_family_evaluates_each_traced_table_once_per_block(monkeypatch):
     import sdreflect.monodromy as mono
     from sdreflect.cli import Rig
     from sdreflect.scenarios import builtin_scenario
@@ -386,10 +386,11 @@ def test_commuting_family_evaluates_each_traced_table_once_per_point(monkeypatch
     reports, _ = rig.run_suite("transfer-commute")
     assert [r.check_name for r in reports] == ["transfer_commutation_N1",
                                                "transfer_commutation_N2"]
-    # three traced operators per chain size, each evaluated at every point
-    # and at its rank shifted points once, shared by the three commutators
+    # three traced operators per chain size, each evaluated once at the
+    # block of all three points and once at each of its rank shifted
+    # blocks, shared by the three commutators
     assert len(traced) == 6
-    assert [calls.get(id(t)) for t in traced] == [3 * (1 + 2)] * 6
+    assert [calls.get(id(t)) for t in traced] == [1 + 2] * 6
     # the shared tables give the report of the worst pairwise commutator
     monkeypatch.setattr(_TableSum, "eval_terms", real_eval)
     for N, rep in zip((1, 2), reports):
@@ -397,6 +398,35 @@ def test_commuting_family_evaluates_each_traced_table_once_per_point(monkeypatch
         pairwise = [shiftop_commutator(ops[i], ops[j], rig.points, 1e-8)
                     for i, j in ((0, 1), (0, 2), (1, 2))]
         assert rep.max_residual == max(r.max_residual for r in pairwise)
+
+
+def test_shiftop_checks_give_one_report_at_every_block_size(monkeypatch):
+    # a rank-2 two-site chain checked in blocks of one point, of two (five
+    # points: the last block holds one) and of all points
+    import sdreflect.shiftops as so
+
+    sch, S, R, b, q, k, Q, QL, K, chi = scenario()
+    Td = build_monodromy_direct(S, K, chi, 2, U_Q, U_LIST[0])
+    Tf = build_monodromy_factored(sch, R, b, q, k, Q, chi, 2, U_Q, U_LIST[0])
+    traced = [transfer_trace(build_monodromy_direct(S, K, chi, 2, U_Q, u0))
+              for u0 in U_LIST]
+    pts = lam_points(2, count=5)
+
+    def reports(per_block):
+        # one d x d complex matrix is 16 d^2 bytes: d = 32 for T, 16 traced
+        monkeypatch.setattr(so, "BLOCK_BYTES", per_block * 16 * 32 ** 2)
+        sizes = [len(np.atleast_2d(lam)) for lam, _ in so._blocks(pts, (Td, Tf))]
+        reps = [shiftop_difference_residual(Td, Tf, pts, 1e-8)]
+        monkeypatch.setattr(so, "BLOCK_BYTES", per_block * 16 * 16 ** 2)
+        assert [len(np.atleast_2d(lam)) for lam, _ in so._blocks(pts, traced)] == sizes
+        reps += so.shiftop_commutators(traced, pts, 1e-8)
+        return sizes, [(r.max_residual, r.worst_point[0].tobytes(), r.worst_point[1])
+                       for r in reps]
+
+    sizes, expect = reports(1)
+    assert sizes == [1] * 5
+    for per_block, blocks in ((2, [2, 2, 1]), (5, [5])):
+        assert reports(per_block) == (blocks, expect)
 
 
 def test_rank3_two_site_conjugator_is_placed_on_the_quantum_legs():

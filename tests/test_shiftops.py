@@ -199,3 +199,48 @@ def test_commutator_nan_coefficient_fails_the_report():
     assert not rep.passed
     assert np.isnan(rep.max_residual)
     np.testing.assert_array_equal(rep.worst_point[0], bad)
+
+
+def test_first_nan_in_a_later_block_beats_a_larger_finite_residual(monkeypatch):
+    # blocks of two points: the NaN coefficient at point 3 (second block)
+    # is the worst point of both checks, not the finite residual at point 0
+    import sdreflect.shiftops as so
+
+    big, bad = PTS[0][0], PTS[3][0]
+
+    def coeff(lam, u):
+        m = np.diag([1.0, 2.0]).astype(complex)
+        if np.array_equal(lam, big):
+            m[0, 1] = 5.0
+        if np.array_equal(lam, bad):
+            m[0, 0] = np.nan
+        return m
+
+    S1 = term((0, 0), coeff)
+    diag = term((0, 0), lambda lam, u: np.diag([1.0, 2.0]).astype(complex))
+    shift = term((1, 0), lambda lam, u: np.diag([2.0, 3.0]).astype(complex))
+    monkeypatch.setattr(so, "BLOCK_BYTES", 2 * 16 * 2 ** 2)
+    assert [np.shape(lam) for lam, _ in so._blocks(PTS, [S1])] == [(2, 2), (2, 2), (2,)]
+    for check in (lambda pts: shiftop_difference_residual(S1, diag, pts, 1e-10),
+                  lambda pts: shiftop_commutator(S1, shift, pts, 1e-10)):
+        rep = check(PTS[:3])
+        assert rep.max_residual > 0.1
+        np.testing.assert_array_equal(rep.worst_point[0], big)
+        rep = check(PTS)
+        assert not rep.passed and np.isnan(rep.max_residual)
+        np.testing.assert_array_equal(rep.worst_point[0], bad)
+
+
+def test_pole_in_a_later_block_raises_for_its_point(monkeypatch):
+    import sdreflect.shiftops as so
+
+    monkeypatch.setattr(so, "BLOCK_BYTES", 2 * 16 * 2 ** 2)
+    pole = PTS[3][0]
+    S1 = ShiftOpSum(SCH, LEGS, [((0, 0), function_dynmat(
+        SCH, LEGS, lambda lam, u: np.eye(2, dtype=complex),
+        poles=lambda lam, u: np.array_equal(lam, pole)))])
+    S2 = term((1, 0), lambda lam, u: np.diag([2.0, 3.0]).astype(complex))
+    for check in (shiftop_difference_residual, shiftop_commutator):
+        with pytest.raises(PoleError) as exc:
+            check(S1, S2, PTS, 1e-10)
+        np.testing.assert_array_equal(exc.value.lam, pole)
