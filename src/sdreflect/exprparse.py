@@ -9,16 +9,16 @@ Grammar (ASCII):
             | "u" digits | "(" expr ")" | "exp" "(" expr ")"
     number := decimal with optional fraction and exponent
 
-Two evaluators are provided: the AST evaluator used by the scenario
-machinery, and an independent single-pass evaluator (no AST) used as a
-cross-check oracle.  The AST evaluator compiles each node once into a
-closure, kept on the node, and computes sigma only for expressions that
-reference it; :func:`reference_eval` stays the tree-free oracle.
+:func:`eval_ast` compiles each node once into two closures kept on the
+node: one for a point, and one for a stack of points that follows
+CPython's complex formulas, so that each row has the point's bits.  The
+tests cross-check it against an independent single-pass evaluator.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -272,29 +272,102 @@ POLE_FLOOR = 1e-12
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
+# A stack closure carries complex values as (real, imaginary) float64
+# parts and combines them by CPython's own formulas (complexobject.c),
+# which numpy's complex arithmetic does not follow bit for bit.
+
+
+def _pair(z):
+    z = complex(z)
+    return np.float64(z.real), np.float64(z.imag)
+
+
+_ONE = _pair(1.0)
+
+
+def _mul(a, b):  # _Py_c_prod
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+_STACK_ARITH = {
+    "+": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "-": lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    "*": _mul,
+}
+
+
+def _quot(a, b):
+    """_Py_c_quot: Smith's division, divided by the larger part of b."""
+    (ar, ai), (br, bi) = a, b
+    abs_r, abs_i = np.abs(br), np.abs(bi)
+    ratio = bi / br
+    denom = br + bi * ratio
+    by_real = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    ratio = br / bi
+    denom = br * ratio + bi
+    by_imag = ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+    # b = 0 (EDOM in C) and a b with a NaN part come out NaN; callers mark such rows
+    return tuple(np.where(abs_r >= abs_i, x, y) for x, y in zip(by_real, by_imag))
+
+
+def _powu(x, e):
+    """c_powu: x**e for an integer e >= 0 by repeated squaring."""
+    r, mask = _ONE, 1
+    while mask <= e:
+        if e & mask:
+            r = _mul(r, x)
+        mask <<= 1
+        x = _mul(x, x)
+    return r
+
+
+def _near_zero(z):
+    """Rows whose abs() is below the pole floor, or is not a finite number."""
+    h = np.hypot(*z)
+    return ~((h >= POLE_FLOOR) & (h < np.inf))
+
+
+def _rowwise(f, z, bad):
+    """f on each value of the parts z, NaN and marked in ``bad`` where it raises."""
+    re, im = np.broadcast_arrays(*z)
+    out, failed = np.empty(re.size, dtype=complex), np.zeros(re.size, dtype=bool)
+    for k, (x, y) in enumerate(zip(re.ravel().tolist(), im.ravel().tolist())):
+        try:
+            out[k] = f(complex(x, y))
+        except (ArithmeticError, ValueError):
+            out[k], failed[k] = np.nan, True
+    bad.append(failed)
+    return out.real, out.imag
+
 
 def _compile(n):
-    """(closure, uses sigma) for an AST node.  The closure maps (lam, u,
-    gamma, sigma) to the node's value by the operations of a tree walk,
-    in its order and with its pole and overflow checks."""
-    if isinstance(n, Num):
-        v = complex(n.value)
-        return (lambda lam, u, g, s: v), False
+    """(point closure, stack closure, uses sigma) for an AST node.
+
+    The point closure maps (lam, u, gamma, sigma) to the node's value by
+    the operations of a tree walk, in its order and with its pole and
+    overflow checks.  The stack closure maps (re, im, u, gamma, sigma,
+    bad), with the parts of m points (m, n), to the parts of the m
+    values by the same operations in CPython's formulas, and marks in
+    ``bad`` every row where the point closure may raise.
+    """
+    if isinstance(n, Num) or n == Const("i"):
+        v = complex(n.value) if isinstance(n, Num) else 1j
+        pair = _pair(v)
+        return (lambda lam, u, g, s: v), (lambda *a: pair), False
     if isinstance(n, Const):
-        if n.name == "i":
-            return (lambda lam, u, g, s: 1j), False
         if n.name == "gamma":
-            return (lambda lam, u, g, s: complex(g)), False
-        return (lambda lam, u, g, s: s), True
+            return (lambda lam, u, g, s: complex(g)), (lambda re, im, u, g, s, bad: _pair(g)), False
+        return (lambda lam, u, g, s: s), (lambda re, im, u, g, s, bad: s), True
     if isinstance(n, LambdaVar):
         k = n.index
 
-        def var(lam, u, g, s):
+        def coord(lam):  # lam of shape (n,) or (n, m)
             if k > len(lam):
                 raise ValueError(f"lambda{k} out of range for rank {len(lam)}")
-            return complex(lam[k - 1])
+            return lam[k - 1]
 
-        return var, False
+        return ((lambda lam, u, g, s: complex(coord(lam))),
+                (lambda re, im, u, g, s, bad: (coord(re.T), coord(im.T))), False)
     if isinstance(n, UVar):
         k = n.index
 
@@ -303,12 +376,13 @@ def _compile(n):
                 raise ValueError(f"no spectral value bound for u{k}")
             return complex(u[k])
 
-        return uvar, False
+        return uvar, (lambda re, im, u, g, s, bad: _pair(uvar(None, u, g, s))), False
     if isinstance(n, BinOp):
-        (fa, sa), (fb, sb) = _compile(n.left), _compile(n.right)
+        (fa, va, sa), (fb, vb, sb) = _compile(n.left), _compile(n.right)
         if n.op in _ARITH:
-            op = _ARITH[n.op]
-            return (lambda lam, u, g, s: op(fa(lam, u, g, s), fb(lam, u, g, s))), sa or sb
+            op, vop = _ARITH[n.op], _STACK_ARITH[n.op]
+            return ((lambda lam, u, g, s: op(fa(lam, u, g, s), fb(lam, u, g, s))),
+                    (lambda *a: vop(va(*a), vb(*a))), sa or sb)
         pos = n.pos
 
         def div(lam, u, g, s):
@@ -317,9 +391,14 @@ def _compile(n):
                 raise EvalPoleError(f"division by (near-)zero at position {pos}", pos)
             return a / b
 
-        return div, sa or sb
+        def vdiv(*a):
+            x, y = va(*a), vb(*a)
+            a[-1].append(_near_zero(y))
+            return _quot(x, y)
+
+        return div, vdiv, sa or sb
     if isinstance(n, Pow):
-        fb, sb = _compile(n.base)
+        fb, vb, sb = _compile(n.base)
         e = n.exponent
 
         def power(lam, u, g, s):
@@ -328,26 +407,64 @@ def _compile(n):
                 raise EvalPoleError("negative power of (near-)zero")
             return base ** e
 
-        return power, sb
+        def vpower(*a):
+            x, bad = vb(*a), a[-1]
+            if e < 0:
+                bad.append(_near_zero(x))
+            if abs(e) > 100:  # CPython's general complex power
+                return _rowwise(lambda z: z ** e, x, bad)
+            r = _powu(x, abs(e))
+            if e <= 0:  # c_powi: 1 / x**|e|, NaN where that divides by 0
+                r = _quot(_ONE, r)
+            # an infinite part raises OverflowError, division by 0 ZeroDivisionError
+            bad.append(~(np.isfinite(r[0]) & np.isfinite(r[1])))
+            return r
+
+        return power, vpower, sb
     if isinstance(n, Exp):
-        fa, sa = _compile(n.arg)
-        return (lambda lam, u, g, s: _cexp(fa(lam, u, g, s))), sa
+        fa, va, sa = _compile(n.arg)
+        # cmath.exp itself: numpy's exp, cos and sin differ from libm's
+        return ((lambda lam, u, g, s: _cexp(fa(lam, u, g, s))),
+                (lambda *a: _rowwise(cmath.exp, va(*a), a[-1])), sa)
     raise TypeError(f"unknown node {n!r}")
+
+
+def _at_point(code, lam, u, gamma):
+    fn, _, uses_sigma = code
+    return fn(lam, u, gamma, complex(np.sum(lam)) if uses_sigma else None)
 
 
 def eval_ast(node, lam, u=None, gamma=1.0):
     """Evaluate an AST at (lambda, u, gamma); sigma = sum(lambda).
 
-    The node is compiled on its first evaluation and keeps the closure.
+    ``lam`` of shape (n,) is a point and gives a complex number; of shape
+    (..., n) a stack of points, giving an array (...) with the point
+    calls' values bit for bit (spectral values stay numbers), or the
+    error of the first point that raises.  The node is compiled on its
+    first evaluation and keeps the closures.
     """
     code = getattr(node, "_code", None)
     if code is None:
         code = _compile(node)
         object.__setattr__(node, "_code", code)
-    fn, uses_sigma = code
     lam = np.asarray(lam, dtype=complex)
-    return fn(lam, {} if u is None else u, gamma,
-              complex(np.sum(lam)) if uses_sigma else None)
+    u = {} if u is None else u
+    if lam.ndim == 1:
+        return _at_point(code, lam, u, gamma)
+    flat = np.ascontiguousarray(lam.reshape(-1, lam.shape[-1]))
+    out = np.empty(len(flat), dtype=complex)
+    bad = []
+    with np.errstate(all="ignore"):
+        try:
+            s = np.sum(flat, axis=-1)
+            out.real, out.imag = code[1](flat.real, flat.imag, u, gamma, (s.real, s.imag), bad)
+            rows = np.flatnonzero(functools.reduce(np.logical_or, bad, np.zeros(len(flat), bool)))
+        except ValueError:  # an unbound variable, at every point
+            rows = range(len(flat))
+    # the point closure raises at the first failing row, or gives its value
+    for k in rows:
+        out[k] = _at_point(code, flat[k], u, gamma)
+    return out.reshape(lam.shape[:-1])
 
 
 def collect_u_indices(node):
@@ -367,177 +484,3 @@ def collect_u_indices(node):
 
     walk(node)
     return out
-
-
-# -- independent reference evaluator ------------------------------------------
-
-
-def reference_eval(src: str, lam, u=None, gamma=1.0):
-    """Single-pass evaluator computing the value during the descent,
-    sharing no code with the AST path (its own character scanner)."""
-    lam = np.asarray(lam, dtype=complex)
-    u = {} if u is None else u
-    sigma = complex(np.sum(lam))
-    s = src
-    pos = [0]
-
-    def skip_ws():
-        while pos[0] < len(s) and s[pos[0]].isspace():
-            pos[0] += 1
-
-    def peek_ch():
-        skip_ws()
-        return s[pos[0]] if pos[0] < len(s) else ""
-
-    def take(ch):
-        if peek_ch() != ch:
-            raise ParseError(f"found {peek_ch()!r}", pos[0], expected=repr(ch))
-        pos[0] += 1
-
-    def number():
-        skip_ws()
-        m = re.match(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?", s[pos[0]:])
-        if not m:
-            raise ParseError("expected a number", pos[0])
-        pos[0] += m.end()
-        return complex(float(m.group(0)))
-
-    def name():
-        skip_ws()
-        m = re.match(r"[a-z]+\d*", s[pos[0]:])
-        if not m:
-            return None
-        pos[0] += m.end()
-        return m.group(0)
-
-    def expr():
-        v = term()
-        while peek_ch() and peek_ch() in "+-":
-            op = peek_ch()
-            pos[0] += 1
-            w = term()
-            v = v + w if op == "+" else v - w
-        return v
-
-    def term():
-        v = factor()
-        while peek_ch() and peek_ch() in "*/":
-            op = peek_ch()
-            pos[0] += 1
-            w = factor()
-            if op == "*":
-                v = v * w
-            else:
-                if abs(w) < POLE_FLOOR:
-                    raise EvalPoleError("division by (near-)zero", pos[0])
-                v = v / w
-        return v
-
-    def factor():
-        v = base()
-        if peek_ch() == "^":
-            pos[0] += 1
-            sign = 1
-            if peek_ch() == "-":
-                pos[0] += 1
-                sign = -1
-            skip_ws()
-            m = re.match(r"\d+", s[pos[0]:])
-            if not m:
-                raise ParseError("expected an integer exponent", pos[0])
-            pos[0] += m.end()
-            e = sign * int(m.group(0))
-            if e < 0 and abs(v) < POLE_FLOOR:
-                raise EvalPoleError("negative power of (near-)zero", pos[0])
-            v = v ** e
-        return v
-
-    def base():
-        ch = peek_ch()
-        if ch == "(":
-            take("(")
-            v = expr()
-            take(")")
-            return v
-        if ch.isdigit():
-            return number()
-        start = pos[0]
-        nm = name()
-        if nm is None:
-            raise ParseError(f"found {ch!r}", pos[0], expected="a value")
-        if nm == "i":
-            return 1j
-        if nm == "gamma":
-            return complex(gamma)
-        if nm == "sigma":
-            return sigma
-        if nm == "exp":
-            take("(")
-            v = expr()
-            take(")")
-            return _cexp(v)
-        m = _NAME_RE.match(nm)
-        if m:
-            idx = int(m.group(2))
-            if m.group(1) == "lambda":
-                return complex(lam[idx - 1])
-            return complex(u[idx])
-        raise ParseError(f"unknown identifier {nm!r}", start)
-
-    v = expr()
-    skip_ws()
-    if pos[0] != len(s):
-        raise ParseError(f"trailing input {s[pos[0]]!r}", pos[0])
-    return v
-
-
-# -- random expression generator ----------------------------------------------
-
-
-def random_expression(rng, rank=2, u_count=2, depth=3) -> str:
-    """Grammar-directed random expression source (for cross-checks).
-
-    Exponentials are never nested and carry no powers inside, keeping
-    the values representable in double precision.
-    """
-
-    def base(d, in_exp):
-        choice = rng.integers(0, 7)
-        if choice == 0 or d <= 0:
-            mant = round(float(rng.uniform(0.2, 4.0)), 3)
-            return f"{mant}"
-        if choice == 1:
-            return "i"
-        if choice == 2:
-            return "gamma"
-        if choice == 3:
-            return "sigma"
-        if choice == 4:
-            return f"lambda{int(rng.integers(1, rank + 1))}"
-        if choice == 5 and u_count:
-            return f"u{int(rng.integers(1, u_count + 1))}"
-        if choice == 6 and not in_exp:
-            return f"exp({expr(d - 1, True)})"
-        return f"({expr(d - 1, in_exp)})"
-
-    def factor(d, in_exp):
-        b = base(d, in_exp)
-        if not in_exp and rng.random() < 0.25:
-            return f"{b}^{int(rng.integers(1, 4))}"
-        return b
-
-    def term(d, in_exp):
-        parts = [factor(d, in_exp)]
-        for _ in range(int(rng.integers(0, 2))):
-            op = "*" if rng.random() < 0.8 else "/"
-            parts.append(op + factor(d, in_exp))
-        return "".join(parts)
-
-    def expr(d, in_exp=False):
-        parts = [term(d, in_exp)]
-        for _ in range(int(rng.integers(0, 3))):
-            op = "+" if rng.random() < 0.7 else "-"
-            parts.append(op + term(d, in_exp))
-        return "".join(parts)
-
-    return expr(depth)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dyncore import PoleError, WeightScheme
@@ -12,20 +14,36 @@ class RetryCapError(RuntimeError):
 
 
 def _draw_separated(rng, count, box, min_sep, cap_left):
-    """Draw ``count`` complex numbers in the box with pairwise separation."""
+    """``count`` complex numbers in the box with pairwise separation and
+    the tries they took, or (None, inf) once the tries exceed ``cap_left``."""
     vals = []
     tries = 0
     while len(vals) < count:
         if tries > cap_left:
-            raise RetryCapError(
-                "could not satisfy the separation constraint; "
-                "box too small for the requested minimum separation?"
-            )
+            return None, math.inf
         z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
         tries += 1
         if all(abs(z - w) >= min_sep for w in vals):
             vals.append(z)
     return vals, tries
+
+
+def _verdicts(guards, cands, legs):
+    """Verdicts (True: rejected) of ``cands`` up to the first one a guard
+    rejects, found by bisection: one guard call answers for a stack."""
+
+    def rejects(lo, hi):
+        lam = np.array([c[0] for c in cands[lo:hi]], dtype=complex)
+        u = {l: np.array([c[1][i] for c in cands[lo:hi]]) for i, l in enumerate(legs)}
+        return any(g(lam, u) for g in guards)
+
+    lo, hi = 0, len(cands)
+    if not rejects(lo, hi):
+        return [False] * hi
+    while hi - lo > 1:  # cands[:lo] are accepted, cands[lo:hi] hold a rejected one
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rejects(lo, mid) else (mid, hi)
+    return [False] * lo + [True]
 
 
 def sample_points(
@@ -42,48 +60,68 @@ def sample_points(
 
     lambda coordinates and spectral values are drawn from the complex box
     [-box, box] x [-box, box]i with pairwise separation ``min_sep``
-    within each group; ``guards`` are predicates (lam, u) -> bool marking
-    points to reject (pole predicates plug in here).  Raises
-    :class:`RetryCapError` when the constraints cannot be met.
+    within each group.  ``guards`` are predicates (lam, u) -> bool over a
+    stack of k candidates (``lam`` (k, n), ``u`` each spectral leg's k
+    values), True to reject one of them; pole predicates plug in here.
+
+    A candidate costs the tries its draws took, and one more if it is
+    rejected, from the budget ``retry_cap``, charged in candidate order;
+    :class:`RetryCapError` is raised when it is spent.  Candidates are
+    drawn ahead in one RNG order and guarded in blocks (doubled after no
+    rejection, else cut to the run up to the rejection), which leaves
+    the samples and the error those of guarding one at a time.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     spectral_legs = tuple(spectral_legs)
-    points = []
-    budget = retry_cap
+    exceeded = RetryCapError("sampler retry cap exceeded (over-constrained poles?)")
+    points, drawn, verdicts, budget, block = [], [], [], retry_cap, count
     while len(points) < count:
         if budget <= 0:
-            raise RetryCapError("sampler retry cap exceeded (over-constrained poles?)")
-        try:
-            lam_vals, t1 = _draw_separated(rng, scheme.rank, box, min_sep, budget)
-            budget -= t1
-            u_vals, t2 = _draw_separated(rng, len(spectral_legs), box, min_sep, budget)
-            budget -= t2
-        except RetryCapError:
-            raise RetryCapError("sampler retry cap exceeded (over-constrained poles?)")
-        lam = np.array(lam_vals, dtype=complex)
-        u = dict(zip(spectral_legs, u_vals))
-        if any(g(lam, u) for g in guards):
+            raise exceeded
+        # each draw under the budget left if no candidate before it is
+        # rejected; one that runs out even so takes infinite tries
+        ahead = budget - sum(t for _, _, t in drawn)
+        while len(points) + len(drawn) < count and ahead > 0:
+            lam, t1 = _draw_separated(rng, scheme.rank, box, min_sep, ahead)
+            u, t2 = _draw_separated(rng, len(spectral_legs), box, min_sep, ahead - t1)
+            drawn.append((lam, u, t1 + t2))
+            ahead -= t1 + t2
+        lam, u, tries = drawn.pop(0)
+        # a draw runs out when its tries exceed the budget by more than one
+        if tries - 1 > budget:
+            raise exceeded
+        budget -= tries
+        if not verdicts:
+            verdicts = _verdicts(guards, [(lam, u)] + [c for c in drawn[:block - 1]
+                                                      if c[2] < math.inf], spectral_legs)
+            block = len(verdicts) if verdicts[-1] else 2 * block
+        if verdicts.pop(0):
             budget -= 1
             continue
-        points.append((lam, u))
+        points.append((np.array(lam, dtype=complex), dict(zip(spectral_legs, u))))
     return points
 
 
 def invertibility_guard(dynmats, floor=0.05, probe_shifts=()):
     """Guard rejecting points where any matrix gets close to singular.
 
-    ``probe_shifts`` is a list of lambda offset vectors; the matrices are
-    probed at the shifted points as well, so that dynamical shifts
-    performed downstream stay away from singularities.  Each matrix is
-    evaluated once over the batch of the point and its shifts.
+    The guard takes a stack of candidates, ``lam`` of shape (..., n) and
+    spectral values of shape (...), a point being a stack of one, and
+    returns one bool: True when any matrix fails at any candidate, or at
+    a candidate shifted by one of ``probe_shifts`` (lambda offsets, so
+    that dynamical shifts downstream stay away from singularities).
+    Each matrix is evaluated, and its singular values computed, once
+    over the stack of candidates and shifts.
     """
 
     def guard(lam, u):
-        at = lam + np.array([np.zeros_like(lam)] + list(probe_shifts), dtype=complex)
+        lam = np.asarray(lam, dtype=complex)
+        at = lam[..., None, :] + np.array([np.zeros(lam.shape[-1])] + list(probe_shifts),
+                                          dtype=complex)
         for X in dynmats:
-            uvals = {l: u[l] for l in X.spectral_legs if l in u}
+            uvals = {l: np.asarray(u[l])[..., None] for l in X.spectral_legs if l in u}
             try:
                 m = X.eval(at, uvals)
             except (PoleError, np.linalg.LinAlgError, ZeroDivisionError,

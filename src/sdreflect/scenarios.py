@@ -166,29 +166,55 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     leg = legs[0]
     gamma = scheme.gamma
 
+    def values(lam, uval):
+        """The entries at a point lam (n,), or a stack (k, n) of one spectral value."""
+        m = np.zeros(lam.shape[:-1] + (n, n), dtype=complex)
+        uu = {1: uval} if spectral else {}
+        for i in range(n):
+            for j in range(n):
+                if asts[i][j] is not None:
+                    m[..., i, j] = ep.eval_ast(asts[i][j], lam, uu, gamma)
+        return m
+
     # values by the exact bytes of (lam, u1); pole points raise every time
     memo = {}
 
     def at_point(lam, uval):
-        uu = {1: uval} if spectral else {}
         key = (np.asarray(lam, dtype=complex).tobytes(),
-               np.complex128(uu.get(1, 0.0)).tobytes())
+               np.complex128(0.0 if uval is None else uval).tobytes())
         m = memo.get(key)
-        if m is not None:
-            return m
-        m = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                if asts[i][j] is not None:
-                    try:
-                        m[i, j] = ep.eval_ast(asts[i][j], lam, uu, gamma)
-                    except ep.EvalPoleError as exc:
-                        raise PoleError(str(exc), lam, {leg: uval} if spectral else {})
-        m.setflags(write=False)
-        memo[key] = m
+        if m is None:
+            try:
+                m = values(lam, uval)
+            except ep.EvalPoleError as exc:
+                raise PoleError(str(exc), lam, {leg: uval} if spectral else {})
+            m.setflags(write=False)
+            memo[key] = m
         return m
 
-    # a batch stacks its points' values, kept by the batch's (shape, bytes)
+    def evaluate(lam, uvals):
+        """Values at the rows of lam (m, n) and uvals (m,).  Rows met before
+        come from the point memo, the others are evaluated per spectral
+        value (a lone row as a point) and remembered as points."""
+        keys = list(zip(lam.view(np.dtype((np.void, lam.shape[-1] * 16))).ravel().tolist(),
+                        uvals.view(np.dtype((np.void, 16))).tolist()))
+        m = np.zeros((len(lam), n, n), dtype=complex)
+        groups = {}
+        for r, key in enumerate(keys):
+            known = memo.get(key)
+            if known is None:
+                groups.setdefault(key[1] if spectral else None, []).append(r)
+            else:
+                m[r] = known
+        for rows in groups.values():
+            m[rows] = values(lam[rows[0]] if len(rows) == 1 else lam[rows],
+                             complex(uvals[rows[0]]) if spectral else None)
+        m.setflags(write=False)
+        for r in itertools.chain(*groups.values()):
+            memo.setdefault(keys[r], m[r])
+        return m
+
+    # a stack's values, kept by the stack's (shape, bytes)
     stacks = {}
 
     def fn(lam, u):
@@ -201,14 +227,16 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
         lam = np.broadcast_to(lam, shape + lam.shape[-1:])
         uval = np.broadcast_to(uval, shape)
         key = (shape, lam.tobytes(), uval.tobytes())
-        m = stacks.get(key)
-        if m is None:
-            flat = lam.reshape(-1, lam.shape[-1])
-            m = np.stack([at_point(l, complex(x) if spectral else None)
-                          for l, x in zip(flat, uval.ravel())]).reshape(shape + (n, n))
-            m.setflags(write=False)
-            stacks[key] = m
-        return m
+        if key not in stacks:
+            flat = np.ascontiguousarray(lam.reshape(-1, lam.shape[-1]))
+            try:
+                stacks[key] = evaluate(flat, uval.ravel()).reshape(shape + (n, n))
+            except (ArithmeticError, ValueError):
+                # some point fails: meet it point by point, which raises its error
+                for point, x in zip(flat, uval.ravel()):
+                    at_point(point, complex(x) if spectral else None)
+                raise
+        return stacks[key]
 
     return DynMat(scheme, legs, fn, spectral)
 

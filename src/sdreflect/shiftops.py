@@ -185,7 +185,8 @@ def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8
 
 def shiftop_commutators(ops, points, tol=1e-8, name="shiftop_commutator"):
     """Residuals of S_i S_j - S_j S_i for every pair i < j of ``ops``, in
-    that order, each grouped by shift vector as in :func:`shiftop_commutator`.
+    that order: the largest relative residual of a shift group's
+    coefficients, which certifies the exact operator identity.
 
     For each block of points (:func:`_blocks`) every operator's table is
     evaluated once at the block and once at each shifted block the
@@ -217,13 +218,3 @@ def shiftop_commutators(ops, points, tol=1e-8, name="shiftop_commutator"):
         tables = ab = ba = None
     return [_report(name, points, tol, r) for r in residuals]
 
-
-def shiftop_commutator(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8,
-                       name="shiftop_commutator"):
-    """Residual of S1 S2 - S2 S1, grouped by shift vector.
-
-    The coefficients of each shift group are compared; the report carries
-    the maximum relative group residual over the samples.  This certifies
-    the exact operator identity, not merely agreement on test functions.
-    """
-    return shiftop_commutators([S1, S2], points, tol, name)[0]

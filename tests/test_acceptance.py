@@ -34,8 +34,6 @@ from sdreflect.exprparse import (
     EvalPoleError,
     eval_ast,
     parse_expr,
-    random_expression,
-    reference_eval,
 )
 from sdreflect.monodromy import (
     build_monodromy_direct,
@@ -64,6 +62,8 @@ from sdreflect.solutions import (
     residual_quasi_condition,
     residual_reduced_exchange,
 )
+
+from exproracle import random_expression, reference_eval
 
 E12 = np.zeros((2, 2))
 E12[0, 1] = 1.0

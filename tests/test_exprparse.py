@@ -10,10 +10,9 @@ from sdreflect.exprparse import (
     collect_u_indices,
     eval_ast,
     parse_expr,
-    random_expression,
-    reference_eval,
     to_source,
 )
+from exproracle import random_expression, reference_eval
 
 
 def test_linear_example():
@@ -138,3 +137,66 @@ def test_compiled_eval_is_reused_and_raises_like_the_walk():
         eval_ast(parse_expr("lambda3"), [1.0, 2.0])
     with pytest.raises(TypeError):
         eval_ast(object(), [1.0, 2.0])
+
+
+# -- stacks of points -----------------------------------------------------------
+
+
+def _bits(values):
+    values = np.asarray(values, dtype=complex)
+    return values.real.view(np.int64).tolist(), values.imag.view(np.int64).tolist()
+
+
+def _assert_stack_is_the_point_calls(ast, lam, u, gamma):
+    """The stacked call gives the point calls' values bit for bit, or
+    raises the error class of the first point that raises."""
+    rows = lam.reshape(-1, lam.shape[-1])
+    outcomes = [_outcome(eval_ast, ast, row, u, gamma) for row in rows]
+    failed = [err for kind, err in outcomes if kind == "raised"]
+    if failed:
+        with pytest.raises(Exception) as err:
+            eval_ast(ast, lam, u, gamma)
+        assert type(err.value) is failed[0]
+        return failed[0]
+    got = eval_ast(ast, lam, u, gamma)
+    assert got.shape == lam.shape[:-1]
+    assert _bits(got.ravel()) == _bits([eval_ast(ast, row, u, gamma) for row in rows])
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_stacked_eval_is_the_point_calls_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    src = random_expression(rng, rank=3, u_count=2, depth=int(rng.integers(1, 5)))
+    lam = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    u = {1: complex(*rng.normal(size=2)), 2: complex(*rng.normal(size=2))}
+    gamma = complex(*rng.normal(size=2))
+    _assert_stack_is_the_point_calls(parse_expr(src), lam, u, gamma)
+    _assert_stack_is_the_point_calls(parse_expr(src), lam.reshape(2, 3, 3), u, gamma)
+    # a pole row (lambda1 = lambda2) and an exp-overflow row (lambda3 = 800),
+    # in either order
+    pole, overflow = rng.choice(6, size=2, replace=False)
+    lam[pole, 1] = lam[pole, 0]
+    lam[overflow, 2] = 800.0
+    first = min(pole, overflow)
+    ast = parse_expr(f"({src})/(lambda1-lambda2)*exp(lambda3)")
+    raised = _assert_stack_is_the_point_calls(ast, lam, u, gamma)
+    assert raised is not None
+    if raised in (EvalPoleError, EvalOverflowError):
+        assert raised is (EvalPoleError if first == pole else EvalOverflowError)
+
+
+@pytest.mark.parametrize("src", [
+    "(lambda1*1.5)^100", "(lambda1*0.01)^-100", "(lambda1*1.5)^101", "(lambda1*1.5)^-101",
+    "lambda2^150", "(lambda1+i)^-130", "lambda1^-100*exp(lambda2*300)",
+])
+def test_stacked_eval_of_large_powers(src):
+    # |exponent| <= 100 is repeated squaring, above it CPython's general
+    # complex power; the last rows overflow, underflow to a zero
+    # divisor, or hit the pole floor
+    rng = np.random.default_rng(11)
+    lam = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    extremes = [[1e3, 2.0], [0.05, 1.0], [1e-13, 1.0], [0.0, -0.0]]
+    for stack in (lam, np.concatenate([lam, extremes])):
+        _assert_stack_is_the_point_calls(parse_expr(src), stack, {}, 1.0)

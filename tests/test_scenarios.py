@@ -15,7 +15,7 @@ from sdreflect.scenarios import (
     load_scenario,
     scenario_from_dict,
 )
-from sdreflect import WeightScheme, exprparse, function_dynmat
+from sdreflect import WeightScheme, exprparse, function_dynmat, scenarios
 from sdreflect.cli import Rig
 
 SCH = WeightScheme(2, 1.0)
@@ -166,6 +166,133 @@ def test_sampler_retry_cap():
         sample_points(SCH, (), count=5, seed=0, box=0.01, min_sep=0.5, retry_cap=200)
 
 
+# -- the block sampler against the one-candidate loop -------------------------
+
+
+def _draw(rng, count, box, min_sep, cap_left):
+    vals, tries = [], 0
+    while len(vals) < count:
+        if tries > cap_left:
+            raise RetryCapError("sampler retry cap exceeded")
+        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
+        tries += 1
+        if all(abs(z - w) >= min_sep for w in vals):
+            vals.append(z)
+    return vals, tries
+
+
+def _one_at_a_time(scheme, spectral_legs=(), count=50, seed=0, box=2.0, min_sep=0.1,
+                   guards=(), retry_cap=10_000):
+    """The sampler that guarded one candidate at a time: the reference."""
+    rng = np.random.default_rng(seed)
+    spectral_legs = tuple(spectral_legs)
+    points = []
+    budget = retry_cap
+    while len(points) < count:
+        if budget <= 0:
+            raise RetryCapError("sampler retry cap exceeded")
+        lam_vals, t1 = _draw(rng, scheme.rank, box, min_sep, budget)
+        budget -= t1
+        u_vals, t2 = _draw(rng, len(spectral_legs), box, min_sep, budget)
+        budget -= t2
+        lam = np.array(lam_vals, dtype=complex)
+        u = dict(zip(spectral_legs, u_vals))
+        if any(g(lam, u) for g in guards):
+            budget -= 1
+            continue
+        points.append((lam, u))
+    return points
+
+
+def _outcome(sample):
+    """The samples' exact bytes, or the error class."""
+    try:
+        points = sample()
+    except RetryCapError:
+        return RetryCapError
+    return [(lam.tobytes(), [(l, np.complex128(v).tobytes()) for l, v in sorted(u.items())])
+            for lam, u in points]
+
+
+def _sampling_with(monkeypatch, sampler, **fixed):
+    """Scenario.sample through ``sampler``; returns the list of its guard
+    calls' stack sizes and verdicts."""
+    calls = []
+
+    def run(*args, guards, **kwargs):
+        def counted(lam, u):
+            calls.append((len(np.atleast_2d(lam)), any(g(lam, u) for g in guards)))
+            return calls[-1][1]
+
+        return sampler(*args, guards=[counted], **{**kwargs, **fixed})
+
+    monkeypatch.setattr(scenarios, "sample_points", run)
+    return calls
+
+
+@pytest.mark.parametrize("name,rank,box", [
+    (name, rank, None) for name in builtin_names() for rank in (2, 3)
+    if rank == 2 or name not in ("constant_g", "spectral_shift_g")
+] + [("spectral_shift_g", 2, 8.0)])
+def test_block_sampler_draws_the_one_at_a_time_samples(name, rank, box, monkeypatch):
+    data = builtin_scenario(name, {"rank": rank}).to_dict()
+    if box is not None:
+        data["sampler"]["box"] = box
+    sc = scenario_from_dict(data)
+    blocks = _sampling_with(monkeypatch, sample_points)
+    got = _outcome(sc.sample)
+    ones = _sampling_with(monkeypatch, _one_at_a_time)
+    assert got == _outcome(sc.sample)
+    assert len(got) == sc.sampler["count"]
+    # the builtins' own boxes reject nothing, the wide box does
+    assert any(v for _, v in ones) == (box is not None)
+    assert len(blocks) < len(ones) and max(k for k, _ in blocks) > 1
+
+
+def _right_half_plane(lam, u):
+    return bool(np.any(np.asarray(lam)[..., 0].real > 0.0))
+
+
+@pytest.mark.parametrize("count", [1, 3, 6])
+def test_block_sampler_runs_out_at_the_same_candidate(count):
+    # a small box: draws retry for separation, and half the candidates
+    # are rejected, so the budget runs out inside guarded blocks; equal
+    # outcomes at every cap and count put the error at the same candidate
+    sch = WeightScheme(3, 1.0)
+    outcomes, stacked_raise = [], False
+    for cap in range(1, 110):
+        args = dict(scheme=sch, spectral_legs=(1, 2), count=count, seed=9, box=0.3,
+                    min_sep=0.2, retry_cap=cap)
+        sizes = []
+
+        def guard(lam, u):
+            sizes.append(len(np.atleast_2d(lam)))
+            return _right_half_plane(lam, u)
+
+        got = _outcome(lambda: sample_points(guards=[guard], **args))
+        assert got == _outcome(lambda: _one_at_a_time(guards=[_right_half_plane], **args)), cap
+        outcomes.append(got is RetryCapError)
+        stacked_raise |= got is RetryCapError and max(sizes, default=0) > 1
+    assert outcomes[0] and not outcomes[-1]
+    assert stacked_raise or count == 1
+
+
+def test_block_sampler_runs_out_where_the_guard_rejects(monkeypatch):
+    # the wide box of spectral_shift_g: the invertibility guard rejects
+    # candidates, and the budget runs out at each cap as one at a time
+    data = builtin_scenario("spectral_shift_g").to_dict()
+    data["sampler"]["box"] = 8.0
+    sc = scenario_from_dict(data)
+    raised = []
+    for cap in range(20, 140, 7):
+        _sampling_with(monkeypatch, sample_points, retry_cap=cap)
+        got = _outcome(lambda: sc.sample(count=12))
+        _sampling_with(monkeypatch, _one_at_a_time, retry_cap=cap)
+        assert got == _outcome(lambda: sc.sample(count=12)), cap
+        raised.append(got is RetryCapError)
+    assert raised[0] and not raised[-1]
+
+
 def test_expression_matrix_pole_surfaces():
     spec = {"kind": "diagonal", "entries": ["1/(lambda1-lambda2)", "1"]}
     m = compile_matrix_spec(spec, SCH, (1,), "b")
@@ -232,6 +359,19 @@ def test_compiled_leaf_pole_raises_every_time(monkeypatch):
         with pytest.raises(PoleError):
             m.eval(np.array([0.5, 0.5]))
     assert len(calls) == 2
+
+
+def test_stacked_leaf_pole_raises_for_its_first_point():
+    # entry (0, 0) meets its pole at the last point, entry (1, 1) at the
+    # middle one: the error is the middle point's, as point by point
+    spec = {"kind": "diagonal", "entries": ["1/(lambda1-0.3)", "1/(lambda1-lambda2)"]}
+    m = compile_matrix_spec(spec, SCH, (1,), "b")
+    lam = np.array([[0.1, 0.2], [0.5, 0.5], [0.3, 0.9]], dtype=complex)
+    for stack in (lam, lam[None]):
+        with pytest.raises(PoleError) as err:
+            m.eval(stack)
+        np.testing.assert_array_equal(err.value.lam, lam[1])
+    assert m.eval(lam[:1]).shape == (1, 2, 2)
 
 
 def test_rigs_share_no_leaf_memo(monkeypatch):

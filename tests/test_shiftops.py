@@ -5,7 +5,7 @@ from sdreflect import WeightScheme, constant_dynmat, function_dynmat, identity_d
 from sdreflect.dyncore import LegError, PoleError
 from sdreflect.shiftops import (
     ShiftOpSum,
-    shiftop_commutator,
+    shiftop_commutators,
     shiftop_difference_residual,
 )
 
@@ -13,6 +13,11 @@ SCH = WeightScheme(2, 1.0)
 RNG = np.random.default_rng(55)
 LEGS = (1,)
 PTS = [(RNG.uniform(-1, 1, 2) + 1j * RNG.uniform(-1, 1, 2), {}) for _ in range(5)]
+
+
+def commutator(S1, S2, points, tol):
+    """The report of S1 S2 - S2 S1 alone."""
+    return shiftop_commutators([S1, S2], points, tol)[0]
 
 
 def term(shift, fn):
@@ -71,20 +76,20 @@ def test_weight_shift_expansion():
 def test_commutator_with_identity_term():
     S = term((1, 0), lambda lam, u: np.diag([np.exp(lam[0]), lam[1]]))
     one = ShiftOpSum.from_matrix(identity_dynmat(SCH, LEGS))
-    rep = shiftop_commutator(S, one, PTS, 1e-12)
+    rep = commutator(S, one, PTS, 1e-12)
     assert rep.passed and rep.max_residual < 1e-14
 
 
 def test_commutator_constant_diagonal_coefficients():
     S1 = term((1, 0), lambda lam, u: np.diag([2.0, 3.0]).astype(complex))
     S2 = term((0, 1), lambda lam, u: np.diag([0.5, 4.0]).astype(complex))
-    assert shiftop_commutator(S1, S2, PTS, 1e-13).passed
+    assert commutator(S1, S2, PTS, 1e-13).passed
 
 
 def test_commutator_detects_noncommuting():
     S1 = term((1, 0), lambda lam, u: lam[0] * np.eye(2, dtype=complex))
     S2 = term((0, 0), lambda lam, u: lam[0] * np.eye(2, dtype=complex))
-    rep = shiftop_commutator(S1, S2, PTS, 1e-10)
+    rep = commutator(S1, S2, PTS, 1e-10)
     assert not rep.passed  # coefficients fail to commute through the shift
 
 
@@ -107,7 +112,7 @@ def test_pure_shift_commutes_with_constant_quantum_coefficient():
     W = ShiftOpSum.weight_shift(SCH, legs, 0)
     m = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
     C = ShiftOpSum.from_matrix(constant_dynmat(SCH, legs, np.kron(np.eye(2), m)))
-    assert shiftop_commutator(W, C, PTS, 1e-13).passed
+    assert commutator(W, C, PTS, 1e-13).passed
 
 
 def _counted(shift, fn, calls):
@@ -195,7 +200,7 @@ def test_commutator_nan_coefficient_fails_the_report():
 
     S1 = term((0, 0), coeff)
     S2 = term((1, 0), lambda lam, u: np.diag([2.0, 3.0]).astype(complex))
-    rep = shiftop_commutator(S1, S2, PTS, 1e-10)
+    rep = commutator(S1, S2, PTS, 1e-10)
     assert not rep.passed
     assert np.isnan(rep.max_residual)
     np.testing.assert_array_equal(rep.worst_point[0], bad)
@@ -222,7 +227,7 @@ def test_first_nan_in_a_later_block_beats_a_larger_finite_residual(monkeypatch):
     monkeypatch.setattr(so, "BLOCK_BYTES", 2 * 16 * 2 ** 2)
     assert [np.shape(lam) for lam, _ in so._blocks(PTS, [S1])] == [(2, 2), (2, 2), (2,)]
     for check in (lambda pts: shiftop_difference_residual(S1, diag, pts, 1e-10),
-                  lambda pts: shiftop_commutator(S1, shift, pts, 1e-10)):
+                  lambda pts: commutator(S1, shift, pts, 1e-10)):
         rep = check(PTS[:3])
         assert rep.max_residual > 0.1
         np.testing.assert_array_equal(rep.worst_point[0], big)
@@ -240,7 +245,7 @@ def test_pole_in_a_later_block_raises_for_its_point(monkeypatch):
         SCH, LEGS, lambda lam, u: np.eye(2, dtype=complex),
         poles=lambda lam, u: np.array_equal(lam, pole)))])
     S2 = term((1, 0), lambda lam, u: np.diag([2.0, 3.0]).astype(complex))
-    for check in (shiftop_difference_residual, shiftop_commutator):
+    for check in (shiftop_difference_residual, commutator):
         with pytest.raises(PoleError) as exc:
             check(S1, S2, PTS, 1e-10)
         np.testing.assert_array_equal(exc.value.lam, pole)
