@@ -16,7 +16,8 @@ from sdreflect.monodromy import (
 from sdreflect.parametrize import build_A, build_BC, build_D_twist
 from sdreflect.scenarios import builtin_scenario
 from sdreflect.shiftops import shiftop_difference_residual
-from sdreflect.solutions import build_dual, build_K_nondyn, constant_like
+from sdreflect.dyncore import constant_dynmat
+from sdreflect.solutions import build_dual, build_K_nondyn
 
 for name in ("trivial_yangian", "diagonal_dressed"):
     scenario = builtin_scenario(name)
@@ -46,7 +47,7 @@ for name in ("trivial_yangian", "diagonal_dressed"):
               f"{direct.terms[next(iter(direct.terms))].dim}")
 
     cert = certify_commuting_family(
-        S, K, chi, constant_like(b, scenario.Q), 2,
+        S, K, chi, constant_dynmat(b.scheme, b.legs, scenario.Q), 2,
         [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j],
         scenario.quantum_values(2), points[:6],
     )

@@ -22,6 +22,7 @@ from .consistency import (
     residual_zero_weight,
     residual_zwc,
 )
+from .dyncore import constant_dynmat
 from .exprparse import EvalOverflowError
 from .monodromy import (
     build_monodromy_direct,
@@ -49,7 +50,6 @@ from .shiftops import shiftop_difference_residual
 from .solutions import (
     IntertwinerSpec,
     build_dual,
-    constant_like,
     residual_intertwiner,
 )
 
@@ -81,7 +81,7 @@ class Rig:
         self.Q = scenario.Q
         self.QL = scenario.Q_L
         # direct reflection solution K = beta^-1 Q q and its twisted core
-        self.K = self.beta.inv() @ constant_like(self.b, self.Q) @ self.q
+        self.K = self.beta.inv() @ constant_dynmat(self.scheme, self.b.legs, self.Q) @ self.q
         self.kappa = self.beta @ self.K @ self.q.inv()
         self.chi = build_dual(self.k, self.b, self.g, self.QL)
         self.points = scenario.sample(count=samples, seed=seed,

@@ -15,19 +15,20 @@ per shift leg.
 
 Placing a k-leg matrix on some of the legs (identity on the others)
 copies its entries through flat index tables, built once per (positions,
-leg count, rank) and cached; a matrix already on all the legs in order
+leg count, rank, stack size) and cached; a matrix already on all the legs in order
 is returned as it is.
 
-A placed DynMat (from :func:`embed`, and carried through
-:meth:`DynMat.inv`, :func:`dyn_shift` and spectral binding) also keeps
-its small factor and the positions of its legs (``DynMat.local``), and
-products use them instead of the dense n**L embedding: two placed
-factors multiply on the union of their legs and stay placed; a dense
-matrix times a placed factor is contracted on the factor's legs only
-(one gather of the rows or columns, one BLAS call on the factor, one
-scatter back; see :class:`Placed`); the inverse inverts the small factor.
-Operators of dimension n**L <= 32 are multiplied dense, as there the
-contraction's fixed cost exceeds the saving.
+A DynMat has one function, ``fn``.  A placed DynMat (from :func:`embed`,
+and kept by :meth:`DynMat.inv`, :func:`dyn_shift`, scaling, shifts of
+its arguments and spectral binding) also records the ``positions`` of its legs, and its
+``fn`` is then the small factor; :meth:`DynMat.dense` embeds it.
+Products never build the dense n**L embedding of a placed factor: two
+placed factors multiply on the union of their legs and stay placed; a
+dense matrix times a placed factor is contracted on the factor's legs
+only (one gather of the rows or columns, one BLAS call on the factor,
+one scatter back; see :class:`Placed`); the inverse inverts the small
+factor.  Operators of dimension n**L <= ``DENSE_MAX_DIM`` = 32 are kept
+dense, as there the contraction's fixed cost exceeds the saving.
 
 Every matrix function is shape-polymorphic: ``lam`` may carry leading
 batch axes, shape (..., n), and spectral values shape (...); the value
@@ -51,7 +52,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,9 +143,11 @@ class DynMat:
     k legs, or an (n**k, n**k) one that broadcasts to it.  ``poles(lam,
     u)`` returns a bool of the same batch shape.
 
-    ``local`` is None or ``(factor, positions)`` for a placed matrix:
-    ``fn`` equals ``factor`` (same arguments) placed at ``positions`` of
-    ``legs``, identity on the other legs.
+    ``positions`` is None for a dense matrix, or, for a placed one, the
+    positions in ``legs`` of the legs its ``fn`` lives on: ``fn`` then
+    returns the n**k factor, and the matrix is that factor on those
+    legs, identity on the others (:meth:`dense`).  Positions covering
+    every leg in order are stored as None.
     """
 
     scheme: WeightScheme
@@ -152,10 +155,14 @@ class DynMat:
     fn: object
     spectral_legs: frozenset = field(default_factory=frozenset)
     poles: object = None
-    local: object = None
+    positions: tuple = None
 
     def __post_init__(self):
         object.__setattr__(self, "legs", tuple(self.legs))
+        if self.positions is not None:
+            positions = tuple(self.positions)
+            full = positions == tuple(range(len(self.legs)))
+            object.__setattr__(self, "positions", None if full else positions)
         object.__setattr__(self, "spectral_legs", frozenset(self.spectral_legs))
         if tuple(sorted(self.legs)) != self.legs:
             raise LegError("legs must be listed in sorted order")
@@ -171,18 +178,25 @@ class DynMat:
         back as its :class:`Placed` factor."""
         return eval_dynmat(self, lam, u, local)
 
+    def dense(self, lam, u):
+        """The n**L matrix at a point, without validation."""
+        m = self.fn(lam, u)
+        if self.positions is None:
+            return m
+        return _place_matrix(m, self.positions, len(self.legs), self.scheme.rank)
+
     # -- pointwise algebra on a shared leg set --------------------------
 
     def _binary(self, other, op, value=None):
         """Pointwise ``op`` of the two values ``value(X, lam, u)`` (by
-        default the dense ``X.fn``)."""
+        default the dense ``X.dense``)."""
         if not isinstance(other, DynMat):
             raise TypeError("expected a DynMat")
         if self.legs != other.legs or self.scheme != other.scheme:
             raise LegError("operands must share legs and scheme")
         spect = self.spectral_legs | other.spectral_legs
         a, b = self, other
-        value = value or (lambda X, lam, u: X.fn(lam, u))
+        value = value or DynMat.dense
 
         def fn(lam, u):
             return op(
@@ -196,9 +210,9 @@ class DynMat:
     def __matmul__(self, other):
         """Pointwise product; placed factors multiply leg-locally (two
         placed factors stay placed on the union of their legs)."""
-        if self.local is None or getattr(other, "local", None) is None:
+        if self.positions is None or getattr(other, "positions", None) is None:
             return self._binary(other, operator.matmul, _value)
-        union = tuple(sorted(set(self.local[1]) | set(other.local[1])))
+        union = tuple(sorted(set(self.positions) | set(other.positions)))
         prod = self._binary(other, _union_product, _value)
         return _placed(self.scheme, self.legs, prod.fn, union, prod.spectral_legs,
                        prod.poles)
@@ -211,13 +225,7 @@ class DynMat:
 
     def __mul__(self, c):
         c = complex(c)
-        return DynMat(
-            self.scheme,
-            self.legs,
-            lambda lam, u, _f=self.fn: c * _f(lam, u),
-            self.spectral_legs,
-            self.poles,
-        )
+        return replace(self, fn=lambda lam, u, _f=self.fn: c * _f(lam, u))
 
     __rmul__ = __mul__
 
@@ -225,44 +233,28 @@ class DynMat:
         """Pointwise matrix inverse; singular points are poles.  A placed
         matrix inverts its factor."""
 
-        def inverse(f):
-            def fn(lam, u):
-                m = f(lam, u)
-                try:
-                    return np.linalg.inv(m)
-                except np.linalg.LinAlgError:
-                    # the first singular matrix of a batch names the point
-                    for k, mk in enumerate(np.reshape(m, (-1,) + np.shape(m)[-2:])):
-                        try:
-                            np.linalg.inv(mk)
-                        except np.linalg.LinAlgError:
-                            raise PoleError("singular matrix encountered in inverse",
-                                            *_point_at(lam, u, k))
-                    raise
+        def fn(lam, u, _f=self.fn):
+            m = _f(lam, u)
+            try:
+                return np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                # the first singular matrix of a batch names the point
+                for k, mk in enumerate(np.reshape(m, (-1,) + np.shape(m)[-2:])):
+                    try:
+                        np.linalg.inv(mk)
+                    except np.linalg.LinAlgError:
+                        raise PoleError("singular matrix encountered in inverse",
+                                        *_point_at(lam, u, k))
+                raise
 
-            return fn
-
-        return self.map_factor(inverse, self.spectral_legs, self.poles)
-
-    def map_factor(self, wrap, spectral_legs, poles):
-        """The matrix whose factor function is ``wrap(factor)``, on the same
-        legs and placement (the dense ``fn`` is the factor when not placed)."""
-        if self.local is None:
-            return DynMat(self.scheme, self.legs, wrap(self.fn), spectral_legs, poles)
-        factor, positions = self.local
-        return _placed(self.scheme, self.legs, wrap(factor), positions, spectral_legs, poles)
+        return replace(self, fn=fn)
 
     def shift_lambda(self, delta):
         """The matrix function lam -> X(lam + delta), same legs."""
         delta = np.asarray(delta, dtype=complex)
-        f = self.fn
-        return DynMat(
-            self.scheme,
-            self.legs,
-            lambda lam, u: f(lam + delta, u),
-            self.spectral_legs,
-            None if self.poles is None else (lambda lam, u, p=self.poles: p(lam + delta, u)),
-        )
+        f, p = self.fn, self.poles
+        return replace(self, fn=lambda lam, u: f(lam + delta, u),
+                       poles=None if p is None else (lambda lam, u: p(lam + delta, u)))
 
     def shift_spectral(self, offsets):
         """Rewrite slot arguments u_leg -> u_leg + offsets[leg]."""
@@ -274,7 +266,7 @@ class DynMat:
         def fn(lam, u):
             return f(lam, {l: u[l] + offsets.get(l, 0.0) for l in u})
 
-        return DynMat(self.scheme, self.legs, fn, self.spectral_legs, self.poles)
+        return replace(self, fn=fn)
 
 
 def _merge_poles(p1, p2):
@@ -322,13 +314,11 @@ def eval_dynmat(X: DynMat, lam, u=None, local=False):
         if mask.any():
             plam, pu = _point_at(lam, ud, int(np.argmax(np.broadcast_to(mask, shape))))
             raise PoleError(f"evaluation at a pole (lam={plam}, u={pu})", plam, pu)
-    if local and X.local is not None:
-        factor, positions = X.local
-        d = X.scheme.rank ** len(positions)
-        m = np.asarray(factor(lam, ud), dtype=complex)
+    positions = X.positions if local else None
+    if positions is None:
+        d, m = X.dim, np.asarray(X.dense(lam, ud), dtype=complex)
     else:
-        d, positions = X.dim, None
-        m = np.asarray(X.fn(lam, ud), dtype=complex)
+        d, m = X.scheme.rank ** len(positions), np.asarray(X.fn(lam, ud), dtype=complex)
     if m.shape != shape + (d, d):
         if m.shape != (d, d):
             raise ValueError(f"evaluation returned shape {m.shape}, "
@@ -530,24 +520,21 @@ def _union_product(a: Placed, b: Placed) -> np.ndarray:
 def _value(X: DynMat, lam, u):
     """X's value at a point without validation: its :class:`Placed`
     factor when X is placed, else the dense matrix."""
-    if X.local is None:
-        return X.fn(lam, u)
-    factor, positions = X.local
-    return Placed(factor(lam, u), positions, len(X.legs), X.scheme.rank)
+    m = X.fn(lam, u)
+    return m if X.positions is None else Placed(m, X.positions, len(X.legs), X.scheme.rank)
 
 
 def _placed(scheme, legs, factor, positions, spectral_legs=frozenset(), poles=None):
-    """The DynMat ``factor`` placed at ``positions`` of ``legs``; it keeps
-    the factor (``local``) above the dense size."""
+    """The DynMat ``factor`` placed at ``positions`` of ``legs``; up to the dense
+    size its function is a closure embedding it (faster per call than ``dense``)."""
     positions, total, n = tuple(positions), len(legs), scheme.rank
-    if positions == tuple(range(total)):
-        return DynMat(scheme, legs, factor, spectral_legs, poles)
+    if n ** total > DENSE_MAX_DIM or positions == tuple(range(total)):
+        return DynMat(scheme, legs, factor, spectral_legs, poles, positions)
 
     def fn(lam, u):
         return _place_matrix(factor(lam, u), positions, total, n)
 
-    local = (factor, positions) if n ** total > DENSE_MAX_DIM else None
-    return DynMat(scheme, legs, fn, spectral_legs, poles, local)
+    return DynMat(scheme, legs, fn, spectral_legs, poles)
 
 
 def embed(X: DynMat, target_legs, all_legs) -> DynMat:
@@ -564,19 +551,19 @@ def embed(X: DynMat, target_legs, all_legs) -> DynMat:
         raise LegError("target legs must be contained in the ambient legs")
     if len(set(target_legs)) != len(target_legs):
         raise LegError("target legs must be distinct")
-    # a placed X embeds its factor directly
-    factor, inner = X.local or (X.fn, range(len(X.legs)))
     spect = frozenset(
         target_legs[X.legs.index(l)] for l in X.spectral_legs
     )
     rebind = dict(zip(target_legs, X.legs))
 
     def small(lam, u):
-        return factor(lam, {rebind[t]: u[t] for t in spect})
+        return X.fn(lam, {rebind[t]: u[t] for t in spect})
 
     poles = None
     if X.poles is not None:
         poles = lambda lam, u: X.poles(lam, {rebind[t]: u.get(t) for t in spect})
+    # a placed X embeds its factor directly
+    inner = range(len(X.legs)) if X.positions is None else X.positions
     positions = [all_legs.index(target_legs[p]) for p in inner]
     return _placed(X.scheme, all_legs, small, positions, spect, poles)
 
@@ -605,15 +592,13 @@ def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
         return xe
     shift_pos = [all_legs.index(l) for l in shift_legs]
     # the sum is formed on the support: X's legs and the shift legs
-    if xe.local is None:
-        support, xfn = tuple(range(len(all_legs))), xe.fn
-    else:
-        factor, xpos = xe.local
-        support = tuple(sorted(set(xpos) | set(shift_pos)))
-        inner = [support.index(p) for p in xpos]
-
+    xpos = range(len(all_legs)) if xe.positions is None else xe.positions
+    support = tuple(sorted(set(xpos) | set(shift_pos)))
+    inner = tuple(support.index(p) for p in xpos)
+    xfn = xe.fn
+    if inner != tuple(range(len(support))):
         def xfn(lam, u):
-            return _place_matrix(factor(lam, u), inner, len(support), n)
+            return _place_matrix(xe.fn(lam, u), inner, len(support), n)
 
     total = len(support)
     pos = [support.index(p) for p in shift_pos]
@@ -659,7 +644,7 @@ def pi_transpose(X: DynMat) -> DynMat:
     spect = frozenset(swap[l] for l in X.spectral_legs)
 
     def fn(lam, u):
-        m = X.fn(lam, {swap[l]: u[l] for l in spect})
+        m = X.dense(lam, {swap[l]: u[l] for l in spect})
         return p @ m @ p
 
     poles = None
@@ -899,7 +884,7 @@ def decorate(X: DynMat, legs, decorations) -> DynMat:
         fixed.append(None if g is None else (g, np.linalg.inv(g)))
 
     def fn(lam, u):
-        m = X.fn(lam, slots(lam, u))
+        m = X.dense(lam, slots(lam, u))
         left, right = [], []
         for (mode, f, k), pair in zip(steps, fixed):
             g, ginv = pair or (on_legs(f, lam, u, k), None)

@@ -36,7 +36,7 @@ u_0 + c*s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,7 +81,8 @@ def bind_spectral(X: DynMat, uvals) -> DynMat:
     poles = None
     if X.poles is not None:
         poles = lambda lam, u, _p=X.poles: _p(lam, fixed)
-    return X.map_factor(lambda f: (lambda lam, u: f(lam, fixed)), frozenset(), poles)
+    return replace(X, fn=lambda lam, u, _f=X.fn: _f(lam, fixed), spectral_legs=frozenset(),
+                   poles=poles)
 
 
 def locality_preset(u_ref, N: int):

@@ -81,26 +81,8 @@ def build_BC_projector(b: DynMat, projs, scheme: WeightScheme):
     for p in projs:
         if rel_residual(p @ p, p) > 1e-12:
             raise ValueError("projectors must be idempotent")
-    n = scheme.rank
-    binv = b.inv()
-
-    def fn(lam, u):
-        blocks = [projs[i] @ (binv.fn(lam, u) @ b.fn(lam + scheme.gamma * scheme.unit(i), u))
-                  for i in range(n)]
-        acc = np.zeros(np.broadcast_shapes(*(x.shape for x in blocks))[:-2]
-                       + (n * n, n * n), dtype=complex)
-        # e_ii (x) block_i: the i-th diagonal block
-        for i, block in enumerate(blocks):
-            acc[..., i * n:(i + 1) * n, i * n:(i + 1) * n] = block
-        return acc
-
-    leg = b.legs[0]
-    spect = frozenset({2}) if b.spectral_legs else frozenset()
-
-    def wrapped(lam, u):
-        return fn(lam, {leg: u[2]} if spect else {})
-
-    B = DynMat(scheme, PAIR, wrapped, spect)
+    proj = sum(np.kron(scheme.projector(i), p) for i, p in enumerate(projs))
+    B = constant_dynmat(scheme, PAIR, proj) @ build_BC(b, Automorphism.identity(), scheme)[0]
     return B, pi_transpose(B)
 
 
@@ -214,7 +196,7 @@ def extract_R0(Rt: DynMat, f: Automorphism, points, tol=1e-10, ybe_tol=1e-9):
         R0 = DynMat(
             Rt.scheme,
             Rt.legs,
-            lambda lam, u, _f=dressed.fn: _f(lam0, u),
+            lambda lam, u, _f=dressed.dense: _f(lam0, u),
             Rt.spectral_legs,
             Rt.poles,
         )

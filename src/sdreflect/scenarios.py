@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprparse as ep
-from .dyncore import Automorphism, DynMat, PoleError, WeightScheme, permutation_operator
+from .dyncore import (
+    Automorphism,
+    DynMat,
+    PoleError,
+    WeightScheme,
+    constant_dynmat,
+    identity_dynmat,
+    yangian_r,
+)
 from .monodromy import locality_preset
 from .sampling import invertibility_guard, sample_points
 
@@ -90,56 +98,40 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     legs = tuple(sorted(legs))
 
     if kind == "identity":
-        d = n ** len(legs)
-        return DynMat(scheme, legs, lambda lam, u: np.eye(d, dtype=complex))
+        return identity_dynmat(scheme, legs)
 
     if kind == "constant":
         m = _unpack_matrix(spec.get("entries"), f"{path}.entries")
         if m.shape != (n ** len(legs),) * 2:
             raise ScenarioError(f"{path}.entries: wrong dimension {m.shape}")
-        return DynMat(scheme, legs, lambda lam, u: m)
+        return constant_dynmat(scheme, legs, m)
 
     if kind in ("yangian", "yangian_offdiag"):
         if len(legs) != 2:
             raise ScenarioError(f"{path}: R-matrix kinds need exactly 2 legs")
-        p = permutation_operator(n)
-        eye = np.eye(n * n, dtype=complex)
+        R = yangian_r(scheme, legs, min_gap=1e-9)
         mu = _unpack_complex(spec.get("mu", 1.0), f"{path}.mu")
+        if kind == "yangian":
+            return R
         # scale only the e_ii (x) e_jj weight slots (an abelian diagonal
         # twist), leaving the exchange slots alone; this preserves the
         # cubic exchange identity
-        slot = np.zeros((n * n, n * n), dtype=complex)
-        if kind == "yangian_offdiag":
-            for i in range(n):
-                for j in range(n):
-                    if i < j:
-                        slot[i * n + j, i * n + j] = mu - 1.0
-                    elif i > j:
-                        slot[i * n + j, i * n + j] = 1.0 / mu - 1.0
-        l1, l2 = legs
-
-        def fn(lam, u):
-            base = eye + p / np.asarray(u[l1] - u[l2])[..., None, None]
-            return base + slot
-
-        def poles(lam, u):
-            return abs(u[l1] - u[l2]) < 1e-9
-
-        return DynMat(scheme, legs, fn, frozenset(legs), poles)
+        i, j = np.divmod(np.arange(n * n), n)
+        slot = np.where(i < j, mu - 1.0, np.where(i > j, 1.0 / mu - 1.0, 0.0))
+        return R + constant_dynmat(scheme, legs, np.diag(slot))
 
     entries = spec.get("entries")
     if entries is None:
         raise ScenarioError(f"{path}.entries: required for kind {kind!r}")
+    if len(legs) != 1:
+        raise ScenarioError(f"{path}: {kind} specs are single-leg")
     if kind == "diagonal":
-        if len(legs) != 1:
-            raise ScenarioError(f"{path}: diagonal specs are single-leg")
-        if len(entries) != n:
+        if not isinstance(entries, list) or len(entries) != n:
             raise ScenarioError(f"{path}.entries: need {n} diagonal entries")
         rows = [[entries[i] if i == j else None for j in range(n)] for i in range(n)]
     else:
-        if len(legs) != 1:
-            raise ScenarioError(f"{path}: matrix specs are single-leg")
-        if len(entries) != n or any(len(r) != n for r in entries):
+        if not isinstance(entries, list) or len(entries) != n or any(
+                not isinstance(r, list) or len(r) != n for r in entries):
             raise ScenarioError(f"{path}.entries: need an {n}x{n} expression array")
         rows = entries
 
@@ -151,6 +143,8 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
             if src is None:
                 arow.append(None)
                 continue
+            if not isinstance(src, str):
+                raise ScenarioError(f"{path}.entries[{i}][{j}]: expected an expression string")
             try:
                 ast = ep.parse_expr(src)
             except ep.ParseError as exc:
@@ -446,6 +440,23 @@ class Scenario:
             fh.write("\n")
 
 
+_SAMPLER_FIELDS = {"seed": "an integer", "count": "an integer",
+                   "box": "a number", "min_separation": "a number"}
+
+
+def _check_sampler(cfg):
+    """Reject a sampler object with unknown fields or non-numeric values."""
+    if not isinstance(cfg, dict):
+        raise ScenarioError("sampler: expected an object")
+    extra = sorted(set(cfg) - set(_SAMPLER_FIELDS))
+    if extra:
+        raise ScenarioError(f"sampler: unknown fields {extra}")
+    for key, val in cfg.items():
+        kinds = (int, float) if _SAMPLER_FIELDS[key] == "a number" else int
+        if isinstance(val, bool) or not isinstance(val, kinds):
+            raise ScenarioError(f"sampler.{key}: expected {_SAMPLER_FIELDS[key]}")
+
+
 def scenario_from_dict(data) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be an object")
@@ -461,8 +472,12 @@ def scenario_from_dict(data) -> Scenario:
     data["Q_L"] = _unpack_matrix(data["Q_L"], "Q_L")
     data.setdefault("spectral", True)
     qs = data.get("quantum_spectral", "default")
-    if not isinstance(qs, str):
+    if isinstance(qs, list):
         data["quantum_spectral"] = [_unpack_complex(v, "quantum_spectral") for v in qs]
+    elif not isinstance(qs, str):
+        raise ScenarioError("quantum_spectral: expected a preset name or a list of values")
+    if "sampler" in data:
+        _check_sampler(data["sampler"])
     try:
         scen = Scenario(**data)
     except TypeError as exc:

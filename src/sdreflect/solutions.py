@@ -102,14 +102,7 @@ def residual_intertwiner(spec: IntertwinerSpec, Q, points, tol=1e-9,
 
 def build_K_nondyn(Q, b: DynMat, q: DynMat) -> DynMat:
     """K(lam) = b(lam)^-1 . Q . q(lam) with a non-dynamical core Q."""
-    Qm = np.asarray(Q, dtype=complex)
-    return b.inv() @ constant_like(b, Qm) @ q
-
-
-def constant_like(template: DynMat, matrix) -> DynMat:
-    """A constant matrix promoted to a DynMat on the template's legs."""
-    m = np.asarray(matrix, dtype=complex).copy()
-    return DynMat(template.scheme, template.legs, lambda lam, u: m)
+    return b.inv() @ constant_dynmat(b.scheme, b.legs, Q) @ q
 
 
 def build_K_quasinondyn(Q, a: Automorphism, b: DynMat, q: DynMat,
@@ -121,19 +114,12 @@ def build_K_quasinondyn(Q, a: Automorphism, b: DynMat, q: DynMat,
     ``check_points`` is given this is verified and a failing residual
     raises :class:`PreconditionError`.
     """
-    middle = sigma_conjugate(constant_like(b, Q), a, b.legs, sign=+1)
+    middle = sigma_conjugate(constant_dynmat(b.scheme, b.legs, Q), a, b.legs, sign=+1)
     if check_points is not None:
-        rep = residual_quasi_condition(middle, a, b.scheme, check_points, tol)
+        rep = residual_quasi_nondyn(middle, a, check_points, tol, name="quasi_condition")
         if not rep.passed:
             raise PreconditionError("quasi-non-dynamicity fails for the dressed core", rep)
     return b.inv() @ middle @ q
-
-
-def residual_quasi_condition(qtilde: DynMat, a: Automorphism, scheme, points,
-                             tol=1e-10, name="quasi_condition"):
-    """Residual of qt(lam + gamma e_i) = a qt(lam) a^-1 for every i
-    (gamma is that of qtilde's scheme; ``scheme`` is not read)."""
-    return residual_quasi_nondyn(qtilde, a, points, tol, name)
 
 
 def build_K_g(Q0, g: Automorphism, b: DynMat, q: DynMat, variant="prop4a",
@@ -170,7 +156,7 @@ def build_K_g(Q0, g: Automorphism, b: DynMat, q: DynMat, variant="prop4a",
                 Decoration("right", [DecorationFactor(f, "sigma")])]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return beta_inv @ decorate(constant_like(b, Q0), b.legs, deco) @ q
+    return beta_inv @ decorate(constant_dynmat(b.scheme, b.legs, Q0), b.legs, deco) @ q
 
 
 def dress(K0: DynMat, Q, b: DynMat, g: Automorphism = None, variant="prop3") -> DynMat:
@@ -180,14 +166,14 @@ def dress(K0: DynMat, Q, b: DynMat, g: Automorphism = None, variant="prop3") -> 
     relation); prop5: K = g b^-1 g^-1 (exp[-s log g] Q exp[+s log g])
     g b g^-1 K0.
     """
-    Qm = np.asarray(Q, dtype=complex)
+    Qm = constant_dynmat(b.scheme, b.legs, Q)
     if variant == "prop3":
-        return b.inv() @ constant_like(b, Qm) @ b @ K0
+        return b.inv() @ Qm @ b @ K0
     if variant == "prop5":
         if g is None:
             raise ValueError("prop5 needs the automorphism g")
         beta = auto_dress(b, g)
-        middle = sigma_conjugate(constant_like(b, Qm), g, b.legs, sign=-1)
+        middle = sigma_conjugate(Qm, g, b.legs, sign=-1)
         return beta.inv() @ middle @ beta @ K0
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -211,7 +197,7 @@ def k_g_power(K: DynMat, g: Automorphism, p: int, S: StructureSet, points,
     if g.variant == Automorphism.SHIFT:
         return ShiftedSolution(K, g.step, p)
     gp = g.matrix_at(power=p)
-    return K @ constant_like(K, gp)
+    return K @ constant_dynmat(K.scheme, K.legs, gp)
 
 
 def build_dual(k: DynMat, b: DynMat, g: Automorphism, QL) -> DynMat:
@@ -228,7 +214,7 @@ def build_dual(k: DynMat, b: DynMat, g: Automorphism, QL) -> DynMat:
     """
     QLinv = np.linalg.inv(np.asarray(QL, dtype=complex))
     beta = auto_dress(b, g)
-    middle = sigma_conjugate(constant_like(b, QLinv), g, b.legs, sign=-1)
+    middle = sigma_conjugate(constant_dynmat(b.scheme, b.legs, QLinv), g, b.legs, sign=-1)
     return k.inv() @ beta.inv() @ middle @ beta
 
 

@@ -56,10 +56,8 @@ from sdreflect.solutions import (
     build_K_g,
     build_K_nondyn,
     build_K_quasinondyn,
-    constant_like,
     dress,
     k_g_power,
-    residual_quasi_condition,
     residual_reduced_exchange,
 )
 
@@ -135,7 +133,7 @@ def test_criterion_4_solution_builders():
     Kq = build_K_quasinondyn(E12, a, b, q)
     middle = function_dynmat(sc.scheme, (1,),
                              lambda lam, u: 2.0 ** np.sum(lam) * E12)
-    r3 = residual_quasi_condition(middle, a, sc.scheme, pts, 1e-10)
+    r3 = residual_quasi_nondyn(middle, a, pts, 1e-10, name="quasi_condition")
     r4 = residual_sdre(S, Kq, pts, 1e-9)
     ok = all(r.passed for r in (r1, r2, r3, r4))
     verdict(4, ok,
@@ -189,7 +187,7 @@ def test_criterion_7_transfer_commutation():
     worst = 0.0
     for name in ("trivial_yangian", "diagonal_dressed"):
         sc, S, R, b, q, k, K, chi, pts = _monodromy_pieces(name)
-        kappa = constant_like(b, sc.Q)
+        kappa = constant_dynmat(b.scheme, b.legs, sc.Q)
         for N in (1, 2):
             uq = sc.quantum_values(N)
             cert = certify_commuting_family(S, K, chi, kappa, N, u_list, uq,

@@ -101,6 +101,22 @@ def test_schema_error_exits_two(tmp_path):
     assert run(["--scenario", str(path)]) == 2
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("sampler", {"box": "x"}, "sampler.box: expected a number"),
+    ("sampler", [1], "sampler: expected an object"),
+    ("sampler", {"foo": 1}, "sampler: unknown fields ['foo']"),
+    ("b", {"kind": "diagonal", "entries": [1, 2]}, "b.entries[0][0]: expected an expression"),
+    ("quantum_spectral", 5, "quantum_spectral: expected a preset name"),
+], ids=["sampler-box", "sampler-list", "sampler-unknown", "b-entries", "quantum-spectral"])
+def test_malformed_scenario_field_exits_two(tmp_path, capsys, field, value, message):
+    data = builtin_scenario("diagonal_dressed").to_dict()
+    data[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["--scenario", str(path), "--suite", "zero-weight", "--samples", "3"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_all_suite_skips_inapplicable(capsys):
     code = run(["--builtin", "nonsimilar_detwist", "--suite", "all",
                 "--samples", "6", "--seed", "5"])

@@ -21,7 +21,13 @@ from sdreflect import (
     sigma_theta_inverse,
     yangian_r,
 )
-from sdreflect.dyncore import LegError, PoleError, SpectralValueError, _place_matrix
+from sdreflect.dyncore import (
+    DENSE_MAX_DIM,
+    LegError,
+    PoleError,
+    SpectralValueError,
+    _place_matrix,
+)
 
 SCH2 = WeightScheme(2, 1.0)
 SCH3 = WeightScheme(3, 1.0)
@@ -560,7 +566,7 @@ def test_placed_dynmat_operations_match_dense_placement(n, max_total, max_k, leg
         Xe = embed(X, target, legs)
         u = {target[0]: 0.3 - 0.2j}
         dense = _place_matrix(fn(lam, {0: u[target[0]]}), pos, total, n)
-        assert (Xe.local is not None) == (pos != legs)
+        assert (Xe.positions is not None) == (pos != legs)
         assert _close(Xe.eval(lam, u), dense)
         bound = bind_spectral(Xe, u)
         assert _close(bound.eval(lam), dense)
@@ -581,6 +587,35 @@ def test_placed_dynmat_operations_match_dense_placement(n, max_total, max_k, leg
             for i in range(n)
         )
         assert _close(dyn_shift(bound, (shift,), legs).eval(lam), want), (total, pos)
+
+
+def test_placed_dynmat_maps_keep_positions_bit_for_bit():
+    from sdreflect.monodromy import bind_spectral
+
+    n, legs, pos = 2, tuple(range(6)), (4, 1)
+    sch = WeightScheme(n, 1.0)
+    rng = np.random.default_rng(41)
+    base = _rand(rng, n * n) + 3 * np.eye(n * n)
+    slope = _rand(rng, n * n) * 0.1
+
+    def fn(lam, u):
+        return base + slope * (lam[0] - 0.5 * lam[1]) + slope.T * u[0]
+
+    Xe = embed(function_dynmat(sch, (0, 1), fn, spectral_legs=(0,)), pos, legs)
+    assert Xe.positions == pos and Xe.dim > DENSE_MAX_DIM
+    lam = np.array([0.4 - 0.3j, -0.7 + 0.2j])
+    u, delta = 0.3 - 0.2j, np.array([0.5, -0.25j])
+    dense = Xe.eval(lam, {4: u})
+    cases = [
+        (Xe.inv(), {4: u}, _place_matrix(np.linalg.inv(fn(lam, {0: u})), pos, 6, n)),
+        (Xe.shift_lambda(delta), {4: u}, Xe.eval(lam + delta, {4: u})),
+        (Xe.shift_spectral({4: 0.5}), {4: u}, Xe.eval(lam, {4: u + 0.5})),
+        (2 * Xe, {4: u}, 2 * dense),
+        (bind_spectral(Xe, {4: u}), {}, dense),
+    ]
+    for Y, uu, want in cases:
+        assert Y.positions == pos
+        np.testing.assert_array_equal(Y.eval(lam, uu), want)
 
 
 def test_weight_shifted_is_a_column_selection_of_the_projector_product():
@@ -619,7 +654,7 @@ def test_nan_in_a_placed_conjugated_core_fails_the_difference(leg_local):
 
     O = embed(constant_dynmat(sch, (1, 2, 3), _rand(rng, n ** 3) + 4 * np.eye(n ** 3)),
               (1, 2, 3), legs)
-    assert O.local is not None
+    assert O.positions is not None
     good = _conjugate_by(O, ShiftOpSum.weight_shifted(
         constant_dynmat(sch, legs, m), 0))
     broken = _conjugate_by(O, ShiftOpSum.weight_shifted(

@@ -22,7 +22,7 @@ from sdreflect.monodromy import (
 from sdreflect.parametrize import auto_dress, build_A, build_BC, build_D_twist
 from sdreflect.sampling import sample_points
 from sdreflect.shiftops import ShiftOpSum, shiftop_commutators, shiftop_difference_residual
-from sdreflect.solutions import build_dual, build_K_nondyn, constant_like
+from sdreflect.solutions import build_dual, build_K_nondyn
 
 RNG = np.random.default_rng(77)
 U_Q = {1: -0.9 + 0.11j, 2: 0.73 - 0.4j, 3: 1.61 + 0.3j, 4: -1.97 - 0.22j}
@@ -158,7 +158,7 @@ def test_transfer_trivial_coefficients():
 @pytest.mark.parametrize("N", [1, 2])
 def test_commuting_family(dressed, N):
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=dressed)
-    kappa = constant_like(b, Q)
+    kappa = constant_dynmat(b.scheme, b.legs, Q)
     cert = certify_commuting_family(
         S, K, chi, kappa, N, U_LIST, U_Q, lam_points(2), tol=1e-8
     )
@@ -234,7 +234,7 @@ def test_gauged_chain_constant_automorphism():
     S = StructureSet(A, B, C, D, sch, g)
     Q = np.array([[1.0, 0.45], [0.21, 1.3]])
     QL = np.array([[1.1, 0.3], [-0.2, 0.9]])
-    K = beta.inv() @ constant_like(b, Q) @ q
+    K = beta.inv() @ constant_dynmat(b.scheme, b.legs, Q) @ q
     chi = build_dual(k, b, g, QL)
     cert = certify_commuting_family(
         S, K, chi, None, 1, U_LIST, U_Q, lam_points(2),
@@ -430,7 +430,7 @@ def test_rank3_two_site_conjugator_is_placed_on_the_quantum_legs():
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(n=3)
     O = build_ON(b, q, 2, U_Q)
     Oinv = O.inv()
-    assert O.local[1] == Oinv.local[1] == (1, 2, 3, 4)
+    assert O.positions == Oinv.positions == (1, 2, 3, 4)
     lam = lam_points(3)[0][0]
     small = Oinv.eval(lam, local=True)
     assert small.m.shape == (81, 81)

@@ -7,6 +7,7 @@ from sdreflect import (
     constant_dynmat,
     function_dynmat,
     identity_dynmat,
+    permutation_operator,
     sigma_conjugate,
     yangian_r,
 )
@@ -100,6 +101,33 @@ def test_build_BC_projector_rank():
     B2, _ = build_BC_projector(b, [np.eye(2), np.eye(2)], SCH)
     Bp, _ = build_BC(b, IDENT, SCH)
     np.testing.assert_allclose(B2.eval(lam), Bp.eval(lam), atol=1e-13)
+
+
+def test_build_BC_projector_blocks_with_a_spectral_b():
+    sch = WeightScheme(3, 0.7)
+    rng = np.random.default_rng(43)
+    base = rng.normal(size=(3, 3)) + 4 * np.eye(3)
+    slope = rng.normal(size=(3, 3, 3)) * 0.1
+
+    def bfn(lam, u):
+        return base + slope @ lam + 0.3 * u[1] * np.diag([1.0, -0.5, 0.2])
+
+    b = function_dynmat(sch, (1,), bfn, spectral_legs=(1,))
+    half = np.full((3, 3), 1 / 3)
+    projs = [sch.projector(0), half, np.eye(3) - sch.projector(2)]
+    B, C = build_BC_projector(b, projs, sch)
+    assert B.spectral_legs == {2} and C.spectral_legs == {1}
+    P = permutation_operator(3)
+    for _ in range(4):
+        lam = rng.normal(size=3) + 1j * rng.normal(size=3)
+        u = complex(rng.normal(), rng.normal())
+        want = np.zeros((9, 9), dtype=complex)
+        for i, proj in enumerate(projs):
+            block = proj @ np.linalg.inv(bfn(lam, {1: u})) @ bfn(lam + 0.7 * sch.unit(i), {1: u})
+            want[3 * i:3 * i + 3, 3 * i:3 * i + 3] = block
+        got = B.eval(lam, {2: u})
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        np.testing.assert_array_equal(C.eval(lam, {1: u}), P @ got @ P)
 
 
 def test_build_BC_projector_exchange_constraint():

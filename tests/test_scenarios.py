@@ -300,6 +300,17 @@ def test_expression_matrix_pole_surfaces():
         m.eval(np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("spec", [{"kind": "yangian"},
+                                  {"kind": "yangian_offdiag", "mu": [2.0, 0.0]}])
+def test_compiled_r_matrix_pole_gap_is_1e9(spec):
+    R = compile_matrix_spec(spec, SCH, (1, 2), "R0")
+    lam = np.array([0.3, -0.2])
+    with pytest.raises(PoleError):
+        R.eval(lam, {1: 0.5 + 1e-10, 2: 0.5})
+    # just outside the gap the matrix is finite
+    assert np.all(np.isfinite(R.eval(lam, {1: 0.5 + 2e-9, 2: 0.5})))
+
+
 def test_quantum_values_presets():
     sc = builtin_scenario("trivial_yangian")
     vals = sc.quantum_values(2)

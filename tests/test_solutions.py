@@ -4,6 +4,7 @@ import pytest
 from sdreflect import (
     Automorphism,
     WeightScheme,
+    constant_dynmat,
     function_dynmat,
     identity_dynmat,
     yangian_r,
@@ -11,6 +12,7 @@ from sdreflect import (
 from sdreflect.consistency import (
     StructureSet,
     rel_residual,
+    residual_quasi_nondyn,
     residual_sdre,
     residual_theta_period,
 )
@@ -26,11 +28,9 @@ from sdreflect.solutions import (
     build_K_g,
     build_K_nondyn,
     build_K_quasinondyn,
-    constant_like,
     dress,
     k_g_power,
     residual_intertwiner,
-    residual_quasi_condition,
     residual_reduced_exchange,
 )
 
@@ -205,9 +205,9 @@ def test_quasi_condition_residual():
     qt = function_dynmat(
         SCH, (1,), lambda lam, u: 2.0 ** np.sum(lam) * E12
     )
-    assert residual_quasi_condition(qt, a, SCH, PTS, 1e-10).passed
+    assert residual_quasi_nondyn(qt, a, PTS, 1e-10, name="quasi_condition").passed
     bad = function_dynmat(SCH, (1,), lambda lam, u: lam[0] * E12)
-    assert not residual_quasi_condition(bad, a, SCH, PTS, 1e-10).passed
+    assert not residual_quasi_nondyn(bad, a, PTS, 1e-10, name="quasi_condition").passed
 
 
 def test_quasi_condition_accepts_a_spectral_shift():
@@ -215,8 +215,8 @@ def test_quasi_condition_accepts_a_spectral_shift():
     # which is the conjugation by a shift of gamma
     qt = function_dynmat(SCH, (1,), lambda lam, u: np.diag([u[1] + np.sum(lam), 1.0]), (1,))
     shift = Automorphism.spectral_shift
-    assert residual_quasi_condition(qt, shift(1.0), SCH, PTS, 1e-12).passed
-    assert not residual_quasi_condition(qt, shift(2.0), SCH, PTS, 1e-12).passed
+    assert residual_quasi_nondyn(qt, shift(1.0), PTS, 1e-12, name="quasi_condition").passed
+    assert not residual_quasi_nondyn(qt, shift(2.0), PTS, 1e-12, name="quasi_condition").passed
 
 
 # -- automorphism-extended builders ------------------------------------------------
@@ -395,7 +395,7 @@ def test_build_dual_diagonal_structure():
 def test_reduced_exchange_constant_kappa():
     R = yangian_r(SCH, (1, 2))
     Q = np.array([[1.0, 0.45], [0.21, 1.3]])
-    kappa = constant_like(identity_dynmat(SCH, (1,)), Q)
+    kappa = constant_dynmat(SCH, (1,), Q)
     assert residual_reduced_exchange(R, R, kappa, PTS, 1e-10).passed
 
 
