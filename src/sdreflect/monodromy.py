@@ -21,7 +21,10 @@ factorizes through a quantum-leg conjugator O_N:
 
 with O_N = prod_{k=N..1} [q_{2k-1} b_{2k}](h over odd legs > 2k).  The
 shift factor acts on the right O_N during conjugation, producing its
-argument shifts automatically.
+argument shifts automatically.  The conjugation is formed once per point
+(:func:`_conjugate_weight_shifted`): O_N^{-1} times the core is one
+product, and the e_i term of E_0 applies O_N(lam + gamma e_i) to the
+column block of auxiliary index i only, which is all that E_0 keeps.
 
 Every factorized core (this one, the non-similar one with a second
 matrix Rbar on the odd legs, and the automorphism-gauged one) is one
@@ -155,10 +158,39 @@ def _core_product(R: DynMat, left, middle, R_odd: DynMat, right, N: int, uvals,
     return core
 
 
-def _conjugate_by(O: DynMat, mid: ShiftOpSum) -> ShiftOpSum:
-    """O^-1 . mid . O as operator sums; a placed O (on the quantum legs)
-    is applied leg-locally inside the product tables."""
-    return ShiftOpSum.from_matrix(O.inv()).compose(mid).compose(ShiftOpSum.from_matrix(O))
+def _conjugate_weight_shifted(O: DynMat, core: DynMat) -> ShiftOpSum:
+    """O^-1 . core . E_0 . O, E_0 the expanded weight shift on leg 0: the
+    term at e_i is O^-1 core e_ii^(0) O(lam + gamma e_i).
+
+    e_ii^(0) keeps the column block i (of width n**(L-1), as leg 0 is the
+    most significant index) and commutes with the left product, so O^-1
+    core is formed once per point.  An O placed on all the quantum legs
+    is its factor on every block, so only block i of the e_i term is a
+    product; any other O multiplies the kept columns.  The entries are
+    the dot products of the composed operator product, bit for bit.
+    """
+    scheme, n = O.scheme, O.scheme.rank
+    w = n ** (len(O.legs) - 1)
+    on_quantum_legs = O.positions == tuple(range(1, len(O.legs)))
+    Oinv = O.inv()
+    keys = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+    def table(lam, u):
+        Y = Oinv.eval(lam, u, local=True) @ core.eval(lam, u)
+        out = {}
+        for i, key in enumerate(keys):
+            o = O.eval(lam + scheme.gamma * np.asarray(key, dtype=complex), u, local=True)
+            block = slice(i * w, (i + 1) * w)
+            term = np.zeros_like(Y)
+            if on_quantum_legs:
+                term[..., block] = Y[..., block] @ o.m
+            else:
+                term[..., block] = Y[..., block]
+                term = term @ o
+            out[key] = term
+        return out
+
+    return _TableSum(scheme, O.legs, keys, table)
 
 
 def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
@@ -278,7 +310,7 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
         core = _core_product(R0, left, middle, Rbar or R0, right, N,
                              _chain_values(u_quantum, u_aux))
     O = build_ON(b, q, N, u_quantum, g)
-    return _conjugate_by(O, ShiftOpSum.weight_shifted(core, 0))
+    return _conjugate_weight_shifted(O, core)
 
 
 def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:

@@ -61,7 +61,7 @@ def _unpack_matrix(v, path):
         return np.array(
             [[_unpack_complex(z, path) for z in row] for row in v], dtype=complex
         )
-    except (TypeError, ScenarioError):
+    except (TypeError, ValueError):
         raise ScenarioError(f"{path}: matrices are nested [re, im] pair arrays")
 
 
@@ -82,6 +82,25 @@ def _spec_kind(spec, kinds, fields, path, label):
     if extra:
         raise ScenarioError(f"{path}: unknown fields {sorted(extra)}")
     return spec["kind"]
+
+
+def _parse_entry(src, path):
+    """The AST of one expression-string entry; a malformed one exits with its path."""
+    if not isinstance(src, str):
+        raise ScenarioError(f"{path}: expected an expression string")
+    try:
+        return ep.parse_expr(src)
+    except ep.ParseError as exc:
+        raise ScenarioError(f"{path}: {exc}")
+
+
+def _expression_array(entries, n, path):
+    """The ASTs of ``entries``, an n x n list of expression strings."""
+    if not isinstance(entries, list) or len(entries) != n or any(
+            not isinstance(r, list) or len(r) != n for r in entries):
+        raise ScenarioError(f"{path}.entries: need an {n}x{n} expression array")
+    return [[_parse_entry(src, f"{path}.entries[{i}][{j}]") for j, src in enumerate(row)]
+            for i, row in enumerate(entries)]
 
 
 def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
@@ -128,30 +147,11 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     if kind == "diagonal":
         if not isinstance(entries, list) or len(entries) != n:
             raise ScenarioError(f"{path}.entries: need {n} diagonal entries")
-        rows = [[entries[i] if i == j else None for j in range(n)] for i in range(n)]
+        asts = [[_parse_entry(entries[i], f"{path}.entries[{i}][{i}]") if i == j else None
+                 for j in range(n)] for i in range(n)]
     else:
-        if not isinstance(entries, list) or len(entries) != n or any(
-                not isinstance(r, list) or len(r) != n for r in entries):
-            raise ScenarioError(f"{path}.entries: need an {n}x{n} expression array")
-        rows = entries
-
-    asts = []
-    uidx = set()
-    for i, row in enumerate(rows):
-        arow = []
-        for j, src in enumerate(row):
-            if src is None:
-                arow.append(None)
-                continue
-            if not isinstance(src, str):
-                raise ScenarioError(f"{path}.entries[{i}][{j}]: expected an expression string")
-            try:
-                ast = ep.parse_expr(src)
-            except ep.ParseError as exc:
-                raise ScenarioError(f"{path}.entries[{i}][{j}]: {exc}")
-            uidx |= ep.collect_u_indices(ast)
-            arow.append(ast)
-        asts.append(arow)
+        asts = _expression_array(entries, n, path)
+    uidx = set().union(*(ep.collect_u_indices(a) for row in asts for a in row if a is not None))
     if uidx - {1}:
         raise ScenarioError(
             f"{path}: single-leg entries may reference u1 only (found u{sorted(uidx)})"
@@ -235,7 +235,9 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     return DynMat(scheme, legs, fn, spectral)
 
 
-def compile_automorphism_spec(spec, path="automorphism") -> Automorphism:
+def compile_automorphism_spec(spec, rank, path="automorphism") -> Automorphism:
+    """Compile an automorphism spec on C^rank; the ``entries`` of a
+    factorizable one are a rank x rank array of expressions in u1."""
     if spec is None:
         return Automorphism.identity()
     kind = _spec_kind(spec, AUTO_KINDS, {"kind", "matrix", "step", "entries"}, path,
@@ -250,7 +252,7 @@ def compile_automorphism_spec(spec, path="automorphism") -> Automorphism:
     entries = spec.get("entries")
     if entries is None:
         raise ScenarioError(f"{path}.entries: required for a factorizable automorphism")
-    asts = [[ep.parse_expr(src) for src in row] for row in entries]
+    asts = _expression_array(entries, rank, path)
 
     def mfn(uval):
         return np.array(
@@ -343,18 +345,25 @@ class Scenario:
         return compile_matrix_spec(self.chi0, self.scheme, (1,), "chi0")
 
     def g_auto(self):
-        return compile_automorphism_spec(self.g, "g")
+        return compile_automorphism_spec(self.g, self.rank, "g")
 
     def a_auto(self):
-        return compile_automorphism_spec(self.a, "a")
+        return compile_automorphism_spec(self.a, self.rank, "a")
 
     def f_auto(self):
-        return compile_automorphism_spec(self.f, "f")
+        return compile_automorphism_spec(self.f, self.rank, "f")
 
     def projector_list(self):
         if self.projectors is None:
             return None
-        return [_unpack_matrix(p, "projectors") for p in self.projectors]
+        n = self.rank
+        if not isinstance(self.projectors, list) or len(self.projectors) != n:
+            raise ScenarioError(f"projectors: expected a list of {n} {n}x{n} matrices")
+        projs = [_unpack_matrix(p, f"projectors[{i}]") for i, p in enumerate(self.projectors)]
+        for i, p in enumerate(projs):
+            if p.shape != (n, n):
+                raise ScenarioError(f"projectors[{i}]: need an {n}x{n} matrix")
+        return projs
 
     def quantum_values(self, N=None, u_ref=0.0):
         """Quantum-leg spectral values as a dict leg -> value."""
@@ -471,6 +480,11 @@ def scenario_from_dict(data) -> Scenario:
     data["Q"] = _unpack_matrix(data["Q"], "Q")
     data["Q_L"] = _unpack_matrix(data["Q_L"], "Q_L")
     data.setdefault("spectral", True)
+    if not isinstance(data["spectral"], bool):
+        raise ScenarioError("spectral: expected true or false")
+    sites = data.get("sites", 1)
+    if isinstance(sites, bool) or not isinstance(sites, int) or sites < 1:
+        raise ScenarioError("sites: expected an integer of at least 1")
     qs = data.get("quantum_spectral", "default")
     if isinstance(qs, list):
         data["quantum_spectral"] = [_unpack_complex(v, "quantum_spectral") for v in qs]
@@ -485,7 +499,7 @@ def scenario_from_dict(data) -> Scenario:
     # compile everything once so malformed expressions surface with paths
     scen.b_mat(); scen.q_mat(); scen.k_mat(); scen.R0_mat()
     scen.Rbar_mat(); scen.chi0_mat()
-    scen.g_auto(); scen.a_auto(); scen.f_auto()
+    scen.g_auto(); scen.a_auto(); scen.f_auto(); scen.projector_list()
     return scen
 
 

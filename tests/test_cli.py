@@ -107,7 +107,15 @@ def test_schema_error_exits_two(tmp_path):
     ("sampler", {"foo": 1}, "sampler: unknown fields ['foo']"),
     ("b", {"kind": "diagonal", "entries": [1, 2]}, "b.entries[0][0]: expected an expression"),
     ("quantum_spectral", 5, "quantum_spectral: expected a preset name"),
-], ids=["sampler-box", "sampler-list", "sampler-unknown", "b-entries", "quantum-spectral"])
+    ("sites", "x", "sites: expected an integer of at least 1"),
+    ("spectral", "no", "spectral: expected true or false"),
+    ("g", {"kind": "factorizable", "entries": [[1, 0], [0, 1]]},
+     "g.entries[0][0]: expected an expression string"),
+    ("g", {"kind": "factorizable", "entries": [["1+", "0"], ["0", "1"]]},
+     "g.entries[0][0]: unexpected end"),
+    ("projectors", 5, "projectors: expected a list of 2 2x2 matrices"),
+], ids=["sampler-box", "sampler-list", "sampler-unknown", "b-entries", "quantum-spectral",
+        "sites", "spectral", "factorizable-numbers", "factorizable-parse", "projectors"])
 def test_malformed_scenario_field_exits_two(tmp_path, capsys, field, value, message):
     data = builtin_scenario("diagonal_dressed").to_dict()
     data[field] = value

@@ -5,6 +5,7 @@ import pytest
 
 from sdreflect import (
     Automorphism,
+    DynMat,
     WeightScheme,
     adjoint_auto,
     constant_dynmat,
@@ -635,8 +636,8 @@ def test_weight_shifted_is_a_column_selection_of_the_projector_product():
 
 
 def test_nan_in_a_placed_conjugated_core_fails_the_difference(leg_local):
-    from sdreflect.monodromy import _conjugate_by
-    from sdreflect.shiftops import ShiftOpSum, shiftop_difference_residual
+    from sdreflect.monodromy import _conjugate_weight_shifted
+    from sdreflect.shiftops import shiftop_difference_residual
 
     n, legs = 3, (0, 1, 2, 3)
     sch = WeightScheme(n, 1.0)
@@ -655,11 +656,65 @@ def test_nan_in_a_placed_conjugated_core_fails_the_difference(leg_local):
     O = embed(constant_dynmat(sch, (1, 2, 3), _rand(rng, n ** 3) + 4 * np.eye(n ** 3)),
               (1, 2, 3), legs)
     assert O.positions is not None
-    good = _conjugate_by(O, ShiftOpSum.weight_shifted(
-        constant_dynmat(sch, legs, m), 0))
-    broken = _conjugate_by(O, ShiftOpSum.weight_shifted(
-        function_dynmat(sch, legs, core), 0))
+    good = _conjugate_weight_shifted(O, constant_dynmat(sch, legs, m))
+    broken = _conjugate_weight_shifted(O, function_dynmat(sch, legs, core))
     rep = shiftop_difference_residual(broken, good, pts, 1e-8)
     assert not rep.passed
     assert np.isnan(rep.max_residual)
     np.testing.assert_array_equal(rep.worst_point[0], bad)
+
+
+def _affine_dynmat(rng, sch, legs, shift=0.0):
+    """A generic matrix base + slope * (grad . lam) + shift * 1 on ``legs``."""
+    d = sch.rank ** len(legs)
+    base, slope = _rand(rng, d) + shift * np.eye(d), 0.1 * _rand(rng, d)
+    grad = rng.normal(size=sch.rank)
+    return DynMat(sch, legs, lambda lam, u: base + slope * (lam @ grad)[..., None, None])
+
+
+def _conjugated_tables(rank, N, O=None, points=3):
+    """The tables of ``_conjugate_weight_shifted(O, core)`` and of the
+    composed product O^-1 . weight_shifted(core, 0) . O on a stacked
+    block of points, for a generic core and (unless given) the chain
+    conjugator O_N of generic b and q."""
+    from sdreflect.monodromy import _conjugate_weight_shifted, all_legs, build_ON
+    from sdreflect.shiftops import ShiftOpSum
+
+    sch, legs = WeightScheme(rank, 0.7), all_legs(N)
+    rng = np.random.default_rng([rank, N])
+    if O is None:
+        b, q = (_affine_dynmat(rng, sch, (1,), 3.0) for _ in range(2))
+        O = build_ON(b, q, N, {})
+    core = _affine_dynmat(rng, sch, legs)
+    lam = rng.normal(size=(points, rank)) + 1j * rng.normal(size=(points, rank))
+    want = (ShiftOpSum.from_matrix(O.inv()).compose(ShiftOpSum.weight_shifted(core, 0))
+            .compose(ShiftOpSum.from_matrix(O)))
+    return O, _conjugate_weight_shifted(O, core).eval_terms(lam), want.eval_terms(lam)
+
+
+def _assert_same_tables(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key])
+
+
+@pytest.mark.parametrize("rank,N,placed", [(2, 1, False), (2, 2, False), (3, 2, True),
+                                           (2, 3, True)])
+def test_conjugated_weight_shifted_core_is_the_composed_product_bit_for_bit(rank, N, placed):
+    O, got, want = _conjugated_tables(rank, N, points=2 if rank == 3 else 3)
+    assert O.positions == (tuple(range(1, 2 * N + 1)) if placed else None)
+    _assert_same_tables(got, want)
+
+
+def test_conjugated_weight_shifted_core_leg_local_bit_for_bit(leg_local):
+    # O_N placed at every size, and an O placed on some quantum legs only
+    for rank in (2, 3):
+        O, got, want = _conjugated_tables(rank, 1)
+        assert O.positions == (1, 2)
+        _assert_same_tables(got, want)
+    sch, legs = WeightScheme(2, 0.7), (0, 1, 2, 3, 4)
+    rng = np.random.default_rng(43)
+    O = _affine_dynmat(rng, sch, (1, 2), 3.0)
+    O, got, want = _conjugated_tables(2, 2, embed(O, (2, 3), legs))
+    assert O.positions == (2, 3)
+    _assert_same_tables(got, want)
