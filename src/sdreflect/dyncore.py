@@ -34,16 +34,19 @@ Every matrix function is shape-polymorphic: ``lam`` may carry leading
 batch axes, shape (..., n), and spectral values shape (...); the value
 then has shape (..., d, d), or is a constant (d, d) that broadcasts to
 it.  One call on a stacked point list evaluates a whole sample batch,
-and a point is the batch-free call of the same function.  A pole or a
-singular inverse anywhere in a batch raises :class:`PoleError` carrying
-the first such point.  :func:`function_dynmat` lifts a one-point
-function to batches point by point.
+and a point is the batch-free call of the same function.
+:func:`function_dynmat` lifts a one-point function to batches point by
+point.  Poles are raised where they are met: a matrix function raises
+:class:`PoleError` at a pole or a singular inverse with the flat index
+of the first such point of its batch, and :func:`eval_dynmat` names the
+caller's point there.  Combinators carry no pole data; a pole source
+sees the arguments they pass it, so its poles move with them.
 
 Every automorphism action goes through one engine, :func:`decorate`,
 which applies a list of :class:`Decoration` blocks of automorphism
-powers on named legs; a spectral-shift conjugation moves the slots and
-the poles.  :func:`adjoint_auto` and :func:`sigma_conjugate` are single
-calls of it.
+powers on named legs; a spectral-shift conjugation moves the slots (and
+with them the poles).  :func:`adjoint_auto` and :func:`sigma_conjugate`
+are single calls of it.
 """
 
 from __future__ import annotations
@@ -66,12 +69,15 @@ class SpectralValueError(ValueError):
 
 
 class PoleError(ValueError):
-    """Evaluation requested at a point marked as a pole."""
+    """Evaluation at a pole or a singular inverse.  A matrix function raises
+    it with the flat ``index`` of the point in its batch; :func:`eval_dynmat`
+    re-raises it with that point's ``lam`` and ``u``."""
 
-    def __init__(self, msg, lam=None, u=None):
+    def __init__(self, msg, lam=None, u=None, index=None):
         super().__init__(msg)
         self.lam = lam
         self.u = u
+        self.index = index
 
 
 class AutomorphismError(ValueError):
@@ -140,8 +146,9 @@ class DynMat:
     ``fn(lam, u)`` receives the validated lambda array, shape (..., n),
     and a dict mapping each spectral leg to its value, a number or an
     array of shape (...); it must return an (..., n**k, n**k) array for
-    k legs, or an (n**k, n**k) one that broadcasts to it.  ``poles(lam,
-    u)`` returns a bool of the same batch shape.
+    k legs, or an (n**k, n**k) one that broadcasts to it.  It raises
+    :class:`PoleError` with the flat index of the batch's first pole
+    point (in lam's leading axes and the spectral shapes, broadcast).
 
     ``positions`` is None for a dense matrix, or, for a placed one, the
     positions in ``legs`` of the legs its ``fn`` lives on: ``fn`` then
@@ -154,7 +161,6 @@ class DynMat:
     legs: tuple
     fn: object
     spectral_legs: frozenset = field(default_factory=frozenset)
-    poles: object = None
     positions: tuple = None
 
     def __post_init__(self):
@@ -204,8 +210,7 @@ class DynMat:
                 value(b, lam, {l: u[l] for l in b.spectral_legs}),
             )
 
-        poles = _merge_poles(a.poles, b.poles)
-        return DynMat(self.scheme, self.legs, fn, spect, poles)
+        return DynMat(self.scheme, self.legs, fn, spect)
 
     def __matmul__(self, other):
         """Pointwise product; placed factors multiply leg-locally (two
@@ -214,8 +219,7 @@ class DynMat:
             return self._binary(other, operator.matmul, _value)
         union = tuple(sorted(set(self.positions) | set(other.positions)))
         prod = self._binary(other, _union_product, _value)
-        return _placed(self.scheme, self.legs, prod.fn, union, prod.spectral_legs,
-                       prod.poles)
+        return _placed(self.scheme, self.legs, prod.fn, union, prod.spectral_legs)
 
     def __add__(self, other):
         return self._binary(other, lambda x, y: x + y)
@@ -238,13 +242,14 @@ class DynMat:
             try:
                 return np.linalg.inv(m)
             except np.linalg.LinAlgError:
-                # the first singular matrix of a batch names the point
-                for k, mk in enumerate(np.reshape(m, (-1,) + np.shape(m)[-2:])):
+                # the first singular matrix of a batch is the pole
+                stack = np.reshape(m, (-1,) + np.shape(m)[-2:])
+                for k, mk in enumerate(stack):
                     try:
                         np.linalg.inv(mk)
                     except np.linalg.LinAlgError:
-                        raise PoleError("singular matrix encountered in inverse",
-                                        *_point_at(lam, u, k))
+                        first = (np.arange(len(stack)) == k).reshape(np.shape(m)[:-2])
+                        raise _pole("singular matrix encountered in inverse", first, lam, u)
                 raise
 
         return replace(self, fn=fn)
@@ -252,9 +257,8 @@ class DynMat:
     def shift_lambda(self, delta):
         """The matrix function lam -> X(lam + delta), same legs."""
         delta = np.asarray(delta, dtype=complex)
-        f, p = self.fn, self.poles
-        return replace(self, fn=lambda lam, u: f(lam + delta, u),
-                       poles=None if p is None else (lambda lam, u: p(lam + delta, u)))
+        f = self.fn
+        return replace(self, fn=lambda lam, u: f(lam + delta, u))
 
     def shift_spectral(self, offsets):
         """Rewrite slot arguments u_leg -> u_leg + offsets[leg]."""
@@ -267,14 +271,6 @@ class DynMat:
             return f(lam, {l: u[l] + offsets.get(l, 0.0) for l in u})
 
         return replace(self, fn=fn)
-
-
-def _merge_poles(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    return lambda lam, u: np.logical_or(p1(lam, u), p2(lam, u))
 
 
 def _batch_shape(lam, u):
@@ -294,13 +290,20 @@ def _point_at(lam, u, k):
     return lam[idx], {l: complex(np.broadcast_to(v, shape)[idx]) for l, v in u.items()}
 
 
+def _pole(msg, mask, lam, u):
+    """The :class:`PoleError` of a call (lam, u) for its first point where
+    ``mask``, which broadcasts to the call's batch shape, holds."""
+    k = np.argmax(np.broadcast_to(mask, _batch_shape(lam, u)))
+    return PoleError(msg, index=int(k))
+
+
 def eval_dynmat(X: DynMat, lam, u=None, local=False):
     """Evaluate X at a point or a batch of points, validating spectral
-    slots and poles.
+    slots.
 
-    A pole anywhere in a batch raises :class:`PoleError` for the first
-    point at a pole.  With ``local`` a placed X is returned as its
-    :class:`Placed` factor instead of the dense matrix.
+    A :class:`PoleError` from X's function is re-raised naming the point
+    of (lam, u) at its index.  With ``local`` a placed X is returned as
+    its :class:`Placed` factor instead of the dense matrix.
     """
     lam = X.scheme.check_point(lam)
     ud = _as_u_dict(sorted(X.spectral_legs), u)
@@ -309,16 +312,17 @@ def eval_dynmat(X: DynMat, lam, u=None, local=False):
         raise SpectralValueError(f"missing spectral value for legs {sorted(missing)}")
     ud = {l: _as_complex(ud[l]) for l in X.spectral_legs}
     shape = _batch_shape(lam, ud)
-    if X.poles is not None:
-        mask = np.asarray(X.poles(lam, ud))
-        if mask.any():
-            plam, pu = _point_at(lam, ud, int(np.argmax(np.broadcast_to(mask, shape))))
-            raise PoleError(f"evaluation at a pole (lam={plam}, u={pu})", plam, pu)
     positions = X.positions if local else None
-    if positions is None:
-        d, m = X.dim, np.asarray(X.dense(lam, ud), dtype=complex)
-    else:
-        d, m = X.scheme.rank ** len(positions), np.asarray(X.fn(lam, ud), dtype=complex)
+    try:
+        if positions is None:
+            d, m = X.dim, np.asarray(X.dense(lam, ud), dtype=complex)
+        else:
+            d, m = X.scheme.rank ** len(positions), np.asarray(X.fn(lam, ud), dtype=complex)
+    except PoleError as exc:
+        if exc.index is None:
+            raise
+        plam, pu = _point_at(lam, ud, exc.index)
+        raise PoleError(f"{exc} (lam={plam}, u={pu})", plam, pu) from None
     if m.shape != shape + (d, d):
         if m.shape != (d, d):
             raise ValueError(f"evaluation returned shape {m.shape}, "
@@ -352,30 +356,26 @@ def constant_dynmat(scheme: WeightScheme, legs, matrix) -> DynMat:
 
 
 def function_dynmat(scheme, legs, fn, spectral_legs=(), poles=None) -> DynMat:
-    """A DynMat from one-point functions ``fn(lam, u)`` (and ``poles``):
-    ``lam`` of shape (n,) and complex spectral values; a batch is
-    evaluated point by point and the values stacked."""
-    poles = None if poles is None else _per_point(poles)
-    return DynMat(scheme, tuple(sorted(legs)), _per_point(fn), frozenset(spectral_legs),
-                  poles)
-
-
-def _per_point(f):
-    """The shape-polymorphic version of a one-point function f(lam, u)."""
+    """A DynMat from a one-point function ``fn(lam, u)``: ``lam`` of shape
+    (n,) and complex spectral values; a batch is evaluated point by
+    point and the values stacked.  It raises :class:`PoleError` at the
+    first point where the one-point predicate ``poles(lam, u)`` holds."""
 
     def batched(lam, u):
         shape = _batch_shape(lam, u)
-        if not shape:
-            return f(lam, u)
-        count = int(np.prod(shape))
-        vals = np.asarray([f(*_point_at(lam, u, k)) for k in range(count)])
+        points = [_point_at(lam, u, k) for k in range(math.prod(shape))] if shape else [(lam, u)]
+        for k, point in enumerate(points):
+            if poles is not None and poles(*point):
+                raise PoleError("evaluation at a pole", index=k)
+        vals = np.asarray([fn(*point) for point in points])
         return vals.reshape(shape + vals.shape[1:])
 
-    return batched
+    return DynMat(scheme, tuple(sorted(legs)), batched, frozenset(spectral_legs))
 
 
 def yangian_r(scheme: WeightScheme, legs=(1, 2), min_gap=1e-12) -> DynMat:
-    """Rational R-matrix 1 + P/(u1 - u2) on two spectral legs."""
+    """Rational R-matrix 1 + P/(u1 - u2) on two spectral legs, with its
+    pole where |u1 - u2| < ``min_gap``."""
     legs = tuple(sorted(legs))
     if len(legs) != 2:
         raise LegError("R-matrix lives on exactly 2 legs")
@@ -385,12 +385,13 @@ def yangian_r(scheme: WeightScheme, legs=(1, 2), min_gap=1e-12) -> DynMat:
     l1, l2 = legs
 
     def fn(lam, u):
-        return eye + p / np.asarray(u[l1] - u[l2])[..., None, None]
+        gap = u[l1] - u[l2]
+        pole = abs(gap) < min_gap  # a bool for Python numbers, no array made
+        if pole if isinstance(pole, bool) else pole.any():
+            raise _pole("evaluation at a pole", pole, lam, u)
+        return eye + p / np.asarray(gap)[..., None, None]
 
-    def poles(lam, u):
-        return abs(u[l1] - u[l2]) < min_gap
-
-    return DynMat(scheme, legs, fn, frozenset(legs), poles)
+    return DynMat(scheme, legs, fn, frozenset(legs))
 
 
 # -- leg placement -------------------------------------------------------
@@ -524,17 +525,17 @@ def _value(X: DynMat, lam, u):
     return m if X.positions is None else Placed(m, X.positions, len(X.legs), X.scheme.rank)
 
 
-def _placed(scheme, legs, factor, positions, spectral_legs=frozenset(), poles=None):
+def _placed(scheme, legs, factor, positions, spectral_legs=frozenset()):
     """The DynMat ``factor`` placed at ``positions`` of ``legs``; up to the dense
     size its function is a closure embedding it (faster per call than ``dense``)."""
     positions, total, n = tuple(positions), len(legs), scheme.rank
     if n ** total > DENSE_MAX_DIM or positions == tuple(range(total)):
-        return DynMat(scheme, legs, factor, spectral_legs, poles, positions)
+        return DynMat(scheme, legs, factor, spectral_legs, positions)
 
     def fn(lam, u):
         return _place_matrix(factor(lam, u), positions, total, n)
 
-    return DynMat(scheme, legs, fn, spectral_legs, poles)
+    return DynMat(scheme, legs, fn, spectral_legs)
 
 
 def embed(X: DynMat, target_legs, all_legs) -> DynMat:
@@ -559,13 +560,10 @@ def embed(X: DynMat, target_legs, all_legs) -> DynMat:
     def small(lam, u):
         return X.fn(lam, {rebind[t]: u[t] for t in spect})
 
-    poles = None
-    if X.poles is not None:
-        poles = lambda lam, u: X.poles(lam, {rebind[t]: u.get(t) for t in spect})
     # a placed X embeds its factor directly
     inner = range(len(X.legs)) if X.positions is None else X.positions
     positions = [all_legs.index(target_legs[p]) for p in inner]
-    return _placed(X.scheme, all_legs, small, positions, spect, poles)
+    return _placed(X.scheme, all_legs, small, positions, spect)
 
 
 def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
@@ -624,13 +622,7 @@ def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
             acc += term
         return acc
 
-    poles = None
-    if xe.poles is not None:
-        def poles(lam, u, _p=xe.poles):
-            return functools.reduce(np.logical_or,
-                                    (_p(lam + delta, u) for delta, _ in terms))
-
-    return _placed(scheme, all_legs, fn, support, xe.spectral_legs, poles)
+    return _placed(scheme, all_legs, fn, support, xe.spectral_legs)
 
 
 def pi_transpose(X: DynMat) -> DynMat:
@@ -647,10 +639,7 @@ def pi_transpose(X: DynMat) -> DynMat:
         m = X.dense(lam, {swap[l]: u[l] for l in spect})
         return p @ m @ p
 
-    poles = None
-    if X.poles is not None:
-        poles = lambda lam, u: X.poles(lam, {swap[l]: u.get(l) for l in spect})
-    return DynMat(X.scheme, X.legs, fn, spect, poles)
+    return DynMat(X.scheme, X.legs, fn, spect)
 
 
 # -- automorphisms --------------------------------------------------------
@@ -819,7 +808,7 @@ def decorate(X: DynMat, legs, decorations) -> DynMat:
     leg and the placements are multiplied.  Conjugations apply in list
     order, so the first listed is innermost: [a^s, g^-s] gives
     g^-s a^s X a^-s g^s.  A spectral-shift conjugation moves X's slots on
-    the named legs, and X's poles with them.  One-sided blocks multiply
+    the named legs (and so X's poles).  One-sided blocks multiply
     outside every conjugation, left blocks on the left and right blocks
     on the right, each in list order; a spectral shift there is not a
     finite matrix and raises :class:`UnrepresentableError` when the
@@ -898,13 +887,10 @@ def decorate(X: DynMat, legs, decorations) -> DynMat:
             m = m @ g
         return m
 
-    poles = X.poles
-    if poles is not None and shifts:
-        poles = lambda lam, u: X.poles(lam, slots(lam, u))
     spect = X.spectral_legs
     if any(f.auto.variant == Automorphism.FACTORIZABLE for _, f, _ in steps):
         spect = spect | set(legs)
-    return DynMat(X.scheme, X.legs, fn, spect, poles)
+    return DynMat(X.scheme, X.legs, fn, spect)
 
 
 def adjoint_auto(X: DynMat, g: Automorphism, legs, side="conjugate", power=1) -> DynMat:

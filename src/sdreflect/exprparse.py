@@ -440,7 +440,8 @@ def eval_ast(node, lam, u=None, gamma=1.0):
     ``lam`` of shape (n,) is a point and gives a complex number; of shape
     (..., n) a stack of points, giving an array (...) with the point
     calls' values bit for bit (spectral values stay numbers), or the
-    error of the first point that raises.  The node is compiled on its
+    error of the first point that raises, with that point's flat index
+    as its ``row``.  The node is compiled on its
     first evaluation and keeps the closures.
     """
     code = getattr(node, "_code", None)
@@ -463,7 +464,11 @@ def eval_ast(node, lam, u=None, gamma=1.0):
             rows = range(len(flat))
     # the point closure raises at the first failing row, or gives its value
     for k in rows:
-        out[k] = _at_point(code, flat[k], u, gamma)
+        try:
+            out[k] = _at_point(code, flat[k], u, gamma)
+        except (ArithmeticError, ValueError) as exc:
+            exc.row = int(k)
+            raise
     return out.reshape(lam.shape[:-1])
 
 

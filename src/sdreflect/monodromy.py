@@ -79,13 +79,8 @@ def bind_spectral(X: DynMat, uvals) -> DynMat:
     missing = [l for l in X.spectral_legs if l not in uvals]
     if missing:
         raise ValueError(f"missing spectral values for legs {missing}")
-    spect = X.spectral_legs
-    fixed = {l: complex(uvals[l]) for l in spect}
-    poles = None
-    if X.poles is not None:
-        poles = lambda lam, u, _p=X.poles: _p(lam, fixed)
-    return replace(X, fn=lambda lam, u, _f=X.fn: _f(lam, fixed), spectral_legs=frozenset(),
-                   poles=poles)
+    fixed = {l: complex(uvals[l]) for l in X.spectral_legs}
+    return replace(X, fn=lambda lam, u, _f=X.fn: _f(lam, fixed), spectral_legs=frozenset())
 
 
 def locality_preset(u_ref, N: int):

@@ -193,13 +193,8 @@ def extract_R0(Rt: DynMat, f: Automorphism, points, tol=1e-10, ybe_tol=1e-9):
     nondyn = residual_nondynamical(dressed, points, tol, name="extracted_nondynamical")
     lam0, u0 = points[0]
     if Rt.spectral_legs:
-        R0 = DynMat(
-            Rt.scheme,
-            Rt.legs,
-            lambda lam, u, _f=dressed.dense: _f(lam0, u),
-            Rt.spectral_legs,
-            Rt.poles,
-        )
+        R0 = DynMat(Rt.scheme, Rt.legs, lambda lam, u, _f=dressed.dense: _f(lam0, u),
+                    Rt.spectral_legs)
     else:
         R0 = constant_dynmat(Rt.scheme, Rt.legs, dressed.eval(lam0, u0))
     ybe = residual_shifted_ybe(R0, f, points, ybe_tol, name="extracted_shifted_ybe")

@@ -14,6 +14,7 @@ import copy
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,15 @@ def _pack_complex(z):
     return [z.real, z.imag]
 
 
+def _is_number(v):
+    """True for a JSON number; a JSON boolean is not one."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _unpack_complex(v, path):
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if (not isinstance(v, (list, tuple))) or len(v) != 2:
+    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
         raise ScenarioError(f"{path}: complex numbers are [re, im] pairs")
     return complex(v[0], v[1])
 
@@ -159,15 +165,13 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     spectral = frozenset(legs) if uidx else frozenset()
     leg = legs[0]
     gamma = scheme.gamma
+    cells = [(i, j, a) for i, row in enumerate(asts) for j, a in enumerate(row) if a is not None]
 
     def values(lam, uval):
-        """The entries at a point lam (n,), or a stack (k, n) of one spectral value."""
-        m = np.zeros(lam.shape[:-1] + (n, n), dtype=complex)
-        uu = {1: uval} if spectral else {}
-        for i in range(n):
-            for j in range(n):
-                if asts[i][j] is not None:
-                    m[..., i, j] = ep.eval_ast(asts[i][j], lam, uu, gamma)
+        """The entries at a point lam (n,)."""
+        m = np.zeros((n, n), dtype=complex)
+        for i, j, a in cells:
+            m[i, j] = ep.eval_ast(a, lam, {1: uval} if spectral else {}, gamma)
         return m
 
     # values by the exact bytes of (lam, u1); pole points raise every time
@@ -181,7 +185,7 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
             try:
                 m = values(lam, uval)
             except ep.EvalPoleError as exc:
-                raise PoleError(str(exc), lam, {leg: uval} if spectral else {})
+                raise PoleError(str(exc), index=0) from exc
             m.setflags(write=False)
             memo[key] = m
         return m
@@ -189,7 +193,9 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     def evaluate(lam, uvals):
         """Values at the rows of lam (m, n) and uvals (m,).  Rows met before
         come from the point memo, the others are evaluated per spectral
-        value (a lone row as a point) and remembered as points."""
+        value (a lone row as a point) and remembered as points.  A failure
+        raises the error of the first failing row, and of its first
+        failing entry, as point by point; a pole as a PoleError there."""
         keys = list(zip(lam.view(np.dtype((np.void, lam.shape[-1] * 16))).ravel().tolist(),
                         uvals.view(np.dtype((np.void, 16))).tolist()))
         m = np.zeros((len(lam), n, n), dtype=complex)
@@ -200,9 +206,21 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
                 groups.setdefault(key[1] if spectral else None, []).append(r)
             else:
                 m[r] = known
+        errs = []
         for rows in groups.values():
-            m[rows] = values(lam[rows[0]] if len(rows) == 1 else lam[rows],
-                             complex(uvals[rows[0]]) if spectral else None)
+            at = lam[rows[0]] if len(rows) == 1 else lam[rows]
+            uu = {1: complex(uvals[rows[0]])} if spectral else {}
+            for i, j, a in cells:
+                try:
+                    m[rows, i, j] = ep.eval_ast(a, at, uu, gamma)
+                except (ArithmeticError, ValueError) as exc:
+                    exc.row = rows[getattr(exc, "row", 0)]  # a lone row has none
+                    errs.append(exc)
+        if errs:
+            exc = min(errs, key=lambda e: e.row)  # the first listed among equal rows
+            if isinstance(exc, ep.EvalPoleError):
+                raise PoleError(str(exc), index=exc.row) from exc
+            raise exc
         m.setflags(write=False)
         for r in itertools.chain(*groups.values()):
             memo.setdefault(keys[r], m[r])
@@ -223,13 +241,7 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
         key = (shape, lam.tobytes(), uval.tobytes())
         if key not in stacks:
             flat = np.ascontiguousarray(lam.reshape(-1, lam.shape[-1]))
-            try:
-                stacks[key] = evaluate(flat, uval.ravel()).reshape(shape + (n, n))
-            except (ArithmeticError, ValueError):
-                # some point fails: meet it point by point, which raises its error
-                for point, x in zip(flat, uval.ravel()):
-                    at_point(point, complex(x) if spectral else None)
-                raise
+            stacks[key] = evaluate(flat, uval.ravel()).reshape(shape + (n, n))
         return stacks[key]
 
     return DynMat(scheme, legs, fn, spectral)
@@ -273,8 +285,8 @@ _FIELDS = {
 
 
 def is_tolerance(value) -> bool:
-    """True for a usable residual tolerance: finite and positive."""
-    return math.isfinite(value) and value > 0
+    """True for a usable residual tolerance: a finite positive number."""
+    return _is_number(value) and 0 < value < math.inf
 
 
 @dataclass
@@ -305,13 +317,13 @@ class Scenario:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.rank < 2:
-            raise ScenarioError("rank: must be at least 2")
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 2:
+            raise ScenarioError("rank: expected an integer of at least 2")
         self.gamma = complex(self.gamma)
         if self.gamma == 0:
             raise ScenarioError("gamma: must be nonzero")
-        if not is_tolerance(float(self.tolerance)):
-            raise ScenarioError("tolerance: must be finite and positive")
+        if not is_tolerance(self.tolerance):
+            raise ScenarioError("tolerance: must be a finite positive number")
         self.Q = np.asarray(self.Q, dtype=complex)
         self.Q_L = np.asarray(self.Q_L, dtype=complex)
         self._scheme = WeightScheme(self.rank, self.gamma)
@@ -449,21 +461,27 @@ class Scenario:
             fh.write("\n")
 
 
-_SAMPLER_FIELDS = {"seed": "an integer", "count": "an integer",
-                   "box": "a number", "min_separation": "a number"}
+# each field's description and test (of a number); NaN fails every comparison
+_SAMPLER_FIELDS = {
+    "seed": ("an integer", lambda v: isinstance(v, int)),
+    "count": ("an integer", lambda v: isinstance(v, int)),
+    # draws span [-box, box], so the width 2 * box must be finite
+    "box": ("a number > 0 with 2 * box finite", lambda v: 0 < v <= sys.float_info.max / 2),
+    "min_separation": ("a number, finite and >= 0", lambda v: 0 <= v < math.inf),
+}
 
 
 def _check_sampler(cfg):
-    """Reject a sampler object with unknown fields or non-numeric values."""
+    """Reject a sampler object with unknown fields or out-of-range values."""
     if not isinstance(cfg, dict):
         raise ScenarioError("sampler: expected an object")
     extra = sorted(set(cfg) - set(_SAMPLER_FIELDS))
     if extra:
         raise ScenarioError(f"sampler: unknown fields {extra}")
     for key, val in cfg.items():
-        kinds = (int, float) if _SAMPLER_FIELDS[key] == "a number" else int
-        if isinstance(val, bool) or not isinstance(val, kinds):
-            raise ScenarioError(f"sampler.{key}: expected {_SAMPLER_FIELDS[key]}")
+        what, ok = _SAMPLER_FIELDS[key]
+        if not (_is_number(val) and ok(val)):
+            raise ScenarioError(f"sampler.{key}: expected {what}")
 
 
 def scenario_from_dict(data) -> Scenario:

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdreflect.cli import run
-from sdreflect.scenarios import builtin_scenario
+from sdreflect.scenarios import builtin_names, builtin_scenario
 
 
 def test_exit_zero_on_pass(capsys):
@@ -114,8 +116,24 @@ def test_schema_error_exits_two(tmp_path):
     ("g", {"kind": "factorizable", "entries": [["1+", "0"], ["0", "1"]]},
      "g.entries[0][0]: unexpected end"),
     ("projectors", 5, "projectors: expected a list of 2 2x2 matrices"),
+    ("rank", 2.0, "rank: expected an integer of at least 2"),
+    ("rank", True, "rank: expected an integer of at least 2"),
+    ("tolerance", "1e-9", "tolerance: must be a finite positive number"),
+    ("tolerance", True, "tolerance: must be a finite positive number"),
+    ("sampler", {"box": float("inf")}, "sampler.box: expected a number > 0"),
+    ("sampler", {"box": float("nan")}, "sampler.box: expected a number > 0"),
+    ("sampler", {"box": 1e308}, "sampler.box: expected a number > 0"),
+    ("sampler", {"min_separation": float("nan")},
+     "sampler.min_separation: expected a number, finite and >= 0"),
+    ("sampler", {"min_separation": -0.1},
+     "sampler.min_separation: expected a number, finite and >= 0"),
+    ("gamma", True, "gamma: complex numbers are [re, im] pairs"),
+    ("gamma", [True, 0.0], "gamma: complex numbers are [re, im] pairs"),
 ], ids=["sampler-box", "sampler-list", "sampler-unknown", "b-entries", "quantum-spectral",
-        "sites", "spectral", "factorizable-numbers", "factorizable-parse", "projectors"])
+        "sites", "spectral", "factorizable-numbers", "factorizable-parse", "projectors",
+        "rank-float", "rank-bool", "tolerance-string", "tolerance-bool", "box-inf", "box-nan",
+        "box-wide", "min-separation-nan", "min-separation-negative", "gamma-bool",
+        "gamma-pair-bool"])
 def test_malformed_scenario_field_exits_two(tmp_path, capsys, field, value, message):
     data = builtin_scenario("diagonal_dressed").to_dict()
     data[field] = value
@@ -123,6 +141,25 @@ def test_malformed_scenario_field_exits_two(tmp_path, capsys, field, value, mess
     path.write_text(json.dumps(data))
     assert run(["--scenario", str(path), "--suite", "zero-weight", "--samples", "3"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+# JSON values that are wrong for most fields
+_MALFORMED = [True, None, -1, 2.0, "x", [], {}, 1e308, float("nan"), float("inf")]
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(builtin_names()), value=st.sampled_from(_MALFORMED),
+       data=st.data())
+def test_malformed_field_exit_code_is_total(tmp_path_factory, name, value, data):
+    # one top-level or sampler field replaced: the run passes, fails or
+    # is a usage error, and never raises
+    doc = builtin_scenario(name).to_dict()
+    fields = [(f,) for f in sorted(doc)] + [("sampler", k) for k in sorted(doc["sampler"])]
+    path = data.draw(st.sampled_from(fields))
+    (doc if len(path) == 1 else doc["sampler"])[path[-1]] = value
+    scen = tmp_path_factory.mktemp("malformed") / "scen.json"
+    scen.write_text(json.dumps(doc))
+    assert run(["--scenario", str(scen), "--suite", "zero-weight", "--samples", "2"]) in (0, 1, 2)
 
 
 def test_all_suite_skips_inapplicable(capsys):

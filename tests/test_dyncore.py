@@ -377,6 +377,51 @@ def test_sigma_shift_conjugation_moves_the_pole():
                                   R.eval(lam, {1: 0.25, 2: 1.0}))
 
 
+def test_spectral_shift_moves_the_yangian_pole():
+    # R(u1 + 1, u2) has its pole at u1 + 1 = u2 and is finite at u1 = u2
+    R = yangian_r(SCH2, (1, 2))
+    S = R.shift_spectral({1: 1.0})
+    lam = np.array([0.3 + 0.1j, -0.2 + 0.4j])
+    with pytest.raises(PoleError) as err:
+        S.eval(lam, {1: 0.5, 2: 1.5})
+    assert err.value.u == {1: 0.5, 2: 1.5}
+    np.testing.assert_array_equal(S.eval(lam, {1: 0.5, 2: 0.5}),
+                                  R.eval(lam, {1: 1.5, 2: 0.5}))
+
+
+def test_pole_in_a_broadcast_batch_names_the_callers_point():
+    # u of shape (2, 1) against lam of shape (2, 3, n): the pole row of u
+    # is the caller's point (1, 0), flat index 3
+    R = yangian_r(SCH2, (1, 2))
+    lam = 0.1 * np.arange(12).reshape(2, 3, 2) + 0.05j
+    with pytest.raises(PoleError) as err:
+        R.eval(lam, {1: np.array([[0.5], [1.5]]), 2: 1.5})
+    np.testing.assert_array_equal(err.value.lam, lam[1, 0])
+    assert err.value.u == {1: 1.5, 2: 1.5}
+
+
+def _singular_at(lam0):
+    """The inverse of diag(lam1 - lam0_1, 1), singular where lam1 = lam0_1."""
+    return function_dynmat(SCH2, (1,), lambda lam, u: np.diag([lam[0] - lam0[0], 1.0])).inv()
+
+
+@pytest.mark.parametrize("via", ["shift_lambda", "dyn_shift"])
+def test_shifted_singular_inverse_names_the_callers_point(via):
+    # the inverse is singular at lam0, met from the caller's lam0 - e_1
+    lam0 = np.array([0.5 + 0.25j, 0.125])
+    X = _singular_at(lam0)
+    if via == "shift_lambda":
+        Y = X.shift_lambda(SCH2.gamma * SCH2.unit(0))
+    else:
+        Y = dyn_shift(X, (2,))
+    caller = lam0 - SCH2.gamma * SCH2.unit(0)
+    batch = np.stack([np.array([-1.25 + 0.5j, 0.75]), caller])
+    with pytest.raises(PoleError) as err:
+        Y.eval(batch)
+    np.testing.assert_array_equal(err.value.lam, caller)
+    assert "singular matrix" in str(err.value)
+
+
 def test_sigma_conjugate_of_a_factorizable_automorphism_fails_on_evaluation():
     from sdreflect import sigma_conjugate
     from sdreflect.dyncore import AutomorphismError

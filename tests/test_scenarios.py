@@ -422,7 +422,8 @@ def test_sampler_guard_probes_the_rigs_matrices(monkeypatch):
     assert calls == []  # every sampled point was probed by the guard
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9, 0.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9, 0.0,
+                                 "1e-9", True])
 def test_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
     from sdreflect.cli import run
 
