@@ -27,7 +27,8 @@ from .exprparse import EvalOverflowError
 from .monodromy import (
     build_monodromy_direct,
     build_monodromy_factored,
-    certify_commuting_family,
+    ingredient_reports,
+    transfer_commutation,
 )
 from .parametrize import (
     auto_dress,
@@ -89,10 +90,6 @@ class Rig:
         # cubic-relation reports by letter: ybce / gybce and dybe share
         # relation d
         self._cubic = {}
-
-    @property
-    def gauged(self):
-        return dict(R0=self.R0, b=self.b, q=self.q, k=self.k, Q=self.Q, QL=self.QL)
 
     def monodromy_applicable(self):
         return self.Rbar is None and self.projs is None
@@ -175,24 +172,27 @@ class Rig:
 
     def _transfer_commute(self):
         u_list = [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j]
+        points = self.points[: min(12, len(self.points))]
         reps = []
         gate = None  # the ingredient reports, computed for the first size only
         for N in self._chain_sizes():
             uq = self.scenario.quantum_values(N)
-            cert = certify_commuting_family(
-                self.S, self.K, self.chi, self.kappa, N, u_list, uq,
-                self.points[: min(12, len(self.points))], tol=1e-8,
-                ingredient_tol=self.tol,
-                gauged=None if self.g.is_identity else self.gauged,
-                ingredients=gate,
-            )
-            gate = cert.ingredient_reports
-            for name in cert.failed_preconditions:
-                reps.append(cert.ingredient_reports[name])
-            if cert.commutation is not None:
-                rep = cert.commutation
-                rep.check_name = f"transfer_commutation_N{N}"
-                reps.append(rep)
+            if gate is None:
+                gate = ingredient_reports(self.S, self.K, self.kappa, points, self.tol)
+            failed = [rep for rep in gate.values() if not rep.passed]
+            if failed:
+                reps.extend(failed)
+                continue
+            if self.g.is_identity:
+                chains = [build_monodromy_direct(self.S, self.K, self.chi, N, uq, u0)
+                          for u0 in u_list]
+            else:
+                chains = [build_monodromy_factored(
+                    self.scheme, self.R0, self.b, self.q, self.k, self.Q, self.chi, N, uq,
+                    u0, g=self.g, QL=self.QL) for u0 in u_list]
+            rep = transfer_commutation(chains, points)
+            rep.check_name = f"transfer_commutation_N{N}"
+            reps.append(rep)
         return reps, []
 
 

@@ -39,7 +39,7 @@ u_0 + c*s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from .dyncore import (
     embed,
 )
 from .parametrize import auto_dress
-from .shiftops import ShiftOpSum, _TableSum, shiftop_commutators
+from .shiftops import ShiftOpSum, shiftop_commutators
 
 
 def all_legs(N: int):
@@ -185,7 +185,7 @@ def _conjugate_weight_shifted(O: DynMat, core: DynMat) -> ShiftOpSum:
             out[key] = term
         return out
 
-    return _TableSum(scheme, O.legs, keys, table)
+    return ShiftOpSum(scheme, O.legs, keys, table)
 
 
 def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
@@ -331,107 +331,47 @@ def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
             out[m] = np.einsum("...iaib->...ab", M.reshape(M.shape[:-2] + (n, dq, n, dq)))
         return out
 
-    return _TableSum(T.scheme, qlegs, T.terms, table)
+    return ShiftOpSum(T.scheme, qlegs, T.terms, table)
 
 
-@dataclass
-class CommutationCertificate:
-    """Outcome of a commuting-family certification run."""
-
-    ingredient_reports: dict
-    commutation: ResidualReport = None
-    failed_preconditions: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.failed_preconditions and (
-            self.commutation is not None and self.commutation.passed
-        )
-
-    def summary(self):
-        lines = [str(r) for r in self.ingredient_reports.values()]
-        if self.failed_preconditions:
-            lines.append(
-                "precondition failure: " + ", ".join(self.failed_preconditions)
-            )
-        if self.commutation is not None:
-            lines.append(str(self.commutation))
-        return "\n".join(lines)
-
-
-def certify_commuting_family(S: StructureSet, Q0: DynMat, chi_t: DynMat,
-                             kappa: DynMat, N: int, u_list, u_quantum, points, tol=1e-8,
-                             ingredient_tol=1e-9, gauged=None,
-                             ingredients=None) -> CommutationCertificate:
-    """Build traced operators for each auxiliary value and certify
-    pairwise commutation, gating on the ingredient residuals first.
-
-    Ingredients checked: one-sided and diagonal weight conditions on
-    (B, C, D) -- the diagonal condition on the twisted coefficient is
-    the decisive hypothesis for commutation and is reported as
-    ``twist_zero_weight_D`` -- the cubic consistency relations, the
-    reflection residual for Q0, and the factorization condition for
-    kappa.  On ingredient failure the commutation stage is skipped and
-    the failing names are listed, localizing the violated hypothesis.
-
-    The gate does not depend on N: ``ingredients``, the
-    ``ingredient_reports`` of an earlier certificate for the same S, Q0,
-    kappa, points and ingredient_tol, is reused instead of recomputed.
-    """
-    reports = ingredients
-    if reports is None:
-        reports = _ingredient_reports(S, Q0, kappa, points, ingredient_tol)
-    failed = [name for name, rep in reports.items() if not rep.passed]
-    if failed:
-        return CommutationCertificate(reports, None, failed)
-
-    scheme = S.scheme
-    traced = []
-    for u0 in u_list:
-        if S.g.is_identity:
-            T = build_monodromy_direct(S, Q0, chi_t, N, u_quantum, u0)
-        else:
-            if gauged is None:
-                raise ValueError(
-                    "certifying a gauged scenario needs the chain ingredients "
-                    "(R0, b, q, k, Q, QL)"
-                )
-            T = build_monodromy_factored(
-                scheme, gauged["R0"], gauged["b"], gauged["q"], gauged["k"],
-                gauged["Q"], chi_t, N, u_quantum, u0, g=S.g, QL=gauged["QL"],
-            )
-        traced.append(transfer_trace(T))
+def transfer_commutation(monodromies, points, tol=1e-8) -> ResidualReport:
+    """The worst pairwise commutator of the traced ``monodromies``
+    (:func:`shiftop_commutators` on their :func:`transfer_trace`), the
+    first NaN kept; a single operator commutes, with residual 0.0 at the
+    first point."""
+    traced = [transfer_trace(T) for T in monodromies]
     if len(traced) < 2:
-        rep = ResidualReport("transfer_commutation", len(points), 0.0, tol,
-                             (points[0][0], dict(points[0][1])))
-        return CommutationCertificate(reports, rep, [])
+        return ResidualReport("transfer_commutation", len(points), 0.0, tol,
+                              (points[0][0], dict(points[0][1])))
     worst = None
     for r in shiftop_commutators(traced, points, tol, name="transfer_commutation"):
         # keep the first NaN: it compares false both ways
         if worst is None or (worst.max_residual == worst.max_residual
                              and not r.max_residual <= worst.max_residual):
             worst = r
-    return CommutationCertificate(reports, worst, [])
+    return worst
 
 
-def _ingredient_reports(S, Q0, kappa, points, ingredient_tol):
-    """The ingredient gate of :func:`certify_commuting_family`, by name."""
+def ingredient_reports(S: StructureSet, Q0: DynMat, kappa: DynMat, points, tol) -> dict:
+    """The hypotheses of a commuting traced family, by check name, in
+    gate order: the one-sided and diagonal weight conditions on (B, C,
+    D) -- the diagonal condition on the twisted coefficient is the
+    decisive one and is named ``twist_zero_weight_D`` -- the cubic
+    consistency relations, the reflection residual for Q0, and the
+    factorization condition for kappa (if given).  A failing report
+    names the violated hypothesis; none depends on the chain length."""
     reports = {}
-    reports["zero_weight_B"] = residual_zero_weight(S.B, "B", points, ingredient_tol)
-    reports["zero_weight_C"] = residual_zero_weight(S.C, "C", points, ingredient_tol)
+    reports["zero_weight_B"] = residual_zero_weight(S.B, "B", points, tol)
+    reports["zero_weight_C"] = residual_zero_weight(S.C, "C", points, tol)
     reports["twist_zero_weight_D"] = residual_zero_weight(
-        S.D, "D", points, ingredient_tol, name="twist_zero_weight_D"
+        S.D, "D", points, tol, name="twist_zero_weight_D"
     )
     if S.g.is_identity:
-        reports.update(residual_ybce(S, points, ingredient_tol))
+        reports.update(residual_ybce(S, points, tol))
     else:
-        reports.update(residual_gybce(S, points, ingredient_tol))
-        reports["zwc"] = residual_zwc(S, points, ingredient_tol)
-    reports["sdre_reflection"] = residual_sdre(
-        S, Q0, points, ingredient_tol, name="sdre_reflection"
-    )
+        reports.update(residual_gybce(S, points, tol))
+        reports["zwc"] = residual_zwc(S, points, tol)
+    reports["sdre_reflection"] = residual_sdre(S, Q0, points, tol, name="sdre_reflection")
     if kappa is not None:
-        reports["theta_period"] = residual_theta_period(
-            kappa, points, max(ingredient_tol, 1e-10)
-        )
+        reports["theta_period"] = residual_theta_period(kappa, points, max(tol, 1e-10))
     return reports

@@ -51,7 +51,7 @@ def _is_number(v):
 
 
 def _unpack_complex(v, path):
-    if _is_number(v):
+    if _is_number(v) or isinstance(v, complex):
         return complex(v)
     if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
         raise ScenarioError(f"{path}: complex numbers are [re, im] pairs")
@@ -493,6 +493,8 @@ def scenario_from_dict(data) -> Scenario:
     missing = {"name", "rank", "gamma", "b", "q", "k", "Q", "Q_L", "R0"} - set(data)
     if missing:
         raise ScenarioError(f"missing fields {sorted(missing)}")
+    if not isinstance(data["name"], str):
+        raise ScenarioError("name: expected a string")
     data = copy.deepcopy(data)
     data["gamma"] = _unpack_complex(data["gamma"], "gamma")
     data["Q"] = _unpack_matrix(data["Q"], "Q")
@@ -505,9 +507,13 @@ def scenario_from_dict(data) -> Scenario:
         raise ScenarioError("sites: expected an integer of at least 1")
     qs = data.get("quantum_spectral", "default")
     if isinstance(qs, list):
+        if len(qs) < 2:
+            raise ScenarioError("quantum_spectral: need two values per site")
         data["quantum_spectral"] = [_unpack_complex(v, "quantum_spectral") for v in qs]
     elif not isinstance(qs, str):
         raise ScenarioError("quantum_spectral: expected a preset name or a list of values")
+    elif qs not in ("default", "locality"):
+        raise ScenarioError(f"quantum_spectral: unknown preset {qs!r}")
     if "sampler" in data:
         _check_sampler(data["sampler"])
     try:

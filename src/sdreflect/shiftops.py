@@ -5,16 +5,16 @@ shift vector m; products compose as
 
     (M, m) (M', m') = (M(lam) . M'(lam + gamma*m), m + m').
 
-Coefficients are :class:`~sdreflect.dyncore.DynMat` values sharing one
-leg set; spectral values must already be bound into the coefficients.
-
-``eval_terms(lam, u)`` evaluates a whole operator at a point, or at a
-stacked batch of points, as a table shift vector -> matrix.  A product is
+An operator is its table: ``terms`` lists the shift vectors m, and
+``table(lam, u)`` computes every coefficient at a point, or at a stacked
+batch of points, as one dict shift vector -> matrix.  ``eval_terms``
+validates the point and returns the table with dense coefficients.  A
+term sum (:meth:`ShiftOpSum.of_terms`) takes
+:class:`~sdreflect.dyncore.DynMat` coefficients sharing one leg set;
+spectral values must already be bound into them.  A product is
 evaluated table by table: the left factor's table once at lam, and the
 right factor's once at each shifted point lam + gamma*m1, so every
-coefficient is computed once per point it is needed at.  The ``terms``
-of a product (or of a traced operator) are a view: each coefficient
-reads its key from the table at its point.
+coefficient is computed once per point it is needed at.
 
 The residual checks evaluate their tables over consecutive blocks of
 the sample points (:func:`_blocks`): a block holds as many points as
@@ -30,44 +30,45 @@ import itertools
 import numpy as np
 
 from .consistency import _report, _stack, rel_residual, worst_residual
-from .dyncore import DynMat, LegError, WeightScheme, identity_dynmat
+from .dyncore import DynMat, LegError, Placed, WeightScheme
 
 
 class ShiftOpSum:
-    """Finite sum of (coefficient, shift-vector) terms on a fixed leg set."""
+    """The operator sum_m M_m(lam) exp(gamma * m . d/dlam) on a fixed leg set.
 
-    def __init__(self, scheme: WeightScheme, legs, terms):
-        self.scheme = scheme
-        self.legs = tuple(sorted(legs))
+    ``terms`` is the tuple of its shift vectors m in table order, and
+    ``table(lam, u)`` gives the whole table m -> M_m at a checked point or
+    stacked batch, a placed coefficient as its :class:`Placed` factor.
+    """
+
+    def __init__(self, scheme: WeightScheme, legs, terms, table):
+        self.scheme, self.legs, self.terms, self.table = scheme, tuple(legs), tuple(terms), table
+
+    @classmethod
+    def of_terms(cls, scheme: WeightScheme, legs, terms):
+        """The sum of (shift vector, coefficient) terms; coefficients of
+        equal shift vectors are added."""
+        legs = tuple(sorted(legs))
         merged = {}
         for m, coeff in terms:
             m = tuple(int(x) for x in m)
             if len(m) != scheme.rank:
                 raise ValueError("shift vector length must equal the rank")
-            if coeff.legs != self.legs:
+            if coeff.legs != legs:
                 raise LegError("all coefficients must share the leg set")
-            if m in merged:
-                merged[m] = merged[m] + coeff
-            else:
-                merged[m] = coeff
-        self.terms = merged
+            merged[m] = merged[m] + coeff if m in merged else coeff
 
-    @classmethod
-    def from_matrix(cls, M: DynMat):
-        """A single zero-shift term."""
-        zero = (0,) * M.scheme.rank
-        return cls(M.scheme, M.legs, [(zero, M)])
+        def table(lam, u):
+            return {m: coeff.eval(lam, u, local=True) for m, coeff in merged.items()}
 
-    @classmethod
-    def weight_shift(cls, scheme: WeightScheme, legs, leg):
-        """The expanded shift factor sum_i e_ii^(leg) exp(gamma d_i)."""
-        return cls.weight_shifted(identity_dynmat(scheme, legs), leg)
+        return cls(scheme, legs, merged, table)
 
     @classmethod
     def weight_shifted(cls, M: DynMat, leg):
-        """M followed by the expanded shift factor on ``leg``: the term at
-        e_i is M . e_ii^(leg), M with the columns whose ``leg`` index is
-        not i set to zero (a column selection, no product)."""
+        """M followed by the expanded shift factor sum_i e_ii^(leg)
+        exp(gamma d_i): the term at e_i is M . e_ii^(leg), M with the
+        columns whose ``leg`` index is not i set to zero (a column
+        selection, no product)."""
         n, total = M.scheme.rank, len(M.legs)
         digit = np.arange(n ** total) // n ** (total - 1 - M.legs.index(leg)) % n
         keys = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -76,7 +77,7 @@ class ShiftOpSum:
             m = M.eval(lam, u)
             return {key: np.where(digit == i, m, 0.0) for i, key in enumerate(keys)}
 
-        return _TableSum(M.scheme, M.legs, keys, table)
+        return cls(M.scheme, M.legs, keys, table)
 
     def compose(self, other: "ShiftOpSum") -> "ShiftOpSum":
         """The product self . other, evaluated table by table; placed
@@ -86,21 +87,17 @@ class ShiftOpSum:
         gamma = self.scheme.gamma
 
         def table(lam, u):
-            def right_at(m1):
-                return other._operands(lam + gamma * np.asarray(m1, dtype=complex), u)
+            return _table_product(self.table(lam, u), lambda m1: other.table(
+                lam + gamma * np.asarray(m1, dtype=complex), u))
 
-            return _table_product(self._operands(lam, u), right_at)
-
-        keys = [tuple(x + y for x, y in zip(m1, m2)) for m1 in self.terms for m2 in other.terms]
-        return _TableSum(self.scheme, self.legs, keys, table)
+        keys = dict.fromkeys(tuple(x + y for x, y in zip(m1, m2))
+                             for m1 in self.terms for m2 in other.terms)
+        return ShiftOpSum(self.scheme, self.legs, keys, table)
 
     def eval_terms(self, lam, u=None):
-        """Dict shift-vector -> coefficient matrix at the point."""
-        return {m: coeff.eval(lam, u) for m, coeff in self.terms.items()}
-
-    def _operands(self, lam, u=None):
-        """The table with placed coefficients as :class:`Placed` factors."""
-        return {m: coeff.eval(lam, u, local=True) for m, coeff in self.terms.items()}
+        """Dict shift vector -> dense coefficient matrix at the point."""
+        table = self.table(self.scheme.check_point(lam), u)
+        return {m: c.dense() if isinstance(c, Placed) else c for m, c in table.items()}
 
 
 def _table_product(left, right_at, take=dict.pop):
@@ -118,21 +115,6 @@ def _table_product(left, right_at, take=dict.pop):
             out[key] = out[key] + ab if key in out else ab
         a = ab = None
     return out
-
-
-class _TableSum(ShiftOpSum):
-    """An operator sum computed one whole table at a time by
-    ``table(lam, u)``; each of its ``terms`` reads its key from the table."""
-
-    def __init__(self, scheme, legs, keys, table):
-        self.scheme, self.legs, self._table = scheme, legs, table
-        self.terms = {m: DynMat(scheme, legs, lambda lam, u, m=m: table(lam, u)[m])
-                      for m in dict.fromkeys(keys)}
-
-    def eval_terms(self, lam, u=None):
-        return self._table(self.scheme.check_point(lam), u)
-
-    _operands = eval_terms
 
 
 # the most bytes one stacked d x d complex coefficient of a block may take:

@@ -38,7 +38,8 @@ from sdreflect.exprparse import (
 from sdreflect.monodromy import (
     build_monodromy_direct,
     build_monodromy_factored,
-    certify_commuting_family,
+    ingredient_reports,
+    transfer_commutation,
 )
 from sdreflect.parametrize import (
     auto_dress,
@@ -188,21 +189,21 @@ def test_criterion_7_transfer_commutation():
     for name in ("trivial_yangian", "diagonal_dressed"):
         sc, S, R, b, q, k, K, chi, pts = _monodromy_pieces(name)
         kappa = constant_dynmat(b.scheme, b.legs, sc.Q)
+        gate = ingredient_reports(S, K, kappa, pts[:8], 1e-9)
+        assert all(r.passed for r in gate.values()), gate
         for N in (1, 2):
             uq = sc.quantum_values(N)
-            cert = certify_commuting_family(S, K, chi, kappa, N, u_list, uq,
-                                            pts[:8], tol=1e-8)
-            assert cert.passed, cert.summary()
-            worst = max(worst, cert.commutation.max_residual)
-    # deliberately broken diagonal weight condition: the certificate must
-    # refuse and point at the twisted-coefficient weight hypothesis
+            rep = transfer_commutation([build_monodromy_direct(S, K, chi, N, uq, u0)
+                                        for u0 in u_list], pts[:8], tol=1e-8)
+            assert rep.passed, str(rep)
+            worst = max(worst, rep.max_residual)
+    # deliberately broken diagonal weight condition: the gate must refuse
+    # and point at the twisted-coefficient weight hypothesis
     sc, S, R, b, q, k, K, chi, pts = _monodromy_pieces("diagonal_dressed")
     bad = S.D + function_dynmat(sc.scheme, (1, 2),
                                 lambda lam, u: 0.05 * np.kron(E12, np.eye(2)))
     Sbad = StructureSet(S.A, S.B, S.C, bad, sc.scheme)
-    cert = certify_commuting_family(Sbad, K, chi, None, 1, u_list,
-                                    sc.quantum_values(1), pts[:6])
-    named = (not cert.passed) and "twist_zero_weight_D" in cert.failed_preconditions
+    named = not ingredient_reports(Sbad, K, None, pts[:6], 1e-9)["twist_zero_weight_D"].passed
     dt = time.monotonic() - t0
     verdict(7, worst < 1e-8 and named and dt < 15.0,
             f"commutator residual {worst:.2e}; broken variant names "

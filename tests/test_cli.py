@@ -129,11 +129,20 @@ def test_schema_error_exits_two(tmp_path):
      "sampler.min_separation: expected a number, finite and >= 0"),
     ("gamma", True, "gamma: complex numbers are [re, im] pairs"),
     ("gamma", [True, 0.0], "gamma: complex numbers are [re, im] pairs"),
+    ("quantum_spectral", "x", "quantum_spectral: unknown preset 'x'"),
+    ("quantum_spectral", [], "quantum_spectral: need two values per site"),
+    ("name", float("nan"), "name: expected a string"),
+    ("name", True, "name: expected a string"),
+    ("name", None, "name: expected a string"),
+    ("name", 3, "name: expected a string"),
+    ("name", [], "name: expected a string"),
+    ("name", {}, "name: expected a string"),
 ], ids=["sampler-box", "sampler-list", "sampler-unknown", "b-entries", "quantum-spectral",
         "sites", "spectral", "factorizable-numbers", "factorizable-parse", "projectors",
         "rank-float", "rank-bool", "tolerance-string", "tolerance-bool", "box-inf", "box-nan",
         "box-wide", "min-separation-nan", "min-separation-negative", "gamma-bool",
-        "gamma-pair-bool"])
+        "gamma-pair-bool", "quantum-spectral-preset", "quantum-spectral-empty", "name-nan",
+        "name-bool", "name-null", "name-number", "name-list", "name-object"])
 def test_malformed_scenario_field_exits_two(tmp_path, capsys, field, value, message):
     data = builtin_scenario("diagonal_dressed").to_dict()
     data[field] = value
@@ -329,6 +338,49 @@ def test_sites_flag_sets_the_chain_length(capsys):
     assert code == 0
     names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
     assert names == ["monodromy_factorization_N1", "monodromy_factorization_N3"]
+
+
+def _q_offdiag_scenario(tmp_path):
+    """diagonal_dressed with q = [[q1, 0.4], [0, q2]]: the twisted D is no
+    longer zero weight, so the transfer-commute gate fails."""
+    data = builtin_scenario("diagonal_dressed").to_dict()
+    q1, q2 = data["q"]["entries"]
+    data["q"] = {"kind": "matrix", "entries": [[q1, "0.4"], ["0", q2]]}
+    path = tmp_path / "q_offdiag.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_failing_transfer_gate_builds_no_chain(tmp_path, monkeypatch):
+    from sdreflect import cli
+    from sdreflect.scenarios import load_scenario
+
+    path = _q_offdiag_scenario(tmp_path)
+    built = []
+    monkeypatch.setattr(cli, "build_monodromy_direct", lambda *a, **kw: built.append(a))
+    reports, _ = cli.Rig(load_scenario(path)).run_suite("transfer-commute")
+    # the failing ingredient reports in gate order, for N = 1 and again for N = 2
+    assert [(r.check_name, r.passed) for r in reports] == 2 * [
+        ("twist_zero_weight_D", False), ("ybce_c", False), ("ybce_d", False)]
+    assert built == []
+    # the chain length is read before the gate's verdict is used
+    assert run(["--scenario", str(path), "--suite", "transfer-commute", "--sites", "9"]) == 2
+
+
+def test_explicit_quantum_spectral_matches_the_preset(tmp_path, capsys):
+    # the default values written out as [re, im] pairs give the preset's report
+    scenario = builtin_scenario("diagonal_dressed")
+    data = scenario.to_dict()
+    data["quantum_spectral"] = [[v.real, v.imag]
+                                for v in scenario.quantum_values(scenario.sites).values()]
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(data))
+    argv = ["--suite", "monodromy-factor", "--suite", "transfer-commute", "--samples", "4",
+            "--format", "structured"]
+    assert run(["--builtin", "diagonal_dressed"] + argv) == 0
+    preset = capsys.readouterr().out
+    assert run(["--scenario", str(path)] + argv) == 0
+    assert capsys.readouterr().out == preset
 
 
 def test_chain_length_without_spectral_values_is_usage_error(capsys):

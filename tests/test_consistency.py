@@ -445,8 +445,9 @@ def test_nan_inside_a_per_point_max_fails():
 def test_nan_operator_coefficient_fails():
     from sdreflect.shiftops import ShiftOpSum, shiftop_difference_residual
 
-    one = ShiftOpSum.from_matrix(identity_dynmat(SCH, (1,)))
-    nan = ShiftOpSum.from_matrix(constant_dynmat(SCH, (1,), np.full((2, 2), np.nan)))
+    one = ShiftOpSum.of_terms(SCH, (1,), [((0, 0), identity_dynmat(SCH, (1,)))])
+    nan = ShiftOpSum.of_terms(
+        SCH, (1,), [((0, 0), constant_dynmat(SCH, (1,), np.full((2, 2), np.nan)))])
     rep = shiftop_difference_residual(one, nan, PTS, 1e-8)
     assert not rep.passed and np.isnan(rep.max_residual)
 

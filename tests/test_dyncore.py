@@ -732,8 +732,10 @@ def _conjugated_tables(rank, N, O=None, points=3):
         O = build_ON(b, q, N, {})
     core = _affine_dynmat(rng, sch, legs)
     lam = rng.normal(size=(points, rank)) + 1j * rng.normal(size=(points, rank))
-    want = (ShiftOpSum.from_matrix(O.inv()).compose(ShiftOpSum.weight_shifted(core, 0))
-            .compose(ShiftOpSum.from_matrix(O)))
+    zero = (0,) * rank
+    want = (ShiftOpSum.of_terms(sch, legs, [(zero, O.inv())])
+            .compose(ShiftOpSum.weight_shifted(core, 0))
+            .compose(ShiftOpSum.of_terms(sch, legs, [(zero, O)])))
     return O, _conjugate_weight_shifted(O, core).eval_terms(lam), want.eval_terms(lam)
 
 

@@ -15,8 +15,9 @@ from sdreflect.monodromy import (
     build_monodromy_direct,
     build_monodromy_factored,
     build_ON,
-    certify_commuting_family,
+    ingredient_reports,
     locality_preset,
+    transfer_commutation,
     transfer_trace,
 )
 from sdreflect.parametrize import auto_dress, build_A, build_BC, build_D_twist
@@ -70,7 +71,7 @@ def test_trivial_matrix_part_is_R_chain():
     # matrix part: sum over weight shifts of R02 R01 projected on leg 0
     r02 = np.kron(R.eval(lam, {1: 0.4 + 0.1j, 2: U_Q[2]}).reshape(2, 2, 2, 2)
                   .transpose(0, 2, 1, 3).reshape(4, 4), np.eye(1))
-    full = sum(T.terms[m].eval(lam) for m in T.terms)
+    full = sum(T.eval_terms(lam)[m] for m in T.terms)
     from sdreflect.dyncore import embed
 
     R02 = embed(R, (0, 2), (0, 1, 2))
@@ -79,7 +80,7 @@ def test_trivial_matrix_part_is_R_chain():
         lam, {0: 0.4 + 0.1j, 1: U_Q[1]}
     )
     np.testing.assert_allclose(full, expect, atol=1e-12)
-    assert T.terms[(1, 0)].eval(lam).shape == (8, 8)
+    assert T.eval_terms(lam)[(1, 0)].shape == (8, 8)
 
 
 def test_all_identity_structure_gives_pure_shift():
@@ -88,7 +89,7 @@ def test_all_identity_structure_gives_pure_shift():
     S = StructureSet(I2, I2, I2, I2, sch)
     K = identity_dynmat(sch, (1,))
     T = build_monodromy_direct(S, K, K, 1, {1: 0.0, 2: 0.0}, 0.0)
-    W = ShiftOpSum.weight_shift(sch, (0, 1, 2), 0)
+    W = ShiftOpSum.weight_shifted(identity_dynmat(sch, (0, 1, 2)), 0)
     assert shiftop_difference_residual(T, W, lam_points(2), 1e-13).passed
 
 
@@ -118,11 +119,11 @@ def test_factorization_identity(n, N, dressed):
 
 def test_transfer_pure_shift():
     sch = WeightScheme(2, 1.0)
-    W = ShiftOpSum.weight_shift(sch, (0, 1, 2), 0)
+    W = ShiftOpSum.weight_shifted(identity_dynmat(sch, (0, 1, 2)), 0)
     t = transfer_trace(W)
     lam = np.zeros(2)
     for m in ((1, 0), (0, 1)):
-        np.testing.assert_allclose(t.terms[m].eval(lam), np.eye(4))
+        np.testing.assert_allclose(t.eval_terms(lam)[m], np.eye(4))
 
 
 def test_transfer_twisted_identity_matches_plain():
@@ -151,7 +152,7 @@ def test_transfer_trivial_coefficients():
     R01 = embed(R, (0, 1), (0, 1, 2)).eval(lam, {0: u0, 1: U_Q[1]})
     M = (R02 @ R01).reshape(2, 4, 2, 4)
     for i, m in ((0, (1, 0)), (1, (0, 1))):
-        np.testing.assert_allclose(t.terms[m].eval(lam), M[i, :, i, :], atol=1e-13)
+        np.testing.assert_allclose(t.eval_terms(lam)[m], M[i, :, i, :], atol=1e-13)
 
 
 @pytest.mark.parametrize("dressed", [False, True])
@@ -159,19 +160,19 @@ def test_transfer_trivial_coefficients():
 def test_commuting_family(dressed, N):
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=dressed)
     kappa = constant_dynmat(b.scheme, b.legs, Q)
-    cert = certify_commuting_family(
-        S, K, chi, kappa, N, U_LIST, U_Q, lam_points(2), tol=1e-8
-    )
-    assert cert.passed, cert.summary()
-    assert cert.commutation.max_residual < 1e-12
+    gate = ingredient_reports(S, K, kappa, lam_points(2), 1e-9)
+    assert all(r.passed for r in gate.values()), gate
+    rep = transfer_commutation([build_monodromy_direct(S, K, chi, N, U_Q, u0)
+                                for u0 in U_LIST], lam_points(2), tol=1e-8)
+    assert rep.passed and rep.max_residual < 1e-12
 
 
 def test_single_element_family_vacuous():
     sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=False)
-    cert = certify_commuting_family(
-        S, K, chi, None, 1, [0.5], U_Q, lam_points(2)
-    )
-    assert cert.passed and cert.commutation.max_residual == 0.0
+    gate = ingredient_reports(S, K, None, lam_points(2), 1e-9)
+    assert all(r.passed for r in gate.values()), gate
+    rep = transfer_commutation([build_monodromy_direct(S, K, chi, 1, U_Q, 0.5)], lam_points(2))
+    assert rep.passed and rep.max_residual == 0.0
 
 
 def test_broken_D_names_decisive_precondition():
@@ -182,12 +183,8 @@ def test_broken_D_names_decisive_precondition():
         sch, (1, 2), lambda lam, u: 0.05 * np.kron(e12, np.eye(2))
     )
     Sbad = StructureSet(S.A, S.B, S.C, bad, sch)
-    cert = certify_commuting_family(
-        Sbad, K, chi, None, 1, U_LIST, U_Q, lam_points(2)
-    )
-    assert not cert.passed
-    assert "twist_zero_weight_D" in cert.failed_preconditions
-    assert cert.commutation is None
+    gate = ingredient_reports(Sbad, K, None, lam_points(2), 1e-9)
+    assert not gate["twist_zero_weight_D"].passed
 
 
 def test_conjugation_neutrality():
@@ -236,11 +233,11 @@ def test_gauged_chain_constant_automorphism():
     QL = np.array([[1.1, 0.3], [-0.2, 0.9]])
     K = beta.inv() @ constant_dynmat(b.scheme, b.legs, Q) @ q
     chi = build_dual(k, b, g, QL)
-    cert = certify_commuting_family(
-        S, K, chi, None, 1, U_LIST, U_Q, lam_points(2),
-        gauged=dict(R0=R, b=b, q=q, k=k, Q=Q, QL=QL),
-    )
-    assert cert.passed, cert.summary()
+    gate = ingredient_reports(S, K, None, lam_points(2), 1e-9)
+    assert all(r.passed for r in gate.values()), gate
+    chains = [build_monodromy_factored(sch, R, b, q, k, Q, chi, 1, U_Q, u0, g=g, QL=QL)
+              for u0 in U_LIST]
+    assert transfer_commutation(chains, lam_points(2)).passed
 
 
 def _kron_legs(mats, L, n=2):
@@ -296,8 +293,8 @@ def test_nonsimilar_chain_assembles_with_interleaved_twist():
         sch, R, b, q, k, Qni, chi, 1, U_Q, 0.3 + 0.2j, Rbar=Rbar, chi0=chi0
     )
     lam = lam_points(2)[0][0]
-    for m, coeff in T.terms.items():
-        assert coeff.eval(lam).shape == (8, 8)
+    for M in T.eval_terms(lam).values():
+        assert M.shape == (8, 8)
     assert len(T.terms) == 2
     with pytest.raises(ValueError):
         build_monodromy_factored(sch, R, b, q, k, Qni, chi, 1, U_Q, 0.3, Rbar=Rbar)
@@ -323,10 +320,7 @@ def test_factored_terms_view_equals_table():
     t = transfer_trace(T)
     lam = lam_points(2)[0][0]
     for op in (T, t):
-        table = op.eval_terms(lam)
-        assert list(table) == list(op.terms)
-        for m, coeff in op.terms.items():
-            np.testing.assert_array_equal(coeff.eval(lam), table[m])
+        assert list(op.eval_terms(lam)) == list(op.terms)
 
 
 def test_twist_cancels_in_the_partial_trace():
@@ -335,7 +329,8 @@ def test_twist_cancels_in_the_partial_trace():
     rng = np.random.default_rng(31)
     M = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
     w = np.kron(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), np.eye(16))
-    T = ShiftOpSum.from_matrix(constant_dynmat(sch, (0, 1, 2, 3, 4), M))
+    legs = (0, 1, 2, 3, 4)
+    T = ShiftOpSum.of_terms(sch, legs, [((0, 0), constant_dynmat(sch, legs, M))])
     plain = transfer_trace(T).eval_terms(np.zeros(2))
     twisted = np.einsum("iaib->ab", (np.linalg.inv(w) @ M @ w).reshape(2, 16, 2, 16))
     assert rel_residual(plain[(0, 0)], twisted) < 1e-13
@@ -363,10 +358,8 @@ def test_commuting_family_evaluates_each_traced_table_once_per_block(monkeypatch
     import sdreflect.monodromy as mono
     from sdreflect.cli import Rig
     from sdreflect.scenarios import builtin_scenario
-    from sdreflect.shiftops import _TableSum
-
     traced, calls = [], {}
-    real_trace, real_eval = mono.transfer_trace, _TableSum.eval_terms
+    real_trace, real_eval = mono.transfer_trace, ShiftOpSum.eval_terms
 
     def trace(*args, **kwargs):
         traced.append(real_trace(*args, **kwargs))
@@ -378,7 +371,7 @@ def test_commuting_family_evaluates_each_traced_table_once_per_block(monkeypatch
         return real_eval(self, lam, u)
 
     monkeypatch.setattr(mono, "transfer_trace", trace)
-    monkeypatch.setattr(_TableSum, "eval_terms", counted)
+    monkeypatch.setattr(ShiftOpSum, "eval_terms", counted)
     rig = Rig(builtin_scenario("diagonal_dressed"), samples=3, seed=2)
     reports, _ = rig.run_suite("transfer-commute")
     assert [r.check_name for r in reports] == ["transfer_commutation_N1",
@@ -389,7 +382,7 @@ def test_commuting_family_evaluates_each_traced_table_once_per_block(monkeypatch
     assert len(traced) == 6
     assert [calls.get(id(t)) for t in traced] == [1 + 2] * 6
     # the shared tables give the report of the worst pairwise commutator
-    monkeypatch.setattr(_TableSum, "eval_terms", real_eval)
+    monkeypatch.setattr(ShiftOpSum, "eval_terms", real_eval)
     for N, rep in zip((1, 2), reports):
         ops = traced[3 * (N - 1): 3 * N]
         pairwise = [shiftop_commutators([ops[i], ops[j]], rig.points, 1e-8)[0]

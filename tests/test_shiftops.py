@@ -21,16 +21,16 @@ def commutator(S1, S2, points, tol):
 
 
 def term(shift, fn):
-    return ShiftOpSum(SCH, LEGS, [(shift, function_dynmat(SCH, LEGS, fn))])
+    return ShiftOpSum.of_terms(SCH, LEGS, [(shift, function_dynmat(SCH, LEGS, fn))])
 
 
 def test_identity_element():
     S = term((1, 0), lambda lam, u: np.diag([lam[0], lam[1] ** 2]))
-    one = ShiftOpSum.from_matrix(identity_dynmat(SCH, LEGS))
+    one = ShiftOpSum.of_terms(SCH, LEGS, [((0, 0), identity_dynmat(SCH, LEGS))])
     out = one.compose(S)
     assert set(out.terms) == {(1, 0)}
     lam = PTS[0][0]
-    np.testing.assert_allclose(out.terms[(1, 0)].eval(lam), S.terms[(1, 0)].eval(lam))
+    np.testing.assert_allclose(out.eval_terms(lam)[(1, 0)], S.eval_terms(lam)[(1, 0)])
 
 
 def test_composition_shifts_argument():
@@ -38,7 +38,7 @@ def test_composition_shifts_argument():
     S = term((1, 0), lambda lam, u: lam[0] * np.eye(2, dtype=complex))
     out = S.compose(S)
     assert set(out.terms) == {(2, 0)}
-    val = out.terms[(2, 0)].eval(np.array([2.0, 0.0]))
+    val = out.eval_terms(np.array([2.0, 0.0]))[(2, 0)]
     np.testing.assert_allclose(val, 6.0 * np.eye(2))
 
 
@@ -59,23 +59,23 @@ def test_associativity():
 def test_terms_merge_by_shift():
     m1 = constant_dynmat(SCH, LEGS, np.diag([1.0, 2.0]))
     m2 = constant_dynmat(SCH, LEGS, np.diag([3.0, 4.0]))
-    S = ShiftOpSum(SCH, LEGS, [((0, 1), m1), ((0, 1), m2)])
+    S = ShiftOpSum.of_terms(SCH, LEGS, [((0, 1), m1), ((0, 1), m2)])
     assert len(S.terms) == 1
-    np.testing.assert_allclose(S.terms[(0, 1)].eval(PTS[0][0]), np.diag([4.0, 6.0]))
+    np.testing.assert_allclose(S.eval_terms(PTS[0][0])[(0, 1)], np.diag([4.0, 6.0]))
 
 
 def test_weight_shift_expansion():
-    W = ShiftOpSum.weight_shift(SCH, (0, 1), 0)
+    W = ShiftOpSum.weight_shifted(identity_dynmat(SCH, (0, 1)), 0)
     assert set(W.terms) == {(1, 0), (0, 1)}
     lam = PTS[0][0]
     np.testing.assert_allclose(
-        W.terms[(1, 0)].eval(lam), np.kron(SCH.projector(0), np.eye(2))
+        W.eval_terms(lam)[(1, 0)], np.kron(SCH.projector(0), np.eye(2))
     )
 
 
 def test_commutator_with_identity_term():
     S = term((1, 0), lambda lam, u: np.diag([np.exp(lam[0]), lam[1]]))
-    one = ShiftOpSum.from_matrix(identity_dynmat(SCH, LEGS))
+    one = ShiftOpSum.of_terms(SCH, LEGS, [((0, 0), identity_dynmat(SCH, LEGS))])
     rep = commutator(S, one, PTS, 1e-12)
     assert rep.passed and rep.max_residual < 1e-14
 
@@ -95,23 +95,24 @@ def test_commutator_detects_noncommuting():
 
 def test_leg_mismatch():
     S1 = term((0, 0), lambda lam, u: np.eye(2, dtype=complex))
-    S2 = ShiftOpSum.from_matrix(identity_dynmat(SCH, (1, 2)))
+    S2 = ShiftOpSum.of_terms(SCH, (1, 2), [((0, 0), identity_dynmat(SCH, (1, 2)))])
     with pytest.raises(LegError):
         S1.compose(S2)
 
 
 def test_shift_vector_length_checked():
     with pytest.raises(ValueError):
-        ShiftOpSum(SCH, LEGS, [((1,), identity_dynmat(SCH, LEGS))])
+        ShiftOpSum.of_terms(SCH, LEGS, [((1,), identity_dynmat(SCH, LEGS))])
 
 
 def test_pure_shift_commutes_with_constant_quantum_coefficient():
     # the expanded auxiliary shift factor commutes with any
     # lambda-independent coefficient on the other legs
     legs = (0, 1)
-    W = ShiftOpSum.weight_shift(SCH, legs, 0)
+    W = ShiftOpSum.weight_shifted(identity_dynmat(SCH, legs), 0)
     m = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
-    C = ShiftOpSum.from_matrix(constant_dynmat(SCH, legs, np.kron(np.eye(2), m)))
+    C = ShiftOpSum.of_terms(
+        SCH, legs, [((0, 0), constant_dynmat(SCH, legs, np.kron(np.eye(2), m)))])
     assert commutator(W, C, PTS, 1e-13).passed
 
 
@@ -121,7 +122,7 @@ def _counted(shift, fn, calls):
         calls.append(np.asarray(lam).tobytes())
         return fn(lam, u)
 
-    return ShiftOpSum(SCH, LEGS, [(shift, function_dynmat(SCH, LEGS, counted))])
+    return ShiftOpSum.of_terms(SCH, LEGS, [(shift, function_dynmat(SCH, LEGS, counted))])
 
 
 def _random_sum(rng, shifts):
@@ -131,7 +132,7 @@ def _random_sum(rng, shifts):
         c = rng.normal(size=2)
         terms.append((shift, function_dynmat(
             SCH, LEGS, lambda lam, u, m=m, c=c: m * np.exp(c @ lam))))
-    return ShiftOpSum(SCH, LEGS, terms)
+    return ShiftOpSum.of_terms(SCH, LEGS, terms)
 
 
 def test_triple_product_table_matches_explicit_formula():
@@ -142,12 +143,12 @@ def test_triple_product_table_matches_explicit_formula():
     lam = PTS[1][0]
     gamma = SCH.gamma
     expect = {}
-    for m1, c1 in S1.terms.items():
-        for m2, c2 in S2.terms.items():
-            for m3, c3 in S3.terms.items():
+    for m1 in S1.terms:
+        for m2 in S2.terms:
+            for m3 in S3.terms:
                 key = tuple(np.add(np.add(m1, m2), m3))
-                val = (c1.eval(lam) @ c2.eval(lam + gamma * np.asarray(m1))
-                       @ c3.eval(lam + gamma * np.add(m1, m2)))
+                val = (S1.eval_terms(lam)[m1] @ S2.eval_terms(lam + gamma * np.asarray(m1))[m2]
+                       @ S3.eval_terms(lam + gamma * np.add(m1, m2))[m3])
                 expect[key] = expect.get(key, 0) + val
     for prod in (S1.compose(S2).compose(S3), S1.compose(S2.compose(S3))):
         got = prod.eval_terms(lam)
@@ -160,7 +161,8 @@ def test_triple_product_table_matches_explicit_formula():
 def test_product_evaluates_each_coefficient_once_per_shifted_point():
     calls = {"a": [], "b": [], "c": []}
     diag = lambda lam, u: np.diag([lam[0], lam[1] + 2.0])
-    A = _counted((1, 0), diag, calls["a"]).compose(ShiftOpSum.weight_shift(SCH, LEGS, 1))
+    A = _counted((1, 0), diag, calls["a"]).compose(
+        ShiftOpSum.weight_shifted(identity_dynmat(SCH, LEGS), 1))
     B = _counted((0, 0), diag, calls["b"])
     C = _counted((0, 1), diag, calls["c"])
     prod = A.compose(B).compose(C)
@@ -179,14 +181,12 @@ def test_product_raises_at_a_shifted_pole():
         return np.allclose(x, pole_at)
 
     S1 = term((1, 0), lambda x, u: np.eye(2, dtype=complex))
-    S2 = ShiftOpSum(SCH, LEGS, [((0, 0), function_dynmat(
+    S2 = ShiftOpSum.of_terms(SCH, LEGS, [((0, 0), function_dynmat(
         SCH, LEGS, lambda x, u: np.eye(2, dtype=complex), poles=poles))])
     S2.eval_terms(lam)  # no pole at lam itself
     prod = S1.compose(S2)
     with pytest.raises(PoleError):
         prod.eval_terms(lam)
-    with pytest.raises(PoleError):
-        prod.terms[(1, 0)].eval(lam)
 
 
 def test_commutator_nan_coefficient_fails_the_report():
@@ -241,7 +241,7 @@ def test_pole_in_a_later_block_raises_for_its_point(monkeypatch):
 
     monkeypatch.setattr(so, "BLOCK_BYTES", 2 * 16 * 2 ** 2)
     pole = PTS[3][0]
-    S1 = ShiftOpSum(SCH, LEGS, [((0, 0), function_dynmat(
+    S1 = ShiftOpSum.of_terms(SCH, LEGS, [((0, 0), function_dynmat(
         SCH, LEGS, lambda lam, u: np.eye(2, dtype=complex),
         poles=lambda lam, u: np.array_equal(lam, pole)))])
     S2 = term((1, 0), lambda lam, u: np.diag([2.0, 3.0]).astype(complex))
