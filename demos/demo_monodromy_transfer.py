@@ -27,7 +27,7 @@ from sdreflect.solutions import build_dual, build_K_nondyn
 for name in ("trivial_yangian", "diagonal_dressed"):
     scenario = builtin_scenario(name)
     scheme = scenario.scheme
-    b, q, k = scenario.b_mat(), scenario.q_mat(), scenario.k_mat()
+    b, q = scenario.b_mat(), scenario.q_mat()
     g = scenario.g_auto()
     R = scenario.R0_mat()
     points = scenario.sample(count=8)
@@ -36,15 +36,14 @@ for name in ("trivial_yangian", "diagonal_dressed"):
     S = StructureSet(build_A(R, b, g, scheme), B, C,
                      build_D_twist(R, q, scheme), scheme, g)
     K = build_K_nondyn(scenario.Q, b, q)
-    chi = build_dual(k, b, g, scenario.Q_L)
+    chi = build_dual(q, b, g, scenario.Q_L)
 
     print(f"--- {name} ---")
     for N in (1, 2):
         uq = scenario.quantum_values(N)
         u0 = 0.52 + 0.21j
         direct = build_monodromy_direct(S, K, chi, N, uq, u0)
-        factored = build_monodromy_factored(scheme, R, b, q, k, scenario.Q,
-                                            chi, N, uq, u0)
+        factored = build_monodromy_factored(scheme, R, b, q, scenario.Q, chi, N, uq, u0)
         rep = shiftop_difference_residual(direct, factored, points[:4], 1e-8,
                                           name=f"factorization_N{N}")
         print(f"  {rep}")

@@ -14,7 +14,7 @@ from sdreflect.scenarios import builtin_scenario
 
 scenario = builtin_scenario("diagonal_dressed")
 scheme = scenario.scheme
-b, q, k = scenario.b_mat(), scenario.q_mat(), scenario.k_mat()
+b, q = scenario.b_mat(), scenario.q_mat()
 R = scenario.R0_mat()
 points = scenario.sample(count=40)
 

@@ -66,7 +66,6 @@ class Rig:
         self.sites = scenario.sites if sites is None else sites
         self.b = scenario.b_mat()
         self.q = scenario.q_mat()
-        self.k = scenario.k_mat()
         self.R0 = scenario.R0_mat()
         self.Rbar = scenario.Rbar_mat()
         self.g = scenario.g_auto()
@@ -84,9 +83,9 @@ class Rig:
         # direct reflection solution K = beta^-1 Q q and its twisted core
         self.K = self.beta.inv() @ constant_dynmat(self.scheme, self.b.legs, self.Q) @ self.q
         self.kappa = self.beta @ self.K @ self.q.inv()
-        self.chi = build_dual(self.k, self.b, self.g, self.QL)
+        self.chi = build_dual(self.q, self.b, self.g, self.QL)
         self.points = scenario.sample(count=samples, seed=seed,
-                                       guard_mats=(self.b, self.q, self.k))
+                                       guard_mats=(self.b, self.q, self.beta))
         # cubic-relation reports by letter: ybce / gybce and dybe share
         # relation d
         self._cubic = {}
@@ -161,7 +160,7 @@ class Rig:
             u0 = 0.52 + 0.21j
             Td = build_monodromy_direct(self.S, self.K, self.chi, N, uq, u0)
             Tf = build_monodromy_factored(
-                self.scheme, self.R0, self.b, self.q, self.k, self.Q,
+                self.scheme, self.R0, self.b, self.q, self.Q,
                 self.chi, N, uq, u0,
             )
             reps.append(shiftop_difference_residual(
@@ -188,8 +187,8 @@ class Rig:
                           for u0 in u_list]
             else:
                 chains = [build_monodromy_factored(
-                    self.scheme, self.R0, self.b, self.q, self.k, self.Q, self.chi, N, uq,
-                    u0, g=self.g, QL=self.QL) for u0 in u_list]
+                    self.scheme, self.R0, self.b, self.q, self.Q, self.chi, N, uq, u0,
+                    g=self.g, QL=self.QL) for u0 in u_list]
             rep = transfer_commutation(chains, points)
             rep.check_name = f"transfer_commutation_N{N}"
             reps.append(rep)

@@ -13,11 +13,11 @@ Each added site pair shifts everything inside it by its odd leg, which
 reproduces this pattern; it is certified here (rather than assumed) by
 the factorization identity below.
 
-For coefficients parametrized by (R0, b, q, k, Q) the same operator
+For coefficients parametrized by (R0, b, q, Q) the same operator
 factorizes through a quantum-leg conjugator O_N:
 
     T = O_N^{-1} . { chi_0 b_0^{-1} R_{0,2N} ... R_{02} Q_0 R_{01} ...
-        R_{0,2N-1} b_0 k_0 . E_0 } . O_N,
+        R_{0,2N-1} q_0 . E_0 } . O_N,
 
 with O_N = prod_{k=N..1} [q_{2k-1} b_{2k}](h over odd legs > 2k).  The
 shift factor acts on the right O_N during conjugation, producing its
@@ -228,9 +228,8 @@ def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) ->
     """Quantum-leg conjugator: odd legs carry q, even legs carry b,
     each site block shifted by the odd legs above it.
 
-    For a matrix automorphism g the factors are replaced by their
-    dressed versions g b g^-1 and (g b g^-1) k; pass q = (g b g^-1) k in
-    that case.
+    For an automorphism g the even legs carry the dressed g b g^-1 in
+    place of b; the odd legs carry q in every case.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -242,39 +241,38 @@ def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) ->
     return bind_spectral(out, _chain_values(u_quantum, None))
 
 
-def build_gauged_core(scheme: WeightScheme, R0: DynMat, b: DynMat, k: DynMat, Q, QL,
+def build_gauged_core(scheme: WeightScheme, R0: DynMat, q: DynMat, Q, QL,
                       g: Automorphism, N: int, u_quantum, u_aux) -> DynMat:
     """Automorphism-dressed chain core on legs 0..2N:
 
-        k0^-1 beta0^-1 . QL^-1 .
+        q0^-1 . QL^-1 .
         [g0 R_{0,2N} ... g0 R_{02} . Q_0 . g0 R_{01} ... g0 R_{0,2N-1}] .
-        beta0 k0 . g0^(-2N)
+        q0 . g0^(-2N)
 
-    with beta = g b g^-1, built by :func:`_core_product` as the product
-    of the factors Ad(g0^c) X.  For a constant automorphism that product
-    telescopes to the form above; for a spectral shift by s the c-th R
-    factor reads the auxiliary value u_0 + c*s, and the trailing power
-    leaves a finite matrix.  The sigma-power sandwich and the
+    built by :func:`_core_product` as the product of the factors
+    Ad(g0^c) X.  For a constant automorphism that product telescopes to
+    the form above; for a spectral shift by s the c-th R factor reads
+    the auxiliary value u_0 + c*s, and the trailing power leaves a
+    finite matrix.  The sigma-power sandwich and the
     quantum-leg sigma dressing cancel each other for the commuting-R0
     class this builder supports and are therefore not assembled; the
     traced family built from this core commutes (certified numerically).
     """
-    beta = auto_dress(b, g)
-    QLi = constant_dynmat(scheme, b.legs, np.linalg.inv(np.asarray(QL, complex)))
-    Qm = constant_dynmat(scheme, b.legs, np.asarray(Q, complex))
-    return _core_product(R0, [(k.inv() @ beta.inv(), (0,)), (QLi, (0,))], [(Qm, (0,))],
-                         R0, [(beta @ k, (0,))], N, _chain_values(u_quantum, u_aux), g)
+    QLi = constant_dynmat(scheme, q.legs, np.linalg.inv(np.asarray(QL, complex)))
+    Qm = constant_dynmat(scheme, q.legs, np.asarray(Q, complex))
+    return _core_product(R0, [(q.inv(), (0,)), (QLi, (0,))], [(Qm, (0,))],
+                         R0, [(q, (0,))], N, _chain_values(u_quantum, u_aux), g)
 
 
 def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
-                             q: DynMat, k: DynMat, Q, chi_t: DynMat, N: int,
+                             q: DynMat, Q, chi_t: DynMat, N: int,
                              u_quantum, u_aux, Rbar: DynMat = None,
                              chi0: DynMat = None, g: Automorphism = None,
                              QL=None) -> ShiftOpSum:
     """Conjugated factorized monodromy operator.
 
     Invertible case (Rbar None): the core is the bare chain product
-    chi_0 b_0^-1 R_{0,2N} ... R_{02} Q_0 R_{01} ... R_{0,2N-1} b_0 k_0
+    chi_0 b_0^-1 R_{0,2N} ... R_{02} Q_0 R_{01} ... R_{0,2N-1} q_0
     followed by the auxiliary weight-shift factor, conjugated by O_N.
     With Rbar (a second non-dynamical matrix not similar to R0) the odd
     chain factors use Rbar and the middle is the interleaved twisted
@@ -288,9 +286,9 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
             raise ValueError("the gauged chain supports only the single-R0 case")
         if QL is None:
             raise ValueError("the gauged chain needs the dual core QL")
-        core = build_gauged_core(scheme, R0, b, k, Q, QL, g, N, u_quantum, u_aux)
+        core = build_gauged_core(scheme, R0, q, Q, QL, g, N, u_quantum, u_aux)
     else:
-        left, right = [(chi_t, (0,)), (b.inv(), (0,))], [(b, (0,)), (k, (0,))]
+        left, right = [(chi_t, (0,)), (b.inv(), (0,))], [(q, (0,))]
         if Rbar is None:
             middle = [(constant_dynmat(scheme, q.legs, np.asarray(Q, dtype=complex)), (0,))]
         else:

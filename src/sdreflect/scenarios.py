@@ -30,6 +30,7 @@ from .dyncore import (
     yangian_r,
 )
 from .monodromy import locality_preset
+from .parametrize import auto_dress
 from .sampling import invertibility_guard, sample_points
 
 
@@ -278,7 +279,7 @@ def compile_automorphism_spec(spec, rank, path="automorphism") -> Automorphism:
 # -- the scenario type ---------------------------------------------------------
 
 _FIELDS = {
-    "name", "rank", "gamma", "spectral", "b", "q", "k", "Q", "Q_L",
+    "name", "rank", "gamma", "spectral", "b", "q", "Q", "Q_L",
     "g", "a", "f", "R0", "Rbar", "projectors", "chi0", "sites",
     "quantum_spectral", "sampler", "tolerance",
 }
@@ -299,7 +300,6 @@ class Scenario:
     spectral: bool
     b: dict
     q: dict
-    k: dict
     Q: np.ndarray
     Q_L: np.ndarray
     R0: dict
@@ -339,9 +339,6 @@ class Scenario:
 
     def q_mat(self):
         return compile_matrix_spec(self.q, self.scheme, (1,), "q")
-
-    def k_mat(self):
-        return compile_matrix_spec(self.k, self.scheme, (1,), "k")
 
     def R0_mat(self):
         return compile_matrix_spec(self.R0, self.scheme, (1, 2), "R0")
@@ -402,7 +399,8 @@ class Scenario:
         The guard keeps each matrix invertible at the point and at every
         point shifted by a sum of one to three weight steps gamma e_i,
         each distinct shift probed once.  ``guard_mats`` is the compiled
-        (b, q, k) the guard probes; by default they are compiled afresh.
+        (b, q, beta) the guard probes, beta = g b g^-1 (for a spectral
+        shift, b read at u + s); by default they are compiled afresh.
         Passing a rig's own matrices lets verification reuse the leaf
         values the guard computed.
         """
@@ -413,7 +411,8 @@ class Scenario:
         shifts = [sum(c) for r in (1, 2, 3)
                   for c in itertools.combinations_with_replacement(units, r)]
         if guard_mats is None:
-            guard_mats = (self.b_mat(), self.q_mat(), self.k_mat())
+            b = self.b_mat()
+            guard_mats = (b, self.q_mat(), auto_dress(b, self.g_auto()))
         guards = [invertibility_guard(
             list(guard_mats),
             floor=0.05, probe_shifts=shifts,
@@ -436,7 +435,7 @@ class Scenario:
             "rank": self.rank,
             "gamma": _pack_complex(self.gamma),
             "spectral": bool(self.spectral),
-            "b": self.b, "q": self.q, "k": self.k,
+            "b": self.b, "q": self.q,
             "Q": _pack_matrix(self.Q),
             "Q_L": _pack_matrix(self.Q_L),
             "R0": self.R0,
@@ -487,10 +486,12 @@ def _check_sampler(cfg):
 def scenario_from_dict(data) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be an object")
+    if "k" in data:
+        raise ScenarioError("k: derived from b, g and q; remove this field")
     extra = set(data) - _FIELDS
     if extra:
         raise ScenarioError(f"unknown fields {sorted(extra)}")
-    missing = {"name", "rank", "gamma", "b", "q", "k", "Q", "Q_L", "R0"} - set(data)
+    missing = {"name", "rank", "gamma", "b", "q", "Q", "Q_L", "R0"} - set(data)
     if missing:
         raise ScenarioError(f"missing fields {sorted(missing)}")
     if not isinstance(data["name"], str):
@@ -521,7 +522,7 @@ def scenario_from_dict(data) -> Scenario:
     except TypeError as exc:
         raise ScenarioError(str(exc))
     # compile everything once so malformed expressions surface with paths
-    scen.b_mat(); scen.q_mat(); scen.k_mat(); scen.R0_mat()
+    scen.b_mat(); scen.q_mat(); scen.R0_mat()
     scen.Rbar_mat(); scen.chi0_mat()
     scen.g_auto(); scen.a_auto(); scen.f_auto(); scen.projector_list()
     return scen
@@ -553,14 +554,6 @@ def _diag_affine(consts, slopes):
     return {"kind": "diagonal", "entries": entries}
 
 
-def _diag_ratio(numer, denom):
-    """Entrywise ratio of two diagonal specs (for k = b^-1 q)."""
-    return {
-        "kind": "diagonal",
-        "entries": [f"({p})/({q})" for p, q in zip(numer["entries"], denom["entries"])],
-    }
-
-
 def _identity_spec():
     return {"kind": "identity"}
 
@@ -571,7 +564,7 @@ def _builtin_trivial_yangian(rank=2):
         "rank": rank,
         "gamma": [1.0, 0.0],
         "spectral": True,
-        "b": _identity_spec(), "q": _identity_spec(), "k": _identity_spec(),
+        "b": _identity_spec(), "q": _identity_spec(),
         "Q": _pack_matrix(np.eye(rank)),
         "Q_L": _pack_matrix(np.eye(rank)),
         "R0": {"kind": "yangian"},
@@ -600,7 +593,7 @@ def _builtin_diagonal_dressed(rank=2):
         "rank": rank,
         "gamma": [1.0, 0.0],
         "spectral": True,
-        "b": bspec, "q": qspec, "k": _diag_ratio(qspec, bspec),
+        "b": bspec, "q": qspec,
         "Q": _pack_matrix(Q),
         "Q_L": _pack_matrix(QL),
         "R0": {"kind": "yangian"},
@@ -632,21 +625,13 @@ def _builtin_constant_g(rank=2):
     if rank != 2:
         raise ScenarioError("the constant-automorphism instance is rank 2")
     qspec = _diag_affine([2.5, 2.2], [[0.12, 0.0], [0.0, 0.1]])
-    # b is unit-determinant triangular, so beta = g b g^-1 scales its
-    # off-diagonal entry by g1/g2 = 2; k = beta^-1 q stays closed-form.
-    off = "0.2+0.1*lambda1"
-    bspec = {"kind": "matrix", "entries": [["1", off], ["0", "1"]]}
-    q1, q2 = qspec["entries"]
-    kspec = {"kind": "matrix", "entries": [
-        [f"({q1})", f"0-2*({off})*({q2})"],
-        ["0", f"({q2})"],
-    ]}
+    bspec = {"kind": "matrix", "entries": [["1", "0.2+0.1*lambda1"], ["0", "1"]]}
     return {
         "name": "constant_g",
         "rank": 2,
         "gamma": [1.0, 0.0],
         "spectral": True,
-        "b": bspec, "q": qspec, "k": kspec,
+        "b": bspec, "q": qspec,
         "Q": _pack_matrix([[1.0, 0.45], [0.21, 1.3]]),
         "Q_L": _pack_matrix([[1.1, 0.3], [-0.2, 0.9]]),
         "R0": {"kind": "yangian"},
@@ -668,17 +653,12 @@ def _builtin_spectral_shift_g(rank=2):
         "exp(0.2*u1+0.3*lambda1)", "exp(0-0.1*u1+0.1*lambda2)",
     ]}
     qspec = {"kind": "diagonal", "entries": ["exp(0.4*lambda1)", "exp(0-0.3*lambda2)"]}
-    # k = (g b g^-1)^-1 q with the shift step 1: b arguments at u+1
-    kspec = {"kind": "diagonal", "entries": [
-        "exp(0.4*lambda1-0.2*(u1+1)-0.3*lambda1)",
-        "exp(0-0.3*lambda2+0.1*(u1+1)-0.1*lambda2)",
-    ]}
     return {
         "name": "spectral_shift_g",
         "rank": 2,
         "gamma": [1.0, 0.0],
         "spectral": True,
-        "b": bspec, "q": qspec, "k": kspec,
+        "b": bspec, "q": qspec,
         "Q": _pack_matrix([[1.0, 0.45], [0.21, 1.3]]),
         "Q_L": _pack_matrix([[1.1, 0.3], [-0.2, 0.9]]),
         "R0": {"kind": "yangian"},
@@ -729,7 +709,7 @@ def builtin_scenario(name, overrides=None) -> Scenario:
     rank = int(overrides.pop("rank", 2))
     data = _CATALOG[name](rank=rank)
     for key, val in overrides.items():
-        if key not in _FIELDS:
+        if key not in _FIELDS | {"k"}:  # a leftover k gets its reason from the loader
             raise ScenarioError(f"unknown override field {key!r}")
         data[key] = val
     return scenario_from_dict(data)

@@ -200,13 +200,13 @@ def k_g_power(K: DynMat, g: Automorphism, p: int, S: StructureSet, points,
     return K @ constant_dynmat(K.scheme, K.legs, gp)
 
 
-def build_dual(k: DynMat, b: DynMat, g: Automorphism, QL) -> DynMat:
+def build_dual(q: DynMat, b: DynMat, g: Automorphism, QL) -> DynMat:
     """Transposed dual reflection matrix
 
-    chi^t = k^-1 . (g b g^-1)^-1 . (exp[-s log g] QL^-1 exp[+s log g]) . (g b g^-1),
+    chi^t = q^-1 . (exp[-s log g] QL^-1 exp[+s log g]) . (g b g^-1),
 
-    reducing to k^-1 . b^-1 QL^-1 b for the identity automorphism: the
-    inverted dual core conjugated by the same dressing that enters the
+    reducing to q^-1 QL^-1 b for the identity automorphism: the inverted
+    dual core between q^-1 and the dressing g b g^-1 that enters the
     other coefficients.  Its correctness certificate is operational: the
     traced families built with it must commute, and they do at round-off
     level, whereas an uninverted trailing dressing factor breaks
@@ -215,7 +215,7 @@ def build_dual(k: DynMat, b: DynMat, g: Automorphism, QL) -> DynMat:
     QLinv = np.linalg.inv(np.asarray(QL, dtype=complex))
     beta = auto_dress(b, g)
     middle = sigma_conjugate(constant_dynmat(b.scheme, b.legs, QLinv), g, b.legs, sign=-1)
-    return k.inv() @ beta.inv() @ middle @ beta
+    return q.inv() @ middle @ beta
 
 
 def residual_reduced_exchange(R: DynMat, Rt: DynMat, kappa: DynMat, points,

@@ -77,14 +77,14 @@ def verdict(num, ok, detail):
 def structure_rig(name, samples=50, seed=None):
     sc = builtin_scenario(name)
     pts = sc.sample(count=samples, seed=seed)
-    b, q, k = sc.b_mat(), sc.q_mat(), sc.k_mat()
+    b, q = sc.b_mat(), sc.q_mat()
     g = sc.g_auto()
     R = sc.R0_mat()
     B, C = build_BC(b, g, sc.scheme)
     A = build_A(R, b, g, sc.scheme)
     D = build_D_twist(R, q, sc.scheme)
     S = StructureSet(A, B, C, D, sc.scheme, g)
-    return sc, S, R, b, q, k, pts
+    return sc, S, R, b, q, pts
 
 
 def test_criterion_1_yangian_baseline():
@@ -105,7 +105,7 @@ def test_criterion_1_yangian_baseline():
 
 def test_criterion_2_parametrization_soundness():
     t0 = time.monotonic()
-    sc, S, R, b, q, k, pts = structure_rig("diagonal_dressed", samples=50)
+    sc, S, R, b, q, pts = structure_rig("diagonal_dressed", samples=50)
     worst_ybce = max(r.max_residual for r in residual_ybce(S, pts, 1e-9).values())
     worst_zw = max(
         residual_zero_weight(X, kind, pts, 1e-13).max_residual
@@ -117,7 +117,7 @@ def test_criterion_2_parametrization_soundness():
 
 
 def test_criterion_3_scalar_solution_equivalence():
-    sc, S, R, b, q, k, pts = structure_rig("diagonal_dressed")
+    sc, S, R, b, q, pts = structure_rig("diagonal_dressed")
     result = detwist(S.D, q, sc.scheme, pts, 1e-10)
     ok1 = result.nondyn_report.passed and "nondynamical" in result.verdicts
     rep = residual_sdre(S, b.inv() @ q, pts, 1e-10)
@@ -127,7 +127,7 @@ def test_criterion_3_scalar_solution_equivalence():
 
 
 def test_criterion_4_solution_builders():
-    sc, S, R, b, q, k, pts = structure_rig("diagonal_dressed")
+    sc, S, R, b, q, pts = structure_rig("diagonal_dressed")
     r1 = residual_sdre(S, build_K_nondyn(sc.Q, b, q), pts, 1e-9)
     r2 = residual_sdre(S, build_K_nondyn(np.diag([1.0, 0.0]), b, q), pts, 1e-9)
     a = Automorphism.constant(np.diag([2.0, 1.0]))
@@ -143,7 +143,7 @@ def test_criterion_4_solution_builders():
 
 
 def test_criterion_5_theta_machinery():
-    sc, S, R, b, q, k, pts = structure_rig("diagonal_dressed")
+    sc, S, R, b, q, pts = structure_rig("diagonal_dressed")
     K = build_K_nondyn(sc.Q, b, q)
     kappa = b @ K @ q.inv()
     r1 = residual_theta_period(kappa, pts, 1e-12)
@@ -158,23 +158,22 @@ def test_criterion_5_theta_machinery():
 
 
 def _monodromy_pieces(name):
-    sc, S, R, b, q, k, pts = structure_rig(name, samples=10)
+    sc, S, R, b, q, pts = structure_rig(name, samples=10)
     K = build_K_nondyn(sc.Q, b, q)
-    chi = build_dual(k, b, sc.g_auto(), sc.Q_L)
-    return sc, S, R, b, q, k, K, chi, pts
+    chi = build_dual(q, b, sc.g_auto(), sc.Q_L)
+    return sc, S, R, b, q, K, chi, pts
 
 
 def test_criterion_6_monodromy_factorization():
     t0 = time.monotonic()
     worst = 0.0
     for name in ("trivial_yangian", "diagonal_dressed"):
-        sc, S, R, b, q, k, K, chi, pts = _monodromy_pieces(name)
+        sc, S, R, b, q, K, chi, pts = _monodromy_pieces(name)
         for N in (1, 2):
             uq = sc.quantum_values(N)
             u0 = 0.52 + 0.21j
             Td = build_monodromy_direct(S, K, chi, N, uq, u0)
-            Tf = build_monodromy_factored(sc.scheme, R, b, q, k, sc.Q, chi,
-                                          N, uq, u0)
+            Tf = build_monodromy_factored(sc.scheme, R, b, q, sc.Q, chi, N, uq, u0)
             rep = shiftop_difference_residual(Td, Tf, pts[:6], 1e-8)
             worst = max(worst, rep.max_residual)
     dt = time.monotonic() - t0
@@ -187,7 +186,7 @@ def test_criterion_7_transfer_commutation():
     u_list = [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j]
     worst = 0.0
     for name in ("trivial_yangian", "diagonal_dressed"):
-        sc, S, R, b, q, k, K, chi, pts = _monodromy_pieces(name)
+        sc, S, R, b, q, K, chi, pts = _monodromy_pieces(name)
         kappa = constant_dynmat(b.scheme, b.legs, sc.Q)
         gate = ingredient_reports(S, K, kappa, pts[:8], 1e-9)
         assert all(r.passed for r in gate.values()), gate
@@ -199,7 +198,7 @@ def test_criterion_7_transfer_commutation():
             worst = max(worst, rep.max_residual)
     # deliberately broken diagonal weight condition: the gate must refuse
     # and point at the twisted-coefficient weight hypothesis
-    sc, S, R, b, q, k, K, chi, pts = _monodromy_pieces("diagonal_dressed")
+    sc, S, R, b, q, K, chi, pts = _monodromy_pieces("diagonal_dressed")
     bad = S.D + function_dynmat(sc.scheme, (1, 2),
                                 lambda lam, u: 0.05 * np.kron(E12, np.eye(2)))
     Sbad = StructureSet(S.A, S.B, S.C, bad, sc.scheme)
@@ -212,13 +211,13 @@ def test_criterion_7_transfer_commutation():
 
 def test_criterion_8_automorphism_suite():
     # constant automorphism
-    sc, Sg, R, b, q, k, pts = structure_rig("constant_g")
+    sc, Sg, R, b, q, pts = structure_rig("constant_g")
     g = sc.g_auto()
     worst_g = max(r.max_residual for r in residual_gybce(Sg, pts, 1e-9).values())
     K4a = build_K_g(E12, g, b, q, "prop4a")
     r4a = residual_sdre(Sg, K4a, pts, 1e-9)
     # spectral shift: the dressed coefficient carries shifted arguments
-    sc2, Ss, R2, b2, q2, k2, pts2 = structure_rig("spectral_shift_g")
+    sc2, Ss, R2, b2, q2, pts2 = structure_rig("spectral_shift_g")
     reps = residual_gybce(Ss, pts2, 1e-9)
     worst_s = max(reps[f"gybce_{x}"].max_residual for x in "abc")
     # integer automorphism powers under the verified weight compatibility
@@ -252,7 +251,7 @@ def test_criterion_9_quasi_detwist():
 
 
 def test_criterion_10_dressing():
-    sc, S, R, b, q, k, pts = structure_rig("diagonal_dressed")
+    sc, S, R, b, q, pts = structure_rig("diagonal_dressed")
     Q = sc.Q
     kd = dress(b.inv() @ q, Q, b, variant="prop3")
     r1 = residual_sdre(S, kd, pts, 1e-9)
@@ -260,7 +259,7 @@ def test_criterion_10_dressing():
     worst_eq = max(
         rel_residual(kd.eval(lam), direct.eval(lam)) for lam, _ in pts[:20]
     )
-    scg, Sg, Rg, bg, qg, kg, ptsg = structure_rig("constant_g")
+    scg, Sg, Rg, bg, qg, ptsg = structure_rig("constant_g")
     g = scg.g_auto()
     k_scal = auto_dress(bg, g).inv() @ qg
     kd5 = dress(k_scal, E12, bg, g=g, variant="prop5")

@@ -47,7 +47,6 @@ def scenario(n=2, dressed=True, seed=3):
         q = b
         Q = np.eye(n)
         QL = np.eye(n)
-    k = b.inv() @ q
     R = yangian_r(sch, (1, 2))
     ident = Automorphism.identity()
     B, C = build_BC(b, ident, sch)
@@ -55,8 +54,8 @@ def scenario(n=2, dressed=True, seed=3):
     D = build_D_twist(R, q, sch)
     S = StructureSet(A, B, C, D, sch)
     K = build_K_nondyn(Q, b, q)
-    chi = build_dual(k, b, ident, QL)
-    return sch, S, R, b, q, k, Q, QL, K, chi
+    chi = build_dual(q, b, ident, QL)
+    return sch, S, R, b, q, Q, QL, K, chi
 
 
 def lam_points(n, count=4, seed=9):
@@ -65,7 +64,7 @@ def lam_points(n, count=4, seed=9):
 
 
 def test_trivial_matrix_part_is_R_chain():
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=False)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=False)
     T = build_monodromy_direct(S, K, chi, 1, U_Q, 0.4 + 0.1j)
     lam = np.zeros(2)
     # matrix part: sum over weight shifts of R02 R01 projected on leg 0
@@ -94,11 +93,11 @@ def test_all_identity_structure_gives_pure_shift():
 
 
 def test_build_ON_examples():
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=False)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=False)
     O = build_ON(b, q, 1, U_Q)
     np.testing.assert_allclose(O.eval(np.zeros(2)), np.eye(8))
     # diagonal case: O_1 = q on leg 1 times b on leg 2
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     O = build_ON(b, q, 1, U_Q)
     lam = RNG.uniform(-1, 1, 2)
     expect = np.kron(np.eye(2), np.kron(q.eval(lam), b.eval(lam)))
@@ -109,10 +108,10 @@ def test_build_ON_examples():
 @pytest.mark.parametrize("N", [1, 2])
 @pytest.mark.parametrize("dressed", [False, True])
 def test_factorization_identity(n, N, dressed):
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(n=n, dressed=dressed)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(n=n, dressed=dressed)
     u0 = 0.52 + 0.21j
     Td = build_monodromy_direct(S, K, chi, N, U_Q, u0)
-    Tf = build_monodromy_factored(sch, R, b, q, k, Q, chi, N, U_Q, u0)
+    Tf = build_monodromy_factored(sch, R, b, q, Q, chi, N, U_Q, u0)
     rep = shiftop_difference_residual(Td, Tf, lam_points(n, 3), 1e-8)
     assert rep.passed and rep.max_residual < 1e-12
 
@@ -129,7 +128,7 @@ def test_transfer_pure_shift():
 def test_transfer_twisted_identity_matches_plain():
     # Tr_0[w^-1 M w], formed by hand with the twist w = q on leg 0, is the
     # untwisted trace of every term
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     T = build_monodromy_direct(S, K, chi, 1, U_Q, 0.4)
     t = transfer_trace(T)
     for lam, _ in lam_points(2):
@@ -141,7 +140,7 @@ def test_transfer_twisted_identity_matches_plain():
 
 
 def test_transfer_trivial_coefficients():
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=False)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=False)
     u0 = 0.52 + 0.21j
     T = build_monodromy_direct(S, K, chi, 1, U_Q, u0)
     t = transfer_trace(T)
@@ -158,7 +157,7 @@ def test_transfer_trivial_coefficients():
 @pytest.mark.parametrize("dressed", [False, True])
 @pytest.mark.parametrize("N", [1, 2])
 def test_commuting_family(dressed, N):
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=dressed)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=dressed)
     kappa = constant_dynmat(b.scheme, b.legs, Q)
     gate = ingredient_reports(S, K, kappa, lam_points(2), 1e-9)
     assert all(r.passed for r in gate.values()), gate
@@ -168,7 +167,7 @@ def test_commuting_family(dressed, N):
 
 
 def test_single_element_family_vacuous():
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=False)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=False)
     gate = ingredient_reports(S, K, None, lam_points(2), 1e-9)
     assert all(r.passed for r in gate.values()), gate
     rep = transfer_commutation([build_monodromy_direct(S, K, chi, 1, U_Q, 0.5)], lam_points(2))
@@ -176,7 +175,7 @@ def test_single_element_family_vacuous():
 
 
 def test_broken_D_names_decisive_precondition():
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     e12 = np.zeros((2, 2))
     e12[0, 1] = 1.0
     bad = S.D + function_dynmat(
@@ -190,14 +189,14 @@ def test_broken_D_names_decisive_precondition():
 def test_conjugation_neutrality():
     # conjugating by the quantum-leg operator preserves the commutation
     # verdict: the factored and direct routes give the same residual scale
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     pts = lam_points(2)
     traced_d = []
     traced_c = []
     for u0 in U_LIST:
         Td = build_monodromy_direct(S, K, chi, 1, U_Q, u0)
         traced_d.append(transfer_trace(Td))
-        core = build_monodromy_factored(sch, R, b, q, k, Q, chi, 1, U_Q, u0)
+        core = build_monodromy_factored(sch, R, b, q, Q, chi, 1, U_Q, u0)
         traced_c.append(transfer_trace(core))
     for ts in (traced_d, traced_c):
         worst = max(r.max_residual for r in shiftop_commutators(ts, pts, 1e-8))
@@ -205,7 +204,7 @@ def test_conjugation_neutrality():
 
 
 def test_direct_builder_rejects_automorphism():
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     g = Automorphism.constant(np.diag([2.0, 1.0]))
     Sg = StructureSet(S.A, S.B, S.C, S.D, sch, g)
     with pytest.raises(ValueError):
@@ -223,7 +222,6 @@ def test_gauged_chain_constant_automorphism():
         sch, (1,), lambda lam, u: np.diag([2.5 + 0.12 * lam[0], 2.2 + 0.1 * lam[1]])
     )
     beta = auto_dress(b, g)
-    k = beta.inv() @ q
     R = yangian_r(sch, (1, 2))
     B, C = build_BC(b, g, sch)
     A = build_A(R, b, g, sch)
@@ -232,10 +230,10 @@ def test_gauged_chain_constant_automorphism():
     Q = np.array([[1.0, 0.45], [0.21, 1.3]])
     QL = np.array([[1.1, 0.3], [-0.2, 0.9]])
     K = beta.inv() @ constant_dynmat(b.scheme, b.legs, Q) @ q
-    chi = build_dual(k, b, g, QL)
+    chi = build_dual(q, b, g, QL)
     gate = ingredient_reports(S, K, None, lam_points(2), 1e-9)
     assert all(r.passed for r in gate.values()), gate
-    chains = [build_monodromy_factored(sch, R, b, q, k, Q, chi, 1, U_Q, u0, g=g, QL=QL)
+    chains = [build_monodromy_factored(sch, R, b, q, Q, chi, 1, U_Q, u0, g=g, QL=QL)
               for u0 in U_LIST]
     assert transfer_commutation(chains, lam_points(2)).passed
 
@@ -252,20 +250,19 @@ def _kron_legs(mats, L, n=2):
 @pytest.mark.parametrize("g", [Automorphism.constant(np.array([[1.3, 0.4], [0.2, 0.9]])),
                                Automorphism.spectral_shift(0.3)], ids=["constant", "shift"])
 def test_gauged_core_matches_its_formula(g, N):
-    # k0^-1 beta0^-1 QL^-1 [g0 R_{0,2N} ... g0 R_{02} Q_0 g0 R_{01} ... g0 R_{0,2N-1}]
-    # beta0 k0 g0^(-2N) with beta = g b g^-1, formed densely; a spectral
-    # shift by s has no g0 factors and reads the c-th R factor at u0 + c s
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    # q0^-1 QL^-1 [g0 R_{0,2N} ... g0 R_{02} Q_0 g0 R_{01} ... g0 R_{0,2N-1}]
+    # q0 g0^(-2N), formed densely; a spectral shift by s has no g0 factors
+    # and reads the c-th R factor at u0 + c s
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     u0, L = 0.52 + 0.21j, 2 * N + 1
-    core = build_gauged_core(sch, R, b, k, Q, QL, g, N, U_Q, u0)
+    core = build_gauged_core(sch, R, q, Q, QL, g, N, U_Q, u0)
     shift = g.variant == Automorphism.SHIFT
     gm = np.eye(2) if shift else g.matrix
     E = [[np.outer(np.eye(2)[i], np.eye(2)[j]) for j in range(2)] for i in range(2)]
     order = [2 * kk for kk in range(N, 0, -1)] + [None] + [2 * kk - 1 for kk in range(1, N + 1)]
     for lam, _ in lam_points(2):
-        bm, km = b.eval(lam), k.eval(lam)
-        beta = gm @ bm @ np.linalg.inv(gm)
-        m = _kron_legs({0: np.linalg.inv(km) @ np.linalg.inv(beta) @ np.linalg.inv(QL)}, L)
+        qm = q.eval(lam)
+        m = _kron_legs({0: np.linalg.inv(qm) @ np.linalg.inv(QL)}, L)
         c = 0
         for a in order:
             if a is None:
@@ -275,14 +272,14 @@ def test_gauged_core_matches_its_formula(g, N):
             P = sum(_kron_legs({0: E[i][j], a: E[j][i]}, L) for i in range(2) for j in range(2))
             x = (u0 + c * g.step if shift else u0) - U_Q[a]
             m = m @ _kron_legs({0: gm}, L) @ (np.eye(2 ** L) + P / x)
-        m = m @ _kron_legs({0: beta @ km @ np.linalg.matrix_power(np.linalg.inv(gm), 2 * N)}, L)
+        m = m @ _kron_legs({0: qm @ np.linalg.matrix_power(np.linalg.inv(gm), 2 * N)}, L)
         assert rel_residual(core.eval(lam), m) < 1e-13
 
 
 def test_nonsimilar_chain_assembles_with_interleaved_twist():
     # structural check: the two-R variant with an explicit dual block
     # builds an 8x8 operator sum at one site
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     from sdreflect.scenarios import builtin_scenario
 
     scen = builtin_scenario("nonsimilar_detwist")
@@ -290,14 +287,14 @@ def test_nonsimilar_chain_assembles_with_interleaved_twist():
     chi0 = identity_dynmat(sch, (1,))
     Qni = np.diag([1.0, 0.0])
     T = build_monodromy_factored(
-        sch, R, b, q, k, Qni, chi, 1, U_Q, 0.3 + 0.2j, Rbar=Rbar, chi0=chi0
+        sch, R, b, q, Qni, chi, 1, U_Q, 0.3 + 0.2j, Rbar=Rbar, chi0=chi0
     )
     lam = lam_points(2)[0][0]
     for M in T.eval_terms(lam).values():
         assert M.shape == (8, 8)
     assert len(T.terms) == 2
     with pytest.raises(ValueError):
-        build_monodromy_factored(sch, R, b, q, k, Qni, chi, 1, U_Q, 0.3, Rbar=Rbar)
+        build_monodromy_factored(sch, R, b, q, Qni, chi, 1, U_Q, 0.3, Rbar=Rbar)
 
 
 def test_locality_preset_pattern():
@@ -306,7 +303,7 @@ def test_locality_preset_pattern():
 
 
 def test_build_ON_identity_automorphism_reduces():
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     O1 = build_ON(b, q, 2, U_Q)
     O2 = build_ON(b, q, 2, U_Q, g=Automorphism.identity())
     lam = RNG.uniform(-1, 1, 2)
@@ -314,9 +311,9 @@ def test_build_ON_identity_automorphism_reduces():
 
 
 def test_factored_terms_view_equals_table():
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     u0 = 0.52 + 0.21j
-    T = build_monodromy_factored(sch, R, b, q, k, Q, chi, 2, U_Q, u0)
+    T = build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, u0)
     t = transfer_trace(T)
     lam = lam_points(2)[0][0]
     for op in (T, t):
@@ -342,8 +339,8 @@ def test_twist_cancels_in_the_partial_trace():
 def test_gauged_core_builds_nothing_per_evaluation(monkeypatch, g):
     import sdreflect.monodromy as mono
 
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(dressed=True)
-    core = build_gauged_core(sch, R, b, k, Q, QL, g, 2, U_Q, 0.52 + 0.21j)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
+    core = build_gauged_core(sch, R, q, Q, QL, g, 2, U_Q, 0.52 + 0.21j)
     lam = lam_points(2)[0][0]
     first = core.eval(lam)
     calls = []
@@ -395,9 +392,9 @@ def test_shiftop_checks_give_one_report_at_every_block_size(monkeypatch):
     # points: the last block holds one) and of all points
     import sdreflect.shiftops as so
 
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario()
+    sch, S, R, b, q, Q, QL, K, chi = scenario()
     Td = build_monodromy_direct(S, K, chi, 2, U_Q, U_LIST[0])
-    Tf = build_monodromy_factored(sch, R, b, q, k, Q, chi, 2, U_Q, U_LIST[0])
+    Tf = build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, U_LIST[0])
     traced = [transfer_trace(build_monodromy_direct(S, K, chi, 2, U_Q, u0))
               for u0 in U_LIST]
     pts = lam_points(2, count=5)
@@ -420,7 +417,7 @@ def test_shiftop_checks_give_one_report_at_every_block_size(monkeypatch):
 
 
 def test_rank3_two_site_conjugator_is_placed_on_the_quantum_legs():
-    sch, S, R, b, q, k, Q, QL, K, chi = scenario(n=3)
+    sch, S, R, b, q, Q, QL, K, chi = scenario(n=3)
     O = build_ON(b, q, 2, U_Q)
     Oinv = O.inv()
     assert O.positions == Oinv.positions == (1, 2, 3, 4)

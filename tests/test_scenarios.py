@@ -35,18 +35,29 @@ def test_unknown_builtin_lists_catalog():
     assert "trivial_yangian" in str(err.value)
 
 
+def _k_closed_form(sc):
+    """k = (g b g^-1)^-1 q in closed form for the two builtins with g != 1."""
+    if sc.name == "constant_g":
+        # b is unit-determinant triangular, so beta = g b g^-1 scales its
+        # off-diagonal entry by g1/g2 = 2
+        q1, q2 = sc.q["entries"]
+        off = sc.b["entries"][0][1]
+        return {"kind": "matrix", "entries": [[f"({q1})", f"0-2*({off})*({q2})"],
+                                              ["0", f"({q2})"]]}
+    # a spectral shift by 1: beta reads b at u1 + 1
+    return {"kind": "diagonal", "entries": ["exp(0.4*lambda1-0.2*(u1+1)-0.3*lambda1)",
+                                            "exp(0-0.3*lambda2+0.1*(u1+1)-0.1*lambda2)"]}
+
+
 def test_catalog_twist_consistency():
-    # q = (g b g^-1) k must hold exactly in every catalog entry
-    for name in builtin_names():
-        sc = builtin_scenario(name)
-        pts = sc.sample(count=3)
-        beta = auto_dress(sc.b_mat(), sc.g_auto())
-        k = sc.k_mat()
-        q = sc.q_mat()
-        for lam, u in pts:
-            uu = {1: u.get(1, 0.3)}
-            lhs = beta.eval(lam, uu) @ k.eval(lam, uu)
-            assert rel_residual(lhs, q.eval(lam, uu)) < 1e-12
+    # the derived beta^-1 q matches the closed form of k at every sampled point
+    for name in ("constant_g", "spectral_shift_g"):
+        rig = Rig(builtin_scenario(name), samples=8)
+        k = compile_matrix_spec(_k_closed_form(rig.scenario), rig.scheme, (1,), "k")
+        derived = rig.beta.inv() @ rig.q
+        for lam, u in rig.points:
+            uu = {1: u[1]}
+            assert rel_residual(derived.eval(lam, uu), k.eval(lam, uu)) < 1e-12
 
 
 def test_rank_override_dimensions():
@@ -54,6 +65,11 @@ def test_rank_override_dimensions():
     assert sc.rank == 3
     assert sc.b_mat().eval(np.zeros(3)).shape == (3, 3)
     assert sc.R0_mat().eval(np.zeros(3), {1: 1.0, 2: -1.0}).shape == (9, 9)
+
+
+def test_k_override_names_its_reason():
+    with pytest.raises(ScenarioError, match="k: derived from b, g and q; remove this field"):
+        builtin_scenario("constant_g", {"k": {"kind": "identity"}})
 
 
 def test_scenario_file_roundtrip(tmp_path):
@@ -127,7 +143,8 @@ def test_sample_matches_the_guard_over_every_ordered_shift(name, box):
         for b in units:
             shifts.append(a + b)
             shifts.extend(a + b + c for c in units)
-    guard = invertibility_guard([sc.b_mat(), sc.q_mat(), sc.k_mat()], floor=0.05,
+    bm = sc.b_mat()
+    guard = invertibility_guard([bm, sc.q_mat(), auto_dress(bm, sc.g_auto())], floor=0.05,
                                 probe_shifts=shifts)
     verdicts = []
 
@@ -416,7 +433,7 @@ def test_sampler_guard_probes_the_rigs_matrices(monkeypatch):
     for (lam1, u1), (lam2, u2) in zip(fresh, rig.points):
         assert lam1.tobytes() == lam2.tobytes() and u1 == u2
     calls = _count_leaf_evals(monkeypatch)
-    for X in (rig.b, rig.q, rig.k):
+    for X in (rig.b, rig.q, rig.beta):
         for lam, u in rig.points:
             X.eval(lam, {l: u[l] for l in X.spectral_legs})
     assert calls == []  # every sampled point was probed by the guard
