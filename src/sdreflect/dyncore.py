@@ -29,6 +29,8 @@ only (one gather of the rows or columns, one BLAS call on the factor,
 one scatter back; see :class:`Placed`); the inverse inverts the small
 factor.  Operators of dimension n**L <= ``DENSE_MAX_DIM`` = 32 are kept
 dense, as there the contraction's fixed cost exceeds the saving.
+:func:`chain_product` multiplies a list of factors in the cheapest
+order for the legs each acts on (left to right when all are dense).
 
 Every matrix function is shape-polymorphic: ``lam`` may carry leading
 batch axes, shape (..., n), and spectral values shape (...); the value
@@ -498,12 +500,49 @@ class Placed:
         return _place_matrix(self.m, self.positions, self.total, self.n)
 
     def __matmul__(self, other):
-        if isinstance(other, Placed):
+        if hasattr(other, "dense"):
             other = other.dense()
         return _apply_left(self.m, self.positions, other, self.total, self.n)
 
     def __rmatmul__(self, other):
         return _apply_right(other, self.m, self.positions, self.total, self.n)
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnBlock:
+    """A d x d matrix on n-dimensional legs that is zero outside the
+    columns whose index on the leg at ``position`` is ``index``: ``m``
+    holds those columns in order, shape (..., d, d/n).
+
+    It is the e_i term M . e_ii^(leg) of an expanded weight shift kept
+    without its zero columns.  ``array @ ColumnBlock`` and ``ColumnBlock
+    @ array`` multiply its dense form; :meth:`dense` pads the zeros back.
+    """
+
+    m: np.ndarray
+    index: int
+    position: int
+    __array_ufunc__ = None  # ndarray @ ColumnBlock defers to __rmatmul__
+
+    @classmethod
+    def of(cls, M, index, position, n):
+        """The columns of M with ``index`` on the leg at ``position`` (a
+        view of M when ``position`` is 0)."""
+        split = M.reshape(M.shape[:-1] + (n ** position, n, -1))[..., index, :]
+        return cls(split.reshape(M.shape[:-1] + (-1,)), index, position)
+
+    def dense(self):
+        d, w = self.m.shape[-2:]
+        out = np.zeros(self.m.shape[:-1] + (d,), dtype=complex)
+        split = out.reshape(out.shape[:-1] + ((d // w) ** self.position, d // w, -1))
+        split[..., self.index, :] = self.m.reshape(split.shape[:-2] + (-1,))
+        return out
+
+    def __matmul__(self, other):
+        return self.dense() @ other
+
+    def __rmatmul__(self, other):
+        return other @ self.dense()
 
 
 def _union_product(a: Placed, b: Placed) -> np.ndarray:
@@ -516,6 +555,59 @@ def _union_product(a: Placed, b: Placed) -> np.ndarray:
     if len(ra) >= len(rb):
         return _apply_right(_place_matrix(a.m, ra, k, n), b.m, rb, k, n)
     return _apply_left(a.m, ra, _place_matrix(b.m, rb, k, n), k, n)
+
+
+def _support(X: DynMat) -> frozenset:
+    """The positions of the legs X acts on (all of them when dense)."""
+    return frozenset(range(len(X.legs)) if X.positions is None else X.positions)
+
+
+def product_cost(n, a, b) -> int:
+    """Complex multiply-adds of the product of two factors acting on the
+    leg positions ``a`` and ``b``, as :meth:`DynMat.__matmul__` forms it:
+    the factor with more legs on the union U, contracted with the other,
+    n**(2|U| + min(|a|, |b|)) (a dense factor acts on every leg)."""
+    return n ** (2 * len(a | b) + min(len(a), len(b)))
+
+
+@functools.lru_cache(maxsize=None)
+def chain_plan(supports, n):
+    """(cost, tree) of the cheapest association of a product of factors
+    acting on the leg positions ``supports`` (a tuple of frozensets), by
+    :func:`product_cost`; cached, as a chain builder asks for one plan
+    per chain shape again and again.
+
+    Interval dynamic programming over the chain (the matrix-chain
+    ordering problem, Godbole 1973).  A tree is a factor's index or a
+    pair (left, right) of trees.  On a tie the latest split wins, so
+    factors that all act on every leg multiply left to right.
+    """
+    count = len(supports)
+    union = {(i, i): s for i, s in enumerate(supports)}
+    best = {(i, i): (0, i) for i in range(count)}
+    for span in range(1, count):
+        for i in range(count - span):
+            j = i + span
+            union[i, j] = union[i, j - 1] | union[j, j]
+            for s in range(i, j):
+                cost = (best[i, s][0] + best[s + 1, j][0]
+                        + product_cost(n, union[i, s], union[s + 1, j]))
+                if s == i or cost <= best[i, j][0]:
+                    best[i, j] = (cost, (best[i, s][1], best[s + 1, j][1]))
+    return best[0, count - 1]
+
+
+def chain_product(factors) -> DynMat:
+    """The product factors[0] @ factors[1] @ ... of DynMats on one leg
+    set, associated as :func:`chain_plan` finds cheapest for the legs
+    each factor acts on (the written left-to-right product when every
+    factor is dense)."""
+    _, tree = chain_plan(tuple(_support(X) for X in factors), factors[0].scheme.rank)
+
+    def build(t):
+        return factors[t] if isinstance(t, int) else build(t[0]) @ build(t[1])
+
+    return build(tree)
 
 
 def _value(X: DynMat, lam, u):

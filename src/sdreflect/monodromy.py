@@ -25,6 +25,11 @@ argument shifts automatically.  The conjugation is formed once per point
 (:func:`_conjugate_weight_shifted`): O_N^{-1} times the core is one
 product, and the e_i term of E_0 applies O_N(lam + gamma e_i) to the
 column block of auxiliary index i only, which is all that E_0 keeps.
+Both tables hold each e_i term as that one block
+(:class:`~sdreflect.dyncore.ColumnBlock`), and the partial trace of a
+term is its diagonal block.  Every chain product (the direct form, each
+factorized core, O_N) is formed in its cheapest order
+(:func:`~sdreflect.dyncore.chain_product`).
 
 Every factorized core (this one, the non-similar one with a second
 matrix Rbar on the odd legs, and the automorphism-gauged one) is one
@@ -55,16 +60,18 @@ from .consistency import (
 )
 from .dyncore import (
     Automorphism,
+    ColumnBlock,
     DynMat,
     LegError,
     WeightScheme,
     adjoint_auto,
+    chain_product,
     constant_dynmat,
     dyn_shift,
     embed,
 )
 from .parametrize import auto_dress
-from .shiftops import ShiftOpSum, shiftop_commutators
+from .shiftops import ShiftOpSum, _dense, shiftop_commutators
 
 
 def all_legs(N: int):
@@ -107,14 +114,11 @@ def _chain_values(u_quantum, u_aux):
 
 def _site_product(block, N: int, legs):
     """prod_{k=N..1} block(k), each site block shifted by the odd legs above it."""
-    out = None
+    blocks = []
     for k in range(N, 0, -1):
-        blk = block(k)
         s = _site_shift(k, N)
-        if s:
-            blk = dyn_shift(blk, s, legs)
-        out = blk if out is None else out @ blk
-    return out
+        blocks.append(dyn_shift(block(k), s, legs) if s else block(k))
+    return chain_product(blocks)
 
 
 def _place(X: DynMat, at, legs, uvals, shift=()) -> DynMat:
@@ -146,22 +150,21 @@ def _core_product(R: DynMat, left, middle, R_odd: DynMat, right, N: int, uvals,
     factors += [(N, f) for f in middle]
     factors += [(N + kk, (R_odd, (0, 2 * kk - 1))) for kk in range(1, N + 1)]
     factors += [(2 * N, f) for f in right]
-    core = None
-    for c, (X, at, *shift) in factors:
-        X = _place(adjoint_auto(X, g, X.legs[:1], "conjugate", c), at, legs, uvals, *shift)
-        core = X if core is None else core @ X
-    return core
+    return chain_product([_place(adjoint_auto(X, g, X.legs[:1], "conjugate", c),
+                                 at, legs, uvals, *shift)
+                          for c, (X, at, *shift) in factors])
 
 
 def _conjugate_weight_shifted(O: DynMat, core: DynMat) -> ShiftOpSum:
-    """O^-1 . core . E_0 . O, E_0 the expanded weight shift on leg 0: the
-    term at e_i is O^-1 core e_ii^(0) O(lam + gamma e_i).
+    """O^-1 . core . E_0 . O, E_0 the expanded weight shift on leg 0 and O
+    the identity on leg 0: the term at e_i is O^-1 core e_ii^(0)
+    O(lam + gamma e_i), kept as its column block i.
 
     e_ii^(0) keeps the column block i (of width n**(L-1), as leg 0 is the
     most significant index) and commutes with the left product, so O^-1
     core is formed once per point.  An O placed on all the quantum legs
-    is its factor on every block, so only block i of the e_i term is a
-    product; any other O multiplies the kept columns.  The entries are
+    is its factor on every block, so the block is one product; any other
+    O multiplies the kept columns, zeros around them.  The entries are
     the dot products of the composed operator product, bit for bit.
     """
     scheme, n = O.scheme, O.scheme.rank
@@ -176,13 +179,13 @@ def _conjugate_weight_shifted(O: DynMat, core: DynMat) -> ShiftOpSum:
         for i, key in enumerate(keys):
             o = O.eval(lam + scheme.gamma * np.asarray(key, dtype=complex), u, local=True)
             block = slice(i * w, (i + 1) * w)
-            term = np.zeros_like(Y)
             if on_quantum_legs:
-                term[..., block] = Y[..., block] @ o.m
+                term = Y[..., block] @ o.m
             else:
+                term = np.zeros_like(Y)
                 term[..., block] = Y[..., block]
-                term = term @ o
-            out[key] = term
+                term = (term @ o)[..., block]
+            out[key] = ColumnBlock(term, i, 0)
         return out
 
     return ShiftOpSum(scheme, O.legs, keys, table)
@@ -211,17 +214,17 @@ def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
         )
     legs = all_legs(N)
     uvals = _chain_values(u_quantum, u_aux)
-    mat = _place(chi_t, (0,), legs, uvals)
+    factors = [_place(chi_t, (0,), legs, uvals)]
     for k in range(N, 0, -1):
         s = _site_shift(k, N)
-        mat = (mat @ _place(S.A, (0, 2 * k), legs, uvals, s)
-               @ _place(S.C, (0, 2 * k - 1), legs, uvals, s))
-    mat = mat @ _place(Q0, (0,), legs, uvals, tuple(range(1, 2 * N, 2)))
+        factors += [_place(S.A, (0, 2 * k), legs, uvals, s),
+                    _place(S.C, (0, 2 * k - 1), legs, uvals, s)]
+    factors.append(_place(Q0, (0,), legs, uvals, tuple(range(1, 2 * N, 2))))
     for k in range(1, N + 1):
         s = _site_shift(k, N)
-        mat = (mat @ _place(S.D, (0, 2 * k - 1), legs, uvals, s)
-               @ _place(S.B, (0, 2 * k), legs, uvals, s))
-    return ShiftOpSum.weight_shifted(mat, 0)
+        factors += [_place(S.D, (0, 2 * k - 1), legs, uvals, s),
+                    _place(S.B, (0, 2 * k), legs, uvals, s)]
+    return ShiftOpSum.weight_shifted(chain_product(factors), 0)
 
 
 def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) -> DynMat:
@@ -322,10 +325,16 @@ def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
     dq = n ** len(qlegs)
 
     def table(lam, u):
-        terms = T.eval_terms(lam, u)
+        terms = T.raw_terms(lam, u)
         out = {}
         for m in list(terms):
             M = terms.pop(m)
+            if isinstance(M, ColumnBlock) and M.position == 0:
+                # the einsum below would add only zeros to its rows i; a
+                # copy, so the traced table does not keep all of M alive
+                out[m] = M.m[..., M.index * dq:(M.index + 1) * dq, :].copy()
+                continue
+            M = _dense(M)
             out[m] = np.einsum("...iaib->...ab", M.reshape(M.shape[:-2] + (n, dq, n, dq)))
         return out
 

@@ -7,8 +7,12 @@ shift vector m; products compose as
 
 An operator is its table: ``terms`` lists the shift vectors m, and
 ``table(lam, u)`` computes every coefficient at a point, or at a stacked
-batch of points, as one dict shift vector -> matrix.  ``eval_terms``
-validates the point and returns the table with dense coefficients.  A
+batch of points, as one dict shift vector -> matrix.  A coefficient may
+be kept as a :class:`~sdreflect.dyncore.Placed` factor or, for the
+terms of an expanded weight shift, as its one
+:class:`~sdreflect.dyncore.ColumnBlock`; ``eval_terms`` validates the
+point and returns the table with dense coefficients, and the
+difference check compares two blocks of the same columns as they are.  A
 term sum (:meth:`ShiftOpSum.of_terms`) takes
 :class:`~sdreflect.dyncore.DynMat` coefficients sharing one leg set;
 spectral values must already be bound into them.  A product is
@@ -30,7 +34,7 @@ import itertools
 import numpy as np
 
 from .consistency import _report, _stack, rel_residual, worst_residual
-from .dyncore import DynMat, LegError, Placed, WeightScheme
+from .dyncore import ColumnBlock, DynMat, LegError, Placed, WeightScheme
 
 
 class ShiftOpSum:
@@ -38,7 +42,8 @@ class ShiftOpSum:
 
     ``terms`` is the tuple of its shift vectors m in table order, and
     ``table(lam, u)`` gives the whole table m -> M_m at a checked point or
-    stacked batch, a placed coefficient as its :class:`Placed` factor.
+    stacked batch, a placed coefficient as its :class:`Placed` factor and
+    a weight-shift term as its :class:`ColumnBlock`.
     """
 
     def __init__(self, scheme: WeightScheme, legs, terms, table):
@@ -66,16 +71,15 @@ class ShiftOpSum:
     @classmethod
     def weight_shifted(cls, M: DynMat, leg):
         """M followed by the expanded shift factor sum_i e_ii^(leg)
-        exp(gamma d_i): the term at e_i is M . e_ii^(leg), M with the
-        columns whose ``leg`` index is not i set to zero (a column
-        selection, no product)."""
-        n, total = M.scheme.rank, len(M.legs)
-        digit = np.arange(n ** total) // n ** (total - 1 - M.legs.index(leg)) % n
+        exp(gamma d_i): the term at e_i is M . e_ii^(leg), the columns of
+        M whose ``leg`` index is i, kept as one :class:`ColumnBlock` (a
+        column selection, no product)."""
+        n, position = M.scheme.rank, M.legs.index(leg)
         keys = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
         def table(lam, u):
             m = M.eval(lam, u)
-            return {key: np.where(digit == i, m, 0.0) for i, key in enumerate(keys)}
+            return {key: ColumnBlock.of(m, i, position, n) for i, key in enumerate(keys)}
 
         return cls(M.scheme, M.legs, keys, table)
 
@@ -94,10 +98,19 @@ class ShiftOpSum:
                              for m1 in self.terms for m2 in other.terms)
         return ShiftOpSum(self.scheme, self.legs, keys, table)
 
+    def raw_terms(self, lam, u=None):
+        """The table at a checked point, placed coefficients and column
+        blocks as they are."""
+        return self.table(self.scheme.check_point(lam), u)
+
     def eval_terms(self, lam, u=None):
         """Dict shift vector -> dense coefficient matrix at the point."""
-        table = self.table(self.scheme.check_point(lam), u)
-        return {m: c.dense() if isinstance(c, Placed) else c for m, c in table.items()}
+        return {m: _dense(c) for m, c in self.raw_terms(lam, u).items()}
+
+
+def _dense(c):
+    """A table entry as a dense array."""
+    return c.dense() if isinstance(c, (Placed, ColumnBlock)) else c
 
 
 def _table_product(left, right_at, take=dict.pop):
@@ -137,12 +150,24 @@ def _blocks(points, ops):
         yield block[0] if len(block) == 1 else _stack(block)
 
 
+def _same_block(a, b):
+    """Whether a and b are column blocks of the same columns."""
+    return (isinstance(a, ColumnBlock) and isinstance(b, ColumnBlock)
+            and (a.index, a.position) == (b.index, b.position))
+
+
 def _difference(t1, t2, keys):
     """Worst relative residual between two tables over ``keys`` (a missing
-    entry counts as zero); entries are dropped as they are compared."""
+    entry counts as zero); entries are dropped as they are compared.  Two
+    column blocks of the same columns are compared as blocks (the zeros
+    around them add nothing to a norm), anything else dense."""
     out = []
     for m in keys:
         a, b = t1.pop(m, None), t2.pop(m, None)
+        if _same_block(a, b):
+            a, b = a.m, b.m
+        else:
+            a, b = _dense(a), _dense(b)
         if a is None:
             a = np.zeros_like(b)
         if b is None:
@@ -160,8 +185,8 @@ def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8
     for lam, u in _blocks(points, (S1, S2)):
         # S2 first: callers pass the deeper operand (the factored
         # monodromy) second, so its temporaries never meet S1's table
-        t2 = S2.eval_terms(lam, u)
-        residuals.extend(np.atleast_1d(_difference(S1.eval_terms(lam, u), t2, keys)))
+        t2 = S2.raw_terms(lam, u)
+        residuals.extend(np.atleast_1d(_difference(S1.raw_terms(lam, u), t2, keys)))
     return _report(name, points, tol, residuals)
 
 

@@ -765,3 +765,128 @@ def test_conjugated_weight_shifted_core_leg_local_bit_for_bit(leg_local):
     O, got, want = _conjugated_tables(2, 2, embed(O, (2, 3), legs))
     assert O.positions == (2, 3)
     _assert_same_tables(got, want)
+
+
+def _tree_cost(tree, supports, n):
+    """(multiply-adds, support) of the product ``tree`` (an index or a
+    pair of trees), by the planner's cost model."""
+    from sdreflect.dyncore import product_cost
+
+    if isinstance(tree, int):
+        return 0, frozenset(supports[tree])
+    (ca, a), (cb, b) = (_tree_cost(t, supports, n) for t in tree)
+    return ca + cb + product_cost(n, a, b), a | b
+
+
+def _trees(lo, hi):
+    """Every association of the factors lo..hi."""
+    if lo == hi:
+        yield lo
+        return
+    for s in range(lo, hi):
+        for left in _trees(lo, s):
+            for right in _trees(s + 1, hi):
+                yield left, right
+
+
+def test_chain_plan_is_the_cheapest_association():
+    from sdreflect.dyncore import chain_plan
+
+    rng = np.random.default_rng(47)
+    for count in range(1, 7):
+        for _ in range(5):
+            supports = tuple(frozenset(int(p) for p in rng.choice(5, rng.integers(1, 4), False))
+                             for _ in range(count))
+            cost, tree = chain_plan(supports, 3)
+            assert _tree_cost(tree, supports, 3)[0] == cost
+            assert cost == min(_tree_cost(t, supports, 3)[0]
+                               for t in _trees(0, count - 1))
+
+
+def _chain_factors(sch, legs, rng):
+    """Generic one-, two- and three-leg factors placed on ``legs``, some
+    dynamically shifted, as a monodromy chain holds them."""
+    picks = [(0,), (0, 4), (0, 3), (0, 2), (0, 1), (0,), (0, 1), (0, 2), (0, 3), (0, 4)]
+    shifts = [(), (), (), (3,), (3,), (1, 3), (3,), (3,), (), ()]
+    factors = []
+    for at, shift in zip(picks, shifts):
+        X = _affine_dynmat(rng, sch, tuple(range(len(at))), 2.0)
+        factors.append(dyn_shift(embed(X, at, legs), shift, legs) if shift else embed(X, at, legs))
+    return factors
+
+
+def test_chain_product_is_the_written_product_up_to_the_dense_size():
+    import functools
+    import operator
+
+    from sdreflect.dyncore import chain_product
+
+    sch, legs = WeightScheme(2, 0.7), (0, 1, 2, 3, 4)
+    assert sch.rank ** len(legs) <= DENSE_MAX_DIM
+    rng = np.random.default_rng(53)
+    factors = _chain_factors(sch, legs, rng)
+    assert all(X.positions is None for X in factors)
+    lam = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    np.testing.assert_array_equal(chain_product(factors).eval(lam),
+                                  functools.reduce(operator.matmul, factors).eval(lam))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_planned_chain_product_matches_the_written_product(n, leg_local):
+    import functools
+    import operator
+
+    from sdreflect.dyncore import chain_product
+
+    sch, legs = WeightScheme(n, 0.7), (0, 1, 2, 3, 4)
+    rng = np.random.default_rng([59, n])
+    factors = _chain_factors(sch, legs, rng)
+    assert all(X.positions is not None for X in factors)
+    lam = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    assert _close(chain_product(factors).eval(lam),
+                  functools.reduce(operator.matmul, factors).eval(lam))
+
+
+def test_planned_direct_chain_costs_at_most_a_quarter_of_left_to_right(monkeypatch):
+    # the rank-3 two-site direct chain: ten factors on 243 x 243 operators
+    import sdreflect.dyncore as dc
+    from sdreflect.cli import Rig
+    from sdreflect.monodromy import build_monodromy_direct
+    from sdreflect.scenarios import builtin_scenario
+
+    plans, real = [], dc.chain_plan
+
+    def spy(supports, n):
+        plans.append((supports, real(supports, n)))
+        return plans[-1][1]
+
+    monkeypatch.setattr(dc, "chain_plan", spy)
+    rig = Rig(builtin_scenario("diagonal_dressed", {"rank": 3, "sites": 2}), samples=1)
+    build_monodromy_direct(rig.S, rig.K, rig.chi, 2, rig.scenario.quantum_values(2), 0.5)
+    (supports, (cost, tree)), = plans
+    assert len(supports) == 10
+    left_to_right = 0
+    for k in range(1, len(supports)):
+        left_to_right = (left_to_right, k)
+    assert _tree_cost(tree, supports, 3)[0] == cost
+    assert 4 * cost <= _tree_cost(left_to_right, supports, 3)[0]
+
+
+def test_column_block_is_the_projected_matrix_on_every_leg():
+    from sdreflect.dyncore import ColumnBlock, Placed
+
+    rng = np.random.default_rng(61)
+    for n, total in ((2, 3), (3, 3)):
+        d = n ** total
+        M = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        A = _rand(rng, d)
+        P = Placed(_rand(rng, n), (1,), total, n)
+        for position in range(total):
+            for i in range(n):
+                block = ColumnBlock.of(M, i, position, n)
+                assert block.m.shape == (2, d, d // n)
+                want = M @ _place_matrix(np.diag(np.eye(n)[i]), [position], total, n)
+                np.testing.assert_array_equal(block.dense(), want)
+                np.testing.assert_array_equal(A @ block, A @ want)
+                np.testing.assert_array_equal(block @ A, want @ A)
+                np.testing.assert_array_equal(P @ block, P @ want)

@@ -425,3 +425,101 @@ def test_rank3_two_site_conjugator_is_placed_on_the_quantum_legs():
     small = Oinv.eval(lam, local=True)
     assert small.m.shape == (81, 81)
     np.testing.assert_allclose(small.dense(), np.linalg.inv(O.eval(lam)), atol=1e-12)
+
+
+def _stacked(n, count=3):
+    return np.stack([lam for lam, _ in lam_points(n, count)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_traced_column_blocks_are_the_einsum_of_the_dense_terms(n):
+    # the direct (weight-shifted) and the factored (conjugated) chain at
+    # two sites: dense operators at rank 2 (d = 32), placed at rank 3
+    from sdreflect.dyncore import ColumnBlock
+
+    sch, S, R, b, q, Q, QL, K, chi = scenario(n=n)
+    lam, dq = _stacked(n), n ** 4
+    for T in (build_monodromy_direct(S, K, chi, 2, U_Q, U_LIST[0]),
+              build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, U_LIST[0])):
+        assert all(isinstance(c, ColumnBlock) for c in T.raw_terms(lam).values())
+        traced = transfer_trace(T).eval_terms(lam)
+        for m, M in T.eval_terms(lam).items():
+            want = np.einsum("...iaib->...ab", M.reshape(M.shape[:-2] + (n, dq, n, dq)))
+            np.testing.assert_array_equal(traced[m], want)
+
+
+def _dense_table(T):
+    """T with every table entry dense."""
+    return ShiftOpSum(T.scheme, T.legs, T.terms, T.eval_terms)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_difference_matches_the_dense_difference(n):
+    sch, S, R, b, q, Q, QL, K, chi = scenario(n=n)
+    pts = lam_points(n, 5 - n)
+    Td = build_monodromy_direct(S, K, chi, 2, U_Q, U_LIST[0])
+    first = Td.terms[0]
+    cases = [
+        # round-off, and a signal (another auxiliary value)
+        (Td, build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, U_LIST[0])),
+        (Td, build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, U_LIST[1])),
+        # a missing entry counts as zero
+        (Td, ShiftOpSum(sch, Td.legs, [first], lambda lam, u: {first: Td.table(lam, u)[first]})),
+    ]
+    for S1, S2 in cases:
+        got = shiftop_difference_residual(S1, S2, pts)
+        want = shiftop_difference_residual(_dense_table(S1), _dense_table(S2), pts)
+        np.testing.assert_allclose(got.max_residual, want.max_residual, rtol=1e-12)
+        assert got.passed == want.passed
+
+
+def test_nan_in_one_column_block_fails_at_its_point():
+    n, legs = 3, (0, 1, 2, 3)
+    sch = WeightScheme(n, 1.0)
+    rng = np.random.default_rng(67)
+    pts = [(rng.normal(size=n) + 0j, {}) for _ in range(3)]
+    bad = pts[2][0]
+    m = rng.normal(size=(n ** 4, n ** 4)) + 0j
+
+    def core(lam, u):
+        out = m * (1 + lam[0])
+        if np.array_equal(lam, bad):
+            out = out.copy()
+            out[5, 40] = np.nan  # column 40 lies in block 1 (columns 27..53)
+        return out
+
+    good = ShiftOpSum.weight_shifted(function_dynmat(sch, legs, lambda lam, u: m * (1 + lam[0])), 0)
+    broken = ShiftOpSum.weight_shifted(function_dynmat(sch, legs, core), 0)
+    rep = shiftop_difference_residual(broken, good, pts, 1e-8)
+    assert not rep.passed
+    assert np.isnan(rep.max_residual)
+    np.testing.assert_array_equal(rep.worst_point[0], bad)
+
+
+def test_perturbed_site_one_B_fails_the_planned_chain_linearly(monkeypatch):
+    # negative control of the planned product: eps X added to the site-1
+    # B factor of the direct rank-3 two-site chain only
+    import sdreflect.monodromy as mono
+    from sdreflect.cli import Rig
+    from sdreflect.scenarios import builtin_scenario
+
+    rig = Rig(builtin_scenario("diagonal_dressed", {"rank": 3, "sites": 2}), samples=2)
+    rng = np.random.default_rng(71)
+    X = constant_dynmat(rig.scheme, rig.S.B.legs,
+                        rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    real = mono._place
+
+    def residual(eps):
+        def place(Y, at, *args):
+            if Y is rig.S.B and at == (0, 2):
+                Y = Y + eps * X
+            return real(Y, at, *args)
+
+        monkeypatch.setattr(mono, "_place", place)
+        reports, _ = rig.run_suite("monodromy-factor")
+        rep = {r.check_name: r for r in reports}["monodromy_factorization_N2"]
+        assert not rep.passed
+        return rep.max_residual
+
+    small, large = residual(1e-6), residual(1e-5)
+    assert 5 <= large / small <= 20
