@@ -22,7 +22,7 @@ from .consistency import (
     residual_zero_weight,
     residual_zwc,
 )
-from .dyncore import constant_dynmat
+from .dyncore import constant_dynmat, memoized
 from .exprparse import EvalOverflowError
 from .monodromy import (
     build_monodromy_direct,
@@ -72,11 +72,14 @@ class Rig:
         self.beta = auto_dress(self.b, self.g)
         self.projs = scenario.projector_list()
         if self.projs is not None:
-            self.B, self.C = build_BC_projector(self.b, self.projs, self.scheme)
+            B, C = build_BC_projector(self.b, self.projs, self.scheme)
         else:
-            self.B, self.C = build_BC(self.b, self.g, self.scheme)
-        self.A = build_A(self.R0, self.b, self.g, self.scheme)
-        self.D = build_D_twist(self.Rbar or self.R0, self.q, self.scheme)
+            B, C = build_BC(self.b, self.g, self.scheme)
+        # every suite and the transfer gate read one evaluation of each
+        # structure matrix per distinct point set, kept for this rig only
+        self.A, self.B, self.C, self.D = map(memoized, (
+            build_A(self.R0, self.b, self.g, self.scheme), B, C,
+            build_D_twist(self.Rbar or self.R0, self.q, self.scheme)))
         self.S = StructureSet(self.A, self.B, self.C, self.D, self.scheme, self.g)
         self.Q = scenario.Q
         self.QL = scenario.Q_L
@@ -84,8 +87,7 @@ class Rig:
         self.K = self.beta.inv() @ constant_dynmat(self.scheme, self.b.legs, self.Q) @ self.q
         self.kappa = self.beta @ self.K @ self.q.inv()
         self.chi = build_dual(self.q, self.b, self.g, self.QL)
-        self.points = scenario.sample(count=samples, seed=seed,
-                                       guard_mats=(self.b, self.q, self.beta))
+        self.points = scenario.sample(count=samples, seed=seed, leaves=(self.b, self.q))
         # cubic-relation reports by letter: ybce / gybce and dybe share
         # relation d
         self._cubic = {}

@@ -44,6 +44,12 @@ of the first such point of its batch, and :func:`eval_dynmat` names the
 caller's point there.  Combinators carry no pole data; a pole source
 sees the arguments they pass it, so its poles move with them.
 
+Values are reused only where a DynMat is wrapped by :func:`memoized`:
+its function then runs once per distinct point set (``lam`` and the
+spectral values, by their exact bytes), and the kept values are
+read-only.  The memo belongs to the wrapped DynMat and goes with it;
+there is no module-level value cache.
+
 Every automorphism action goes through one engine, :func:`decorate`,
 which applies a list of :class:`Decoration` blocks of automorphism
 powers on named legs; a spectral-shift conjugation moves the slots (and
@@ -338,6 +344,39 @@ def _as_complex(v):
     if isinstance(v, np.ndarray) and v.ndim:
         return v.astype(complex, copy=False)
     return complex(v)
+
+
+def _exact_key(v):
+    """The exact identity of a value: its dtype, shape and bytes."""
+    v = np.asarray(v)
+    return v.dtype, v.shape, v.tobytes()
+
+
+def memoized(X: DynMat) -> DynMat:
+    """X with its values kept: the same matrix (legs, positions and
+    spectral legs), whose function runs once per distinct point set.
+
+    A value is kept under the exact :func:`_exact_key` of ``lam`` and of
+    every spectral value, so -0.0 and 0.0, or a scalar and a (1,) array,
+    are distinct keys.  Kept values are read-only.  A
+    :class:`PoleError` is never kept: a pole raises on every call, with
+    the index of the caller's point.  The memo lives as long as the
+    returned DynMat; its function's ``memo`` is the dict of kept values
+    and its ``__wrapped__`` is X's function.
+    """
+    f, legs, memo = X.fn, sorted(X.spectral_legs), {}
+
+    def fn(lam, u):
+        key = (_exact_key(lam), *(_exact_key(u[l]) for l in legs))
+        m = memo.get(key)
+        if m is None:
+            m = np.asarray(f(lam, u)).view()
+            m.setflags(write=False)
+            memo[key] = m
+        return m
+
+    fn.memo, fn.__wrapped__ = memo, f
+    return replace(X, fn=fn)
 
 
 # -- constructors --------------------------------------------------------

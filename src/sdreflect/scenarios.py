@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .dyncore import (
     WeightScheme,
     constant_dynmat,
     identity_dynmat,
+    memoized,
     yangian_r,
 )
 from .monodromy import locality_preset
@@ -118,6 +119,12 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     yangian_offdiag (two legs, off-diagonal weight slots scaled by mu).
     Expression entries may reference u1..uk for the spectral slots of
     the k legs, in leg order.
+
+    An expression kind keeps its values at two levels, for as long as
+    the returned DynMat lives: each row (a point and its spectral value)
+    in a row memo that stacks and points share, and each whole stack or
+    point through :func:`~sdreflect.dyncore.memoized`.  Kept values are
+    read-only; a pole is never kept.
     """
     kind = _spec_kind(spec, MATRIX_KINDS, {"kind", "entries", "mu"}, path, "kind")
     n = scheme.rank
@@ -227,25 +234,17 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
             memo.setdefault(keys[r], m[r])
         return m
 
-    # a stack's values, kept by the stack's (shape, bytes)
-    stacks = {}
-
     def fn(lam, u):
         uval = u[leg] if spectral else None
-        if lam.ndim == 1 and not (isinstance(uval, np.ndarray) and uval.ndim):
+        if lam.ndim == 1 and np.ndim(uval) == 0:
             return at_point(lam, uval)
-        lam = np.asarray(lam, dtype=complex)
         uval = np.asarray(0.0 if uval is None else uval, dtype=complex)
-        shape = np.broadcast_shapes(lam.shape[:-1], uval.shape)
-        lam = np.broadcast_to(lam, shape + lam.shape[-1:])
-        uval = np.broadcast_to(uval, shape)
-        key = (shape, lam.tobytes(), uval.tobytes())
-        if key not in stacks:
-            flat = np.ascontiguousarray(lam.reshape(-1, lam.shape[-1]))
-            stacks[key] = evaluate(flat, uval.ravel()).reshape(shape + (n, n))
-        return stacks[key]
+        lam, uval = np.broadcast_arrays(np.asarray(lam, dtype=complex), uval[..., None])
+        flat = np.ascontiguousarray(lam.reshape(-1, n))
+        return evaluate(flat, uval[..., 0].ravel()).reshape(lam.shape[:-1] + (n, n))
 
-    return DynMat(scheme, legs, fn, spectral)
+    # each stack or point is kept by its exact bytes
+    return memoized(DynMat(scheme, legs, fn, spectral))
 
 
 def compile_automorphism_spec(spec, rank, path="automorphism") -> Automorphism:
@@ -393,16 +392,17 @@ class Scenario:
             raise ScenarioError("quantum_spectral: need two values per site")
         return {i + 1: vals[i] for i in range(2 * N)}
 
-    def sample(self, count=None, seed=None, guard_mats=None):
+    def sample(self, count=None, seed=None, leaves=None):
         """Pole-aware samples for this scenario's checks.
 
-        The guard keeps each matrix invertible at the point and at every
-        point shifted by a sum of one to three weight steps gamma e_i,
-        each distinct shift probed once.  ``guard_mats`` is the compiled
-        (b, q, beta) the guard probes, beta = g b g^-1 (for a spectral
-        shift, b read at u + s); by default they are compiled afresh.
-        Passing a rig's own matrices lets verification reuse the leaf
-        values the guard computed.
+        The guard keeps b, q and beta = g b g^-1 (for a spectral shift,
+        b read at u + s) invertible at the point and at every point
+        shifted by a sum of one to three weight steps gamma e_i, each
+        distinct shift probed once.  ``leaves`` is the compiled (b, q)
+        the guard reads, by default compiled afresh; passing a rig's own
+        leaves lets verification reuse the rows the guard evaluated.
+        The guard reads them past their stack memo, so its candidate
+        stacks, which no check meets again, are not kept.
         """
         cfg = dict(self.sampler)
         count = cfg.get("count", 50) if count is None else count
@@ -410,11 +410,11 @@ class Scenario:
         units = [self.gamma * self.scheme.unit(i) for i in range(self.rank)]
         shifts = [sum(c) for r in (1, 2, 3)
                   for c in itertools.combinations_with_replacement(units, r)]
-        if guard_mats is None:
-            b = self.b_mat()
-            guard_mats = (b, self.q_mat(), auto_dress(b, self.g_auto()))
+        b, q = (replace(X, fn=getattr(X.fn, "__wrapped__", X.fn))
+                for X in leaves or (self.b_mat(), self.q_mat()))
+        beta = auto_dress(b, self.g_auto())  # b itself for the identity
         guards = [invertibility_guard(
-            list(guard_mats),
+            [b, q] + ([] if beta is b else [beta]),
             floor=0.05, probe_shifts=shifts,
         )]
         return sample_points(

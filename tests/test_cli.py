@@ -399,3 +399,57 @@ def test_rank4_placed_products_over_a_batch(tmp_path, capsys):
     code = run(["--scenario", str(path), "--suite", "ybce", "--suite", "sdre",
                 "--samples", "4"])
     assert code == 0, capsys.readouterr().out
+
+
+# -- the per-rig memo of the structure matrices ---------------------------------
+
+def test_structure_matrices_run_once_per_distinct_point_set(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from sdreflect import cli
+
+    calls = []
+
+    def counted(name, X):
+        def fn(lam, u, _f=X.fn):
+            calls.append((name, lam.shape, lam.tobytes(),
+                          tuple((l, np.shape(u[l]), np.asarray(u[l]).tobytes())
+                                for l in sorted(X.spectral_legs))))
+            return _f(lam, u)
+
+        return replace(X, fn=fn)
+
+    build_A, build_BC, build_D = cli.build_A, cli.build_BC, cli.build_D_twist
+    monkeypatch.setattr(cli, "build_A", lambda *a: counted("A", build_A(*a)))
+    monkeypatch.setattr(cli, "build_BC", lambda *a: tuple(
+        counted(name, X) for name, X in zip("BC", build_BC(*a))))
+    monkeypatch.setattr(cli, "build_D_twist", lambda *a: counted("D", build_D(*a)))
+    argv = ["--builtin", "diagonal_dressed"]
+    for s in ("zero-weight", "ybce", "dybe", "sdre", "intertwiner", "detwist",
+              "theta-period"):
+        argv += ["--suite", s]
+    assert run(argv) == 0
+    # one call per distinct point set; without the rig's memo these suites make 44
+    assert len(calls) == len(set(calls)) == 18
+    assert {name for name, *_ in calls} == set("ABCD")
+
+
+def test_perturbed_r0_fails_both_suites_that_read_a(monkeypatch, capsys):
+    from sdreflect.dyncore import constant_dynmat
+    from sdreflect.scenarios import Scenario
+
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    R0_mat = Scenario.R0_mat
+    residuals = []
+    for eps in (1e-7, 1e-6):
+        monkeypatch.setattr(Scenario, "R0_mat", lambda self, eps=eps: R0_mat(self)
+                            + constant_dynmat(self.scheme, (1, 2), eps * X))
+        assert run(["--builtin", "diagonal_dressed", "--suite", "ybce", "--suite", "sdre",
+                    "--format", "structured"]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks["ybce_a"]["pass"] and not checks["sdre"]["pass"]
+        residuals.append([checks[name]["max_residual"] for name in ("ybce_a", "sdre")])
+    # both residuals are linear in eps
+    for small, large in zip(*residuals):
+        assert 5 <= large / small <= 20

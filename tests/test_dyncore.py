@@ -890,3 +890,130 @@ def test_column_block_is_the_projected_matrix_on_every_leg():
                 np.testing.assert_array_equal(A @ block, A @ want)
                 np.testing.assert_array_equal(block @ A, want @ A)
                 np.testing.assert_array_equal(P @ block, P @ want)
+
+
+# -- the value memo ----------------------------------------------------------
+
+
+def _counted(X):
+    """X with a list of the (lam, u) its function was called at."""
+    from dataclasses import replace
+
+    calls = []
+
+    def fn(lam, u, _f=X.fn):
+        calls.append((lam, u))
+        return _f(lam, u)
+
+    return replace(X, fn=fn), calls
+
+
+def _memo_case(name):
+    """(DynMat, u): a dense spectral matrix or a placed one."""
+    rng = np.random.default_rng(67)
+    base = _rand(rng, 4) + 3 * np.eye(4)
+    slope = _rand(rng, 4) * 0.1
+
+    def fn(lam, u):
+        return base + slope * (lam[..., 0] - 0.5 * lam[..., 1])[..., None, None] \
+            + slope.T * np.asarray(u[0])[..., None, None]
+
+    X = function_dynmat(SCH2, (0, 1), fn, spectral_legs=(0,))
+    placed = embed(X, (4, 1), tuple(range(6)))
+    assert placed.positions == (4, 1)
+    R = yangian_r(SCH2, (1, 2))
+    return {"dense": (R @ R.inv().shift_spectral({1: 0.25}), {1: 0.3 - 0.2j, 2: -0.6}),
+            "placed": (placed, {4: 0.3 - 0.2j})}[name]
+
+
+@pytest.mark.parametrize("case", ["dense", "placed"])
+def test_memoized_values_are_the_matrix_bit_for_bit(case):
+    from sdreflect.dyncore import memoized
+
+    X, u = _memo_case(case)
+    M = memoized(X)
+    assert (M.legs, M.positions, M.spectral_legs) == (X.legs, X.positions, X.spectral_legs)
+    lam = np.array([0.4 - 0.3j, -0.7 + 0.2j])
+    stack = np.stack([lam, lam + 0.5, lam - 0.25j])
+    ustack = {l: np.array([v, v + 0.1, v - 0.2j]) for l, v in u.items()}
+    for at, uu in ((lam, u), (stack, ustack), (stack, u)):
+        for _ in range(2):
+            np.testing.assert_array_equal(M.eval(at, uu), X.eval(at, uu))
+            # a placed matrix's own factor too
+            got, want = M.eval(at, uu, local=True), X.eval(at, uu, local=True)
+            np.testing.assert_array_equal(getattr(got, "m", got), getattr(want, "m", want))
+
+
+def test_memoized_runs_the_function_once_per_point_set_and_values_are_read_only():
+    from sdreflect.dyncore import memoized
+
+    X, calls = _counted(yangian_r(SCH2, (1, 2)))
+    M = memoized(X)
+    lam = rand_lam()
+    first = M.eval(lam, {1: 0.5, 2: -0.25})
+    assert M.eval(lam.copy(), {1: 0.5, 2: -0.25}) is first
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    stack = np.stack([lam, lam])
+    M.eval(stack, {1: 0.5, 2: -0.25})
+    M.eval(stack, {1: 0.5, 2: -0.25})
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        M.fn(stack, {1: 0.5 + 0j, 2: -0.25 + 0j})[0] += 1.0
+
+
+def test_memo_key_separates_signed_zeros_and_scalar_from_array():
+    from sdreflect.dyncore import memoized
+
+    def fn(lam, u):
+        s = np.copysign(1.0, np.real(u[1]))
+        return np.eye(2) * np.asarray(s)[..., None, None]
+
+    X, calls = _counted(DynMat(SCH2, (1,), fn, frozenset({1})))
+    M = memoized(X)
+    lam = rand_lam()
+    assert M.eval(lam, {1: 0.0})[0, 0] == 1.0
+    assert M.eval(lam, {1: -0.0})[0, 0] == -1.0
+    assert M.fn(lam, {1: np.array([0.0 + 0j])}).shape == (1, 2, 2)
+    assert M.fn(lam, {1: 0.0 + 0j}).shape == (2, 2)
+    zero, negative_zero = np.array([0.0, 0.5], dtype=complex), np.array([-0.0, 0.5], dtype=complex)
+    assert M.fn(negative_zero, {1: 0.0 + 0j}) is not M.fn(zero, {1: 0.0 + 0j})
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("via", ["shift_lambda", "dyn_shift"])
+def test_memoized_pole_raises_every_time_with_the_callers_point(via):
+    from sdreflect.dyncore import memoized
+
+    lam0 = np.array([0.5 + 0.25j, 0.125])
+    X, calls = _counted(_singular_at(lam0))
+    M = memoized(X)
+    Y = M.shift_lambda(SCH2.gamma * SCH2.unit(0)) if via == "shift_lambda" else dyn_shift(M, (2,))
+    caller = lam0 - SCH2.gamma * SCH2.unit(0)
+    other = np.array([-1.25 + 0.5j, 0.75])
+    for batch in (np.stack([other, caller]), np.stack([other, caller]), caller):
+        with pytest.raises(PoleError) as err:
+            Y.eval(batch)
+        np.testing.assert_array_equal(err.value.lam, caller)
+        assert "singular matrix" in str(err.value)
+    assert not M.fn.memo  # a pole is never kept
+    assert len(calls) == 3  # the first shifted term raises, once per call
+
+
+@pytest.mark.parametrize("perturbed_first", [True, False])
+def test_rigs_share_no_structure_values(perturbed_first):
+    from sdreflect.cli import Rig
+    from sdreflect.consistency import residual_zero_weight
+    from sdreflect.scenarios import builtin_scenario, scenario_from_dict
+
+    data = builtin_scenario("diagonal_dressed").to_dict()
+    q1, q2 = data["q"]["entries"]
+    data["q"] = {"kind": "matrix", "entries": [[q1, "0.4"], ["0", q2]]}
+    scenarios = [scenario_from_dict(data), builtin_scenario("diagonal_dressed")]
+    if not perturbed_first:
+        scenarios.reverse()
+    rigs = [Rig(sc, samples=6) for sc in scenarios]
+    points = rigs[-1].points  # both rigs read D at the same points
+    passed = [residual_zero_weight(rig.D, "D", points, 1e-13).passed for rig in rigs]
+    assert passed == ([False, True] if perturbed_first else [True, False])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -437,6 +438,22 @@ def test_sampler_guard_probes_the_rigs_matrices(monkeypatch):
         for lam, u in rig.points:
             X.eval(lam, {l: u[l] for l in X.spectral_legs})
     assert calls == []  # every sampled point was probed by the guard
+
+
+@pytest.mark.parametrize("name", ["diagonal_dressed", "constant_g"])
+def test_rig_keeps_no_guard_stack(name):
+    sc = builtin_scenario(name)
+    rig = Rig(sc)
+    # the guard's candidate stacks have shape (k, 1 + shifts, n)
+    shifts = sum(math.comb(sc.rank + r - 1, r) for r in (1, 2, 3))
+    memos = [X.fn.memo for X in (rig.b, rig.q, rig.beta) if hasattr(X.fn, "memo")]
+    assert len(memos) >= 2  # b and q compile to memoized leaves
+    for memo in memos:
+        assert all(key[0][1][-2:] != (1 + shifts, sc.rank) for key in memo)
+    # and the samples are those of a fresh guard
+    fresh = sc.sample()
+    assert [(lam.tobytes(), u) for lam, u in fresh] == \
+        [(lam.tobytes(), u) for lam, u in rig.points]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9, 0.0,
