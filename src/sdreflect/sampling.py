@@ -13,15 +13,23 @@ class RetryCapError(RuntimeError):
     """Rejection sampling exhausted its retry budget (over-constrained)."""
 
 
-def _draw_separated(rng, count, box, min_sep, cap_left):
-    """``count`` complex numbers in the box with pairwise separation and
-    the tries they took, or (None, inf) once the tries exceed ``cap_left``."""
+def _coordinates(rng, box, block):
+    """Complex numbers in the box [-box, box] x [-box, box]i: the values
+    of the scalar draws ``complex(rng.uniform(-box, box), rng.uniform(-box,
+    box))`` in order, drawn ``block`` at a time."""
+    while True:
+        yield from rng.uniform(-box, box, size=2 * block).view(complex).tolist()
+
+
+def _draw_separated(coords, count, min_sep, cap_left):
+    """``count`` numbers from ``coords`` with pairwise separation and the
+    tries they took, or (None, inf) once the tries exceed ``cap_left``."""
     vals = []
     tries = 0
     while len(vals) < count:
         if tries > cap_left:
             return None, math.inf
-        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
+        z = next(coords)
         tries += 1
         if all(abs(z - w) >= min_sep for w in vals):
             vals.append(z)
@@ -69,30 +77,37 @@ def sample_points(
     :class:`RetryCapError` is raised when it is spent.  Candidates are
     drawn ahead in one RNG order and guarded in blocks (doubled after no
     rejection, else cut to the run up to the rejection), which leaves
-    the samples and the error those of guarding one at a time.
+    the samples and the error those of guarding one at a time.  The
+    coordinates come from the generator in blocks, as many as ``count``
+    candidates take without a retry; the generator is private to the
+    call, so what it draws ahead and leaves unused changes nothing.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
     spectral_legs = tuple(spectral_legs)
+    coords = _coordinates(np.random.default_rng(seed), box,
+                          count * (scheme.rank + len(spectral_legs)))
     exceeded = RetryCapError("sampler retry cap exceeded (over-constrained poles?)")
     points, drawn, verdicts, budget, block = [], [], [], retry_cap, count
+    pending = 0  # the tries of the candidates in drawn
     while len(points) < count:
         if budget <= 0:
             raise exceeded
         # each draw under the budget left if no candidate before it is
         # rejected; one that runs out even so takes infinite tries
-        ahead = budget - sum(t for _, _, t in drawn)
+        ahead = budget - pending
         while len(points) + len(drawn) < count and ahead > 0:
-            lam, t1 = _draw_separated(rng, scheme.rank, box, min_sep, ahead)
-            u, t2 = _draw_separated(rng, len(spectral_legs), box, min_sep, ahead - t1)
+            lam, t1 = _draw_separated(coords, scheme.rank, min_sep, ahead)
+            u, t2 = _draw_separated(coords, len(spectral_legs), min_sep, ahead - t1)
             drawn.append((lam, u, t1 + t2))
             ahead -= t1 + t2
+            pending += t1 + t2
         lam, u, tries = drawn.pop(0)
         # a draw runs out when its tries exceed the budget by more than one
         if tries - 1 > budget:
             raise exceeded
         budget -= tries
+        pending -= tries
         if not verdicts:
             verdicts = _verdicts(guards, [(lam, u)] + [c for c in drawn[:block - 1]
                                                       if c[2] < math.inf], spectral_legs)
@@ -104,6 +119,34 @@ def sample_points(
     return points
 
 
+def _clears_floor(m, floor):
+    """True when the stack ``m`` (..., d, d) is certified to pass the
+    floor test ``np.linalg.svd(m)[..., -1] >= floor``; False says nothing.
+
+    The certificate is a Cholesky factorization of M^H M - s I with
+    s = floor**2 * (1 + 1e-6) + 16 (d + 2) eps |M|_F**2.  Forming and
+    factoring it errs by about (d + 2) eps |M|_F**2, well below the last
+    term, so where it succeeds the smallest singular value of M exceeds
+    floor by a relative 5e-7 and by more than the SVD's own backward
+    error.  ``m`` is finite; a Gram matrix that overflows leaves a factor
+    that is not finite.
+    """
+    d = m.shape[-1]
+    diag = np.arange(d)
+    with np.errstate(all="ignore"):
+        mc = m.conj()
+        # M^H M by rows: several times faster than matmul on stacks of d x d
+        gram = sum(mc[..., k, :, None] * m[..., k, None, :] for k in range(d))
+        fro2 = gram[..., diag, diag].real.sum(axis=-1)
+        gram[..., diag, diag] -= (floor ** 2 * (1 + 1e-6)
+                                  + 16 * (d + 2) * np.finfo(float).eps * fro2)[..., None]
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.isfinite(factor).all())
+
+
 def invertibility_guard(dynmats, floor=0.05, probe_shifts=()):
     """Guard rejecting points where any matrix gets close to singular.
 
@@ -112,8 +155,11 @@ def invertibility_guard(dynmats, floor=0.05, probe_shifts=()):
     returns one bool: True when any matrix fails at any candidate, or at
     a candidate shifted by one of ``probe_shifts`` (lambda offsets, so
     that dynamical shifts downstream stay away from singularities).
-    Each matrix is evaluated, and its singular values computed, once
-    over the stack of candidates and shifts.
+    A matrix fails where it meets a pole or an overflow, where a value
+    is not finite, or where its smallest singular value is below
+    ``floor``.  Each matrix is evaluated once over the stack of
+    candidates and shifts; its singular values are computed only when a
+    Cholesky certificate does not clear the whole stack.
     """
 
     def guard(lam, u):
@@ -129,6 +175,10 @@ def invertibility_guard(dynmats, floor=0.05, probe_shifts=()):
                 # a pole, a singular inverse, or an entry-expression
                 # pole or overflow; anything else is a fault and raises
                 return True
+            if not np.isfinite(m).all():
+                return True  # e.g. inf * 0 in an entry expression
+            if _clears_floor(m, floor):
+                continue
             if np.any(np.linalg.svd(m, compute_uv=False)[..., -1] < floor):
                 return True
         return False

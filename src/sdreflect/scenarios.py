@@ -10,6 +10,7 @@ names below; unknown fields are errors.
 
 from __future__ import annotations
 
+import cmath
 import copy
 import itertools
 import json
@@ -53,11 +54,20 @@ def _is_number(v):
 
 
 def _unpack_complex(v, path):
+    """A finite complex number from a JSON number or an [re, im] pair."""
     if _is_number(v) or isinstance(v, complex):
-        return complex(v)
-    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
+        parts = (v,)
+    elif isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
+        parts = v
+    else:
         raise ScenarioError(f"{path}: complex numbers are [re, im] pairs")
-    return complex(v[0], v[1])
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise ScenarioError(f"{path}: complex numbers must be finite")
+    return z
 
 
 def _pack_matrix(m):
@@ -65,10 +75,12 @@ def _pack_matrix(m):
 
 
 def _unpack_matrix(v, path):
+    """A complex matrix; a malformed or non-finite entry exits with its path."""
     try:
-        return np.array(
-            [[_unpack_complex(z, path) for z in row] for row in v], dtype=complex
-        )
+        return np.array([[_unpack_complex(z, f"{path}[{i}][{j}]") for j, z in enumerate(row)]
+                         for i, row in enumerate(v)], dtype=complex)
+    except ScenarioError:
+        raise
     except (TypeError, ValueError):
         raise ScenarioError(f"{path}: matrices are nested [re, im] pair arrays")
 
@@ -144,6 +156,8 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
             raise ScenarioError(f"{path}: R-matrix kinds need exactly 2 legs")
         R = yangian_r(scheme, legs, min_gap=1e-9)
         mu = _unpack_complex(spec.get("mu", 1.0), f"{path}.mu")
+        if mu == 0:
+            raise ScenarioError(f"{path}.mu: must be nonzero")
         if kind == "yangian":
             return R
         # scale only the e_ii (x) e_jj weight slots (an abelian diagonal
@@ -387,7 +401,7 @@ class Scenario:
                     raise ScenarioError("quantum_spectral: default preset supports up to 3 sites")
                 return {i + 1: base[i] for i in range(2 * N)}
             raise ScenarioError(f"quantum_spectral: unknown preset {qs!r}")
-        vals = [_unpack_complex(v, "quantum_spectral") for v in qs]
+        vals = [_unpack_complex(v, f"quantum_spectral[{i}]") for i, v in enumerate(qs)]
         if len(vals) < 2 * N:
             raise ScenarioError("quantum_spectral: need two values per site")
         return {i + 1: vals[i] for i in range(2 * N)}
@@ -510,7 +524,8 @@ def scenario_from_dict(data) -> Scenario:
     if isinstance(qs, list):
         if len(qs) < 2:
             raise ScenarioError("quantum_spectral: need two values per site")
-        data["quantum_spectral"] = [_unpack_complex(v, "quantum_spectral") for v in qs]
+        data["quantum_spectral"] = [_unpack_complex(v, f"quantum_spectral[{i}]")
+                                    for i, v in enumerate(qs)]
     elif not isinstance(qs, str):
         raise ScenarioError("quantum_spectral: expected a preset name or a list of values")
     elif qs not in ("default", "locality"):

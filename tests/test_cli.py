@@ -153,6 +153,61 @@ def test_malformed_scenario_field_exits_two(tmp_path, capsys, field, value, mess
     assert f"error: {message}" in capsys.readouterr().err
 
 
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _set_entry(field, *index, value):
+    """An edit of the scenario document: one [re, im] entry of ``field``."""
+    def edit(data):
+        target = data[field]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("name,edit,path", [
+    ("diagonal_dressed", lambda d: d.update(gamma=[_NAN, 0.0]), "gamma"),
+    ("diagonal_dressed", lambda d: d.update(gamma=[_INF, 0.0]), "gamma"),
+    ("diagonal_dressed", lambda d: d.update(gamma=-_INF), "gamma"),
+    ("diagonal_dressed", lambda d: d.update(gamma=[10 ** 400, 0]), "gamma"),
+    ("diagonal_dressed", _set_entry("Q", 0, 1, value=[_NAN, 0.0]), "Q[0][1]"),
+    ("diagonal_dressed", _set_entry("Q_L", 1, 0, value=[0.0, -_INF]), "Q_L[1][0]"),
+    ("diagonal_dressed", lambda d: d.update(b={"kind": "constant", "entries": [
+        [[_NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}), "b.entries[0][0]"),
+    ("nonsimilar_detwist", lambda d: d.update(Rbar={"kind": "yangian_offdiag",
+                                                    "mu": [_NAN, 0.0]}), "Rbar.mu"),
+    ("spectral_shift_g", lambda d: d.update(g={"kind": "spectral_shift",
+                                               "step": [_INF, 0.0]}), "g.step"),
+    ("constant_g", _set_entry("g", "matrix", 0, 0, value=[_NAN, 0.0]), "g.matrix[0][0]"),
+    ("projector_b", _set_entry("projectors", 1, 1, 1, value=[_NAN, 0.0]),
+     "projectors[1][1][1]"),
+    ("diagonal_dressed", lambda d: d.update(quantum_spectral=[
+        [0.1, 0.0], [_NAN, 0.0], [0.3, 0.0], [0.4, 0.0]]), "quantum_spectral[1]"),
+], ids=["gamma-nan", "gamma-inf", "gamma-number-inf", "gamma-huge-int", "Q", "Q_L",
+        "constant-entries", "mu", "step", "constant-g-matrix", "projectors",
+        "quantum-spectral"])
+def test_non_finite_number_is_refused_at_load(tmp_path, capsys, name, edit, path):
+    # json writes NaN / Infinity tokens, which the loader parses
+    data = builtin_scenario(name).to_dict()
+    edit(data)
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(data))
+    assert run(["--scenario", str(scen), "--suite", "all", "--samples", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: complex numbers must be finite"), err
+
+
+def test_zero_mu_is_refused_at_load(tmp_path, capsys):
+    data = builtin_scenario("nonsimilar_detwist").to_dict()
+    data["Rbar"]["mu"] = [0.0, 0.0]
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(data))
+    assert run(["--scenario", str(scen), "--suite", "all", "--samples", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: Rbar.mu: must be nonzero")
+
+
 # JSON values that are wrong for most fields
 _MALFORMED = [True, None, -1, 2.0, "x", [], {}, 1e308, float("nan"), float("inf")]
 

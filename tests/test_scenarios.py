@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdreflect.consistency import rel_residual
-from sdreflect.dyncore import PoleError
+from sdreflect.dyncore import DynMat, PoleError
 from sdreflect.parametrize import auto_dress
 from sdreflect.sampling import RetryCapError, invertibility_guard, sample_points
 from sdreflect.scenarios import (
@@ -471,3 +473,155 @@ def test_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert run(["--scenario", str(path), "--suite", "zero-weight", "--samples", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: tolerance")
+
+
+# -- the guard's certificate, non-finite values and pinned samples -------------
+
+
+def _svd_only_guard(dynmats, floor=0.05):
+    """The guard as the SVD alone decides it, without probe shifts: the
+    reference for the certified guard."""
+
+    def guard(lam, u):
+        at = np.asarray(lam, dtype=complex)[..., None, :]
+        for X in dynmats:
+            try:
+                m = X.eval(at, {})
+            except (PoleError, np.linalg.LinAlgError, ZeroDivisionError, OverflowError):
+                return True
+            if not np.isfinite(m).all():
+                return True
+            if np.any(np.linalg.svd(m, compute_uv=False)[..., -1] < floor):
+                return True
+        return False
+
+    return guard
+
+
+def _table(stack):
+    """A one-leg DynMat whose value at lam is stack[int(lam[0].real)], and
+    the candidates that read the whole stack."""
+    stack = np.asarray(stack, dtype=complex)
+    sch = WeightScheme(stack.shape[-1], 1.0)
+    X = DynMat(sch, (1,), lambda lam, u: stack[lam[..., 0].real.astype(int)])
+    lam = np.zeros((len(stack), sch.rank), dtype=complex)
+    lam[:, 0] = np.arange(len(stack))
+    return X, lam
+
+
+def _with_singular_values(rng, sigmas):
+    """A matrix with the singular values ``sigmas`` between random unitaries."""
+    n = len(sigmas)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return u @ np.diag(sigmas).astype(complex) @ v.conj().T
+
+
+def _stack_holding(rng, special, n):
+    """Five comfortably invertible n x n matrices with ``special`` third."""
+    plain = [_with_singular_values(rng, rng.uniform(0.5, 3.0, size=n)) for _ in range(5)]
+    return plain[:2] + [special] + plain[2:]
+
+
+_FLOOR = 0.05
+
+
+def _special_matrices(rng, n):
+    """(label, matrix, True when the SVD test rejects it, or None when the
+    SVD's round-off decides)."""
+    top = [1.7] * (n - 1)
+    out = []
+    for delta in (1e-9, -1e-9):
+        near = _with_singular_values(rng, top + [_FLOOR * (1 + delta)])
+        out.append((f"near {delta:+g}", near, delta < 0))
+        for scale in (1e8, 1e-8):
+            out.append((f"near {delta:+g} x {scale:g}", scale * near, scale < 1))
+        out.append((f"1e8 over near {delta:+g}",
+                    _with_singular_values(rng, [1e8] + top[1:] + [_FLOOR * (1 + delta)]), None))
+    out.append(("zero singular value", _with_singular_values(rng, top + [0.0]), True))
+    out.append(("rank one", np.ones((n, n), dtype=complex), True))
+    out.append(("zero", np.zeros((n, n), dtype=complex), True))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_certified_guard_is_the_svd_guard(n):
+    # a stack the Cholesky certificate clears is one the SVD clears: the
+    # verdicts agree at the floor to a relative 1e-9, at scales 1e+-8 and
+    # on singular matrices
+    rng = np.random.default_rng(n)
+    for label, special, rejected in _special_matrices(rng, n):
+        X, lam = _table(_stack_holding(rng, special, n))
+        got = invertibility_guard([X], floor=_FLOOR)(lam, {})
+        assert got == _svd_only_guard([X], floor=_FLOOR)(lam, {}), label
+        if rejected is not None:
+            assert got == rejected, label
+    X, lam = _table(_stack_holding(rng, _with_singular_values(rng, [1.0] * n), n))
+    assert not invertibility_guard([X], floor=_FLOOR)(lam, {})
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_guard_runs_the_svd_only_where_the_certificate_fails(monkeypatch):
+    # every builtin at rank 2 and, where it has one, its rank-3 form
+    scens = [builtin_scenario(name, {"rank": rank}) for name in builtin_names()
+             for rank in (2, 3) if rank == 2 or name not in ("constant_g", "spectral_shift_g")]
+    calls = _count_svd(monkeypatch)
+    for sc in scens:
+        sc.sample()
+    assert calls == []
+    rng = np.random.default_rng(5)
+    X, lam = _table(_stack_holding(rng, _with_singular_values(rng, [1.7, _FLOOR * (1 + 1e-9)]),
+                                   2))
+    assert not invertibility_guard([X], floor=_FLOOR)(lam, {})
+    assert len(calls) == 1
+
+
+def test_guard_samples_where_the_values_are_finite():
+    # inf * 0 makes b NaN where (lambda1 * 1e154)^2 overflows; the guard
+    # rejects such a candidate, so every sample and its probe shifts stay
+    # where b is finite
+    entry = "1 + (lambda1*1e154)*(lambda1*1e154)*0"
+    sc = builtin_scenario("diagonal_dressed", {
+        "gamma": [0.1, 0.0], "b": {"kind": "diagonal", "entries": [entry, "1"]}})
+    b = sc.b_mat()
+    assert not np.isfinite(b.eval(np.array([1.5, 0.0]))).all()  # inside the box
+    units = [sc.gamma * sc.scheme.unit(i) for i in range(sc.rank)]
+    shifts = [0 * units[0]] + [sum(c) for r in (1, 2, 3)
+                               for c in itertools.combinations_with_replacement(units, r)]
+    points = sc.sample(count=20)
+    assert len(points) == 20
+    for lam, _ in points:
+        assert np.isfinite(b.eval(lam + np.array(shifts))).all()
+
+
+# sha256 of each builtin's default sample list: every point's lambda bytes,
+# then its spectral values' bytes in leg order
+_SAMPLE_DIGESTS = {
+    "constant_g": "27efead478c56fe717bff833f2dea9d057344d4a8d9057a4b09ec91ba0211c59",
+    "diagonal_dressed": "fdfcca8855b8923182ebd0d2a13884405765c01df3c393c5f6ff2e37610031e3",
+    "nonsimilar_detwist": "42bbf81dc327c42fa9275ca9e93a097a80bc4b174097e71c9588216fec16b03f",
+    "projector_b": "cc12896e16418333b7fb772427e38c91d902f39fb3f992c12955bd3f500b8f19",
+    "spectral_shift_g": "8130eec7d4bd3bd00045ef13b986d527e6175b08e839aebba5c8a2795ac56d87",
+    "trivial_yangian": "8123d6a56896b6213f016f388a1b9e2d3d6d674b83058794103d210be3e3cbba",
+}
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_default_samples_are_pinned(name):
+    digest = hashlib.sha256()
+    for lam, u in builtin_scenario(name).sample():
+        digest.update(lam.tobytes())
+        for leg in sorted(u):
+            digest.update(np.complex128(u[leg]).tobytes())
+    assert digest.hexdigest() == _SAMPLE_DIGESTS[name]
