@@ -292,9 +292,11 @@ def run(argv=None) -> int:
     if args.tol is not None and not is_tolerance(args.tol):
         print(f"error: --tol must be finite and positive, got {args.tol}", file=sys.stderr)
         return 2
-    if args.sites is not None and args.sites < 1:
-        print(f"error: --sites must be at least 1, got {args.sites}", file=sys.stderr)
-        return 2
+    for flag, value, low in (("--samples", args.samples, 1), ("--seed", args.seed, 0),
+                             ("--sites", args.sites, 1)):
+        if value is not None and value < low:
+            print(f"error: {flag} must be at least {low}, got {value}", file=sys.stderr)
+            return 2
 
     t0 = time.monotonic()
     try:

@@ -346,9 +346,10 @@ def _compile(n):
     The point closure maps (lam, u, gamma, sigma) to the node's value by
     the operations of a tree walk, in its order and with its pole and
     overflow checks.  The stack closure maps (re, im, u, gamma, sigma,
-    bad), with the parts of m points (m, n), to the parts of the m
-    values by the same operations in CPython's formulas, and marks in
-    ``bad`` every row where the point closure may raise.
+    bad), with the parts of m points (m, n) and of each spectral value
+    (a number, or one per point), to the parts of the m values by the
+    same operations in CPython's formulas, and marks in ``bad`` every
+    row where the point closure may raise.
     """
     if isinstance(n, Num) or n == Const("i"):
         v = complex(n.value) if isinstance(n, Num) else 1j
@@ -374,9 +375,10 @@ def _compile(n):
         def uvar(lam, u, g, s):
             if k not in u:
                 raise ValueError(f"no spectral value bound for u{k}")
-            return complex(u[k])
+            return u[k]
 
-        return uvar, (lambda re, im, u, g, s, bad: _pair(uvar(None, u, g, s))), False
+        return ((lambda lam, u, g, s: complex(uvar(lam, u, g, s))),
+                (lambda re, im, u, g, s, bad: uvar(re, u, g, s)), False)
     if isinstance(n, BinOp):
         (fa, va, sa), (fb, vb, sb) = _compile(n.left), _compile(n.right)
         if n.op in _ARITH:
@@ -439,10 +441,11 @@ def eval_ast(node, lam, u=None, gamma=1.0):
 
     ``lam`` of shape (n,) is a point and gives a complex number; of shape
     (..., n) a stack of points, giving an array (...) with the point
-    calls' values bit for bit (spectral values stay numbers), or the
-    error of the first point that raises, with that point's flat index
-    as its ``row``.  The node is compiled on its
-    first evaluation and keeps the closures.
+    calls' values bit for bit, or the error of the first point that
+    raises, with that point's flat index as its ``row``.  For a stack,
+    each spectral value in ``u`` is a number or a sequence with one
+    value per point in flat order (a tuple keeps ``u`` hashable).  The
+    node is compiled on its first evaluation and keeps the closures.
     """
     code = getattr(node, "_code", None)
     if code is None:
@@ -453,19 +456,24 @@ def eval_ast(node, lam, u=None, gamma=1.0):
     if lam.ndim == 1:
         return _at_point(code, lam, u, gamma)
     flat = np.ascontiguousarray(lam.reshape(-1, lam.shape[-1]))
+    values = {k: np.asarray(v, dtype=complex) for k, v in u.items()}
+    per_row = [k for k, v in values.items() if v.ndim]
+    if any(values[k].shape != (len(flat),) for k in per_row):
+        raise ValueError("a spectral sequence needs one value per point")
     out = np.empty(len(flat), dtype=complex)
     bad = []
     with np.errstate(all="ignore"):
         try:
             s = np.sum(flat, axis=-1)
-            out.real, out.imag = code[1](flat.real, flat.imag, u, gamma, (s.real, s.imag), bad)
+            parts = {k: (v.real, v.imag) for k, v in values.items()}
+            out.real, out.imag = code[1](flat.real, flat.imag, parts, gamma, (s.real, s.imag), bad)
             rows = np.flatnonzero(functools.reduce(np.logical_or, bad, np.zeros(len(flat), bool)))
         except ValueError:  # an unbound variable, at every point
             rows = range(len(flat))
     # the point closure raises at the first failing row, or gives its value
     for k in rows:
         try:
-            out[k] = _at_point(code, flat[k], u, gamma)
+            out[k] = _at_point(code, flat[k], {**u, **{i: u[i][k] for i in per_row}}, gamma)
         except (ArithmeticError, ValueError) as exc:
             exc.row = int(k)
             raise

@@ -85,6 +85,14 @@ def _unpack_matrix(v, path):
         raise ScenarioError(f"{path}: matrices are nested [re, im] pair arrays")
 
 
+def _check_square(m, n, path):
+    """Refuse a matrix that is not n x n, naming its field."""
+    if m.shape != (n, n):
+        got = " x ".join(map(str, m.shape)) if m.ndim == 2 else f"an array of shape {m.shape}"
+        raise ScenarioError(f"{path}: expected a {n} x {n} matrix, got {got}")
+    return m
+
+
 # -- matrix-function and automorphism specs -----------------------------------
 
 MATRIX_KINDS = ("identity", "diagonal", "matrix", "yangian", "yangian_offdiag",
@@ -147,9 +155,7 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
 
     if kind == "constant":
         m = _unpack_matrix(spec.get("entries"), f"{path}.entries")
-        if m.shape != (n ** len(legs),) * 2:
-            raise ScenarioError(f"{path}.entries: wrong dimension {m.shape}")
-        return constant_dynmat(scheme, legs, m)
+        return constant_dynmat(scheme, legs, _check_square(m, n ** len(legs), f"{path}.entries"))
 
     if kind in ("yangian", "yangian_offdiag"):
         if len(legs) != 2:
@@ -214,27 +220,29 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
 
     def evaluate(lam, uvals):
         """Values at the rows of lam (m, n) and uvals (m,).  Rows met before
-        come from the point memo, the others are evaluated per spectral
-        value (a lone row as a point) and remembered as points.  A failure
-        raises the error of the first failing row, and of its first
-        failing entry, as point by point; a pole as a PoleError there."""
+        come from the point memo, the others are evaluated in one stacked
+        call per entry (a lone row as a point) and remembered as points.
+        A failure raises the error of the first failing row, and of its
+        first failing entry, as point by point; a pole as a PoleError there."""
         keys = list(zip(lam.view(np.dtype((np.void, lam.shape[-1] * 16))).ravel().tolist(),
                         uvals.view(np.dtype((np.void, 16))).tolist()))
         m = np.zeros((len(lam), n, n), dtype=complex)
-        groups = {}
+        rows = []
         for r, key in enumerate(keys):
             known = memo.get(key)
             if known is None:
-                groups.setdefault(key[1] if spectral else None, []).append(r)
+                rows.append(r)
             else:
                 m[r] = known
         errs = []
-        for rows in groups.values():
-            at = lam[rows[0]] if len(rows) == 1 else lam[rows]
-            uu = {1: complex(uvals[rows[0]])} if spectral else {}
+        if rows:
+            lone = len(rows) == 1
+            at = lam[rows[0]] if lone else lam[rows]
+            # one value per row, in a tuple so that the binding stays hashable
+            uu = uvals[rows[0]].item() if lone else tuple(uvals[rows].tolist())
             for i, j, a in cells:
                 try:
-                    m[rows, i, j] = ep.eval_ast(a, at, uu, gamma)
+                    m[rows, i, j] = ep.eval_ast(a, at, {1: uu} if spectral else {}, gamma)
                 except (ArithmeticError, ValueError) as exc:
                     exc.row = rows[getattr(exc, "row", 0)]  # a lone row has none
                     errs.append(exc)
@@ -244,7 +252,7 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
                 raise PoleError(str(exc), index=exc.row) from exc
             raise exc
         m.setflags(write=False)
-        for r in itertools.chain(*groups.values()):
+        for r in rows:
             memo.setdefault(keys[r], m[r])
         return m
 
@@ -271,7 +279,8 @@ def compile_automorphism_spec(spec, rank, path="automorphism") -> Automorphism:
     if kind == "identity":
         return Automorphism.identity()
     if kind == "constant":
-        return Automorphism.constant(_unpack_matrix(spec.get("matrix"), f"{path}.matrix"))
+        m = _unpack_matrix(spec.get("matrix"), f"{path}.matrix")
+        return Automorphism.constant(_check_square(m, rank, f"{path}.matrix"))
     if kind == "spectral_shift":
         return Automorphism.spectral_shift(_unpack_complex(spec.get("step", 1.0),
                                                            f"{path}.step"))
@@ -337,8 +346,8 @@ class Scenario:
             raise ScenarioError("gamma: must be nonzero")
         if not is_tolerance(self.tolerance):
             raise ScenarioError("tolerance: must be a finite positive number")
-        self.Q = np.asarray(self.Q, dtype=complex)
-        self.Q_L = np.asarray(self.Q_L, dtype=complex)
+        self.Q = _check_square(np.asarray(self.Q, dtype=complex), self.rank, "Q")
+        self.Q_L = _check_square(np.asarray(self.Q_L, dtype=complex), self.rank, "Q_L")
         self._scheme = WeightScheme(self.rank, self.gamma)
 
     # -- compiled accessors -------------------------------------------------
@@ -381,11 +390,8 @@ class Scenario:
         n = self.rank
         if not isinstance(self.projectors, list) or len(self.projectors) != n:
             raise ScenarioError(f"projectors: expected a list of {n} {n}x{n} matrices")
-        projs = [_unpack_matrix(p, f"projectors[{i}]") for i, p in enumerate(self.projectors)]
-        for i, p in enumerate(projs):
-            if p.shape != (n, n):
-                raise ScenarioError(f"projectors[{i}]: need an {n}x{n} matrix")
-        return projs
+        return [_check_square(_unpack_matrix(p, f"projectors[{i}]"), n, f"projectors[{i}]")
+                for i, p in enumerate(self.projectors)]
 
     def quantum_values(self, N=None, u_ref=0.0):
         """Quantum-leg spectral values as a dict leg -> value."""

@@ -208,6 +208,40 @@ def test_zero_mu_is_refused_at_load(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: Rbar.mu: must be nonzero")
 
 
+def _matrix(rows, cols):
+    """A rows x cols matrix of [re, im] pairs, invertible when square."""
+    return [[[float(i == j) + 0.1 * (i + j), 0.0] for j in range(cols)] for i in range(rows)]
+
+
+@pytest.mark.parametrize("name,field,value,message", [
+    ("diagonal_dressed", ("Q",), _matrix(1, 2), "Q: expected a 2 x 2 matrix, got 1 x 2"),
+    ("diagonal_dressed", ("Q",), _matrix(3, 3), "Q: expected a 2 x 2 matrix, got 3 x 3"),
+    ("diagonal_dressed", ("Q",), [], "Q: expected a 2 x 2 matrix, got an array of shape (0,)"),
+    ("diagonal_dressed", ("Q_L",), _matrix(3, 3), "Q_L: expected a 2 x 2 matrix, got 3 x 3"),
+    ("constant_g", ("g", "matrix"), _matrix(3, 3),
+     "g.matrix: expected a 2 x 2 matrix, got 3 x 3"),
+    ("constant_g", ("a", "matrix"), _matrix(2, 1),
+     "a.matrix: expected a 2 x 2 matrix, got 2 x 1"),
+    ("projector_b", ("projectors", 1), _matrix(3, 3),
+     "projectors[1]: expected a 2 x 2 matrix, got 3 x 3"),
+    ("diagonal_dressed", ("R0",), {"kind": "constant", "entries": _matrix(3, 3)},
+     "R0.entries: expected a 4 x 4 matrix, got 3 x 3"),
+], ids=["Q-1x2", "Q-3x3", "Q-empty", "Q_L", "g-matrix", "a-matrix", "projectors",
+        "R0-entries"])
+def test_wrong_matrix_dimension_names_its_field(tmp_path, capsys, name, field, value,
+                                               message):
+    data = builtin_scenario(name).to_dict()
+    target = data
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(data))
+    assert run(["--scenario", str(scen), "--suite", "all", "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 # JSON values that are wrong for most fields
 _MALFORMED = [True, None, -1, 2.0, "x", [], {}, 1e308, float("nan"), float("inf")]
 
@@ -349,7 +383,9 @@ def test_skip_reason_is_the_explicit_notice():
 
 
 @pytest.mark.parametrize("flag,value", [("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"),
-                                        ("--tol", "0"), ("--sites", "0"), ("--sites", "-2")])
+                                        ("--tol", "0"), ("--sites", "0"), ("--sites", "-2"),
+                                        ("--seed", "-1"), ("--samples", "0"),
+                                        ("--samples", "-3")])
 def test_bad_tolerance_or_sites_is_usage_error(flag, value, capsys):
     code = run(["--builtin", "trivial_yangian", "--suite", "zero-weight",
                 "--samples", "2", flag, value])

@@ -149,18 +149,23 @@ def _bits(values):
 
 def _assert_stack_is_the_point_calls(ast, lam, u, gamma):
     """The stacked call gives the point calls' values bit for bit, or
-    raises the error class of the first point that raises."""
+    raises the error class of the first point that raises, with that
+    point's flat index as its ``row``.  A tuple in ``u`` holds one
+    spectral value per point."""
     rows = lam.reshape(-1, lam.shape[-1])
-    outcomes = [_outcome(eval_ast, ast, row, u, gamma) for row in rows]
-    failed = [err for kind, err in outcomes if kind == "raised"]
+    at = [{k: v[r] if isinstance(v, tuple) else v for k, v in u.items()}
+          for r in range(len(rows))]
+    outcomes = [_outcome(eval_ast, ast, row, ur, gamma) for row, ur in zip(rows, at)]
+    failed = [(r, err) for r, (kind, err) in enumerate(outcomes) if kind == "raised"]
     if failed:
         with pytest.raises(Exception) as err:
             eval_ast(ast, lam, u, gamma)
-        assert type(err.value) is failed[0]
-        return failed[0]
+        assert (type(err.value), err.value.row) == (failed[0][1], failed[0][0])
+        return failed[0][1]
     got = eval_ast(ast, lam, u, gamma)
     assert got.shape == lam.shape[:-1]
-    assert _bits(got.ravel()) == _bits([eval_ast(ast, row, u, gamma) for row in rows])
+    assert _bits(got.ravel()) == _bits([eval_ast(ast, row, ur, gamma)
+                                        for row, ur in zip(rows, at)])
     return None
 
 
@@ -194,6 +199,52 @@ def test_stacked_eval_is_the_point_calls_bit_for_bit(seed):
             break
     if raised in (EvalPoleError, EvalOverflowError):
         assert raised is expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_stacked_eval_with_a_spectral_value_per_row(seed):
+    # u1 and u2 hold one distinct value per row; the planted rows are a
+    # pole (u1 = lambda1), an exponential overflow (u2 = 800) and a power
+    # overflow (u1 = 1e120), each set through the spectral values only
+    rng = np.random.default_rng(seed)
+    src = random_expression(rng, rank=3, u_count=2, depth=int(rng.integers(1, 5)))
+    lam = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    u1, u2 = (rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(2))
+    gamma = complex(*rng.normal(size=2))
+
+    def per_row():
+        return {1: tuple(u1.tolist()), 2: tuple(u2.tolist())}
+
+    _assert_stack_is_the_point_calls(parse_expr(src), lam, per_row(), gamma)
+    _assert_stack_is_the_point_calls(parse_expr(src), lam.reshape(2, 3, 3), per_row(), gamma)
+    _assert_stack_is_the_point_calls(parse_expr(src), lam, {1: per_row()[1], 2: u2[0]}, gamma)
+    pole, over_exp, over_pow = rng.choice(6, size=3, replace=False)
+    u1[pole] = lam[pole, 0]
+    u2[over_exp] = 800.0
+    u1[over_pow] = 1e120
+    ast = parse_expr(f"({src})/(u1-lambda1)*exp(u2)*u1^3")
+    raised = _assert_stack_is_the_point_calls(ast, lam, per_row(), gamma)
+    assert raised is not None
+    planted = {pole: EvalPoleError, over_exp: EvalOverflowError, over_pow: OverflowError}
+    # the class planted at the first of these rows, unless src raises on
+    # its own at or before it
+    first = min(planted)
+    expected = planted[first]
+    for r in range(first + 1):
+        kind, own = _outcome(eval_ast, parse_expr(src), lam[r], {1: u1[r], 2: u2[r]}, gamma)
+        if kind == "raised":
+            expected = own
+            break
+    assert issubclass(raised, expected)
+
+
+def test_spectral_sequence_needs_one_value_per_point():
+    ast = parse_expr("u1*lambda1")
+    lam = np.ones((3, 2), dtype=complex)
+    assert _bits(eval_ast(ast, lam, {1: (1.0, 2.0, 3j)})) == _bits([1.0, 2.0, 3j])
+    with pytest.raises(ValueError, match="one value per point"):
+        eval_ast(ast, lam, {1: (1.0, 2.0)})
 
 
 @pytest.mark.parametrize("src", [

@@ -382,6 +382,24 @@ def test_compiled_leaf_memoizes_by_exact_point(monkeypatch):
     assert len(calls) == 6
 
 
+def test_stack_of_spectral_values_is_one_leaf_call_per_entry(monkeypatch):
+    # spectral_shift_g's b reads u1: a stack whose rows all carry their own
+    # u1 is one eval_ast call per diagonal entry, with the point values
+    sc = builtin_scenario("spectral_shift_g")
+    b, fresh = sc.b_mat(), sc.b_mat()
+    rng = np.random.default_rng(5)
+    lam = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    u1 = rng.normal(size=6) + 1j * rng.normal(size=6)
+    points = [fresh.eval(lam[r], {1: u1[r]}) for r in range(6)]
+    calls = _count_leaf_evals(monkeypatch)
+    got = b.eval(lam[:4], {1: u1[:4]})
+    assert len(calls) == 2
+    # two new rows beside four known ones: one more call per entry
+    got = b.eval(lam, {1: u1})
+    assert len(calls) == 4
+    assert got.tobytes() == np.array(points).tobytes()
+
+
 def test_compiled_leaf_pole_raises_every_time(monkeypatch):
     calls = _count_leaf_evals(monkeypatch)
     spec = {"kind": "diagonal", "entries": ["1/(lambda1-lambda2)", "1"]}
