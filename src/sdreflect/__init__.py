@@ -21,9 +21,6 @@ from .dyncore import (
     pi_transpose,
     sigma_conjugate,
     sigma_of,
-    sigma_power,
-    sigma_theta,
-    sigma_theta_inverse,
     yangian_r,
 )
 
@@ -43,9 +40,6 @@ __all__ = [
     "pi_transpose",
     "sigma_conjugate",
     "sigma_of",
-    "sigma_power",
-    "sigma_theta",
-    "sigma_theta_inverse",
     "yangian_r",
 ]
 

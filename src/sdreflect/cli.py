@@ -22,7 +22,7 @@ from .consistency import (
     residual_zero_weight,
     residual_zwc,
 )
-from .dyncore import constant_dynmat, memoized
+from .dyncore import memoized
 from .exprparse import EvalOverflowError
 from .monodromy import (
     build_monodromy_direct,
@@ -50,6 +50,7 @@ from .scenarios import (
 from .shiftops import shiftop_difference_residual
 from .solutions import (
     IntertwinerSpec,
+    build_K_nondyn,
     build_dual,
     residual_intertwiner,
 )
@@ -84,7 +85,7 @@ class Rig:
         self.Q = scenario.Q
         self.QL = scenario.Q_L
         # direct reflection solution K = beta^-1 Q q and its twisted core
-        self.K = self.beta.inv() @ constant_dynmat(self.scheme, self.b.legs, self.Q) @ self.q
+        self.K = build_K_nondyn(self.Q, self.beta, self.q)
         self.kappa = self.beta @ self.K @ self.q.inv()
         self.chi = build_dual(self.q, self.b, self.g, self.QL)
         self.points = scenario.sample(count=samples, seed=seed, leaves=(self.b, self.q))

@@ -336,21 +336,6 @@ def residual_sdre(S: StructureSet, K, points, tol=1e-9, name="sdre"):
     return _product_residual(name, [A, K1, B, K2s], [K2, C, K1s, D], points, tol)
 
 
-def residual_boundary_dra(S: StructureSet, K, points, tol=1e-9, name="boundary_dra"):
-    """Fully dynamical reflection residual (shifts on both K factors):
-
-    A12 K1(h2) B12 K2(h1) = K2(h1) C12 K1(h2) D12.
-    """
-    Km, off = _ksplit(K)
-    if off != 0.0:
-        raise ValueError("spectral-shift-decorated K is not supported here")
-    legs = (1, 2)
-    K1s = dyn_shift(embed(Km, (1,), legs), (2,), legs)
-    K2s = dyn_shift(embed(Km, (2,), legs), (1,), legs)
-    return _product_residual(name, [S.A, K1s, S.B, K2s], [K2s, S.C, K1s, S.D],
-                             points, tol)
-
-
 # -- quasi-non-dynamicity and factorization ----------------------------------
 
 

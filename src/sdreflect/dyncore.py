@@ -866,22 +866,6 @@ def sigma_of(lam) -> complex:
     return np.sum(np.asarray(lam, dtype=complex), axis=-1)
 
 
-def sigma_power(g: Automorphism, lam) -> Automorphism:
-    """The automorphism g**sigma with sigma = sum_i lambda_i.
-
-    Constant g: principal-branch eigenvalue powers (diagonalizable g with
-    eigenvalues off the cut).  Spectral shift by s: shift by sigma*s.
-    """
-    s = sigma_of(lam)
-    if g.variant == Automorphism.IDENTITY:
-        return Automorphism.identity()
-    if g.variant == Automorphism.SHIFT:
-        return Automorphism.spectral_shift(s * g.step)
-    if g.variant == Automorphism.CONSTANT:
-        return Automorphism.constant(g.complex_power(s))
-    raise AutomorphismError("sigma power supported for constant and shift automorphisms")
-
-
 class UnrepresentableError(RuntimeError):
     """The requested object is not a finite-size matrix function.
 
@@ -1048,25 +1032,6 @@ def sigma_conjugate(X: DynMat, g: Automorphism, legs, sign=-1) -> DynMat:
     """
     power = "sigma" if sign > 0 else "-sigma"
     return decorate(X, legs, [Decoration("conjugate", [DecorationFactor(g, power)])])
-
-
-# -- dynamical-variable changes ------------------------------------------
-
-
-def sigma_theta(lam):
-    """Change of variables (lambda_i) -> (sigma, theta_2..theta_n)."""
-    lam = np.asarray(lam, dtype=complex)
-    s = sigma_of(lam)
-    thetas = s - 2.0 * lam[1:]
-    return s, thetas
-
-
-def sigma_theta_inverse(s, thetas):
-    """Inverse of :func:`sigma_theta`."""
-    thetas = np.asarray(thetas, dtype=complex)
-    rest = (s - thetas) / 2.0
-    lam1 = s - np.sum(rest)
-    return np.concatenate(([lam1], rest))
 
 
 # -- zero-weight decomposition -------------------------------------------

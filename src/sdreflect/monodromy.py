@@ -91,9 +91,8 @@ def bind_spectral(X: DynMat, uvals) -> DynMat:
 
 
 def locality_preset(u_ref, N: int):
-    """Quantum spectral values u_{2n} = u_ref + (2N - 2n + 1),
-    u_{2n-1} = u_ref + 2N (the choice making the traced Hamiltonians
-    local for shift-type automorphisms)."""
+    """Quantum spectral values of an N-site chain as a dict leg -> value:
+    u_{2n} = u_ref + (2N - 2n + 1) and u_{2n-1} = u_ref + 2N."""
     vals = {}
     for m in range(1, N + 1):
         vals[2 * m] = u_ref + (2 * N - 2 * m + 1)

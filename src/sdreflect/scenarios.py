@@ -140,11 +140,11 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     Expression entries may reference u1..uk for the spectral slots of
     the k legs, in leg order.
 
-    An expression kind keeps its values at two levels, for as long as
-    the returned DynMat lives: each row (a point and its spectral value)
-    in a row memo that stacks and points share, and each whole stack or
-    point through :func:`~sdreflect.dyncore.memoized`.  Kept values are
-    read-only; a pole is never kept.
+    An expression kind evaluates a point as a stack of one row, and keeps
+    its values at two levels, for as long as the returned DynMat lives:
+    each row (a point and its spectral value) in a row memo, and each
+    whole stack or point through :func:`~sdreflect.dyncore.memoized`.
+    Kept values are read-only; a pole is never kept.
     """
     kind = _spec_kind(spec, MATRIX_KINDS, {"kind", "entries", "mu"}, path, "kind")
     n = scheme.rank
@@ -195,35 +195,15 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
     gamma = scheme.gamma
     cells = [(i, j, a) for i, row in enumerate(asts) for j, a in enumerate(row) if a is not None]
 
-    def values(lam, uval):
-        """The entries at a point lam (n,)."""
-        m = np.zeros((n, n), dtype=complex)
-        for i, j, a in cells:
-            m[i, j] = ep.eval_ast(a, lam, {1: uval} if spectral else {}, gamma)
-        return m
-
-    # values by the exact bytes of (lam, u1); pole points raise every time
+    # values by the exact bytes of each row (lam, u1); pole rows are not kept
     memo = {}
-
-    def at_point(lam, uval):
-        key = (np.asarray(lam, dtype=complex).tobytes(),
-               np.complex128(0.0 if uval is None else uval).tobytes())
-        m = memo.get(key)
-        if m is None:
-            try:
-                m = values(lam, uval)
-            except ep.EvalPoleError as exc:
-                raise PoleError(str(exc), index=0) from exc
-            m.setflags(write=False)
-            memo[key] = m
-        return m
 
     def evaluate(lam, uvals):
         """Values at the rows of lam (m, n) and uvals (m,).  Rows met before
-        come from the point memo, the others are evaluated in one stacked
-        call per entry (a lone row as a point) and remembered as points.
-        A failure raises the error of the first failing row, and of its
-        first failing entry, as point by point; a pole as a PoleError there."""
+        come from the row memo, the others are evaluated in one stacked
+        call per entry and remembered.  A failure raises the error of the
+        first failing row, and of its first failing entry, as point by
+        point; a pole as a PoleError there."""
         keys = list(zip(lam.view(np.dtype((np.void, lam.shape[-1] * 16))).ravel().tolist(),
                         uvals.view(np.dtype((np.void, 16))).tolist()))
         m = np.zeros((len(lam), n, n), dtype=complex)
@@ -236,15 +216,13 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
                 m[r] = known
         errs = []
         if rows:
-            lone = len(rows) == 1
-            at = lam[rows[0]] if lone else lam[rows]
             # one value per row, in a tuple so that the binding stays hashable
-            uu = uvals[rows[0]].item() if lone else tuple(uvals[rows].tolist())
+            uu = tuple(uvals[rows].tolist())
             for i, j, a in cells:
                 try:
-                    m[rows, i, j] = ep.eval_ast(a, at, {1: uu} if spectral else {}, gamma)
+                    m[rows, i, j] = ep.eval_ast(a, lam[rows], {1: uu} if spectral else {}, gamma)
                 except (ArithmeticError, ValueError) as exc:
-                    exc.row = rows[getattr(exc, "row", 0)]  # a lone row has none
+                    exc.row = rows[exc.row]
                     errs.append(exc)
         if errs:
             exc = min(errs, key=lambda e: e.row)  # the first listed among equal rows
@@ -257,15 +235,12 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
         return m
 
     def fn(lam, u):
-        uval = u[leg] if spectral else None
-        if lam.ndim == 1 and np.ndim(uval) == 0:
-            return at_point(lam, uval)
-        uval = np.asarray(0.0 if uval is None else uval, dtype=complex)
+        uval = np.asarray(u[leg] if spectral else 0.0, dtype=complex)
         lam, uval = np.broadcast_arrays(np.asarray(lam, dtype=complex), uval[..., None])
         flat = np.ascontiguousarray(lam.reshape(-1, n))
         return evaluate(flat, uval[..., 0].ravel()).reshape(lam.shape[:-1] + (n, n))
 
-    # each stack or point is kept by its exact bytes
+    # each whole stack or point is kept by its exact bytes
     return memoized(DynMat(scheme, legs, fn, spectral))
 
 
@@ -482,8 +457,8 @@ class Scenario:
 
 # each field's description and test (of a number); NaN fails every comparison
 _SAMPLER_FIELDS = {
-    "seed": ("an integer", lambda v: isinstance(v, int)),
-    "count": ("an integer", lambda v: isinstance(v, int)),
+    "seed": ("an integer >= 0", lambda v: isinstance(v, int) and v >= 0),
+    "count": ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1),
     # draws span [-box, box], so the width 2 * box must be finite
     "box": ("a number > 0 with 2 * box finite", lambda v: 0 < v <= sys.float_info.max / 2),
     "min_separation": ("a number, finite and >= 0", lambda v: 0 <= v < math.inf),

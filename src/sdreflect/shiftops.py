@@ -21,10 +21,11 @@ right factor's once at each shifted point lam + gamma*m1, so every
 coefficient is computed once per point it is needed at.
 
 The residual checks evaluate their tables over consecutive blocks of
-the sample points (:func:`_blocks`): a block holds as many points as
-keep one stacked d x d coefficient within :data:`BLOCK_BYTES`, so small
-operators are checked a few points per call and the dense rank-3
-operators (d = 243) point by point.
+the sample points (:func:`_blocks`), each a stacked batch: a block holds
+as many points as keep one stacked d x d coefficient within
+:data:`BLOCK_BYTES`, so small operators are checked a few points per
+call and the larger ones (d >= 32) one point per block, as a stack of
+one.
 """
 
 from __future__ import annotations
@@ -136,18 +137,17 @@ BLOCK_BYTES = 16 * 1024
 
 
 def _blocks(points, ops):
-    """The points in consecutive blocks, each as one (lam, u).
+    """The points in consecutive blocks, each as one stacked batch (lam, u)
+    (:func:`consistency._stack`).
 
     A block holds as many points as keep a stacked d x d complex matrix
     within :data:`BLOCK_BYTES`, d the largest dimension of ``ops``, and at
-    least one; a one-point block is the point itself (the batch-free
-    call), a longer one a stacked batch (:func:`consistency._stack`).
+    least one.
     """
     dim = max(S.scheme.rank ** len(S.legs) for S in ops)
     size = max(1, BLOCK_BYTES // (16 * dim * dim))
     for s in range(0, len(points), size):
-        block = points[s:s + size]
-        yield block[0] if len(block) == 1 else _stack(block)
+        yield _stack(points[s:s + size])
 
 
 def _same_block(a, b):
@@ -186,7 +186,7 @@ def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8
         # S2 first: callers pass the deeper operand (the factored
         # monodromy) second, so its temporaries never meet S1's table
         t2 = S2.raw_terms(lam, u)
-        residuals.extend(np.atleast_1d(_difference(S1.raw_terms(lam, u), t2, keys)))
+        residuals.extend(_difference(S1.raw_terms(lam, u), t2, keys))
     return _report(name, points, tol, residuals)
 
 
@@ -221,7 +221,7 @@ def shiftop_commutators(ops, points, tol=1e-8, name="shiftop_commutator"):
         for p, (i, j) in enumerate(pairs):
             ab = _table_product(at(i), lambda m1: at(j, m1), dict.get)
             ba = _table_product(at(j), lambda m1: at(i, m1), dict.get)
-            residuals[p].extend(np.atleast_1d(_difference(ab, ba, keys[p])))
+            residuals[p].extend(_difference(ab, ba, keys[p]))
         tables = ab = ba = None
     return [_report(name, points, tol, r) for r in residuals]
 

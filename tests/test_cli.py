@@ -138,12 +138,16 @@ def test_schema_error_exits_two(tmp_path):
     ("name", [], "name: expected a string"),
     ("name", {}, "name: expected a string"),
     ("k", {"kind": "identity"}, "k: derived from b, g and q; remove this field"),
+    ("sampler", {"seed": -1}, "sampler.seed: expected an integer >= 0"),
+    ("sampler", {"count": 0}, "sampler.count: expected an integer >= 1"),
+    ("sampler", {"count": -5}, "sampler.count: expected an integer >= 1"),
 ], ids=["sampler-box", "sampler-list", "sampler-unknown", "b-entries", "quantum-spectral",
         "sites", "spectral", "factorizable-numbers", "factorizable-parse", "projectors",
         "rank-float", "rank-bool", "tolerance-string", "tolerance-bool", "box-inf", "box-nan",
         "box-wide", "min-separation-nan", "min-separation-negative", "gamma-bool",
         "gamma-pair-bool", "quantum-spectral-preset", "quantum-spectral-empty", "name-nan",
-        "name-bool", "name-null", "name-number", "name-list", "name-object", "k-retired"])
+        "name-bool", "name-null", "name-number", "name-list", "name-object", "k-retired",
+        "seed-negative", "count-zero", "count-negative"])
 def test_malformed_scenario_field_exits_two(tmp_path, capsys, field, value, message):
     data = builtin_scenario("diagonal_dressed").to_dict()
     data[field] = value

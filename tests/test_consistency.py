@@ -12,7 +12,6 @@ from sdreflect import (
 )
 from sdreflect.consistency import (
     StructureSet,
-    residual_boundary_dra,
     residual_dybe,
     residual_gybce,
     residual_projector_compat,
@@ -189,24 +188,6 @@ def test_sdre_scaling_invariance():
     S2 = StructureSet(c * S.A, S.B, S.C, c * S.D, SCH)
     again = residual_sdre(S2, K, PTS, 1e-9)
     assert np.isclose(base.max_residual, again.max_residual, rtol=1e-6, atol=1e-13)
-
-
-def test_boundary_dra_identity_and_trivial():
-    assert residual_boundary_dra(identity_set(), identity_dynmat(SCH, (1,)),
-                                 PTS, 1e-12).passed
-    assert residual_boundary_dra(yangian_trivial_set(), identity_dynmat(SCH, (1,)),
-                                 PTS, 1e-10).passed
-
-
-def test_boundary_dra_differs_from_sdre():
-    # a generic dressed reflection solution satisfies the half-shifted
-    # relation but not the fully shifted one
-    S, b, q, _ = dressed_set()
-    Q = np.array([[1.0, 0.4], [0.2, 1.0]])
-    K = build_K_nondyn(Q, b, q)
-    assert residual_sdre(S, K, PTS, 1e-9).passed
-    rep = residual_boundary_dra(S, K, PTS, 1e-9)
-    assert not rep.passed and rep.max_residual > 1e-3
 
 
 # -- dynamical cubic relation ----------------------------------------------------

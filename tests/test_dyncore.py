@@ -16,14 +16,14 @@ from sdreflect import (
     identity_dynmat,
     permutation_operator,
     pi_transpose,
+    sigma_conjugate,
     sigma_of,
-    sigma_power,
-    sigma_theta,
-    sigma_theta_inverse,
     yangian_r,
 )
 from sdreflect.dyncore import (
     DENSE_MAX_DIM,
+    AutomorphismError,
+    DecorationFactor,
     LegError,
     PoleError,
     SpectralValueError,
@@ -236,50 +236,43 @@ def test_adjoint_spectral_shift_one_sided_rejected():
         adjoint_auto(R, g, (1,), "left")
 
 
+# g**sigma: Automorphism.complex_power, read through DecorationFactor(g, "sigma")
+
+
 def test_sigma_power_principal_branch():
     g = Automorphism.constant(np.diag([4.0, 1.0]))
-    out = sigma_power(g, [0.25, 0.25])  # sigma = 0.5
-    np.testing.assert_allclose(out.matrix, np.diag([2.0, 1.0]), atol=1e-13)
+    np.testing.assert_allclose(g.complex_power(0.5), np.diag([2.0, 1.0]), atol=1e-13)
+    out = DecorationFactor(g, "sigma").resolve(np.array([0.25, 0.25]))  # sigma = 0.5
+    np.testing.assert_allclose(out, np.diag([2.0, 1.0]), atol=1e-13)
 
 
 def test_sigma_power_identity():
-    assert sigma_power(Automorphism.identity(), rand_lam()).is_identity
+    X = constant_dynmat(SCH2, (1, 2), RNG.normal(size=(4, 4)))
+    assert sigma_conjugate(X, Automorphism.identity(), (1, 2), sign=+1) is X
 
 
 def test_sigma_power_unit_sigma_is_g():
     g = Automorphism.constant(np.array([[2.0, 1.0], [0.5, 3.0]]))
     lam = np.array([0.7, 0.3])  # sigma = 1
-    np.testing.assert_allclose(sigma_power(g, lam).matrix, g.matrix, atol=1e-12)
+    np.testing.assert_allclose(g.complex_power(1.0), g.matrix, atol=1e-12)
+    np.testing.assert_allclose(DecorationFactor(g, "sigma").resolve(lam), g.matrix, atol=1e-12)
 
 
 def test_sigma_power_spectral_shift_on_difference_form():
     R = yangian_r(SCH2, (1, 2))
     g = Automorphism.spectral_shift(1.0)
-    gp = sigma_power(g, [1.0, 1.0])  # sigma = 2
-    conj = adjoint_auto(R, gp, (1, 2), "conjugate", -1)
-    lam = np.array([1.0, 1.0])
+    lam = np.array([1.0, 1.0])  # sigma = 2: both slots move by -2
+    assert DecorationFactor(g, "-sigma").resolve(lam) == -2.0
     u = {1: 2.3, 2: -0.4}
-    np.testing.assert_allclose(conj.eval(lam, u), R.eval(lam, u))
+    np.testing.assert_allclose(sigma_conjugate(R, g, (1, 2)).eval(lam, u), R.eval(lam, u))
 
 
 def test_sigma_power_rejects_cut():
     g = Automorphism.constant(np.diag([-1.0, 1.0]))
-    with pytest.raises(Exception):
-        sigma_power(g, [0.3, 0.3])
-
-
-def test_sigma_theta_values():
-    s, th = sigma_theta([3.0, 1.0])
-    assert np.isclose(s, 4.0) and np.isclose(th[0], 2.0)
-    s, th = sigma_theta([0.0, 0.0])
-    assert np.isclose(s, 0.0) and np.isclose(th[0], 0.0)
-
-
-def test_sigma_theta_roundtrip_rank3():
-    for _ in range(20):
-        lam = rand_lam(3)
-        s, th = sigma_theta(lam)
-        np.testing.assert_allclose(sigma_theta_inverse(s, th), lam, atol=1e-13)
+    with pytest.raises(AutomorphismError):
+        g.complex_power(0.6)
+    with pytest.raises(AutomorphismError):
+        DecorationFactor(g, "sigma").resolve(np.array([0.3, 0.3]))
 
 
 def test_decompose_identity():
@@ -363,8 +356,6 @@ def test_shift_conjugation_moves_the_pole():
 def test_sigma_shift_conjugation_moves_the_pole():
     # sign -1 reads R at u1 - sigma: with sigma = 0.75 the pole sits at
     # u1 - 0.75 = u2, also inside a batch
-    from sdreflect import sigma_conjugate
-
     R = yangian_r(SCH2, (1, 2))
     X = sigma_conjugate(R, Automorphism.spectral_shift(1.0), (1,), sign=-1)
     lam = np.array([0.5, 0.25])
@@ -423,9 +414,6 @@ def test_shifted_singular_inverse_names_the_callers_point(via):
 
 
 def test_sigma_conjugate_of_a_factorizable_automorphism_fails_on_evaluation():
-    from sdreflect import sigma_conjugate
-    from sdreflect.dyncore import AutomorphismError
-
     f = Automorphism.factorizable(lambda u: np.diag([1.0 + 0.1 * u, 1.0]))
     X = sigma_conjugate(yangian_r(SCH2, (1, 2)), f, (1, 2), sign=-1)
     with pytest.raises(AutomorphismError):

@@ -401,13 +401,15 @@ def test_stack_of_spectral_values_is_one_leaf_call_per_entry(monkeypatch):
 
 
 def test_compiled_leaf_pole_raises_every_time(monkeypatch):
+    # a point is a stack of one row: each call evaluates every entry once,
+    # and the pole row is not kept, so the second call evaluates them again
     calls = _count_leaf_evals(monkeypatch)
     spec = {"kind": "diagonal", "entries": ["1/(lambda1-lambda2)", "1"]}
     m = compile_matrix_spec(spec, SCH, (1,), "b")
     for _ in range(2):
         with pytest.raises(PoleError):
             m.eval(np.array([0.5, 0.5]))
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 def test_stacked_leaf_pole_raises_for_its_first_point():

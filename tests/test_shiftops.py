@@ -207,8 +207,9 @@ def test_commutator_nan_coefficient_fails_the_report():
 
 
 def test_first_nan_in_a_later_block_beats_a_larger_finite_residual(monkeypatch):
-    # blocks of two points: the NaN coefficient at point 3 (second block)
-    # is the worst point of both checks, not the finite residual at point 0
+    # blocks of two points, the last a stack of one: the NaN coefficient at
+    # point 3 (second block) is the worst point of both checks, not the
+    # finite residual at point 0
     import sdreflect.shiftops as so
 
     big, bad = PTS[0][0], PTS[3][0]
@@ -225,7 +226,7 @@ def test_first_nan_in_a_later_block_beats_a_larger_finite_residual(monkeypatch):
     diag = term((0, 0), lambda lam, u: np.diag([1.0, 2.0]).astype(complex))
     shift = term((1, 0), lambda lam, u: np.diag([2.0, 3.0]).astype(complex))
     monkeypatch.setattr(so, "BLOCK_BYTES", 2 * 16 * 2 ** 2)
-    assert [np.shape(lam) for lam, _ in so._blocks(PTS, [S1])] == [(2, 2), (2, 2), (2,)]
+    assert [np.shape(lam) for lam, _ in so._blocks(PTS, [S1])] == [(2, 2), (2, 2), (1, 2)]
     for check in (lambda pts: shiftop_difference_residual(S1, diag, pts, 1e-10),
                   lambda pts: commutator(S1, shift, pts, 1e-10)):
         rep = check(PTS[:3])
