@@ -328,6 +328,10 @@ def run(argv=None) -> int:
     except (ScenarioError, OSError, ValueError, RetryCapError, EvalOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy names the allocation that failed (its size and shape)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
     elapsed_ms = int(1000 * (time.monotonic() - t0))
     ok = all(r.passed for r in reports)

@@ -23,11 +23,11 @@ and kept by :meth:`DynMat.inv`, :func:`dyn_shift`, scaling, shifts of
 its arguments and spectral binding) also records the ``positions`` of its legs, and its
 ``fn`` is then the small factor; :meth:`DynMat.dense` embeds it.
 Products never build the dense n**L embedding of a placed factor: two
-placed factors multiply on the union of their legs and stay placed; a
-dense matrix times a placed factor is contracted on the factor's legs
-only (one gather of the rows or columns, one BLAS call on the factor,
-one scatter back; see :class:`Placed`); the inverse inverts the small
-factor.  Operators of dimension n**L <= ``DENSE_MAX_DIM`` = 32 are kept
+placed factors are contracted over their shared legs and stay placed on
+the union of their legs (:func:`_union_product`); a dense matrix times
+a placed factor is contracted on the factor's legs only (one gather of
+the rows or columns, one BLAS call on the factor, one scatter back; see
+:class:`Placed`); the inverse inverts the small factor.  Operators of dimension n**L <= ``DENSE_MAX_DIM`` = 32 are kept
 dense, as there the contraction's fixed cost exceeds the saving.
 :func:`chain_product` multiplies a list of factors in the cheapest
 order for the legs each acts on (left to right when all are dense).
@@ -502,21 +502,23 @@ def _leg_order(positions, total, n, lead):
 
 def _apply_right(M, m, positions, total, n):
     """M @ (m placed at positions of n**total legs), contracting the
-    columns of M on the placed legs only; both may carry batch axes."""
+    columns of M on the placed legs only; both may carry batch axes.  The
+    gathered copy of M is freed before the scatter back is allocated."""
     tables = _leg_order(tuple(positions), total, n, False)
-    G = M if tables is None else np.take(M, tables[0], axis=-1)
-    out = G.reshape(G.shape[:-2] + (-1, m.shape[-1])) @ m
-    out = out.reshape(out.shape[:-2] + G.shape[-2:])
+    out = M if tables is None else np.take(M, tables[0], axis=-1)
+    out = out.reshape(out.shape[:-2] + (-1, m.shape[-1])) @ m
+    out = out.reshape(out.shape[:-2] + M.shape[-2:])
     return out if tables is None else np.take(out, tables[1], axis=-1)
 
 
 def _apply_left(m, positions, M, total, n):
     """(m placed at positions of n**total legs) @ M, contracting the rows
-    of M on the placed legs only; both may carry batch axes."""
+    of M on the placed legs only; both may carry batch axes.  The
+    gathered copy of M is freed before the scatter back is allocated."""
     tables = _leg_order(tuple(positions), total, n, True)
-    G = M if tables is None else np.take(M, tables[0], axis=-2)
-    out = m @ G.reshape(G.shape[:-2] + (m.shape[-1], -1))
-    out = out.reshape(out.shape[:-2] + G.shape[-2:])
+    out = M if tables is None else np.take(M, tables[0], axis=-2)
+    out = m @ out.reshape(out.shape[:-2] + (m.shape[-1], -1))
+    out = out.reshape(out.shape[:-2] + M.shape[-2:])
     return out if tables is None else np.take(out, tables[1], axis=-2)
 
 
@@ -584,16 +586,59 @@ class ColumnBlock:
         return other @ self.dense()
 
 
+@functools.lru_cache(maxsize=None)
+def _contraction(pa, pb, n):
+    """The plan of :func:`_union_product` for factors at the leg
+    positions ``pa`` and ``pb``: (axes, shape) of the left operand, of
+    the right operand and of the product.
+
+    With S the shared legs, A the legs of ``pa`` only and B those of
+    ``pb`` only, the left operand is a's factor with its rows on ``pa``
+    and its columns split as (A, S), read as an n**(|pa|+|A|) x n**|S|
+    matrix; the right one is b's with its rows split as (S, B) and its
+    columns on ``pb``, n**|S| x n**(|B|+|pb|).  Their product has rows
+    (pa, B) and columns (A, pb); the last axes put both in the sorted
+    union's order.  Axes are None where no leg moves.
+    """
+    union = sorted(set(pa) | set(pb))
+    shared = [p for p in pa if p in pb]
+    only_a = [p for p in pa if p not in pb]
+    only_b = [p for p in pb if p not in pa]
+    ka, kb = len(pa), len(pb)
+    a_axes = [*range(ka), *(ka + pa.index(p) for p in only_a + shared)]
+    b_axes = [*(pb.index(p) for p in shared + only_b), *range(kb, 2 * kb)]
+    # the product's axes: rows on pa, columns on A, rows on B, columns on pb
+    ra, rb = ka + len(only_a), ka + len(only_a) + len(only_b)
+    row = dict(zip(pa, range(ka))) | dict(zip(only_b, range(ra, rb)))
+    col = dict(zip(only_a, range(ka, ra))) | dict(zip(pb, range(rb, rb + kb)))
+    out_axes = [row[p] for p in union] + [col[p] for p in union]
+
+    def plan(axes, shape):
+        return (None if axes == sorted(axes) else tuple(axes)), shape
+
+    return (plan(a_axes, (n ** (ka + len(only_a)), n ** len(shared))),
+            plan(b_axes, (n ** len(shared), n ** (len(only_b) + kb))),
+            plan(out_axes, (n ** len(union),) * 2))
+
+
 def _union_product(a: Placed, b: Placed) -> np.ndarray:
-    """The factor of a @ b on the sorted union of their positions: the
-    factor with more legs is placed on the union, the other contracted."""
-    union = tuple(sorted(set(a.positions) | set(b.positions)))
-    k, n = len(union), a.n
-    ra = [union.index(p) for p in a.positions]
-    rb = [union.index(p) for p in b.positions]
-    if len(ra) >= len(rb):
-        return _apply_right(_place_matrix(a.m, ra, k, n), b.m, rb, k, n)
-    return _apply_left(a.m, ra, _place_matrix(b.m, rb, k, n), k, n)
+    """The factor of a @ b on the sorted union of their positions,
+    contracted over their shared legs only: one matrix product of the two
+    factors, each with its legs moved (:func:`_contraction`), and one
+    move of the product's legs into the union's order.  It costs
+    :func:`product_cost` multiply-adds and places neither factor."""
+    n = a.n
+
+    def moved(m, plan):
+        axes, shape = plan
+        batch = m.shape[:-2]
+        if axes is not None:
+            m = m.reshape(batch + (n,) * len(axes)).transpose(
+                [*range(len(batch)), *(len(batch) + x for x in axes)])
+        return m.reshape(batch + shape)
+
+    pa, pb, pout = _contraction(tuple(a.positions), tuple(b.positions), n)
+    return moved(moved(a.m, pa) @ moved(b.m, pb), pout)
 
 
 def _support(X: DynMat) -> frozenset:
@@ -604,9 +649,11 @@ def _support(X: DynMat) -> frozenset:
 def product_cost(n, a, b) -> int:
     """Complex multiply-adds of the product of two factors acting on the
     leg positions ``a`` and ``b``, as :meth:`DynMat.__matmul__` forms it:
-    the factor with more legs on the union U, contracted with the other,
-    n**(2|U| + min(|a|, |b|)) (a dense factor acts on every leg)."""
-    return n ** (2 * len(a | b) + min(len(a), len(b)))
+    n**(2|U| + |a & b|) for the union U.  Two placed factors are
+    contracted over their shared legs (:func:`_union_product`); a dense
+    factor acts on every leg, so the placed factor's legs are the shared
+    ones, and two dense factors share all of them."""
+    return n ** (2 * len(a | b) + len(a & b))
 
 
 @functools.lru_cache(maxsize=None)

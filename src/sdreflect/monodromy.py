@@ -22,13 +22,16 @@ factorizes through a quantum-leg conjugator O_N:
 with O_N = prod_{k=N..1} [q_{2k-1} b_{2k}](h over odd legs > 2k).  The
 shift factor acts on the right O_N during conjugation, producing its
 argument shifts automatically.  The conjugation is formed once per point
-(:func:`_conjugate_weight_shifted`): O_N^{-1} times the core is one
-product, and the e_i term of E_0 applies O_N(lam + gamma e_i) to the
-column block of auxiliary index i only, which is all that E_0 keeps.
-Both tables hold each e_i term as that one block
+(:func:`_conjugate_weight_shifted`) from O_N's site blocks
+(:func:`build_ON_blocks`), never from their product: O_N^{-1} times the
+core is the inverted blocks applied one by one (each inverse is the
+small block's), and the e_i term of E_0 applies the blocks at
+lam + gamma e_i to the column block of auxiliary index i only, which is
+all that E_0 keeps.  Where O_N is dense it is its one block.  Both
+tables hold each e_i term as that one block
 (:class:`~sdreflect.dyncore.ColumnBlock`), and the partial trace of a
-term is its diagonal block.  Every chain product (the direct form, each
-factorized core, O_N) is formed in its cheapest order
+term is its diagonal block.  Every chain product (the direct form and
+each factorized core) is formed in its cheapest order
 (:func:`~sdreflect.dyncore.chain_product`).
 
 Every factorized core (this one, the non-similar one with a second
@@ -63,7 +66,9 @@ from .dyncore import (
     ColumnBlock,
     DynMat,
     LegError,
+    Placed,
     WeightScheme,
+    _apply_right,
     adjoint_auto,
     chain_product,
     constant_dynmat,
@@ -111,13 +116,14 @@ def _chain_values(u_quantum, u_aux):
     return uvals
 
 
-def _site_product(block, N: int, legs):
-    """prod_{k=N..1} block(k), each site block shifted by the odd legs above it."""
+def _site_blocks(block, N: int, legs):
+    """[block(N), ..., block(1)], each site block shifted by the odd legs
+    above it: the factors of prod_{k=N..1} block(k) in order."""
     blocks = []
     for k in range(N, 0, -1):
         s = _site_shift(k, N)
         blocks.append(dyn_shift(block(k), s, legs) if s else block(k))
-    return chain_product(blocks)
+    return blocks
 
 
 def _place(X: DynMat, at, legs, uvals, shift=()) -> DynMat:
@@ -154,40 +160,49 @@ def _core_product(R: DynMat, left, middle, R_odd: DynMat, right, N: int, uvals,
                           for c, (X, at, *shift) in factors])
 
 
-def _conjugate_weight_shifted(O: DynMat, core: DynMat) -> ShiftOpSum:
-    """O^-1 . core . E_0 . O, E_0 the expanded weight shift on leg 0 and O
-    the identity on leg 0: the term at e_i is O^-1 core e_ii^(0)
-    O(lam + gamma e_i), kept as its column block i.
+def _conjugate_weight_shifted(blocks, core: DynMat) -> ShiftOpSum:
+    """O^-1 . core . E_0 . O for O = blocks[0] @ blocks[1] @ ..., each
+    block the identity on leg 0, and E_0 the expanded weight shift on leg
+    0: the term at e_i is O^-1 core e_ii^(0) O(lam + gamma e_i), kept as
+    its column block i.
 
     e_ii^(0) keeps the column block i (of width n**(L-1), as leg 0 is the
     most significant index) and commutes with the left product, so O^-1
-    core is formed once per point.  An O placed on all the quantum legs
-    is its factor on every block, so the block is one product; any other
-    O multiplies the kept columns, zeros around them.  The entries are
-    the dot products of the composed operator product, bit for bit.
+    core is formed once per point.  O^-1 is the reversed chain of the
+    inverted blocks, so blocks[0]^-1 meets the core first.  Each column
+    block then meets the blocks at lam + gamma e_i in list order.  A
+    placed block contracts the block's columns on its own quantum legs
+    only; a dense one (the single dense O) multiplies the kept columns,
+    zeros around them.  The entries are the dot products of the composed
+    product of the blocks, bit for bit.
     """
-    scheme, n = O.scheme, O.scheme.rank
-    w = n ** (len(O.legs) - 1)
-    on_quantum_legs = O.positions == tuple(range(1, len(O.legs)))
-    Oinv = O.inv()
+    scheme, n = core.scheme, core.scheme.rank
+    w = n ** (len(core.legs) - 1)
+    inverses = [B.inv() for B in blocks]
     keys = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
     def table(lam, u):
-        Y = Oinv.eval(lam, u, local=True) @ core.eval(lam, u)
+        Y = core.eval(lam, u)
+        for inverse in inverses:
+            Y = inverse.eval(lam, u, local=True) @ Y
         out = {}
         for i, key in enumerate(keys):
-            o = O.eval(lam + scheme.gamma * np.asarray(key, dtype=complex), u, local=True)
+            at = lam + scheme.gamma * np.asarray(key, dtype=complex)
             block = slice(i * w, (i + 1) * w)
-            if on_quantum_legs:
-                term = Y[..., block] @ o.m
-            else:
-                term = np.zeros_like(Y)
-                term[..., block] = Y[..., block]
-                term = (term @ o)[..., block]
+            term = Y[..., block]
+            for B in blocks:
+                o = B.eval(at, u, local=True)
+                if isinstance(o, Placed):
+                    term = _apply_right(term, o.m, [p - 1 for p in o.positions],
+                                        o.total - 1, n)
+                else:
+                    pad = np.zeros_like(Y)
+                    pad[..., block] = term
+                    term = (pad @ o)[..., block]
             out[key] = ColumnBlock(term, i, 0)
         return out
 
-    return ShiftOpSum(scheme, O.legs, keys, table)
+    return ShiftOpSum(scheme, core.legs, keys, table)
 
 
 def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
@@ -226,9 +241,11 @@ def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
     return ShiftOpSum.weight_shifted(chain_product(factors), 0)
 
 
-def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) -> DynMat:
-    """Quantum-leg conjugator: odd legs carry q, even legs carry b,
-    each site block shifted by the odd legs above it.
+def build_ON_blocks(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) -> list:
+    """The quantum-leg conjugator O_N as the list of its site blocks
+    [B_N, ..., B_1], O_N = B_N ... B_1: block k carries q on leg 2k-1 and
+    b on leg 2k, shifted by the odd legs above it.  Where O_N is dense
+    (up to ``DENSE_MAX_DIM``) the list is the one dense O_N.
 
     For an automorphism g the even legs carry the dressed g b g^-1 in
     place of b; the odd legs carry q in every case.
@@ -238,9 +255,16 @@ def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) ->
     legs = all_legs(N)
     if g is not None:
         b = auto_dress(b, g)
-    out = _site_product(lambda k: embed(q, (2 * k - 1,), legs) @ embed(b, (2 * k,), legs),
-                        N, legs)
-    return bind_spectral(out, _chain_values(u_quantum, None))
+    uvals = _chain_values(u_quantum, None)
+    blocks = [bind_spectral(B, uvals) for B in _site_blocks(
+        lambda k: embed(q, (2 * k - 1,), legs) @ embed(b, (2 * k,), legs), N, legs)]
+    return blocks if blocks[0].positions is not None else [chain_product(blocks)]
+
+
+def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) -> DynMat:
+    """The quantum-leg conjugator O_N, the product of its site blocks
+    (:func:`build_ON_blocks`)."""
+    return chain_product(build_ON_blocks(b, q, N, u_quantum, g))
 
 
 def build_gauged_core(scheme: WeightScheme, R0: DynMat, q: DynMat, Q, QL,
@@ -299,13 +323,12 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
             # interleaved twisted reflection block:
             # (prod_k q_{2k-1}(h odd above)) b_0 chi0(h odd above) q_0^-1 (prod)^-1
             legs = all_legs(N)
-            qprod = _site_product(lambda kk: embed(q, (2 * kk - 1,), legs), N, legs)
+            qprod = chain_product(_site_blocks(lambda kk: embed(q, (2 * kk - 1,), legs), N, legs))
             middle = [(qprod, legs), (b, (0,)), (chi0, (0,), tuple(range(1, 2 * N, 2))),
                       (q.inv(), (0,)), (qprod.inv(), legs)]
         core = _core_product(R0, left, middle, Rbar or R0, right, N,
                              _chain_values(u_quantum, u_aux))
-    O = build_ON(b, q, N, u_quantum, g)
-    return _conjugate_weight_shifted(O, core)
+    return _conjugate_weight_shifted(build_ON_blocks(b, q, N, u_quantum, g), core)
 
 
 def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:

@@ -399,6 +399,25 @@ def test_bad_tolerance_or_sites_is_usage_error(flag, value, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.46 TiB for an array with shape "
+                                     "(100000000000, 2) and data type float64", ""])
+def test_unallocatable_sample_count_is_usage_error(message, monkeypatch, capsys):
+    # the sampler's allocation fails as numpy's would for --samples 1e11;
+    # nothing here really asks for that much memory
+    from sdreflect import sampling
+
+    def unallocatable(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sampling, "_coordinates", unallocatable)
+    code = run(["--builtin", "trivial_yangian", "--suite", "zero-weight",
+                "--samples", "100000000000"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message or 'out of memory'}\n"
+    assert captured.out == ""
+
+
 def test_rank3_two_site_factorization():
     from sdreflect.cli import Rig
 

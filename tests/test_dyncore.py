@@ -578,6 +578,53 @@ def test_placed_products_match_dense_placement(n, max_total, max_k):
         assert _close(P @ Q, dense @ Q.dense()), (total, pos, pos2)
 
 
+# (targets of a, targets of b) on legs 0..3: each factor is embedded with
+# its legs on the targets in that order, so a permuted list places it
+# non-monotonically
+_CONTRACTIONS = {
+    "non-monotone": ((2, 0), (3, 0, 1)),
+    "disjoint": ((0, 2), (3, 1)),
+    "nested": ((0, 1, 3), (3, 1)),
+    "nested-in-b": ((2,), (0, 2, 3)),
+    "identical": ((3, 1), (3, 1)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", list(_CONTRACTIONS))
+@pytest.mark.parametrize("stacks", [(None, None), (2, None), (None, 2), (2, 2)],
+                         ids=["constant", "stacked-a", "stacked-b", "stacked"])
+def test_union_product_contracts_the_shared_legs(n, case, stacks, leg_local, monkeypatch):
+    import sdreflect.dyncore as dc
+
+    sch, legs = WeightScheme(n, 0.7), (0, 1, 2, 3)
+    rng = np.random.default_rng([67, n])
+    factors = []
+    for targets, count in zip(_CONTRACTIONS[case], stacks):
+        k = len(targets)
+        m = rng.normal(size=(count or 1, n ** k, n ** k)) + 0j
+        m = m[0] if count is None else m
+        positions = embed(constant_dynmat(sch, tuple(range(k)), _rand(rng, n ** k)),
+                          targets, legs).positions
+        assert positions == targets
+        factors.append(dc.Placed(m, positions, len(legs), n))
+    a, b = factors
+    want = _place_matrix(a.m, a.positions, 4, n) @ _place_matrix(b.m, b.positions, 4, n)
+    union = tuple(sorted(set(a.positions) | set(b.positions)))
+
+    placed, real = [], dc._place_matrix
+    with monkeypatch.context() as mp:
+        mp.setattr(dc, "_place_matrix", lambda *args: placed.append(args) or real(*args))
+        got = dc._union_product(a, b)
+    assert placed == []
+    assert got.shape == want.shape[:-2] + (n ** len(union),) * 2
+    assert _close(_place_matrix(got, union, 4, n), want)
+    # one gemm of (rows x inner) by (inner x cols): product_cost multiply-adds
+    (_, (rows, inner)), (_, (inner_b, cols)), _ = dc._contraction(a.positions, b.positions, n)
+    assert inner == inner_b
+    assert rows * inner * cols == dc.product_cost(n, set(a.positions), set(b.positions))
+
+
 @pytest.mark.parametrize("n,max_total,max_k", [(2, 5, 5), (3, 4, 3)])
 def test_placed_dynmat_operations_match_dense_placement(n, max_total, max_k, leg_local):
     from sdreflect.monodromy import bind_spectral
@@ -689,8 +736,8 @@ def test_nan_in_a_placed_conjugated_core_fails_the_difference(leg_local):
     O = embed(constant_dynmat(sch, (1, 2, 3), _rand(rng, n ** 3) + 4 * np.eye(n ** 3)),
               (1, 2, 3), legs)
     assert O.positions is not None
-    good = _conjugate_weight_shifted(O, constant_dynmat(sch, legs, m))
-    broken = _conjugate_weight_shifted(O, function_dynmat(sch, legs, core))
+    good = _conjugate_weight_shifted([O], constant_dynmat(sch, legs, m))
+    broken = _conjugate_weight_shifted([O], function_dynmat(sch, legs, core))
     rep = shiftop_difference_residual(broken, good, pts, 1e-8)
     assert not rep.passed
     assert np.isnan(rep.max_residual)
@@ -705,26 +752,41 @@ def _affine_dynmat(rng, sch, legs, shift=0.0):
     return DynMat(sch, legs, lambda lam, u: base + slope * (lam @ grad)[..., None, None])
 
 
-def _conjugated_tables(rank, N, O=None, points=3):
-    """The tables of ``_conjugate_weight_shifted(O, core)`` and of the
-    composed product O^-1 . weight_shifted(core, 0) . O on a stacked
-    block of points, for a generic core and (unless given) the chain
-    conjugator O_N of generic b and q."""
-    from sdreflect.monodromy import _conjugate_weight_shifted, all_legs, build_ON
+def _composed(sch, legs, blocks, core):
+    """O^-1 . weight_shifted(core, 0) . O for O = blocks[0] @ blocks[1]
+    @ ..., composed factor by factor in the association
+    _conjugate_weight_shifted uses: the inverted blocks from blocks[0]
+    on the left of the core, then the blocks in order on the right."""
     from sdreflect.shiftops import ShiftOpSum
+
+    zero = (0,) * sch.rank
+    want = ShiftOpSum.weight_shifted(core, 0)
+    for B in blocks:
+        want = ShiftOpSum.of_terms(sch, legs, [(zero, B.inv())]).compose(want)
+    for B in blocks:
+        want = want.compose(ShiftOpSum.of_terms(sch, legs, [(zero, B)]))
+    return want
+
+
+def _conjugated_tables(rank, N, blocks=None, points=3):
+    """(blocks, tables of ``_conjugate_weight_shifted(blocks, core)``,
+    tables of their composed product, tables of the composed product of
+    the single O) on a stacked block of points, for a generic core and
+    (unless given) the site blocks of the chain conjugator O_N of generic
+    b and q."""
+    from sdreflect.dyncore import chain_product
+    from sdreflect.monodromy import _conjugate_weight_shifted, all_legs, build_ON_blocks
 
     sch, legs = WeightScheme(rank, 0.7), all_legs(N)
     rng = np.random.default_rng([rank, N])
-    if O is None:
+    if blocks is None:
         b, q = (_affine_dynmat(rng, sch, (1,), 3.0) for _ in range(2))
-        O = build_ON(b, q, N, {})
+        blocks = build_ON_blocks(b, q, N, {})
     core = _affine_dynmat(rng, sch, legs)
     lam = rng.normal(size=(points, rank)) + 1j * rng.normal(size=(points, rank))
-    zero = (0,) * rank
-    want = (ShiftOpSum.of_terms(sch, legs, [(zero, O.inv())])
-            .compose(ShiftOpSum.weight_shifted(core, 0))
-            .compose(ShiftOpSum.of_terms(sch, legs, [(zero, O)])))
-    return O, _conjugate_weight_shifted(O, core).eval_terms(lam), want.eval_terms(lam)
+    single = _composed(sch, legs, [chain_product(blocks)], core)
+    return (blocks, _conjugate_weight_shifted(blocks, core).eval_terms(lam),
+            _composed(sch, legs, blocks, core).eval_terms(lam), single.eval_terms(lam))
 
 
 def _assert_same_tables(got, want):
@@ -736,22 +798,41 @@ def _assert_same_tables(got, want):
 @pytest.mark.parametrize("rank,N,placed", [(2, 1, False), (2, 2, False), (3, 2, True),
                                            (2, 3, True)])
 def test_conjugated_weight_shifted_core_is_the_composed_product_bit_for_bit(rank, N, placed):
-    O, got, want = _conjugated_tables(rank, N, points=2 if rank == 3 else 3)
-    assert O.positions == (tuple(range(1, 2 * N + 1)) if placed else None)
+    # the composed product of the site blocks; where O_N is dense the
+    # one block is O_N
+    blocks, got, want, _ = _conjugated_tables(rank, N, points=2 if rank == 3 else 3)
+    if placed:
+        # site k: legs 2k - 1 and 2k, and the odd legs above it
+        assert [B.positions for B in blocks] == [
+            (2 * k - 1, 2 * k, *range(2 * k + 1, 2 * N, 2))
+            for k in range(N, 0, -1)]
+    else:
+        assert len(blocks) == 1 and blocks[0].positions is None
     _assert_same_tables(got, want)
 
 
+@pytest.mark.parametrize("rank,N", [(2, 3), (3, 2)])
+def test_block_wise_conjugation_is_the_single_conjugator_product_at_round_off(rank, N):
+    # d = 128 and d = 243: the site blocks of O_N against O_N as one factor
+    blocks, got, _, want = _conjugated_tables(rank, N, points=2)
+    assert len(blocks) == N
+    assert list(got) == list(want)
+    for key in want:
+        assert _close(got[key], want[key]), key
+
+
 def test_conjugated_weight_shifted_core_leg_local_bit_for_bit(leg_local):
-    # O_N placed at every size, and an O placed on some quantum legs only
+    # O_N's one site block placed at every size, and an O placed on some
+    # quantum legs only
     for rank in (2, 3):
-        O, got, want = _conjugated_tables(rank, 1)
-        assert O.positions == (1, 2)
+        blocks, got, want, _ = _conjugated_tables(rank, 1)
+        assert [B.positions for B in blocks] == [(1, 2)]
         _assert_same_tables(got, want)
     sch, legs = WeightScheme(2, 0.7), (0, 1, 2, 3, 4)
     rng = np.random.default_rng(43)
     O = _affine_dynmat(rng, sch, (1, 2), 3.0)
-    O, got, want = _conjugated_tables(2, 2, embed(O, (2, 3), legs))
-    assert O.positions == (2, 3)
+    blocks, got, want, _ = _conjugated_tables(2, 2, [embed(O, (2, 3), legs)])
+    assert blocks[0].positions == (2, 3)
     _assert_same_tables(got, want)
 
 

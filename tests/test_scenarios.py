@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdreflect.consistency import rel_residual
 from sdreflect.dyncore import DynMat, PoleError
@@ -81,6 +83,25 @@ def test_scenario_file_roundtrip(tmp_path):
     sc.save(path)
     sc2 = load_scenario(path)
     assert sc.to_dict() == sc2.to_dict()
+
+
+_FORMS = [(name, rank) for name in builtin_names() for rank in (2, 3)
+          if rank == 2 or name not in ("constant_g", "spectral_shift_g")]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(form=st.sampled_from(_FORMS), sites=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6))
+def test_scenario_json_round_trip(form, sites, seed, count, tmp_path_factory):
+    name, rank = form
+    sc = builtin_scenario(name, {"rank": rank, "sites": sites})
+    sc = scenario_from_dict({**sc.to_dict(), "sampler": {**sc.sampler, "seed": seed,
+                                                         "count": count}})
+    path = tmp_path_factory.mktemp("round_trip") / "scenario.json"
+    path.write_text(json.dumps(sc.to_dict()))
+    back = load_scenario(path)
+    assert back.to_dict() == sc.to_dict()
+    assert _outcome(back.sample) == _outcome(sc.sample)
 
 
 def test_zero_gamma_rejected():
