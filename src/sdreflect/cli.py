@@ -185,14 +185,13 @@ class Rig:
             if failed:
                 reps.extend(failed)
                 continue
+            # one chain per size, its auxiliary slot free: the family over u_list
             if self.g.is_identity:
-                chains = [build_monodromy_direct(self.S, self.K, self.chi, N, uq, u0)
-                          for u0 in u_list]
+                chain = build_monodromy_direct(self.S, self.K, self.chi, N, uq, None)
             else:
-                chains = [build_monodromy_factored(
-                    self.scheme, self.R0, self.b, self.q, self.Q, self.chi, N, uq, u0,
-                    g=self.g, QL=self.QL) for u0 in u_list]
-            rep = transfer_commutation(chains, points)
+                chain = build_monodromy_factored(self.scheme, self.R0, self.b, self.q, self.Q,
+                                                 self.chi, N, uq, None, g=self.g, QL=self.QL)
+            rep = transfer_commutation(chain, u_list, points)
             rep.check_name = f"transfer_commutation_N{N}"
             reps.append(rep)
         return reps, []

@@ -27,10 +27,10 @@ placed factors are contracted over their shared legs and stay placed on
 the union of their legs (:func:`_union_product`); a dense matrix times
 a placed factor is contracted on the factor's legs only (one gather of
 the rows or columns, one BLAS call on the factor, one scatter back; see
-:class:`Placed`); the inverse inverts the small factor.  Operators of dimension n**L <= ``DENSE_MAX_DIM`` = 32 are kept
-dense, as there the contraction's fixed cost exceeds the saving.
-:func:`chain_product` multiplies a list of factors in the cheapest
-order for the legs each acts on (left to right when all are dense).
+:class:`Placed`); the inverse inverts the small factor.  This holds at
+every dimension: there is one product path.  :func:`chain_product`
+multiplies a list of factors in the cheapest order for the legs each
+acts on (left to right when all are dense).
 
 Every matrix function is shape-polymorphic: ``lam`` may carry leading
 batch axes, shape (..., n), and spectral values shape (...); the value
@@ -226,8 +226,7 @@ class DynMat:
         if self.positions is None or getattr(other, "positions", None) is None:
             return self._binary(other, operator.matmul, _value)
         union = tuple(sorted(set(self.positions) | set(other.positions)))
-        prod = self._binary(other, _union_product, _value)
-        return _placed(self.scheme, self.legs, prod.fn, union, prod.spectral_legs)
+        return replace(self._binary(other, _union_product, _value), positions=union)
 
     def __add__(self, other):
         return self._binary(other, lambda x, y: x + y)
@@ -480,10 +479,6 @@ def _place_matrix(m, positions, total, n):
     return out.reshape(batch + (n ** total, n ** total))
 
 
-# operators up to this dimension are multiplied dense
-DENSE_MAX_DIM = 32
-
-
 @functools.lru_cache(maxsize=None)
 def _leg_order(positions, total, n, lead):
     """(gather, scatter) flat index tables that move the legs at
@@ -703,19 +698,6 @@ def _value(X: DynMat, lam, u):
     return m if X.positions is None else Placed(m, X.positions, len(X.legs), X.scheme.rank)
 
 
-def _placed(scheme, legs, factor, positions, spectral_legs=frozenset()):
-    """The DynMat ``factor`` placed at ``positions`` of ``legs``; up to the dense
-    size its function is a closure embedding it (faster per call than ``dense``)."""
-    positions, total, n = tuple(positions), len(legs), scheme.rank
-    if n ** total > DENSE_MAX_DIM or positions == tuple(range(total)):
-        return DynMat(scheme, legs, factor, spectral_legs, positions)
-
-    def fn(lam, u):
-        return _place_matrix(factor(lam, u), positions, total, n)
-
-    return DynMat(scheme, legs, fn, spectral_legs)
-
-
 def embed(X: DynMat, target_legs, all_legs) -> DynMat:
     """Place X on target_legs inside all_legs, identity elsewhere.
 
@@ -741,7 +723,7 @@ def embed(X: DynMat, target_legs, all_legs) -> DynMat:
     # a placed X embeds its factor directly
     inner = range(len(X.legs)) if X.positions is None else X.positions
     positions = [all_legs.index(target_legs[p]) for p in inner]
-    return _placed(X.scheme, all_legs, small, positions, spect)
+    return DynMat(X.scheme, all_legs, small, spect, positions)
 
 
 def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
@@ -800,7 +782,7 @@ def dyn_shift(X: DynMat, shift_legs, all_legs=None) -> DynMat:
             acc += term
         return acc
 
-    return _placed(scheme, all_legs, fn, support, xe.spectral_legs)
+    return DynMat(scheme, all_legs, fn, xe.spectral_legs, support)
 
 
 def pi_transpose(X: DynMat) -> DynMat:

@@ -27,8 +27,7 @@ argument shifts automatically.  The conjugation is formed once per point
 core is the inverted blocks applied one by one (each inverse is the
 small block's), and the e_i term of E_0 applies the blocks at
 lam + gamma e_i to the column block of auxiliary index i only, which is
-all that E_0 keeps.  Where O_N is dense it is its one block.  Both
-tables hold each e_i term as that one block
+all that E_0 keeps.  Both tables hold each e_i term as that one block
 (:class:`~sdreflect.dyncore.ColumnBlock`), and the partial trace of a
 term is its diagonal block.  Every chain product (the direct form and
 each factorized core) is formed in its cheapest order
@@ -43,6 +42,11 @@ the identity that is the plain product; for a constant g it telescopes
 to left . g0 R_{0,2N} ... g0 R_{0,2N-1} . right . g0^(-2N); for a
 spectral shift by s the c-th R factor reads the auxiliary value
 u_0 + c*s.
+
+A traced family t(u_0) = Tr_0 T(u_0) is one operator: built without an
+auxiliary value, a chain keeps the spectral slot of leg 0 free, and
+:func:`transfer_commutation` evaluates every member u_0 as rows of that
+operator's table (:func:`~sdreflect.shiftops.shiftop_commutators`).
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from .dyncore import (
     ColumnBlock,
     DynMat,
     LegError,
-    Placed,
     WeightScheme,
     _apply_right,
     adjoint_auto,
@@ -84,15 +87,13 @@ def all_legs(N: int):
 
 
 def bind_spectral(X: DynMat, uvals) -> DynMat:
-    """Freeze the spectral slots of X at fixed values (a placed X stays
-    placed)."""
-    if not X.spectral_legs:
+    """Freeze the spectral slots of X that ``uvals`` gives values for; the
+    others stay slots (a placed X stays placed)."""
+    fixed = {l: complex(uvals[l]) for l in X.spectral_legs if l in uvals}
+    if not fixed:
         return X
-    missing = [l for l in X.spectral_legs if l not in uvals]
-    if missing:
-        raise ValueError(f"missing spectral values for legs {missing}")
-    fixed = {l: complex(uvals[l]) for l in X.spectral_legs}
-    return replace(X, fn=lambda lam, u, _f=X.fn: _f(lam, fixed), spectral_legs=frozenset())
+    return replace(X, fn=lambda lam, u, _f=X.fn: _f(lam, {**u, **fixed}),
+                   spectral_legs=X.spectral_legs - set(fixed))
 
 
 def locality_preset(u_ref, N: int):
@@ -170,11 +171,10 @@ def _conjugate_weight_shifted(blocks, core: DynMat) -> ShiftOpSum:
     most significant index) and commutes with the left product, so O^-1
     core is formed once per point.  O^-1 is the reversed chain of the
     inverted blocks, so blocks[0]^-1 meets the core first.  Each column
-    block then meets the blocks at lam + gamma e_i in list order.  A
-    placed block contracts the block's columns on its own quantum legs
-    only; a dense one (the single dense O) multiplies the kept columns,
-    zeros around them.  The entries are the dot products of the composed
-    product of the blocks, bit for bit.
+    block then meets the blocks at lam + gamma e_i in list order, each
+    contracting the block's columns on its own quantum legs only.  The
+    entries are the dot products of the composed product of the blocks,
+    bit for bit.
     """
     scheme, n = core.scheme, core.scheme.rank
     w = n ** (len(core.legs) - 1)
@@ -192,17 +192,12 @@ def _conjugate_weight_shifted(blocks, core: DynMat) -> ShiftOpSum:
             term = Y[..., block]
             for B in blocks:
                 o = B.eval(at, u, local=True)
-                if isinstance(o, Placed):
-                    term = _apply_right(term, o.m, [p - 1 for p in o.positions],
-                                        o.total - 1, n)
-                else:
-                    pad = np.zeros_like(Y)
-                    pad[..., block] = term
-                    term = (pad @ o)[..., block]
+                term = _apply_right(term, o.m, [p - 1 for p in o.positions], o.total - 1, n)
             out[key] = ColumnBlock(term, i, 0)
         return out
 
-    return ShiftOpSum(scheme, core.legs, keys, table)
+    return ShiftOpSum(scheme, core.legs, keys, table,
+                      core.spectral_legs.union(*(B.spectral_legs for B in blocks)))
 
 
 def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
@@ -211,7 +206,8 @@ def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
 
     ``Q0`` is the direct reflection solution (1 leg), ``chi_t`` the
     transposed dual solution (1 leg); ``u_quantum`` maps quantum legs to
-    spectral values and ``u_aux`` is the auxiliary value.  Only the
+    spectral values and ``u_aux`` is the auxiliary value (None keeps the
+    slot of leg 0: the operator of a family over u_0).  Only the
     identity-automorphism chain is assembled here; the
     automorphism-extended chain interleaves auxiliary automorphism
     factors whose printed placement could not be certified against the
@@ -244,8 +240,8 @@ def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
 def build_ON_blocks(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) -> list:
     """The quantum-leg conjugator O_N as the list of its site blocks
     [B_N, ..., B_1], O_N = B_N ... B_1: block k carries q on leg 2k-1 and
-    b on leg 2k, shifted by the odd legs above it.  Where O_N is dense
-    (up to ``DENSE_MAX_DIM``) the list is the one dense O_N.
+    b on leg 2k, shifted by the odd legs above it, and is placed on those
+    legs only (never on the auxiliary leg 0).
 
     For an automorphism g the even legs carry the dressed g b g^-1 in
     place of b; the odd legs carry q in every case.
@@ -256,9 +252,8 @@ def build_ON_blocks(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = N
     if g is not None:
         b = auto_dress(b, g)
     uvals = _chain_values(u_quantum, None)
-    blocks = [bind_spectral(B, uvals) for B in _site_blocks(
+    return [bind_spectral(B, uvals) for B in _site_blocks(
         lambda k: embed(q, (2 * k - 1,), legs) @ embed(b, (2 * k,), legs), N, legs)]
-    return blocks if blocks[0].positions is not None else [chain_product(blocks)]
 
 
 def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) -> DynMat:
@@ -305,7 +300,8 @@ def build_monodromy_factored(scheme: WeightScheme, R0: DynMat, b: DynMat,
     reflection block built from chi0; this variant requires the caller
     to supply chi0 explicitly, since no dual can be manufactured from a
     direct solution here.  A non-identity automorphism dispatches to the
-    gauged chain core (QL required, Rbar unsupported there).
+    gauged chain core (QL required, Rbar unsupported there).  ``u_aux``
+    None keeps the slot of leg 0, as in :func:`build_monodromy_direct`.
     """
     if g is not None and not g.is_identity:
         if Rbar is not None:
@@ -360,20 +356,21 @@ def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
             out[m] = np.einsum("...iaib->...ab", M.reshape(M.shape[:-2] + (n, dq, n, dq)))
         return out
 
-    return ShiftOpSum(T.scheme, qlegs, T.terms, table)
+    return ShiftOpSum(T.scheme, qlegs, T.terms, table, T.spectral_legs, T.dim)
 
 
-def transfer_commutation(monodromies, points, tol=1e-8) -> ResidualReport:
-    """The worst pairwise commutator of the traced ``monodromies``
-    (:func:`shiftop_commutators` on their :func:`transfer_trace`), the
-    first NaN kept; a single operator commutes, with residual 0.0 at the
-    first point."""
-    traced = [transfer_trace(T) for T in monodromies]
-    if len(traced) < 2:
+def transfer_commutation(T: ShiftOpSum, u_list, points, tol=1e-8) -> ResidualReport:
+    """The worst pairwise commutator of the traced family Tr_0 T(u_0), u_0
+    in ``u_list``: T is one chain operator whose auxiliary leg 0 keeps its
+    spectral slot, and the members are rows of its traced table
+    (:func:`shiftop_commutators` on :func:`transfer_trace`), the first NaN
+    kept; a single value commutes, with residual 0.0 at the first point."""
+    if len(u_list) < 2:
         return ResidualReport("transfer_commutation", len(points), 0.0, tol,
                               (points[0][0], dict(points[0][1])))
     worst = None
-    for r in shiftop_commutators(traced, points, tol, name="transfer_commutation"):
+    for r in shiftop_commutators(transfer_trace(T), [{0: u0} for u0 in u_list], points, tol,
+                                 name="transfer_commutation"):
         # keep the first NaN: it compares false both ways
         if worst is None or (worst.max_residual == worst.max_residual
                              and not r.max_residual <= worst.max_residual):

@@ -21,11 +21,12 @@ right factor's once at each shifted point lam + gamma*m1, so every
 coefficient is computed once per point it is needed at.
 
 The residual checks evaluate their tables over consecutive blocks of
-the sample points (:func:`_blocks`), each a stacked batch: a block holds
-as many points as keep one stacked d x d coefficient within
-:data:`BLOCK_BYTES`, so small operators are checked a few points per
-call and the larger ones (d >= 32) one point per block, as a stack of
-one.
+the sample points (:func:`_blocks`), each a stacked batch of rows.  A
+row is one point, or, for the commutators of a family, one member at a
+point or at a shifted point.  One table call forms at most
+:data:`BLOCK_BYTES` of d x d complex matrices over its rows, d the
+dimension the call forms (for a partial trace, that of the untraced
+operator), and a row that alone exceeds that runs alone.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import itertools
 import numpy as np
 
 from .consistency import _report, _stack, rel_residual, worst_residual
-from .dyncore import ColumnBlock, DynMat, LegError, Placed, WeightScheme
+from .dyncore import ColumnBlock, DynMat, LegError, Placed, SpectralValueError, WeightScheme
 
 
 class ShiftOpSum:
@@ -44,11 +45,16 @@ class ShiftOpSum:
     ``terms`` is the tuple of its shift vectors m in table order, and
     ``table(lam, u)`` gives the whole table m -> M_m at a checked point or
     stacked batch, a placed coefficient as its :class:`Placed` factor and
-    a weight-shift term as its :class:`ColumnBlock`.
+    a weight-shift term as its :class:`ColumnBlock`.  ``spectral_legs``
+    are the legs whose spectral values ``u`` must give, and ``dim`` is the
+    dimension of the largest matrix a table call forms (by default that
+    of ``legs``).
     """
 
-    def __init__(self, scheme: WeightScheme, legs, terms, table):
+    def __init__(self, scheme: WeightScheme, legs, terms, table, spectral_legs=(), dim=None):
         self.scheme, self.legs, self.terms, self.table = scheme, tuple(legs), tuple(terms), table
+        self.spectral_legs = frozenset(spectral_legs)
+        self.dim = scheme.rank ** len(self.legs) if dim is None else dim
 
     @classmethod
     def of_terms(cls, scheme: WeightScheme, legs, terms):
@@ -67,7 +73,8 @@ class ShiftOpSum:
         def table(lam, u):
             return {m: coeff.eval(lam, u, local=True) for m, coeff in merged.items()}
 
-        return cls(scheme, legs, merged, table)
+        return cls(scheme, legs, merged, table,
+                   frozenset().union(*(c.spectral_legs for c in merged.values())))
 
     @classmethod
     def weight_shifted(cls, M: DynMat, leg):
@@ -82,7 +89,7 @@ class ShiftOpSum:
             m = M.eval(lam, u)
             return {key: ColumnBlock.of(m, i, position, n) for i, key in enumerate(keys)}
 
-        return cls(M.scheme, M.legs, keys, table)
+        return cls(M.scheme, M.legs, keys, table, M.spectral_legs)
 
     def compose(self, other: "ShiftOpSum") -> "ShiftOpSum":
         """The product self . other, evaluated table by table; placed
@@ -97,7 +104,8 @@ class ShiftOpSum:
 
         keys = dict.fromkeys(tuple(x + y for x, y in zip(m1, m2))
                              for m1 in self.terms for m2 in other.terms)
-        return ShiftOpSum(self.scheme, self.legs, keys, table)
+        return ShiftOpSum(self.scheme, self.legs, keys, table,
+                          self.spectral_legs | other.spectral_legs, max(self.dim, other.dim))
 
     def raw_terms(self, lam, u=None):
         """The table at a checked point, placed coefficients and column
@@ -131,21 +139,25 @@ def _table_product(left, right_at, take=dict.pop):
     return out
 
 
-# the most bytes one stacked d x d complex coefficient of a block may take:
-# larger blocks cut per-point overhead but raise the peak memory of a check
-BLOCK_BYTES = 16 * 1024
+# the most bytes of d x d complex matrices one table call forms over its
+# rows: larger calls cut per-call overhead but raise the peak memory of a
+# check
+BLOCK_BYTES = 256 * 1024
 
 
-def _blocks(points, ops):
+def _rows_per_call(dim):
+    """How many rows of d x d complex matrices, d = ``dim``, one table call
+    forms within :data:`BLOCK_BYTES`; at least one, so a row that alone
+    exceeds the budget runs alone."""
+    return max(1, BLOCK_BYTES // (16 * dim * dim))
+
+
+def _blocks(points, dim, rows_per_point=1):
     """The points in consecutive blocks, each as one stacked batch (lam, u)
-    (:func:`consistency._stack`).
-
-    A block holds as many points as keep a stacked d x d complex matrix
-    within :data:`BLOCK_BYTES`, d the largest dimension of ``ops``, and at
-    least one.
-    """
-    dim = max(S.scheme.rank ** len(S.legs) for S in ops)
-    size = max(1, BLOCK_BYTES // (16 * dim * dim))
+    (:func:`consistency._stack`): as many points as keep their
+    ``rows_per_point`` rows each within one table call of dimension
+    ``dim`` (:func:`_rows_per_call`), and at least one."""
+    size = max(1, _rows_per_call(dim) // rows_per_point)
     for s in range(0, len(points), size):
         yield _stack(points[s:s + size])
 
@@ -182,7 +194,7 @@ def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8
     each evaluated as one table per block of points (:func:`_blocks`)."""
     keys = set(S1.terms) | set(S2.terms)
     points, residuals = list(points), []
-    for lam, u in _blocks(points, (S1, S2)):
+    for lam, u in _blocks(points, max(S1.dim, S2.dim)):
         # S2 first: callers pass the deeper operand (the factored
         # monodromy) second, so its temporaries never meet S1's table
         t2 = S2.raw_terms(lam, u)
@@ -190,38 +202,43 @@ def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8
     return _report(name, points, tol, residuals)
 
 
-def shiftop_commutators(ops, points, tol=1e-8, name="shiftop_commutator"):
-    """Residuals of S_i S_j - S_j S_i for every pair i < j of ``ops``, in
-    that order: the largest relative residual of a shift group's
-    coefficients, which certifies the exact operator identity.
+def shiftop_commutators(S: ShiftOpSum, members, points, tol=1e-8, name="shiftop_commutator"):
+    """Residuals of S_i S_j - S_j S_i for every pair i < j of the family
+    members S_i, in that order: the largest relative residual of a shift
+    group's coefficients, which certifies the exact operator identity.
+    S_i is S with the spectral values ``members[i]`` (a dict leg -> value
+    for some of S's spectral legs) in place of the point's.
 
-    For each block of points (:func:`_blocks`) every operator's table is
-    evaluated once at the block and once at each shifted block the
-    products need, and all pairs share them; only one block's tables are
-    kept.
+    The products need every member at lam and at each shifted lam +
+    gamma*m, m in S's terms: one row each.  For each block of points
+    (:func:`_blocks`) S's table is evaluated once over all of the block's
+    rows, in as few calls as :func:`_rows_per_call` allows (each call
+    holds whole member-shift groups), and every pair reads slices of it;
+    only one block's tables are kept.
     """
-    if any(S.legs != ops[0].legs for S in ops):
-        raise LegError("commutators need a shared leg set")
-    pairs = list(itertools.combinations(range(len(ops)), 2))
-    keys = [{tuple(x + y for x, y in zip(m1, m2)) for m1 in ops[i].terms for m2 in ops[j].terms}
-            for i, j in pairs]
+    if any(not set(v) <= S.spectral_legs for v in members):
+        raise SpectralValueError("a family member sets a leg without a spectral slot")
+    pairs = list(itertools.combinations(range(len(members)), 2))
+    keys = {tuple(x + y for x, y in zip(m1, m2)) for m1 in S.terms for m2 in S.terms}
+    # a group: one member at every point of a block, at lam (None) or lam + gamma*m
+    groups = [(i, m) for i in range(len(members)) for m in (None, *S.terms)]
     points, residuals = list(points), [[] for _ in pairs]
-    scheme = ops[0].scheme
-    for lam, u in _blocks(points, ops):
-        lam = scheme.check_point(lam)
-        tables = {}
-
-        def at(i, m1=None):
-            """ops[i]'s table at lam (+ gamma*m1), evaluated once per block."""
-            if (i, m1) not in tables:
-                pt = lam if m1 is None else lam + scheme.gamma * np.asarray(m1, dtype=complex)
-                tables[i, m1] = ops[i].eval_terms(pt, u)
-            return tables[i, m1]
-
+    for lam, u in _blocks(points, S.dim, len(groups)):
+        lam, size = S.scheme.check_point(lam), len(lam)
+        step, tables = max(1, _rows_per_call(S.dim) // size), {}
+        for s in range(0, len(groups), step):
+            chunk = groups[s:s + step]
+            rows = [lam if m is None else lam + S.scheme.gamma * np.asarray(m, dtype=complex)
+                    for _, m in chunk]
+            values = [{**u, **members[i]} for i, _ in chunk]
+            table = S.eval_terms(np.concatenate(rows), {
+                leg: np.concatenate([np.broadcast_to(v[leg], (size,)) for v in values])
+                for leg in values[0]})
+            for k, group in enumerate(chunk):
+                tables[group] = {m: c[k * size:(k + 1) * size] for m, c in table.items()}
         for p, (i, j) in enumerate(pairs):
-            ab = _table_product(at(i), lambda m1: at(j, m1), dict.get)
-            ba = _table_product(at(j), lambda m1: at(i, m1), dict.get)
-            residuals[p].extend(_difference(ab, ba, keys[p]))
-        tables = ab = ba = None
+            ab = _table_product(tables[i, None], lambda m1: tables[j, m1], dict.get)
+            ba = _table_product(tables[j, None], lambda m1: tables[i, m1], dict.get)
+            residuals[p].extend(_difference(ab, ba, keys))
+        tables = table = ab = ba = None
     return [_report(name, points, tol, r) for r in residuals]
-

@@ -192,8 +192,8 @@ def test_criterion_7_transfer_commutation():
         assert all(r.passed for r in gate.values()), gate
         for N in (1, 2):
             uq = sc.quantum_values(N)
-            rep = transfer_commutation([build_monodromy_direct(S, K, chi, N, uq, u0)
-                                        for u0 in u_list], pts[:8], tol=1e-8)
+            rep = transfer_commutation(build_monodromy_direct(S, K, chi, N, uq, None), u_list,
+                                       pts[:8], tol=1e-8)
             assert rep.passed, str(rep)
             worst = max(worst, rep.max_residual)
     # deliberately broken diagonal weight condition: the gate must refuse

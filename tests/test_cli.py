@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdreflect.cli import run
+from sdreflect.cli import SUITES, run
 from sdreflect.scenarios import builtin_names, builtin_scenario
 
 
@@ -263,6 +265,35 @@ def test_malformed_field_exit_code_is_total(tmp_path_factory, name, value, data)
     scen = tmp_path_factory.mktemp("malformed") / "scen.json"
     scen.write_text(json.dumps(doc))
     assert run(["--scenario", str(scen), "--suite", "zero-weight", "--samples", "2"]) in (0, 1, 2)
+
+
+# values for the CLI's own flags, valid and not (a tolerance of 1e-300
+# fails every check that is not exactly zero)
+_FLAG_VALUES = {
+    "--suite": st.sampled_from([*SUITES, "all", "bogus"]),
+    "--sites": st.integers(0, 2).map(str),
+    "--seed": st.integers(-1, 3).map(str),
+    "--tol": st.sampled_from(["1e-8", "1e-300", "0", "-1", "nan", "inf", "x"]),
+    "--format": st.sampled_from(["text", "structured", "xml"]),
+}
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(builtin=st.sampled_from([*builtin_names(), "bogus", None]), samples=st.integers(-1, 3),
+       flags=st.lists(st.sampled_from([*_FLAG_VALUES, "--list-suites", "--bogus"]),
+                      max_size=3),
+       data=st.data())
+def test_cli_exit_codes_are_total(builtin, samples, flags, data):
+    # any argv of the CLI's flags passes, fails or is a usage error, and
+    # never shows a traceback; --samples is always given, and small
+    argv = ["--samples", str(samples)] + ([] if builtin is None else ["--builtin", builtin])
+    for flag in flags:
+        argv += [flag, data.draw(_FLAG_VALUES[flag])] if flag in _FLAG_VALUES else [flag]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_all_suite_skips_inapplicable(capsys):

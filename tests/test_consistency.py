@@ -518,13 +518,15 @@ def test_batched_residuals_equal_the_per_point_calls(monkeypatch):
 
 def test_blocked_shiftop_residuals_equal_the_per_point_calls(monkeypatch):
     # both shift-operator checks of the chain suites: the per-point residual
-    # vector of the blocked call (blocks as sized, or all points in one)
-    # equals the batch-free calls, one point per block, bit for bit
+    # vector of the blocked calls (as the budget sizes them, or every row of
+    # a check in one call) equals that of one row per table call (one point,
+    # or one family member at one shifted point), bit for bit
     from sdreflect import shiftops
     from sdreflect.cli import Rig, applicable_suites
     from sdreflect.scenarios import builtin_names, builtin_scenario
 
-    report, seen = shiftops._report, []
+    report, seen, rows = shiftops._report, [], []
+    eval_terms = shiftops.ShiftOpSum.eval_terms
 
     def recorded(name, points, tol, residuals):
         seen.append((name, np.asarray(residuals, dtype=float)))
@@ -533,18 +535,22 @@ def test_blocked_shiftop_residuals_equal_the_per_point_calls(monkeypatch):
     def residuals(rig, suites, budget):
         monkeypatch.setattr(shiftops, "BLOCK_BYTES", budget)
         seen.clear()
+        rows.clear()
         for suite in suites:
             for rep in rig.run_suite(suite)[0]:
                 assert rep.passed, str(rep)
         return list(seen)
 
     monkeypatch.setattr(shiftops, "_report", recorded)
+    monkeypatch.setattr(shiftops.ShiftOpSum, "eval_terms",
+                        lambda S, lam, u=None: rows.append(len(lam)) or eval_terms(S, lam, u))
     names = set()
     for builtin in builtin_names():
         rig = Rig(builtin_scenario(builtin), samples=5, seed=3)
         suites = [s for s in applicable_suites(rig)[0]
                   if s in ("monodromy-factor", "transfer-commute")]
         per_point = residuals(rig, suites, 1)
+        assert set(rows) <= {1}
         for budget in (shiftops.BLOCK_BYTES, 2 ** 40):
             got = residuals(rig, suites, budget)
             assert [n for n, _ in got] == [n for n, _ in per_point]

@@ -21,7 +21,6 @@ from sdreflect import (
     yangian_r,
 )
 from sdreflect.dyncore import (
-    DENSE_MAX_DIM,
     AutomorphismError,
     DecorationFactor,
     LegError,
@@ -547,14 +546,6 @@ def _close(got, want):
     return np.linalg.norm(got - want) <= 1e-13 * scale
 
 
-@pytest.fixture
-def leg_local(monkeypatch):
-    """Placed DynMats keep their factor at every dimension."""
-    import sdreflect.dyncore as dc
-
-    monkeypatch.setattr(dc, "DENSE_MAX_DIM", 0)
-
-
 @pytest.mark.parametrize("n,max_total,max_k", [(2, 5, 5), (3, 4, 3)])
 def test_placed_products_match_dense_placement(n, max_total, max_k):
     from sdreflect.dyncore import Placed, _union_product
@@ -594,7 +585,7 @@ _CONTRACTIONS = {
 @pytest.mark.parametrize("case", list(_CONTRACTIONS))
 @pytest.mark.parametrize("stacks", [(None, None), (2, None), (None, 2), (2, 2)],
                          ids=["constant", "stacked-a", "stacked-b", "stacked"])
-def test_union_product_contracts_the_shared_legs(n, case, stacks, leg_local, monkeypatch):
+def test_union_product_contracts_the_shared_legs(n, case, stacks, monkeypatch):
     import sdreflect.dyncore as dc
 
     sch, legs = WeightScheme(n, 0.7), (0, 1, 2, 3)
@@ -626,7 +617,7 @@ def test_union_product_contracts_the_shared_legs(n, case, stacks, leg_local, mon
 
 
 @pytest.mark.parametrize("n,max_total,max_k", [(2, 5, 5), (3, 4, 3)])
-def test_placed_dynmat_operations_match_dense_placement(n, max_total, max_k, leg_local):
+def test_placed_dynmat_operations_match_dense_placement(n, max_total, max_k):
     from sdreflect.monodromy import bind_spectral
 
     sch = WeightScheme(n, 1.0)
@@ -683,7 +674,7 @@ def test_placed_dynmat_maps_keep_positions_bit_for_bit():
         return base + slope * (lam[0] - 0.5 * lam[1]) + slope.T * u[0]
 
     Xe = embed(function_dynmat(sch, (0, 1), fn, spectral_legs=(0,)), pos, legs)
-    assert Xe.positions == pos and Xe.dim > DENSE_MAX_DIM
+    assert Xe.positions == pos
     lam = np.array([0.4 - 0.3j, -0.7 + 0.2j])
     u, delta = 0.3 - 0.2j, np.array([0.5, -0.25j])
     dense = Xe.eval(lam, {4: u})
@@ -715,7 +706,7 @@ def test_weight_shifted_is_a_column_selection_of_the_projector_product():
                 np.testing.assert_array_equal(table[key], M.eval(np.zeros(n)) @ proj)
 
 
-def test_nan_in_a_placed_conjugated_core_fails_the_difference(leg_local):
+def test_nan_in_a_placed_conjugated_core_fails_the_difference():
     from sdreflect.monodromy import _conjugate_weight_shifted
     from sdreflect.shiftops import shiftop_difference_residual
 
@@ -795,19 +786,14 @@ def _assert_same_tables(got, want):
         np.testing.assert_array_equal(got[key], want[key])
 
 
-@pytest.mark.parametrize("rank,N,placed", [(2, 1, False), (2, 2, False), (3, 2, True),
-                                           (2, 3, True)])
+@pytest.mark.parametrize("rank,N,placed", [(3, 2, True), (2, 3, True)])
 def test_conjugated_weight_shifted_core_is_the_composed_product_bit_for_bit(rank, N, placed):
-    # the composed product of the site blocks; where O_N is dense the
-    # one block is O_N
+    # the composed product of the site blocks, each placed on its legs:
+    # site k on legs 2k - 1 and 2k, and the odd legs above it
     blocks, got, want, _ = _conjugated_tables(rank, N, points=2 if rank == 3 else 3)
-    if placed:
-        # site k: legs 2k - 1 and 2k, and the odd legs above it
-        assert [B.positions for B in blocks] == [
-            (2 * k - 1, 2 * k, *range(2 * k + 1, 2 * N, 2))
-            for k in range(N, 0, -1)]
-    else:
-        assert len(blocks) == 1 and blocks[0].positions is None
+    assert placed == all(B.positions is not None for B in blocks)
+    assert [B.positions for B in blocks] == [
+        (2 * k - 1, 2 * k, *range(2 * k + 1, 2 * N, 2)) for k in range(N, 0, -1)]
     _assert_same_tables(got, want)
 
 
@@ -821,7 +807,7 @@ def test_block_wise_conjugation_is_the_single_conjugator_product_at_round_off(ra
         assert _close(got[key], want[key]), key
 
 
-def test_conjugated_weight_shifted_core_leg_local_bit_for_bit(leg_local):
+def test_conjugated_weight_shifted_core_leg_local_bit_for_bit():
     # O_N's one site block placed at every size, and an O placed on some
     # quantum legs only
     for rank in (2, 3):
@@ -884,24 +870,8 @@ def _chain_factors(sch, legs, rng):
     return factors
 
 
-def test_chain_product_is_the_written_product_up_to_the_dense_size():
-    import functools
-    import operator
-
-    from sdreflect.dyncore import chain_product
-
-    sch, legs = WeightScheme(2, 0.7), (0, 1, 2, 3, 4)
-    assert sch.rank ** len(legs) <= DENSE_MAX_DIM
-    rng = np.random.default_rng(53)
-    factors = _chain_factors(sch, legs, rng)
-    assert all(X.positions is None for X in factors)
-    lam = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    np.testing.assert_array_equal(chain_product(factors).eval(lam),
-                                  functools.reduce(operator.matmul, factors).eval(lam))
-
-
 @pytest.mark.parametrize("n", [2, 3])
-def test_planned_chain_product_matches_the_written_product(n, leg_local):
+def test_planned_chain_product_matches_the_written_product(n):
     import functools
     import operator
 

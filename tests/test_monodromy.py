@@ -161,8 +161,8 @@ def test_commuting_family(dressed, N):
     kappa = constant_dynmat(b.scheme, b.legs, Q)
     gate = ingredient_reports(S, K, kappa, lam_points(2), 1e-9)
     assert all(r.passed for r in gate.values()), gate
-    rep = transfer_commutation([build_monodromy_direct(S, K, chi, N, U_Q, u0)
-                                for u0 in U_LIST], lam_points(2), tol=1e-8)
+    rep = transfer_commutation(build_monodromy_direct(S, K, chi, N, U_Q, None), U_LIST,
+                               lam_points(2), tol=1e-8)
     assert rep.passed and rep.max_residual < 1e-12
 
 
@@ -170,7 +170,8 @@ def test_single_element_family_vacuous():
     sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=False)
     gate = ingredient_reports(S, K, None, lam_points(2), 1e-9)
     assert all(r.passed for r in gate.values()), gate
-    rep = transfer_commutation([build_monodromy_direct(S, K, chi, 1, U_Q, 0.5)], lam_points(2))
+    rep = transfer_commutation(build_monodromy_direct(S, K, chi, 1, U_Q, None), [0.5],
+                               lam_points(2))
     assert rep.passed and rep.max_residual == 0.0
 
 
@@ -191,15 +192,11 @@ def test_conjugation_neutrality():
     # verdict: the factored and direct routes give the same residual scale
     sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
     pts = lam_points(2)
-    traced_d = []
-    traced_c = []
-    for u0 in U_LIST:
-        Td = build_monodromy_direct(S, K, chi, 1, U_Q, u0)
-        traced_d.append(transfer_trace(Td))
-        core = build_monodromy_factored(sch, R, b, q, Q, chi, 1, U_Q, u0)
-        traced_c.append(transfer_trace(core))
-    for ts in (traced_d, traced_c):
-        worst = max(r.max_residual for r in shiftop_commutators(ts, pts, 1e-8))
+    members = [{0: u0} for u0 in U_LIST]
+    for T in (build_monodromy_direct(S, K, chi, 1, U_Q, None),
+              build_monodromy_factored(sch, R, b, q, Q, chi, 1, U_Q, None)):
+        worst = max(r.max_residual for r in shiftop_commutators(transfer_trace(T), members,
+                                                                pts, 1e-8))
         assert worst < 1e-12
 
 
@@ -233,9 +230,8 @@ def test_gauged_chain_constant_automorphism():
     chi = build_dual(q, b, g, QL)
     gate = ingredient_reports(S, K, None, lam_points(2), 1e-9)
     assert all(r.passed for r in gate.values()), gate
-    chains = [build_monodromy_factored(sch, R, b, q, Q, chi, 1, U_Q, u0, g=g, QL=QL)
-              for u0 in U_LIST]
-    assert transfer_commutation(chains, lam_points(2)).passed
+    chain = build_monodromy_factored(sch, R, b, q, Q, chi, 1, U_Q, None, g=g, QL=QL)
+    assert transfer_commutation(chain, U_LIST, lam_points(2)).passed
 
 
 def _kron_legs(mats, L, n=2):
@@ -351,69 +347,165 @@ def test_gauged_core_builds_nothing_per_evaluation(monkeypatch, g):
     assert calls == []
 
 
-def test_commuting_family_evaluates_each_traced_table_once_per_block(monkeypatch):
+def _spied_traced_calls(monkeypatch):
+    """(traced operators, their eval_terms calls as (operator, lam, u,
+    table)): every transfer_trace result is recorded, and every table
+    call on one of them."""
     import sdreflect.monodromy as mono
-    from sdreflect.cli import Rig
-    from sdreflect.scenarios import builtin_scenario
-    traced, calls = [], {}
+
+    traced, calls = [], []
     real_trace, real_eval = mono.transfer_trace, ShiftOpSum.eval_terms
 
     def trace(*args, **kwargs):
         traced.append(real_trace(*args, **kwargs))
         return traced[-1]
 
-    def counted(self, lam, u=None):
+    def spy(self, lam, u=None):
+        table = real_eval(self, lam, u)
         if any(self is t for t in traced):
-            calls[id(self)] = calls.get(id(self), 0) + 1
-        return real_eval(self, lam, u)
+            calls.append((self, lam, u, table))
+        return table
 
     monkeypatch.setattr(mono, "transfer_trace", trace)
-    monkeypatch.setattr(ShiftOpSum, "eval_terms", counted)
+    monkeypatch.setattr(ShiftOpSum, "eval_terms", spy)
+    return traced, calls
+
+
+def test_commuting_family_evaluates_each_traced_table_once_per_block(monkeypatch):
+    from sdreflect.cli import Rig
+    from sdreflect.scenarios import builtin_scenario
+
+    traced, calls = _spied_traced_calls(monkeypatch)
     rig = Rig(builtin_scenario("diagonal_dressed"), samples=3, seed=2)
     reports, _ = rig.run_suite("transfer-commute")
     assert [r.check_name for r in reports] == ["transfer_commutation_N1",
                                                "transfer_commutation_N2"]
-    # three traced operators per chain size, each evaluated once at the
-    # block of all three points and once at each of its rank shifted
-    # blocks, shared by the three commutators
-    assert len(traced) == 6
-    assert [calls.get(id(t)) for t in traced] == [1 + 2] * 6
-    # the shared tables give the report of the worst pairwise commutator
-    monkeypatch.setattr(ShiftOpSum, "eval_terms", real_eval)
-    for N, rep in zip((1, 2), reports):
-        ops = traced[3 * (N - 1): 3 * N]
-        pairwise = [shiftop_commutators([ops[i], ops[j]], rig.points, 1e-8)[0]
+    # one traced operator per chain size, one table call per chunk of
+    # rows, a row being one of 3 members x (1 + 2 shifts) at one point.
+    # At N = 1 (d = 8) one call holds every row of the three points; at
+    # N = 2 (d = 32, 16 rows per call) one call holds the nine rows of
+    # one point
+    assert len(traced) == 2
+    assert [(traced.index(t), len(lam)) for t, lam, _, _ in calls] == [(0, 27)] + [(1, 9)] * 3
+    # the shared table gives the report of the worst pairwise commutator
+    monkeypatch.undo()
+    members = [{0: u0} for u0 in (0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j)]
+    for t, rep in zip(traced, reports):
+        pairwise = [shiftop_commutators(t, [members[i], members[j]], rig.points, 1e-8)[0]
                     for i, j in ((0, 1), (0, 2), (1, 2))]
         assert rep.max_residual == max(r.max_residual for r in pairwise)
 
 
+def test_stacked_family_rows_are_the_tables_of_separate_operators(monkeypatch):
+    # every (u0, shift, point) row of the stacked traced table equals, bit
+    # for bit, the table of an operator built at that u0 alone, evaluated
+    # at that shifted point alone: the direct chain (g = 1) and the gauged
+    # factored one (a spectral shift moves each R factor's u0)
+    from sdreflect.cli import Rig
+    from sdreflect.scenarios import builtin_scenario
+
+    for name in ("diagonal_dressed", "spectral_shift_g"):
+        traced, calls = _spied_traced_calls(monkeypatch)
+        rig = Rig(builtin_scenario(name, {"sites": 2}), samples=2, seed=4)
+        assert all(r.passed for r in rig.run_suite("transfer-commute")[0])
+        monkeypatch.undo()
+        for t, lam, u, table in calls:
+            N = len(t.legs) // 2
+            uq = rig.scenario.quantum_values(N)
+            for r in range(len(lam)):
+                if rig.g.is_identity:
+                    T = build_monodromy_direct(rig.S, rig.K, rig.chi, N, uq, u[0][r])
+                else:
+                    T = build_monodromy_factored(rig.scheme, rig.R0, rig.b, rig.q, rig.Q,
+                                                 rig.chi, N, uq, u[0][r], g=rig.g, QL=rig.QL)
+                alone = transfer_trace(T).eval_terms(lam[r])
+                assert list(alone) == list(table)
+                for m, c in alone.items():
+                    np.testing.assert_array_equal(table[m][r], c)
+
+
+def test_family_rows_per_call_follow_the_untraced_dimension(monkeypatch):
+    # a traced operator forms its tables at the dimension of the untraced
+    # chain (d = 32 at two sites, 16 traced): a call holds at most
+    # BLOCK_BYTES / (16 d^2) rows, whole member-shift groups, and a row
+    # that alone exceeds the budget runs alone
+    import sdreflect.shiftops as so
+
+    sch, S, R, b, q, Q, QL, K, chi = scenario()
+    t = transfer_trace(build_monodromy_direct(S, K, chi, 2, U_Q, None))
+    assert (t.dim, sch.rank ** len(t.legs)) == (32, 16)
+    members, pts = [{0: u0} for u0 in U_LIST], lam_points(2, count=5)
+    rows = []
+    real = ShiftOpSum.eval_terms
+    monkeypatch.setattr(ShiftOpSum, "eval_terms",
+                        lambda self, lam, u=None: rows.append(len(lam)) or real(self, lam, u))
+    # 9 rows per point: 3 members x (1 + 2 shifts)
+    for per_call, want in ((so._rows_per_call(32), [9] * 5), (1, [1] * 45),
+                           (4, [4, 4, 1] * 5), (18, [18, 18, 9]), (45, [45])):
+        if per_call != so._rows_per_call(32):
+            monkeypatch.setattr(so, "BLOCK_BYTES", per_call * 16 * 32 ** 2)
+        rows.clear()
+        shiftop_commutators(t, members, pts, 1e-8)
+        assert rows == want, per_call
+        assert all(r * 16 * 32 ** 2 <= so.BLOCK_BYTES for r in rows)
+
+
+def test_perturbed_B_fails_the_commutator_linearly_in_eps():
+    # negative control past the gate: a seeded constant eps X on legs
+    # (1, 2) added to B of diagonal_dressed, the family built without the
+    # gate.  The residual is linear in eps, with the slopes that one
+    # operator per member gave: 2.8180 at N = 1 and 4.0455 at N = 2
+    from sdreflect.cli import Rig
+    from sdreflect.scenarios import builtin_scenario
+
+    rig = Rig(builtin_scenario("diagonal_dressed"))
+    rng = np.random.default_rng(5)
+    X = constant_dynmat(rig.scheme, (1, 2), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for N, slope in ((1, 2.818036), (2, 4.045488)):
+        for eps in (1e-8, 1e-6, 1e-4):
+            S = StructureSet(rig.A, rig.B + eps * X, rig.C, rig.D, rig.scheme, rig.g)
+            T = build_monodromy_direct(S, rig.K, rig.chi, N, rig.scenario.quantum_values(N), None)
+            rep = transfer_commutation(T, U_LIST, rig.points[:12])
+            assert not rep.passed
+            assert rep.max_residual / eps == pytest.approx(slope, rel=2e-4), (N, eps)
+
+
+def test_bound_auxiliary_value_is_not_a_family():
+    # a chain built at one u0 has no slot on leg 0: its members would all
+    # be that chain, so the check is refused rather than passed
+    from sdreflect.dyncore import SpectralValueError
+
+    sch, S, R, b, q, Q, QL, K, chi = scenario()
+    with pytest.raises(SpectralValueError):
+        transfer_commutation(build_monodromy_direct(S, K, chi, 1, U_Q, U_LIST[0]), U_LIST,
+                             lam_points(2))
+
+
 def test_shiftop_checks_give_one_report_at_every_block_size(monkeypatch):
-    # a rank-2 two-site chain checked in blocks of one point, of two (five
-    # points: the last block holds one) and of all points
+    # a rank-2 two-site chain (d = 32, traced tables read off it) checked
+    # with one row per table call, one point's 9 rows, two points' (five
+    # points: the last block holds one) and all points'
     import sdreflect.shiftops as so
 
     sch, S, R, b, q, Q, QL, K, chi = scenario()
     Td = build_monodromy_direct(S, K, chi, 2, U_Q, U_LIST[0])
     Tf = build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, U_LIST[0])
-    traced = [transfer_trace(build_monodromy_direct(S, K, chi, 2, U_Q, u0))
-              for u0 in U_LIST]
-    pts = lam_points(2, count=5)
+    t = transfer_trace(build_monodromy_direct(S, K, chi, 2, U_Q, None))
+    members, pts = [{0: u0} for u0 in U_LIST], lam_points(2, count=5)
 
-    def reports(per_block):
-        # one d x d complex matrix is 16 d^2 bytes: d = 32 for T, 16 traced
-        monkeypatch.setattr(so, "BLOCK_BYTES", per_block * 16 * 32 ** 2)
-        sizes = [len(np.atleast_2d(lam)) for lam, _ in so._blocks(pts, (Td, Tf))]
+    def reports(rows):
+        # one d x d complex matrix is 16 d^2 bytes
+        monkeypatch.setattr(so, "BLOCK_BYTES", rows * 16 * 32 ** 2)
+        sizes = [len(lam) for lam, _ in so._blocks(pts, t.dim, 9)]
         reps = [shiftop_difference_residual(Td, Tf, pts, 1e-8)]
-        monkeypatch.setattr(so, "BLOCK_BYTES", per_block * 16 * 16 ** 2)
-        assert [len(np.atleast_2d(lam)) for lam, _ in so._blocks(pts, traced)] == sizes
-        reps += so.shiftop_commutators(traced, pts, 1e-8)
+        reps += so.shiftop_commutators(t, members, pts, 1e-8)
         return sizes, [(r.max_residual, r.worst_point[0].tobytes(), r.worst_point[1])
                        for r in reps]
 
     sizes, expect = reports(1)
     assert sizes == [1] * 5
-    for per_block, blocks in ((2, [2, 2, 1]), (5, [5])):
-        assert reports(per_block) == (blocks, expect)
+    for rows, blocks in ((9, [1] * 5), (18, [2, 2, 1]), (45, [5])):
+        assert reports(rows) == (blocks, expect)
 
 
 def test_rank3_two_site_conjugator_is_placed_on_the_quantum_legs():

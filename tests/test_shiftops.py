@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdreflect import WeightScheme, constant_dynmat, function_dynmat, identity_dynmat
-from sdreflect.dyncore import LegError, PoleError
+from sdreflect.dyncore import LegError, PoleError, SpectralValueError
 from sdreflect.shiftops import (
     ShiftOpSum,
     shiftop_commutators,
@@ -16,8 +16,18 @@ PTS = [(RNG.uniform(-1, 1, 2) + 1j * RNG.uniform(-1, 1, 2), {}) for _ in range(5
 
 
 def commutator(S1, S2, points, tol):
-    """The report of S1 S2 - S2 S1 alone."""
-    return shiftop_commutators([S1, S2], points, tol)[0]
+    """The report of S1 S2 - S2 S1 alone: the commutator of the family
+    whose member u = 0 (the spectral value of leg 1) is S1 and u = 1 is
+    S2, each with the other's terms as zeros."""
+    keys = dict.fromkeys(S1.terms + S2.terms)
+
+    def table(lam, u):
+        first = (u[1] == 0)[:, None, None]
+        t1, t2 = S1.eval_terms(lam), S2.eval_terms(lam)
+        return {m: np.where(first, t1.get(m, 0), t2.get(m, 0)) for m in keys}
+
+    family = ShiftOpSum(SCH, LEGS, keys, table, LEGS)
+    return shiftop_commutators(family, [{1: 0.0}, {1: 1.0}], points, tol)[0]
 
 
 def term(shift, fn):
@@ -226,7 +236,7 @@ def test_first_nan_in_a_later_block_beats_a_larger_finite_residual(monkeypatch):
     diag = term((0, 0), lambda lam, u: np.diag([1.0, 2.0]).astype(complex))
     shift = term((1, 0), lambda lam, u: np.diag([2.0, 3.0]).astype(complex))
     monkeypatch.setattr(so, "BLOCK_BYTES", 2 * 16 * 2 ** 2)
-    assert [np.shape(lam) for lam, _ in so._blocks(PTS, [S1])] == [(2, 2), (2, 2), (1, 2)]
+    assert [np.shape(lam) for lam, _ in so._blocks(PTS, S1.dim)] == [(2, 2), (2, 2), (1, 2)]
     for check in (lambda pts: shiftop_difference_residual(S1, diag, pts, 1e-10),
                   lambda pts: commutator(S1, shift, pts, 1e-10)):
         rep = check(PTS[:3])
@@ -250,3 +260,11 @@ def test_pole_in_a_later_block_raises_for_its_point(monkeypatch):
         with pytest.raises(PoleError) as exc:
             check(S1, S2, PTS, 1e-10)
         np.testing.assert_array_equal(exc.value.lam, pole)
+
+
+def test_family_member_on_a_leg_without_a_slot_is_refused():
+    # a value that no coefficient reads would make every member the same
+    # operator, whose commutators pass vacuously
+    S = term((1, 0), lambda lam, u: np.diag([lam[0], 1.0]))
+    with pytest.raises(SpectralValueError):
+        shiftop_commutators(S, [{1: 0.5}, {1: 1.5}], PTS, 1e-10)
