@@ -1,16 +1,19 @@
 """Residual checkers for the consistency equations.
 
-Every checker evaluates both sides of an identity at sampled dynamical /
-spectral points and reports the maximum relative Frobenius residual
-``|LHS - RHS| / max(|LHS|, |RHS|, 1)``.  A non-finite residual fails
-its check.  A checker evaluates its identity once over the whole
-stacked point list (see :func:`_collect`); its worst point is the first
-point with a NaN residual, else the first with the largest.
+Every check is a list of product identities prod(lhs) = prod(rhs),
+written down as data and run by the one engine
+:func:`_product_residual`.  A factor is a DynMat or a constant matrix;
+each DynMat factor is evaluated once over the whole stacked point list
+(see :func:`_collect`), however many identities name it.  An
+identity's residual is the relative Frobenius residual
+``|LHS - RHS| / max(|LHS|, |RHS|, 1)``, a point's residual is the worst
+over the check's identities (0.0 for none), and a non-finite residual
+fails the check.  The worst point is the first point with a NaN
+residual, else the first with the largest.
 
 The :data:`CUBIC` table is the single place where the cubic relations
 (a)-(d) for (A, B, C, D) are written; ybce, gybce, dybe and the shifted
-YBE all read from it.  Every product identity goes through one engine,
-:func:`_product_residual`.
+YBE all read from it.
 """
 
 from __future__ import annotations
@@ -58,10 +61,7 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray):
 def worst_residual(values):
     """Largest of some residuals, per point of a batch (0.0 for none);
     unlike ``max`` it never drops a NaN."""
-    values = [np.asarray(v, dtype=float) for v in values]
-    if not values:
-        return 0.0
-    return _scalar(np.max(np.broadcast_arrays(*values), axis=0, initial=0.0))
+    return _scalar(reduce(np.maximum, values, 0.0))
 
 
 @dataclass
@@ -105,11 +105,6 @@ class ResidualReport:
         )
 
 
-def _comm_residual(x, y):
-    """Relative residual of the commutator [x, y]."""
-    return rel_residual(x @ y, y @ x)
-
-
 def _stack(points):
     """A non-empty point list as one batch (lam, u): ``lam`` has shape
     (P, n), and each spectral leg that every point has a value for gets a
@@ -145,15 +140,40 @@ def _report(name, points, tol, residuals):
                           (np.asarray(lam), dict(u or {})))
 
 
-def _product_residual(name, lhs, rhs, points, tol):
-    """Report for prod(lhs) = prod(rhs), DynMat factors multiplied left
-    to right at every point."""
+def _product_residual(name, identities, points, tol):
+    """Report for a list of identities ``(lhs, rhs)``, each meaning
+    prod(lhs) = prod(rhs) with the factors multiplied left to right.
+
+    A factor is a DynMat or a constant array.  Each distinct DynMat is
+    evaluated once per point set, in order of first appearance; a
+    point's residual is the worst over the identities (0.0 for none).
+    """
+    mats = list({id(x): x for pair in identities for side in pair for x in side
+                 if isinstance(x, DynMat)}.values())
 
     def func(lam, u):
-        return rel_residual(reduce(operator.matmul, [x.eval(lam, u) for x in lhs]),
-                            reduce(operator.matmul, [x.eval(lam, u) for x in rhs]))
+        vals = {id(x): x.eval(lam, u) for x in mats}
+        return worst_residual(
+            rel_residual(*(reduce(operator.matmul, [vals.get(id(x), x) for x in side])
+                           for side in pair))
+            for pair in identities)
 
     return _collect(name, points, tol, func)
+
+
+def _commutes(x, y):
+    """The identity x y = y x."""
+    return [x, y], [y, x]
+
+
+def idempotent_projectors(projs, error=ValueError):
+    """``projs`` as complex arrays; the first one P with P P != P (at
+    1e-12) raises ``error``, naming its index."""
+    projs = [np.asarray(p, dtype=complex) for p in projs]
+    for i, p in enumerate(projs):
+        if rel_residual(p @ p, p) > 1e-12:
+            raise error(f"projectors[{i}]: must be idempotent (P P = P)")
+    return projs
 
 
 @dataclass
@@ -185,25 +205,13 @@ def residual_zero_weight(X: DynMat, kind: str, points, tol=1e-9, name=None):
     if len(X.legs) != 2:
         raise LegError("zero-weight check needs a 2-leg matrix")
     kind = kind.upper()
-    if kind not in ("B", "C", "D"):
+    eye = np.eye(X.scheme.rank, dtype=complex)
+    gen = {"B": lambda p: np.kron(p, eye), "C": lambda p: np.kron(eye, p),
+           "D": lambda p: np.kron(p, eye) + np.kron(eye, p)}.get(kind)
+    if gen is None:
         raise ValueError("kind must be 'B', 'C' or 'D'")
-    n = X.scheme.rank
-    eye = np.eye(n, dtype=complex)
-    gens = []
-    for i in range(n):
-        p = X.scheme.projector(i)
-        if kind == "B":
-            gens.append(np.kron(p, eye))
-        elif kind == "C":
-            gens.append(np.kron(eye, p))
-        else:
-            gens.append(np.kron(p, eye) + np.kron(eye, p))
-
-    def func(lam, u):
-        m = X.eval(lam, u)
-        return worst_residual(_comm_residual(h, m) for h in gens)
-
-    return _collect(name or f"zero_weight_{kind}", points, tol, func)
+    identities = [_commutes(gen(X.scheme.projector(i)), X) for i in range(X.scheme.rank)]
+    return _product_residual(name or f"zero_weight_{kind}", identities, points, tol)
 
 
 # -- cubic consistency relations --------------------------------------------
@@ -240,8 +248,8 @@ def _cubic(mats, g, letter, points, tol, name):
             X = adjoint_auto(X, g, conj, "conjugate", 1)
         return dyn_shift(X, shift, legs3) if shift else X
 
-    lhs, rhs = ([factor(*f) for f in side] for side in CUBIC[letter])
-    return _product_residual(name, lhs, rhs, points, tol)
+    identity = tuple([factor(*f) for f in side] for side in CUBIC[letter])
+    return _product_residual(name, [identity], points, tol)
 
 
 def residual_cubic(S: StructureSet, letter, points, tol=1e-9, name=None):
@@ -333,10 +341,16 @@ def residual_sdre(S: StructureSet, K, points, tol=1e-9, name="sdre"):
         shifts = {l: off for l in D.spectral_legs}
         D = D.shift_spectral(shifts) if shifts else D
 
-    return _product_residual(name, [A, K1, B, K2s], [K2, C, K1s, D], points, tol)
+    return _product_residual(name, [([A, K1, B, K2s], [K2, C, K1s, D])], points, tol)
 
 
 # -- quasi-non-dynamicity and factorization ----------------------------------
+
+
+def _unit_shifts(X: DynMat):
+    """X(lam + gamma e_i) for every weight index i."""
+    s = X.scheme
+    return [X.shift_lambda(s.gamma * s.unit(i)) for i in range(s.rank)]
 
 
 def residual_quasi_nondyn(X: DynMat, f: Automorphism, points, tol=1e-9, name="quasi_nondyn"):
@@ -348,17 +362,8 @@ def residual_quasi_nondyn(X: DynMat, f: Automorphism, points, tol=1e-9, name="qu
     assembling the projector sum and coincides with it when the identity
     holds.
     """
-    scheme = X.scheme
     conj = adjoint_auto(X, f, X.legs, "conjugate", 1)
-
-    def func(lam, u):
-        rhs = conj.eval(lam, u)
-        return worst_residual(
-            rel_residual(X.eval(lam + scheme.gamma * scheme.unit(i), u), rhs)
-            for i in range(scheme.rank)
-        )
-
-    return _collect(name, points, tol, func)
+    return _product_residual(name, [([Xi], [conj]) for Xi in _unit_shifts(X)], points, tol)
 
 
 def residual_nondynamical(X: DynMat, points, tol=1e-9, name="nondynamical"):
@@ -374,16 +379,8 @@ def residual_theta_period(kappa: DynMat, points, tol=1e-9, name="theta_period"):
     """
     if len(kappa.legs) != 1:
         raise LegError("theta-periodicity check needs a 1-leg matrix")
-    scheme = kappa.scheme
-
-    def func(lam, u):
-        vals = [
-            kappa.eval(lam + scheme.gamma * scheme.unit(i), u)
-            for i in range(scheme.rank)
-        ]
-        return worst_residual(rel_residual(v, vals[0]) for v in vals[1:])
-
-    return _collect(name, points, tol, func)
+    first, *rest = _unit_shifts(kappa)
+    return _product_residual(name, [([k], [first]) for k in rest], points, tol)
 
 
 def residual_projector_compat(R: DynMat, projs, b: DynMat, points, tol=1e-9,
@@ -393,21 +390,11 @@ def residual_projector_compat(R: DynMat, projs, b: DynMat, points, tol=1e-9,
     mutual commutation of the projectors, [P_i, b(lam)] = 0, and
     [P_i (x) P_i, R] = 0.  Non-idempotent input is rejected.
     """
-    projs = [np.asarray(p, dtype=complex) for p in projs]
-    for p in projs:
-        if rel_residual(p @ p, p) > 1e-12:
-            raise ValueError("projectors must be idempotent")
-
-    def func(lam, u):
-        bm = b.eval(lam, {l: u[l] for l in b.spectral_legs} if u else None)
-        rm = R.eval(lam, u)
-        return worst_residual(
-            [_comm_residual(p, q) for i, p in enumerate(projs) for q in projs[i + 1:]]
-            + [_comm_residual(p, bm) for p in projs]
-            + [_comm_residual(np.kron(p, p), rm) for p in projs]
-        )
-
-    return _collect(name, points, tol, func)
+    projs = idempotent_projectors(projs)
+    identities = ([_commutes(p, q) for i, p in enumerate(projs) for q in projs[i + 1:]]
+                  + [_commutes(p, b) for p in projs]
+                  + [_commutes(np.kron(p, p), R) for p in projs])
+    return _product_residual(name, identities, points, tol)
 
 
 def residual_zwc(S: StructureSet, points, tol=1e-9):
@@ -417,35 +404,15 @@ def residual_zwc(S: StructureSet, points, tol=1e-9):
     For a spectral shift the commutators mean invariance of the matrix
     under the corresponding slot translations.
     """
-    g = S.g
-    if g.is_identity:
-        def func(lam, u):
-            return 0.0
-        return _collect("zwc", points, tol, func)
-
+    g, identities = S.g, []
     if g.variant == Automorphism.SHIFT:
-        checks = [(X, adjoint_auto(X, g, legs, "conjugate", 1))
-                  for X, legs in ((S.D, (1, 2)), (S.B, (1,)), (S.C, (2,)))]
-
-        def func(lam, u):
-            return worst_residual(
-                rel_residual(orig.eval(lam, u), moved.eval(lam, u))
-                for orig, moved in checks
-            )
-
-        return _collect("zwc", points, tol, func)
-
-    gm = g.matrix_at()
-    n = S.scheme.rank
-    eye = np.eye(n, dtype=complex)
-    hcomm = worst_residual(_comm_residual(S.scheme.projector(i), gm) for i in range(n))
-    pairs = [
-        (S.D, np.kron(gm, gm)),
-        (S.B, np.kron(gm, eye)),
-        (S.C, np.kron(eye, gm)),
-    ]
-
-    def func(lam, u):
-        return worst_residual([hcomm] + [_comm_residual(G, X.eval(lam, u)) for X, G in pairs])
-
-    return _collect("zwc", points, tol, func)
+        identities = [([X], [adjoint_auto(X, g, legs, "conjugate", 1)])
+                      for X, legs in ((S.D, (1, 2)), (S.B, (1,)), (S.C, (2,)))]
+    elif not g.is_identity:
+        gm = g.matrix_at()
+        eye = np.eye(S.scheme.rank, dtype=complex)
+        identities = [_commutes(G, X) for X, G in ((S.D, np.kron(gm, gm)),
+                                                  (S.B, np.kron(gm, eye)),
+                                                  (S.C, np.kron(eye, gm)))]
+        identities += [_commutes(S.scheme.projector(i), gm) for i in range(S.scheme.rank)]
+    return _product_residual("zwc", identities, points, tol)

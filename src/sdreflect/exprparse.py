@@ -480,20 +480,26 @@ def eval_ast(node, lam, u=None, gamma=1.0):
     return out.reshape(lam.shape[:-1])
 
 
-def collect_u_indices(node):
-    """Spectral-variable indices referenced by an AST."""
+def variables(node):
+    """Names of the variables an AST reads: 'gamma', 'sigma', 'lambdaK'
+    and 'uK' (the constant 'i' is not one)."""
     out = set()
 
     def walk(n):
-        if isinstance(n, UVar):
-            out.add(n.index)
-        elif isinstance(n, BinOp):
+        if isinstance(n, BinOp):
             walk(n.left)
             walk(n.right)
         elif isinstance(n, Pow):
             walk(n.base)
         elif isinstance(n, Exp):
             walk(n.arg)
+        elif isinstance(n, (LambdaVar, UVar)) or (isinstance(n, Const) and n.name != "i"):
+            out.add(str(n))
 
     walk(node)
     return out
+
+
+def collect_u_indices(node):
+    """Spectral-variable indices referenced by an AST."""
+    return {int(v[1:]) for v in variables(node) if v[0] == "u"}

@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .consistency import (
+    idempotent_projectors,
     residual_nondynamical,
     residual_quasi_nondyn,
     residual_shifted_ybe,
-    rel_residual,
 )
 from .dyncore import (
     Automorphism,
@@ -77,10 +77,7 @@ def build_BC_projector(b: DynMat, projs, scheme: WeightScheme):
     """
     if len(projs) != scheme.rank:
         raise ValueError("one projector per weight index is required")
-    projs = [np.asarray(p, dtype=complex) for p in projs]
-    for p in projs:
-        if rel_residual(p @ p, p) > 1e-12:
-            raise ValueError("projectors must be idempotent")
+    projs = idempotent_projectors(projs)
     proj = sum(np.kron(scheme.projector(i), p) for i, p in enumerate(projs))
     B = constant_dynmat(scheme, PAIR, proj) @ build_BC(b, Automorphism.identity(), scheme)[0]
     return B, pi_transpose(B)

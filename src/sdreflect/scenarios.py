@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import exprparse as ep
+from .consistency import idempotent_projectors
 from .dyncore import (
     Automorphism,
     DynMat,
@@ -246,7 +247,9 @@ def compile_matrix_spec(spec, scheme: WeightScheme, legs, path="matrix"):
 
 def compile_automorphism_spec(spec, rank, path="automorphism") -> Automorphism:
     """Compile an automorphism spec on C^rank; the ``entries`` of a
-    factorizable one are a rank x rank array of expressions in u1."""
+    factorizable one are a rank x rank array of expressions that read
+    u1 only (an entry that reads lambda, sigma, gamma or another u is
+    refused with its path)."""
     if spec is None:
         return Automorphism.identity()
     kind = _spec_kind(spec, AUTO_KINDS, {"kind", "matrix", "step", "entries"}, path,
@@ -263,6 +266,12 @@ def compile_automorphism_spec(spec, rank, path="automorphism") -> Automorphism:
     if entries is None:
         raise ScenarioError(f"{path}.entries: required for a factorizable automorphism")
     asts = _expression_array(entries, rank, path)
+    for i, row in enumerate(asts):
+        for j, a in enumerate(row):
+            extra = ep.variables(a) - {"u1"}
+            if extra:
+                raise ScenarioError(f"{path}.entries[{i}][{j}]: factorizable entries may "
+                                    f"reference u1 only (found {', '.join(sorted(extra))})")
 
     def mfn(uval):
         return np.array(
@@ -351,7 +360,11 @@ class Scenario:
         return compile_matrix_spec(self.chi0, self.scheme, (1,), "chi0")
 
     def g_auto(self):
-        return compile_automorphism_spec(self.g, self.rank, "g")
+        g = compile_automorphism_spec(self.g, self.rank, "g")
+        if g.variant == Automorphism.FACTORIZABLE:
+            raise ScenarioError("g: must be a constant or a spectral shift; the structure "
+                                "matrices need exp(sigma log g), which a factorizable g lacks")
+        return g
 
     def a_auto(self):
         return compile_automorphism_spec(self.a, self.rank, "a")
@@ -365,8 +378,9 @@ class Scenario:
         n = self.rank
         if not isinstance(self.projectors, list) or len(self.projectors) != n:
             raise ScenarioError(f"projectors: expected a list of {n} {n}x{n} matrices")
-        return [_check_square(_unpack_matrix(p, f"projectors[{i}]"), n, f"projectors[{i}]")
-                for i, p in enumerate(self.projectors)]
+        return idempotent_projectors(
+            [_check_square(_unpack_matrix(p, f"projectors[{i}]"), n, f"projectors[{i}]")
+             for i, p in enumerate(self.projectors)], ScenarioError)
 
     def quantum_values(self, N=None, u_ref=0.0):
         """Quantum-leg spectral values as a dict leg -> value."""

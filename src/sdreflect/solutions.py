@@ -93,7 +93,7 @@ def residual_intertwiner(spec: IntertwinerSpec, Q, points, tol=1e-9,
     if rel_residual(Q.eval(lam0, probe), Q.eval(lam0 + 0.37, probe)) > 1e-12:
         raise ValueError("the supplied core is dynamical (lambda-dependent)")
     Q1, Q2, D1, D2 = (embed(X, (l,), PAIR) for X in (Q, D) for l in PAIR)
-    return _product_residual(name, [spec.R_left, Q1, D2], [Q2, D1, spec.R_right],
+    return _product_residual(name, [([spec.R_left, Q1, D2], [Q2, D1, spec.R_right])],
                              points, tol)
 
 
@@ -229,4 +229,4 @@ def residual_reduced_exchange(R: DynMat, Rt: DynMat, kappa: DynMat, points,
     scheme = kappa.scheme
     shifted = kappa.shift_lambda(scheme.gamma * scheme.unit(0))
     k1, k2, s1, s2 = (embed(X, (l,), PAIR) for X in (kappa, shifted) for l in PAIR)
-    return _product_residual(name, [R, k1, s2], [k2, s1, Rt], points, tol)
+    return _product_residual(name, [([R, k1, s2], [k2, s1, Rt])], points, tol)

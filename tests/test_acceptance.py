@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from sdreflect.consistency import (
     rel_residual,
     residual_dybe,
     residual_gybce,
+    residual_projector_compat,
     residual_quasi_nondyn,
     residual_sdre,
     residual_theta_period,
@@ -322,6 +324,9 @@ def test_criterion_12_perturbation_sensitivity():
     def perturbed(X, noise, eps):
         return X + constant_dynmat(sch, X.legs, eps * noise)
 
+    _, S_g, _, _, _, pts_g = structure_rig("constant_g", samples=15)
+    sc_p, _, R_p, b_p, _, pts_p = structure_rig("projector_b", samples=15)
+
     checkers = {
         "zero_weight": lambda eps: residual_zero_weight(
             perturbed(S.D, raising, eps), "D", pts, 1e-9).max_residual,
@@ -340,6 +345,11 @@ def test_criterion_12_perturbation_sensitivity():
             function_dynmat(sch, (1,),
                             lambda lam, u: np.eye(2) + eps * lam[0] * E12),
             pts, 1e-9).max_residual,
+        "zwc": lambda eps: residual_zwc(
+            replace(S_g, g=Automorphism.constant(np.diag([2.0, 1.0]) + eps * E12)),
+            pts_g, 1e-9).max_residual,
+        "projector_compat": lambda eps: residual_projector_compat(
+            R_p, sc_p.projector_list(), perturbed(b_p, E12, eps), pts_p, 1e-9).max_residual,
     }
     ratios = {}
     ok = True

@@ -113,10 +113,10 @@ def test_schema_error_exits_two(tmp_path):
     ("quantum_spectral", 5, "quantum_spectral: expected a preset name"),
     ("sites", "x", "sites: expected an integer of at least 1"),
     ("spectral", "no", "spectral: expected true or false"),
-    ("g", {"kind": "factorizable", "entries": [[1, 0], [0, 1]]},
-     "g.entries[0][0]: expected an expression string"),
-    ("g", {"kind": "factorizable", "entries": [["1+", "0"], ["0", "1"]]},
-     "g.entries[0][0]: unexpected end"),
+    ("f", {"kind": "factorizable", "entries": [[1, 0], [0, 1]]},
+     "f.entries[0][0]: expected an expression string"),
+    ("f", {"kind": "factorizable", "entries": [["1+", "0"], ["0", "1"]]},
+     "f.entries[0][0]: unexpected end"),
     ("projectors", 5, "projectors: expected a list of 2 2x2 matrices"),
     ("rank", 2.0, "rank: expected an integer of at least 2"),
     ("rank", True, "rank: expected an integer of at least 2"),
@@ -143,13 +143,31 @@ def test_schema_error_exits_two(tmp_path):
     ("sampler", {"seed": -1}, "sampler.seed: expected an integer >= 0"),
     ("sampler", {"count": 0}, "sampler.count: expected an integer >= 1"),
     ("sampler", {"count": -5}, "sampler.count: expected an integer >= 1"),
+    ("f", {"kind": "factorizable", "entries": [["1", "0"], ["0", "1+0.1*lambda1"]]},
+     "f.entries[1][1]: factorizable entries may reference u1 only (found lambda1)"),
+    ("f", {"kind": "factorizable", "entries": [["gamma*(1+0.1*u1)", "0"], ["0", "1"]]},
+     "f.entries[0][0]: factorizable entries may reference u1 only (found gamma)"),
+    ("f", {"kind": "factorizable", "entries": [["sigma+lambda1+1", "0"], ["0", "1"]]},
+     "f.entries[0][0]: factorizable entries may reference u1 only (found lambda1, sigma)"),
+    ("f", {"kind": "factorizable", "entries": [["1", "u2"], ["0", "1"]]},
+     "f.entries[0][1]: factorizable entries may reference u1 only (found u2)"),
+    ("g", {"kind": "factorizable", "entries": [["1+0.1*u1", "0"], ["0", "1"]]},
+     "g: must be a constant or a spectral shift"),
+    ("projectors", [[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+     "projectors[0]: must be idempotent"),
+    ("projectors", [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]],
+     "projectors[1]: must be idempotent"),
 ], ids=["sampler-box", "sampler-list", "sampler-unknown", "b-entries", "quantum-spectral",
         "sites", "spectral", "factorizable-numbers", "factorizable-parse", "projectors",
         "rank-float", "rank-bool", "tolerance-string", "tolerance-bool", "box-inf", "box-nan",
         "box-wide", "min-separation-nan", "min-separation-negative", "gamma-bool",
         "gamma-pair-bool", "quantum-spectral-preset", "quantum-spectral-empty", "name-nan",
         "name-bool", "name-null", "name-number", "name-list", "name-object", "k-retired",
-        "seed-negative", "count-zero", "count-negative"])
+        "seed-negative", "count-zero", "count-negative", "factorizable-lambda",
+        "factorizable-gamma", "factorizable-sigma", "factorizable-u2", "factorizable-g",
+        "projector-not-idempotent", "second-projector-not-idempotent"])
 def test_malformed_scenario_field_exits_two(tmp_path, capsys, field, value, message):
     data = builtin_scenario("diagonal_dressed").to_dict()
     data[field] = value
@@ -401,6 +419,21 @@ def test_cubic_relation_d_is_evaluated_once(name, suites, monkeypatch, capsys):
     cubic = next(s for s in suites if s != "dybe")
     shared = dict(checks[f"{cubic}_d"], name="dybe")
     assert shared == checks["dybe"]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_exact_zeros_are_exactly_zero(name, capsys):
+    # B, C and D are zero weight by construction, and each g != 1 builtin
+    # commutes with its automorphism exactly, so these residuals are 0.0,
+    # not round-off
+    zeros = ["zero_weight_B", "zero_weight_C", "zero_weight_D"]
+    argv = ["--builtin", name, "--suite", "zero-weight", "--format", "structured"]
+    if name in ("constant_g", "spectral_shift_g"):
+        zeros.append("zwc")
+        argv += ["--suite", "zwc"]
+    assert run(argv) == 0
+    checks = {c["name"]: c["max_residual"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert {k: checks[k] for k in zeros} == dict.fromkeys(zeros, 0.0)
 
 
 def test_skip_reason_is_the_explicit_notice():

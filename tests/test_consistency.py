@@ -305,7 +305,7 @@ def test_projector_compat_offdiagonal_b_fails():
 def test_projector_compat_rejects_non_idempotent():
     b, _ = dressed_pieces()
     R = yangian_r(SCH, (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^projectors\[0\]: must be idempotent"):
         residual_projector_compat(R, [2.0 * np.eye(2)], b, PTS)
 
 

@@ -11,6 +11,7 @@ from sdreflect.exprparse import (
     eval_ast,
     parse_expr,
     to_source,
+    variables,
 )
 from exproracle import random_expression, reference_eval
 
@@ -70,6 +71,8 @@ def test_parse_errors_carry_position_info(src, fragment):
 def test_collect_u_indices():
     ast = parse_expr("u1*lambda2 + exp(u3)")
     assert collect_u_indices(ast) == {1, 3}
+    assert variables(parse_expr("i*sigma + gamma^2/u1 - lambda2")) == {
+        "sigma", "gamma", "u1", "lambda2"}
 
 
 def test_roundtrip_and_reference_agreement():
