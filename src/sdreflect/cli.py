@@ -76,12 +76,15 @@ class Rig:
             B, C = build_BC_projector(self.b, self.projs, self.scheme)
         else:
             B, C = build_BC(self.b, self.g, self.scheme)
-        # every suite and the transfer gate read one evaluation of each
-        # structure matrix per distinct point set, kept for this rig only
-        self.A, self.B, self.C, self.D = map(memoized, (
-            build_A(self.R0, self.b, self.g, self.scheme), B, C,
-            build_D_twist(self.Rbar or self.R0, self.q, self.scheme)))
-        self.S = StructureSet(self.A, self.B, self.C, self.D, self.scheme, self.g)
+        structure = (build_A(self.R0, self.b, self.g, self.scheme), B, C,
+                     build_D_twist(self.Rbar or self.R0, self.q, self.scheme))
+        # the chain builders read the structure matrices as they are: a
+        # chain check evaluates each of its factors once (its factor pass)
+        self.S = StructureSet(*structure, self.scheme, self.g)
+        # every other suite and the transfer gate read one evaluation of
+        # each per distinct point set, kept for this rig only
+        self.A, self.B, self.C, self.D = map(memoized, structure)
+        self.kept = StructureSet(self.A, self.B, self.C, self.D, self.scheme, self.g)
         self.Q = scenario.Q
         self.QL = scenario.Q_L
         # direct reflection solution K = beta^-1 Q q and its twisted core
@@ -100,7 +103,7 @@ class Rig:
         """Cubic relation ``letter`` under the check name ``name``; each
         relation is evaluated once per rig."""
         if letter not in self._cubic:
-            self._cubic[letter] = residual_cubic(self.S, letter, self.points, self.tol)
+            self._cubic[letter] = residual_cubic(self.kept, letter, self.points, self.tol)
         return replace(self._cubic[letter], check_name=name)
 
     def run_suite(self, suite):
@@ -119,11 +122,11 @@ class Rig:
                 for X, kind in ((self.B, "B"), (self.C, "C"), (self.D, "D"))], []
 
     def _sdre(self):
-        reps = [residual_sdre(self.S, self.K, self.points, self.tol)]
+        reps = [residual_sdre(self.kept, self.K, self.points, self.tol)]
         notes = []
         if self.Rbar is None:
             scalar = self.beta.inv() @ self.q
-            reps.append(residual_sdre(self.S, scalar, self.points, self.tol,
+            reps.append(residual_sdre(self.kept, scalar, self.points, self.tol,
                                       name="sdre_scalar"))
         else:
             notes.append("no invertible scalar solution exists when the "
@@ -180,7 +183,7 @@ class Rig:
         for N in self._chain_sizes():
             uq = self.scenario.quantum_values(N)
             if gate is None:
-                gate = ingredient_reports(self.S, self.K, self.kappa, points, self.tol)
+                gate = ingredient_reports(self.kept, self.K, self.kappa, points, self.tol)
             failed = [rep for rep in gate.values() if not rep.passed]
             if failed:
                 reps.extend(failed)
@@ -227,7 +230,7 @@ SUITE_TABLE = {
     "transfer-commute": (_unless(Rig.monodromy_applicable,
                                  "needs the invertible single-R0 chain"),
                          Rig._transfer_commute),
-    "zwc": (_NONTRIVIAL_G, lambda rig: ([residual_zwc(rig.S, rig.points, rig.tol)], [])),
+    "zwc": (_NONTRIVIAL_G, lambda rig: ([residual_zwc(rig.kept, rig.points, rig.tol)], [])),
 }
 SUITES = tuple(SUITE_TABLE)
 

@@ -30,7 +30,11 @@ the rows or columns, one BLAS call on the factor, one scatter back; see
 :class:`Placed`); the inverse inverts the small factor.  This holds at
 every dimension: there is one product path.  :func:`chain_product`
 multiplies a list of factors in the cheapest order for the legs each
-acts on (left to right when all are dense).
+acts on (left to right when all are dense); its function, a
+:class:`Chain`, keeps the factors and that order.  :func:`eval_rows`
+evaluates a chain over a stack of rows in two passes: each factor once
+over all the rows (the factor pass), then the product at any block of
+the rows from those rows of the factor values (the contraction pass).
 
 Every matrix function is shape-polymorphic: ``lam`` may carry leading
 batch axes, shape (..., n), and spectral values shape (...); the value
@@ -304,6 +308,37 @@ def _pole(msg, mask, lam, u):
     return PoleError(msg, index=int(k))
 
 
+def _checked(X: DynMat, lam, u):
+    """(lam, u) validated for X: lam of shape (..., n) and a dict of X's
+    spectral values, each a complex number or array."""
+    lam = X.scheme.check_point(lam)
+    ud = _as_u_dict(sorted(X.spectral_legs), u)
+    missing = X.spectral_legs - set(ud)
+    if missing:
+        raise SpectralValueError(f"missing spectral value for legs {sorted(missing)}")
+    return lam, {l: _as_complex(ud[l]) for l in X.spectral_legs}
+
+
+def _named_pole(exc: PoleError, lam, u) -> PoleError:
+    """The error ``exc``, raised at the flat index of a call (lam, u),
+    naming that point."""
+    plam, pu = _point_at(lam, u, exc.index)
+    return PoleError(f"{exc} (lam={plam}, u={pu})", plam, pu)
+
+
+def _shaped(m, lam, u, d):
+    """A value m of a call (lam, u) as an array of shape (..., d, d)
+    over the call's batch (a constant (d, d) is broadcast)."""
+    shape = _batch_shape(lam, u)
+    m = np.asarray(m, dtype=complex)
+    if m.shape != shape + (d, d):
+        if m.shape != (d, d):
+            raise ValueError(f"evaluation returned shape {m.shape}, "
+                             f"expected {shape + (d, d)}")
+        m = np.broadcast_to(m, shape + (d, d))
+    return m
+
+
 def eval_dynmat(X: DynMat, lam, u=None, local=False):
     """Evaluate X at a point or a batch of points, validating spectral
     slots.
@@ -312,30 +347,64 @@ def eval_dynmat(X: DynMat, lam, u=None, local=False):
     of (lam, u) at its index.  With ``local`` a placed X is returned as
     its :class:`Placed` factor instead of the dense matrix.
     """
-    lam = X.scheme.check_point(lam)
-    ud = _as_u_dict(sorted(X.spectral_legs), u)
-    missing = X.spectral_legs - set(ud)
-    if missing:
-        raise SpectralValueError(f"missing spectral value for legs {sorted(missing)}")
-    ud = {l: _as_complex(ud[l]) for l in X.spectral_legs}
-    shape = _batch_shape(lam, ud)
+    lam, ud = _checked(X, lam, u)
     positions = X.positions if local else None
     try:
         if positions is None:
-            d, m = X.dim, np.asarray(X.dense(lam, ud), dtype=complex)
+            d, m = X.dim, X.dense(lam, ud)
         else:
-            d, m = X.scheme.rank ** len(positions), np.asarray(X.fn(lam, ud), dtype=complex)
+            d, m = X.scheme.rank ** len(positions), X.fn(lam, ud)
     except PoleError as exc:
         if exc.index is None:
             raise
-        plam, pu = _point_at(lam, ud, exc.index)
-        raise PoleError(f"{exc} (lam={plam}, u={pu})", plam, pu) from None
-    if m.shape != shape + (d, d):
-        if m.shape != (d, d):
-            raise ValueError(f"evaluation returned shape {m.shape}, "
-                             f"expected {shape + (d, d)}")
-        m = np.broadcast_to(m, shape + (d, d))
+        raise _named_pole(exc, lam, ud) from None
+    m = _shaped(m, lam, ud, d)
     return m if positions is None else Placed(m, positions, len(X.legs), X.scheme.rank)
+
+
+def _take_rows(v, rows):
+    """Rows ``rows`` (a slice or an index array) of a value's leading
+    batch axis: of a stack of matrices, shape (P, d, d), of a
+    :class:`Placed` factor's stack, or of each spectral value, shape
+    (P,), of a dict.  A constant matrix or a number is every row's."""
+    if isinstance(v, Placed):
+        return replace(v, m=_take_rows(v.m, rows))
+    if isinstance(v, dict):
+        return {l: x[rows] if np.ndim(x) else x for l, x in v.items()}
+    return v[rows] if np.ndim(v) > 2 else v
+
+
+def eval_rows(X: DynMat, lam, u=None):
+    """X over a stack of rows in two passes; ``lam`` has shape (P, n) and
+    a spectral value shape (P,) or none.
+
+    This call is the factor pass: each factor of X's chain
+    (:func:`chain_product`) is evaluated once over all the rows, a
+    placed factor as its small :class:`Placed` stack.  It returns the
+    contraction pass ``at(rows)``: X's dense value at the rows ``rows``
+    (a slice or an index array), formed from those rows of the factor
+    values by X's plan, bit for bit the value :func:`eval_dynmat` gives
+    at those rows.  Only small factors are kept over all the rows: an X
+    that is not a chain product of placed factors is evaluated by
+    :func:`eval_dynmat` on each call's rows.  A pole is named as
+    :func:`eval_dynmat` names it.
+    """
+    lam, ud = _checked(X, lam, u)
+    if not (isinstance(X.fn, Chain) and all(F.positions is not None for F in X.fn.factors)):
+        return lambda rows: eval_dynmat(X, lam[rows], _take_rows(ud, rows))
+    try:
+        values = X.fn.values(lam, ud)
+    except PoleError as exc:
+        if exc.index is None:
+            raise
+        raise _named_pole(exc, lam, ud) from None
+
+    def at(rows):
+        m = X.fn.contract([_take_rows(v, rows) for v in values])
+        m = m.dense() if isinstance(m, Placed) else m
+        return _shaped(m, lam[rows], _take_rows(ud, rows), X.dim)
+
+    return at
 
 
 def _as_complex(v):
@@ -678,17 +747,67 @@ def chain_plan(supports, n):
     return best[0, count - 1]
 
 
+def _times(a, b):
+    """a @ b of two values (:class:`Placed` factors or dense arrays), as
+    :meth:`DynMat.__matmul__` forms it: two placed factors are contracted
+    over their shared legs and stay placed on the union of their legs
+    (dense once that union is every leg)."""
+    if not (isinstance(a, Placed) and isinstance(b, Placed)):
+        return a @ b
+    union = tuple(sorted(set(a.positions) | set(b.positions)))
+    m = _union_product(a, b)
+    return m if union == tuple(range(a.total)) else Placed(m, union, a.total, a.n)
+
+
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """The function of a :func:`chain_product`: its ``factors`` (DynMats
+    on one leg set) and the ``tree`` of :func:`chain_plan` that contracts
+    them.  A call is one factor pass (:meth:`values`) and one
+    contraction (:meth:`contract`) over the same rows;
+    :func:`eval_rows` runs the two passes apart."""
+
+    factors: tuple
+    tree: object
+
+    def values(self, lam, u):
+        """The factor pass: every factor's value at (lam, u), in factor
+        order, a placed factor as its :class:`Placed` stack."""
+        return [_value(F, lam, {l: u[l] for l in F.spectral_legs}) for F in self.factors]
+
+    def contract(self, values):
+        """The product of factor values by the plan: a :class:`Placed`
+        factor when every factor is placed and they leave a leg free,
+        else a dense array."""
+
+        def product(t):
+            return values[t] if isinstance(t, int) else _times(product(t[0]), product(t[1]))
+
+        return product(self.tree)
+
+    def __call__(self, lam, u):
+        m = self.contract(self.values(lam, u))
+        return m.m if isinstance(m, Placed) else m
+
+
 def chain_product(factors) -> DynMat:
     """The product factors[0] @ factors[1] @ ... of DynMats on one leg
     set, associated as :func:`chain_plan` finds cheapest for the legs
     each factor acts on (the written left-to-right product when every
-    factor is dense)."""
-    _, tree = chain_plan(tuple(_support(X) for X in factors), factors[0].scheme.rank)
-
-    def build(t):
-        return factors[t] if isinstance(t, int) else build(t[0]) @ build(t[1])
-
-    return build(tree)
+    factor is dense).  Its function is a :class:`Chain`; it is placed
+    on the union of the factors' legs when every factor is placed."""
+    factors = tuple(factors)
+    first = factors[0]
+    if any(X.legs != first.legs or X.scheme != first.scheme for X in factors):
+        raise LegError("operands must share legs and scheme")
+    if len(factors) == 1:
+        return first
+    supports = tuple(_support(X) for X in factors)
+    _, tree = chain_plan(supports, first.scheme.rank)
+    placed = all(X.positions is not None for X in factors)
+    return DynMat(first.scheme, first.legs, Chain(factors, tree),
+                  frozenset().union(*(X.spectral_legs for X in factors)),
+                  tuple(sorted(frozenset().union(*supports))) if placed else None)
 
 
 def _value(X: DynMat, lam, u):

@@ -33,6 +33,17 @@ term is its diagonal block.  Every chain product (the direct form and
 each factorized core) is formed in its cheapest order
 (:func:`~sdreflect.dyncore.chain_product`).
 
+Every operator built here is evaluated by a check in two passes
+(:meth:`~sdreflect.shiftops.ShiftOpSum.factor_pass`).  The factor pass
+evaluates the small factors once over all of the check's rows: the
+placed factors of each chain product, O_N's inverted site blocks at lam
+and its site blocks at each lam + gamma e_i.  The contraction pass forms
+the full-size products of one block of rows at a time from those rows
+of the factor values, by the same plans and in the same order, so the
+entries are the same dot products as when each block is evaluated on
+its own.  The partial trace (:func:`transfer_trace`) passes the factor
+pass through.
+
 Every factorized core (this one, the non-similar one with a second
 matrix Rbar on the odd legs, and the automorphism-gauged one) is one
 product, left . R_{0,2N} ... R_{02} . middle . R_{01} ... R_{0,2N-1} .
@@ -72,11 +83,13 @@ from .dyncore import (
     LegError,
     WeightScheme,
     _apply_right,
+    _take_rows,
     adjoint_auto,
     chain_product,
     constant_dynmat,
     dyn_shift,
     embed,
+    eval_rows,
 )
 from .parametrize import auto_dress
 from .shiftops import ShiftOpSum, _dense, shiftop_commutators
@@ -175,29 +188,41 @@ def _conjugate_weight_shifted(blocks, core: DynMat) -> ShiftOpSum:
     contracting the block's columns on its own quantum legs only.  The
     entries are the dot products of the composed product of the blocks,
     bit for bit.
+
+    The factor pass evaluates the core's factors
+    (:func:`~sdreflect.dyncore.eval_rows`), the inverted blocks at lam
+    and the blocks at each lam + gamma e_i over all the rows; the
+    contraction pass applies those rows of them.
     """
     scheme, n = core.scheme, core.scheme.rank
     w = n ** (len(core.legs) - 1)
     inverses = [B.inv() for B in blocks]
     keys = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
-    def table(lam, u):
-        Y = core.eval(lam, u)
-        for inverse in inverses:
-            Y = inverse.eval(lam, u, local=True) @ Y
-        out = {}
-        for i, key in enumerate(keys):
-            at = lam + scheme.gamma * np.asarray(key, dtype=complex)
-            block = slice(i * w, (i + 1) * w)
-            term = Y[..., block]
-            for B in blocks:
-                o = B.eval(at, u, local=True)
-                term = _apply_right(term, o.m, [p - 1 for p in o.positions], o.total - 1, n)
-            out[key] = ColumnBlock(term, i, 0)
-        return out
+    def factor_pass(lam, u):
+        core_at = eval_rows(core, lam, u)
+        left = [inverse.eval(lam, u, local=True) for inverse in inverses]
+        right = [[B.eval(lam + scheme.gamma * np.asarray(key, dtype=complex), u, local=True)
+                  for B in blocks] for key in keys]
 
-    return ShiftOpSum(scheme, core.legs, keys, table,
-                      core.spectral_legs.union(*(B.spectral_legs for B in blocks)))
+        def contract(rows):
+            Y = core_at(rows)
+            for inverse in left:
+                Y = _take_rows(inverse, rows) @ Y
+            out = {}
+            for i, key in enumerate(keys):
+                term = Y[..., i * w:(i + 1) * w]
+                for o in right[i]:
+                    o = _take_rows(o, rows)
+                    term = _apply_right(term, o.m, [p - 1 for p in o.positions], o.total - 1, n)
+                out[key] = ColumnBlock(term, i, 0)
+            return out
+
+        return contract
+
+    return ShiftOpSum(scheme, core.legs, keys,
+                      spectral_legs=core.spectral_legs.union(*(B.spectral_legs for B in blocks)),
+                      factor_pass=factor_pass)
 
 
 def build_monodromy_direct(S: StructureSet, Q0: DynMat, chi_t: DynMat, N: int,
@@ -334,7 +359,8 @@ def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
     of a batch; shifts are preserved because the auxiliary shift factor
     was already expanded with weight projectors.  An auxiliary twist w
     on leg 0 would change nothing: cyclicity of the partial trace over
-    leg 0 gives Tr_0[w^-1 M w] = Tr_0[M].
+    leg 0 gives Tr_0[w^-1 M w] = Tr_0[M].  The factor pass is T's; each
+    contraction traces T's table at its rows.
     """
     if 0 not in T.legs:
         raise LegError("transfer trace needs the auxiliary leg 0")
@@ -342,8 +368,7 @@ def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
     qlegs = tuple(l for l in T.legs if l != 0)
     dq = n ** len(qlegs)
 
-    def table(lam, u):
-        terms = T.raw_terms(lam, u)
+    def traced(terms):
         out = {}
         for m in list(terms):
             M = terms.pop(m)
@@ -356,7 +381,12 @@ def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
             out[m] = np.einsum("...iaib->...ab", M.reshape(M.shape[:-2] + (n, dq, n, dq)))
         return out
 
-    return ShiftOpSum(T.scheme, qlegs, T.terms, table, T.spectral_legs, T.dim)
+    def factor_pass(lam, u):
+        at = T.factor_pass(lam, u)
+        return lambda rows: traced(at(rows))
+
+    return ShiftOpSum(T.scheme, qlegs, T.terms, spectral_legs=T.spectral_legs, dim=T.dim,
+                      factor_pass=factor_pass)
 
 
 def transfer_commutation(T: ShiftOpSum, u_list, points, tol=1e-8) -> ResidualReport:

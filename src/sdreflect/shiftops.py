@@ -20,13 +20,18 @@ evaluated table by table: the left factor's table once at lam, and the
 right factor's once at each shifted point lam + gamma*m1, so every
 coefficient is computed once per point it is needed at.
 
-The residual checks evaluate their tables over consecutive blocks of
-the sample points (:func:`_blocks`), each a stacked batch of rows.  A
-row is one point, or, for the commutators of a family, one member at a
-point or at a shifted point.  One table call forms at most
-:data:`BLOCK_BYTES` of d x d complex matrices over its rows, d the
-dimension the call forms (for a partial trace, that of the untraced
-operator), and a row that alone exceeds that runs alone.
+The residual checks evaluate an operator in two passes over one stacked
+list of rows (:meth:`ShiftOpSum.factor_pass`).  A row is one point, or,
+for the commutators of a family, one member at a point or at a shifted
+point.  The factor pass evaluates the operator's small factors (those of
+a :func:`~sdreflect.dyncore.chain_product`, see
+:func:`~sdreflect.dyncore.eval_rows`) once over all of the check's rows
+and keeps them for that check only; an operator without factor structure
+(a term sum, a product) has none.  The contraction pass then forms the
+table of one block of rows at a time from slices of those values.  One
+such call forms at most :data:`BLOCK_BYTES` of d x d complex matrices
+over its rows, d the dimension the call forms (for a partial trace, that
+of the untraced operator), and a row that alone exceeds that runs alone.
 """
 
 from __future__ import annotations
@@ -36,7 +41,16 @@ import itertools
 import numpy as np
 
 from .consistency import _report, _stack, rel_residual, worst_residual
-from .dyncore import ColumnBlock, DynMat, LegError, Placed, SpectralValueError, WeightScheme
+from .dyncore import (
+    ColumnBlock,
+    DynMat,
+    LegError,
+    Placed,
+    SpectralValueError,
+    WeightScheme,
+    _take_rows,
+    eval_rows,
+)
 
 
 class ShiftOpSum:
@@ -49,10 +63,17 @@ class ShiftOpSum:
     are the legs whose spectral values ``u`` must give, and ``dim`` is the
     dimension of the largest matrix a table call forms (by default that
     of ``legs``).
+
+    An operator with factor structure is given by its ``factor_pass``
+    instead of its table (see :meth:`factor_pass`); its table is then
+    both passes over the same rows.
     """
 
-    def __init__(self, scheme: WeightScheme, legs, terms, table, spectral_legs=(), dim=None):
-        self.scheme, self.legs, self.terms, self.table = scheme, tuple(legs), tuple(terms), table
+    def __init__(self, scheme: WeightScheme, legs, terms, table=None, spectral_legs=(),
+                 dim=None, factor_pass=None):
+        self.scheme, self.legs, self.terms = scheme, tuple(legs), tuple(terms)
+        self._factor_pass = factor_pass
+        self.table = table or (lambda lam, u: factor_pass(lam, u)(slice(None)))
         self.spectral_legs = frozenset(spectral_legs)
         self.dim = scheme.rank ** len(self.legs) if dim is None else dim
 
@@ -81,15 +102,22 @@ class ShiftOpSum:
         """M followed by the expanded shift factor sum_i e_ii^(leg)
         exp(gamma d_i): the term at e_i is M . e_ii^(leg), the columns of
         M whose ``leg`` index is i, kept as one :class:`ColumnBlock` (a
-        column selection, no product)."""
+        column selection, no product).  The factor pass is M's
+        (:func:`~sdreflect.dyncore.eval_rows`)."""
         n, position = M.scheme.rank, M.legs.index(leg)
         keys = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
-        def table(lam, u):
-            m = M.eval(lam, u)
-            return {key: ColumnBlock.of(m, i, position, n) for i, key in enumerate(keys)}
+        def factor_pass(lam, u):
+            at = eval_rows(M, lam, u)
 
-        return cls(M.scheme, M.legs, keys, table, M.spectral_legs)
+            def contract(rows):
+                m = at(rows)
+                return {key: ColumnBlock.of(m, i, position, n) for i, key in enumerate(keys)}
+
+            return contract
+
+        return cls(M.scheme, M.legs, keys, spectral_legs=M.spectral_legs,
+                   factor_pass=factor_pass)
 
     def compose(self, other: "ShiftOpSum") -> "ShiftOpSum":
         """The product self . other, evaluated table by table; placed
@@ -115,6 +143,19 @@ class ShiftOpSum:
     def eval_terms(self, lam, u=None):
         """Dict shift vector -> dense coefficient matrix at the point."""
         return {m: _dense(c) for m, c in self.raw_terms(lam, u).items()}
+
+    def factor_pass(self, lam, u):
+        """The factor pass over stacked rows ``lam`` (shape (P, n)) and
+        ``u`` (leg -> values of shape (P,)): it returns the contraction
+        pass ``contract(rows)``, the table (as :meth:`raw_terms`) at the
+        rows ``rows``, a slice or an index array.  An operator with
+        factor structure evaluates its small factors here, once over all
+        the rows, and each call contracts those rows of them; any other
+        calls its table on each call's rows."""
+        lam = self.scheme.check_point(lam)
+        if self._factor_pass is not None:
+            return self._factor_pass(lam, u)
+        return lambda rows: self.table(lam[rows], _take_rows(u, rows))
 
 
 def _dense(c):
@@ -152,16 +193,6 @@ def _rows_per_call(dim):
     return max(1, BLOCK_BYTES // (16 * dim * dim))
 
 
-def _blocks(points, dim, rows_per_point=1):
-    """The points in consecutive blocks, each as one stacked batch (lam, u)
-    (:func:`consistency._stack`): as many points as keep their
-    ``rows_per_point`` rows each within one table call of dimension
-    ``dim`` (:func:`_rows_per_call`), and at least one."""
-    size = max(1, _rows_per_call(dim) // rows_per_point)
-    for s in range(0, len(points), size):
-        yield _stack(points[s:s + size])
-
-
 def _same_block(a, b):
     """Whether a and b are column blocks of the same columns."""
     return (isinstance(a, ColumnBlock) and isinstance(b, ColumnBlock)
@@ -188,17 +219,30 @@ def _difference(t1, t2, keys):
     return worst_residual(out)
 
 
+def _stacked(points):
+    """The non-empty point list as one stacked batch (lam, u)."""
+    points = list(points)
+    if not points:
+        raise ValueError("point list is empty")
+    return points, *_stack(points)
+
+
 def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8,
                                 name="shiftop_equal"):
-    """Per-shift-vector relative residual between two operator sums,
-    each evaluated as one table per block of points (:func:`_blocks`)."""
+    """Per-shift-vector relative residual between two operator sums: one
+    factor pass of each over the stacked points, then their tables over
+    consecutive blocks of points, as many as one call of the larger
+    dimension holds (:func:`_rows_per_call`)."""
     keys = set(S1.terms) | set(S2.terms)
-    points, residuals = list(points), []
-    for lam, u in _blocks(points, max(S1.dim, S2.dim)):
-        # S2 first: callers pass the deeper operand (the factored
-        # monodromy) second, so its temporaries never meet S1's table
-        t2 = S2.raw_terms(lam, u)
-        residuals.extend(_difference(S1.raw_terms(lam, u), t2, keys))
+    points, lam, u = _stacked(points)
+    # S2 first: callers pass the deeper operand (the factored monodromy)
+    # second, so its temporaries never meet S1's table
+    at2 = S2.factor_pass(lam, u)
+    at1 = S1.factor_pass(lam, u)
+    size, residuals = _rows_per_call(max(S1.dim, S2.dim)), []
+    for s in range(0, len(points), size):
+        t2 = at2(slice(s, s + size))
+        residuals.extend(_difference(at1(slice(s, s + size)), t2, keys))
     return _report(name, points, tol, residuals)
 
 
@@ -210,32 +254,40 @@ def shiftop_commutators(S: ShiftOpSum, members, points, tol=1e-8, name="shiftop_
     for some of S's spectral legs) in place of the point's.
 
     The products need every member at lam and at each shifted lam +
-    gamma*m, m in S's terms: one row each.  For each block of points
-    (:func:`_blocks`) S's table is evaluated once over all of the block's
-    rows, in as few calls as :func:`_rows_per_call` allows (each call
-    holds whole member-shift groups), and every pair reads slices of it;
-    only one block's tables are kept.
+    gamma*m, m in S's terms: a group of rows, one per point.  S's factor
+    pass runs once over every group's rows.  Then, for each block of
+    points (as many as keep every group's rows within one call,
+    :func:`_rows_per_call`, and at least one), S's table is formed over
+    the block's rows in as few calls as that allows, each call holding
+    whole groups, and every pair reads slices of it; only one block's
+    tables are kept.
     """
     if any(not set(v) <= S.spectral_legs for v in members):
         raise SpectralValueError("a family member sets a leg without a spectral slot")
     pairs = list(itertools.combinations(range(len(members)), 2))
     keys = {tuple(x + y for x, y in zip(m1, m2)) for m1 in S.terms for m2 in S.terms}
-    # a group: one member at every point of a block, at lam (None) or lam + gamma*m
+    # a group: one member at every point, at lam (None) or lam + gamma*m
     groups = [(i, m) for i in range(len(members)) for m in (None, *S.terms)]
-    points, residuals = list(points), [[] for _ in pairs]
-    for lam, u in _blocks(points, S.dim, len(groups)):
-        lam, size = S.scheme.check_point(lam), len(lam)
-        step, tables = max(1, _rows_per_call(S.dim) // size), {}
-        for s in range(0, len(groups), step):
-            chunk = groups[s:s + step]
-            rows = [lam if m is None else lam + S.scheme.gamma * np.asarray(m, dtype=complex)
-                    for _, m in chunk]
-            values = [{**u, **members[i]} for i, _ in chunk]
-            table = S.eval_terms(np.concatenate(rows), {
-                leg: np.concatenate([np.broadcast_to(v[leg], (size,)) for v in values])
-                for leg in values[0]})
-            for k, group in enumerate(chunk):
-                tables[group] = {m: c[k * size:(k + 1) * size] for m, c in table.items()}
+    points, lam, u = _stacked(points)
+    lam, count = S.scheme.check_point(lam), len(points)
+    # the rows, group by group: row g * count + p is group g at point p
+    values = [{**u, **members[i]} for i, _ in groups]
+    at = S.factor_pass(
+        np.concatenate([lam if m is None else lam + S.scheme.gamma * np.asarray(m, dtype=complex)
+                        for _, m in groups]),
+        {leg: np.concatenate([np.broadcast_to(v[leg], (count,)) for v in values])
+         for leg in values[0]})
+    per_call, residuals = _rows_per_call(S.dim), [[] for _ in pairs]
+    size = max(1, per_call // len(groups))
+    for s in range(0, count, size):
+        block = np.arange(s, min(s + size, count))
+        step, tables = max(1, per_call // len(block)), {}
+        for c in range(0, len(groups), step):
+            chunk = np.arange(c, min(c + step, len(groups)))
+            table = {m: _dense(x) for m, x in at((chunk[:, None] * count + block).ravel()).items()}
+            for k, g in enumerate(chunk):
+                rows = slice(k * len(block), (k + 1) * len(block))
+                tables[groups[g]] = {m: x[rows] for m, x in table.items()}
         for p, (i, j) in enumerate(pairs):
             ab = _table_product(tables[i, None], lambda m1: tables[j, m1], dict.get)
             ba = _table_product(tables[j, None], lambda m1: tables[i, m1], dict.get)

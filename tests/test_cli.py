@@ -631,3 +631,40 @@ def test_perturbed_r0_fails_both_suites_that_read_a(monkeypatch, capsys):
     # both residuals are linear in eps
     for small, large in zip(*residuals):
         assert 5 <= large / small <= 20
+
+
+@pytest.mark.parametrize("suite", ["monodromy-factor", "transfer-commute"])
+def test_chain_factor_pole_at_a_later_sample_is_named(suite, monkeypatch, capsys):
+    # the structure matrices placed on legs (0, 2) meet a pole at every
+    # lattice translate lam + gamma Z^n of the third of four samples: the
+    # factor pass, which evaluates them over every row of the check at
+    # once, names that sample (as block-by-block evaluation does)
+    from dataclasses import replace
+
+    import sdreflect.monodromy as mono
+    from sdreflect.cli import Rig
+    from sdreflect.dyncore import PoleError
+
+    argv = ["--builtin", "diagonal_dressed", "--sites", "2", "--samples", "4", "--suite", suite]
+    rig = Rig(builtin_scenario("diagonal_dressed"), samples=4, sites=2)
+    bad, gamma = rig.points[2][0], rig.scheme.gamma
+    real = mono._place
+
+    def poled(Y):
+        def fn(lam, u):
+            d = (lam - bad) / gamma
+            hit = np.all(np.abs(d - np.round(d)) < 1e-9, axis=-1)
+            if np.any(hit):
+                raise PoleError("evaluation at a pole", index=int(np.argmax(hit)))
+            return Y.fn(lam, u)
+
+        return replace(Y, fn=fn)
+
+    def place(Y, at, *args):
+        return real(poled(Y) if at == (0, 2) and Y.legs == (1, 2) else Y, at, *args)
+
+    monkeypatch.setattr(mono, "_place", place)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluation at a pole (lam=")
+    assert f"(lam={bad}, u=" in err

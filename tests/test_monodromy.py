@@ -348,26 +348,33 @@ def test_gauged_core_builds_nothing_per_evaluation(monkeypatch, g):
 
 
 def _spied_traced_calls(monkeypatch):
-    """(traced operators, their eval_terms calls as (operator, lam, u,
-    table)): every transfer_trace result is recorded, and every table
-    call on one of them."""
+    """(traced operators, their table calls as (operator, lam, u,
+    table)): every transfer_trace result is recorded, and every
+    contraction-pass call on one of them, with the rows it formed."""
     import sdreflect.monodromy as mono
 
     traced, calls = [], []
-    real_trace, real_eval = mono.transfer_trace, ShiftOpSum.eval_terms
+    real_trace, real_pass = mono.transfer_trace, ShiftOpSum.factor_pass
 
     def trace(*args, **kwargs):
         traced.append(real_trace(*args, **kwargs))
         return traced[-1]
 
-    def spy(self, lam, u=None):
-        table = real_eval(self, lam, u)
-        if any(self is t for t in traced):
-            calls.append((self, lam, u, table))
-        return table
+    def spy(self, lam, u):
+        contract = real_pass(self, lam, u)
+        if not any(self is t for t in traced):
+            return contract
+
+        def call(rows):
+            table = contract(rows)
+            calls.append((self, lam[rows], {l: v[rows] for l, v in u.items()},
+                          {m: c.copy() for m, c in table.items()}))
+            return table
+
+        return call
 
     monkeypatch.setattr(mono, "transfer_trace", trace)
-    monkeypatch.setattr(ShiftOpSum, "eval_terms", spy)
+    monkeypatch.setattr(ShiftOpSum, "factor_pass", spy)
     return traced, calls
 
 
@@ -424,6 +431,21 @@ def test_stacked_family_rows_are_the_tables_of_separate_operators(monkeypatch):
                     np.testing.assert_array_equal(table[m][r], c)
 
 
+def _rows_per_table_call(monkeypatch, op):
+    """The list that records how many rows each contraction-pass call on
+    ``op`` forms."""
+    rows, real = [], ShiftOpSum.factor_pass
+
+    def spy(self, lam, u):
+        contract = real(self, lam, u)
+        if self is not op:
+            return contract
+        return lambda r: rows.append(len(lam[r])) or contract(r)
+
+    monkeypatch.setattr(ShiftOpSum, "factor_pass", spy)
+    return rows
+
+
 def test_family_rows_per_call_follow_the_untraced_dimension(monkeypatch):
     # a traced operator forms its tables at the dimension of the untraced
     # chain (d = 32 at two sites, 16 traced): a call holds at most
@@ -435,10 +457,7 @@ def test_family_rows_per_call_follow_the_untraced_dimension(monkeypatch):
     t = transfer_trace(build_monodromy_direct(S, K, chi, 2, U_Q, None))
     assert (t.dim, sch.rank ** len(t.legs)) == (32, 16)
     members, pts = [{0: u0} for u0 in U_LIST], lam_points(2, count=5)
-    rows = []
-    real = ShiftOpSum.eval_terms
-    monkeypatch.setattr(ShiftOpSum, "eval_terms",
-                        lambda self, lam, u=None: rows.append(len(lam)) or real(self, lam, u))
+    rows = _rows_per_table_call(monkeypatch, t)
     # 9 rows per point: 3 members x (1 + 2 shifts)
     for per_call, want in ((so._rows_per_call(32), [9] * 5), (1, [1] * 45),
                            (4, [4, 4, 1] * 5), (18, [18, 18, 9]), (45, [45])):
@@ -492,19 +511,20 @@ def test_shiftop_checks_give_one_report_at_every_block_size(monkeypatch):
     Tf = build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, U_LIST[0])
     t = transfer_trace(build_monodromy_direct(S, K, chi, 2, U_Q, None))
     members, pts = [{0: u0} for u0 in U_LIST], lam_points(2, count=5)
+    sizes = _rows_per_table_call(monkeypatch, t)
 
     def reports(rows):
         # one d x d complex matrix is 16 d^2 bytes
         monkeypatch.setattr(so, "BLOCK_BYTES", rows * 16 * 32 ** 2)
-        sizes = [len(lam) for lam, _ in so._blocks(pts, t.dim, 9)]
+        sizes.clear()
         reps = [shiftop_difference_residual(Td, Tf, pts, 1e-8)]
         reps += so.shiftop_commutators(t, members, pts, 1e-8)
-        return sizes, [(r.max_residual, r.worst_point[0].tobytes(), r.worst_point[1])
-                       for r in reps]
+        return list(sizes), [(r.max_residual, r.worst_point[0].tobytes(), r.worst_point[1])
+                             for r in reps]
 
-    sizes, expect = reports(1)
-    assert sizes == [1] * 5
-    for rows, blocks in ((9, [1] * 5), (18, [2, 2, 1]), (45, [5])):
+    calls, expect = reports(1)
+    assert calls == [1] * 45
+    for rows, blocks in ((9, [9] * 5), (18, [18, 18, 9]), (45, [45])):
         assert reports(rows) == (blocks, expect)
 
 
@@ -615,3 +635,123 @@ def test_perturbed_site_one_B_fails_the_planned_chain_linearly(monkeypatch):
 
     small, large = residual(1e-6), residual(1e-5)
     assert 5 <= large / small <= 20
+
+
+def _chain_forms(form):
+    """A two-site chain operator of each built form, its auxiliary slot
+    free: (operator, rows lam (5, 2), rows u)."""
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
+    if form == "direct":
+        T = build_monodromy_direct(S, K, chi, 2, U_Q, None)
+    elif form == "factored":
+        T = build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, None)
+    elif form == "rbar":
+        from sdreflect.scenarios import builtin_scenario
+
+        T = build_monodromy_factored(sch, R, b, q, np.diag([1.0, 0.0]), chi, 2, U_Q, None,
+                                     Rbar=builtin_scenario("nonsimilar_detwist").Rbar_mat(),
+                                     chi0=q)
+    elif form == "traced":
+        T = transfer_trace(build_monodromy_direct(S, K, chi, 2, U_Q, None))
+    else:
+        g = (Automorphism.constant(np.array([[1.3, 0.4], [0.2, 0.9]])) if form == "constant_g"
+             else Automorphism.spectral_shift(0.3))
+        T = build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, None, g=g, QL=QL)
+    rows = np.stack([lam for lam, _ in lam_points(2, count=5)])
+    return T, rows, {0: np.array([0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j, 0.4 - 1.1j, 1.7j])}
+
+
+def _entries(table):
+    """A table's entries as comparable arrays (a column block with its columns)."""
+    from sdreflect.dyncore import ColumnBlock
+
+    return {m: (c.index, c.position, c.m) if isinstance(c, ColumnBlock) else (c,)
+            for m, c in table.items()}
+
+
+@pytest.mark.parametrize("form", ["direct", "factored", "rbar", "constant_g", "shift_g",
+                                  "traced"])
+def test_factor_pass_tables_equal_per_row_calls(form):
+    # the contraction pass at a block of rows (a slice, an index array, a
+    # single row) is, bit for bit, the table of each of its rows alone
+    T, lam, u = _chain_forms(form)
+    contract = T.factor_pass(lam, u)
+    for rows in (slice(0, 2), slice(2, 5), np.array([4, 1, 3]), slice(3, 4)):
+        block = _entries(contract(rows))
+        assert list(block) == list(T.terms)
+        for k, r in enumerate(np.arange(5)[rows]):
+            alone = _entries(T.raw_terms(lam[r], {0: u[0][r]}))
+            assert list(alone) == list(block)
+            for m, entry in alone.items():
+                assert entry[:-1] == block[m][:-1]
+                np.testing.assert_array_equal(block[m][-1][k], entry[-1])
+
+
+def _counted_factors(monkeypatch):
+    """Counters of every factor function the chain builders pass to
+    chain_product, and of every O_N site block function."""
+    from dataclasses import replace
+
+    import sdreflect.monodromy as mono
+
+    factors, blocks = [], []
+
+    def counted(X, into):
+        calls = [0]
+        into.append(calls)
+
+        def fn(lam, u, _f=X.fn):
+            calls[0] += 1
+            return _f(lam, u)
+
+        return replace(X, fn=fn)
+
+    chain, on_blocks = mono.chain_product, mono.build_ON_blocks
+    monkeypatch.setattr(mono, "chain_product",
+                        lambda fs: chain([counted(X, factors) for X in fs]))
+    monkeypatch.setattr(mono, "build_ON_blocks",
+                        lambda *a, **kw: [counted(B, blocks) for B in on_blocks(*a, **kw)])
+    return factors, blocks
+
+
+@pytest.mark.parametrize("name", ["diagonal_dressed", "spectral_shift_g"])
+def test_each_chain_factor_runs_once_per_check(monkeypatch, name):
+    # one row per table call, so each check runs many blocks; still every
+    # chain factor runs once per check, and each O_N site block once at
+    # lam (for its inverse) and once at each lam + gamma e_i
+    import sdreflect.shiftops as so
+    from sdreflect.cli import Rig
+    from sdreflect.scenarios import builtin_scenario
+
+    factors, blocks = _counted_factors(monkeypatch)
+    monkeypatch.setattr(so, "BLOCK_BYTES", 1)
+    rig = Rig(builtin_scenario(name, {"sites": 2}), samples=4)
+    checked = 0
+    for suite in ("monodromy-factor", "transfer-commute"):
+        reports, _ = rig.run_suite(suite)
+        assert all(r.passed for r in reports)
+        checked += len(reports)
+    assert checked == (4 if rig.g.is_identity else 2)
+    assert factors and all(c == [1] for c in factors)
+    assert rig.g.is_identity or blocks
+    assert all(c == [1 + rig.scheme.rank] for c in blocks)
+
+
+@pytest.mark.parametrize("name", ["diagonal_dressed", "constant_g"])
+def test_chain_suites_add_nothing_to_the_structure_memos(name):
+    # the chain builders read the structure matrices unkept; the transfer
+    # gate reads the kept ones at the points the other suites read them
+    # at (4 samples, all within the gate's 12)
+    from sdreflect.cli import Rig
+    from sdreflect.scenarios import builtin_scenario
+
+    rig = Rig(builtin_scenario(name, {"sites": 2}), samples=4)
+    for suite in ("zero-weight", "ybce", "gybce", "sdre", "zwc"):
+        rig.run_suite(suite)
+    memos = [X.fn.memo for X in (rig.A, rig.B, rig.C, rig.D)]
+    sizes = [len(memo) for memo in memos]
+    assert all(sizes)
+    reports = rig.run_suite("monodromy-factor")[0] + rig.run_suite("transfer-commute")[0]
+    assert reports and all(r.passed for r in reports)
+    assert any(r.check_name.startswith("transfer_commutation") for r in reports)
+    assert [len(memo) for memo in memos] == sizes
