@@ -35,6 +35,9 @@ acts on (left to right when all are dense); its function, a
 evaluates a chain over a stack of rows in two passes: each factor once
 over all the rows (the factor pass), then the product at any block of
 the rows from those rows of the factor values (the contraction pass).
+A value that does not depend on the row (a (d, d) matrix, or a :class:`Placed`
+factor whose ``m`` is 2-D), and every product of such values
+(:func:`fold_product`), is formed once; only :func:`eval_dynmat` broadcasts it.
 
 Every matrix function is shape-polymorphic: ``lam`` may carry leading
 batch axes, shape (..., n), and spectral values shape (...); the value
@@ -319,24 +322,44 @@ def _checked(X: DynMat, lam, u):
     return lam, {l: _as_complex(ud[l]) for l in X.spectral_legs}
 
 
-def _named_pole(exc: PoleError, lam, u) -> PoleError:
-    """The error ``exc``, raised at the flat index of a call (lam, u),
-    naming that point."""
-    plam, pu = _point_at(lam, u, exc.index)
-    return PoleError(f"{exc} (lam={plam}, u={pu})", plam, pu)
+def _named(f, lam, u):
+    """f(lam, u); a :class:`PoleError` raised at a flat index of the call
+    is re-raised naming that point."""
+    try:
+        return f(lam, u)
+    except PoleError as exc:
+        if exc.index is None:
+            raise
+        plam, pu = _point_at(lam, u, exc.index)
+        raise PoleError(f"{exc} (lam={plam}, u={pu})", plam, pu) from None
 
 
 def _shaped(m, lam, u, d):
     """A value m of a call (lam, u) as an array of shape (..., d, d)
-    over the call's batch (a constant (d, d) is broadcast)."""
+    over the call's batch, or (d, d) when it does not depend on the row."""
     shape = _batch_shape(lam, u)
     m = np.asarray(m, dtype=complex)
-    if m.shape != shape + (d, d):
-        if m.shape != (d, d):
-            raise ValueError(f"evaluation returned shape {m.shape}, "
-                             f"expected {shape + (d, d)}")
-        m = np.broadcast_to(m, shape + (d, d))
+    if m.shape not in (shape + (d, d), (d, d)):
+        raise ValueError(f"evaluation returned shape {m.shape}, "
+                         f"expected {shape + (d, d)}")
     return m
+
+
+def _broadcast(v, shape):
+    """A value (an array, a :class:`Placed` factor or a :class:`ColumnBlock`)
+    that does not depend on the row, broadcast to the batch axes ``shape``."""
+    if isinstance(v, (Placed, ColumnBlock)):
+        return replace(v, m=_broadcast(v.m, shape))
+    return np.broadcast_to(v, shape + np.shape(v)) if shape and np.ndim(v) == 2 else v
+
+
+def _evaluated(X: DynMat, lam, ud, local):
+    """:func:`eval_dynmat` at a validated call (lam, ud), not broadcast."""
+    positions = X.positions if local else None
+    if positions is None:
+        return _shaped(_named(X.dense, lam, ud), lam, ud, X.dim)
+    m = _shaped(_named(X.fn, lam, ud), lam, ud, X.scheme.rank ** len(positions))
+    return Placed(m, positions, len(X.legs), X.scheme.rank)
 
 
 def eval_dynmat(X: DynMat, lam, u=None, local=False):
@@ -345,21 +368,17 @@ def eval_dynmat(X: DynMat, lam, u=None, local=False):
 
     A :class:`PoleError` from X's function is re-raised naming the point
     of (lam, u) at its index.  With ``local`` a placed X is returned as
-    its :class:`Placed` factor instead of the dense matrix.
+    its :class:`Placed` factor instead of the dense matrix.  A value that
+    does not depend on the row is broadcast to the batch.
     """
     lam, ud = _checked(X, lam, u)
-    positions = X.positions if local else None
-    try:
-        if positions is None:
-            d, m = X.dim, X.dense(lam, ud)
-        else:
-            d, m = X.scheme.rank ** len(positions), X.fn(lam, ud)
-    except PoleError as exc:
-        if exc.index is None:
-            raise
-        raise _named_pole(exc, lam, ud) from None
-    m = _shaped(m, lam, ud, d)
-    return m if positions is None else Placed(m, positions, len(X.legs), X.scheme.rank)
+    return _broadcast(_evaluated(X, lam, ud, local), _batch_shape(lam, ud))
+
+
+def eval_factor(X: DynMat, lam, u=None):
+    """X over the rows of a factor pass: :func:`eval_dynmat` with
+    ``local``, but a value that does not depend on the row stays one."""
+    return _evaluated(X, *_checked(X, lam, u), True)
 
 
 def _take_rows(v, rows):
@@ -378,33 +397,27 @@ def eval_rows(X: DynMat, lam, u=None):
     """X over a stack of rows in two passes; ``lam`` has shape (P, n) and
     a spectral value shape (P,) or none.
 
-    This call is the factor pass: each factor of X's chain
-    (:func:`chain_product`) is evaluated once over all the rows, a
-    placed factor as its small :class:`Placed` stack.  It returns the
-    contraction pass ``at(rows)``: X's dense value at the rows ``rows``
-    (a slice or an index array), formed from those rows of the factor
-    values by X's plan, bit for bit the value :func:`eval_dynmat` gives
-    at those rows.  Only small factors are kept over all the rows: an X
-    that is not a chain product of placed factors is evaluated by
+    This call is the factor pass (:meth:`Chain.fold`).  It returns the
+    contraction pass, a node of :func:`contract_rows`: X's dense (d, d)
+    value when X does not depend on the row, else ``at(rows)``, X at the
+    rows ``rows`` (a slice or an index array) from those rows of the
+    factor values by X's plan; bit for bit the value :func:`eval_dynmat`
+    gives at those rows.  Only small factors are kept over all the rows:
+    an X that is not a chain product of placed factors is evaluated by
     :func:`eval_dynmat` on each call's rows.  A pole is named as
     :func:`eval_dynmat` names it.
     """
     lam, ud = _checked(X, lam, u)
     if not (isinstance(X.fn, Chain) and all(F.positions is not None for F in X.fn.factors)):
         return lambda rows: eval_dynmat(X, lam[rows], _take_rows(ud, rows))
-    try:
-        values = X.fn.values(lam, ud)
-    except PoleError as exc:
-        if exc.index is None:
-            raise
-        raise _named_pole(exc, lam, ud) from None
+    node = _named(X.fn.fold, lam, ud)
 
     def at(rows):
-        m = X.fn.contract([_take_rows(v, rows) for v in values])
+        m = contract_rows(node, rows)
         m = m.dense() if isinstance(m, Placed) else m
         return _shaped(m, lam[rows], _take_rows(ud, rows), X.dim)
 
-    return at
+    return at(slice(None)) if _row_free(node) else at
 
 
 def _as_complex(v):
@@ -759,34 +772,50 @@ def _times(a, b):
     return m if union == tuple(range(a.total)) else Placed(m, union, a.total, a.n)
 
 
+def _row_free(v) -> bool:
+    """Whether a node is a value without a row axis: a (d, d) matrix or
+    a :class:`Placed` factor whose ``m`` is 2-D."""
+    return isinstance(v, (np.ndarray, Placed)) and np.ndim(getattr(v, "m", v)) == 2
+
+
+def fold_product(a, b):
+    """The node of a @ b: formed now (:func:`_times`) when neither node
+    depends on the row, else the pair (a, b)."""
+    return _times(a, b) if _row_free(a) and _row_free(b) else (a, b)
+
+
+def contract_rows(node, rows):
+    """A node of a contraction pass at the rows ``rows``: a value's rows
+    (:func:`_take_rows`), a function's call, or a pair's product."""
+    if isinstance(node, tuple):
+        return _times(contract_rows(node[0], rows), contract_rows(node[1], rows))
+    return node(rows) if callable(node) else _take_rows(node, rows)
+
+
 @dataclass(frozen=True, eq=False)
 class Chain:
     """The function of a :func:`chain_product`: its ``factors`` (DynMats
     on one leg set) and the ``tree`` of :func:`chain_plan` that contracts
-    them.  A call is one factor pass (:meth:`values`) and one
-    contraction (:meth:`contract`) over the same rows;
-    :func:`eval_rows` runs the two passes apart."""
+    them.  A call is one factor pass (:meth:`fold`) and one contraction
+    (:func:`contract_rows`) over the same rows; :func:`eval_rows` runs
+    the two passes apart."""
 
     factors: tuple
     tree: object
 
-    def values(self, lam, u):
-        """The factor pass: every factor's value at (lam, u), in factor
-        order, a placed factor as its :class:`Placed` stack."""
-        return [_value(F, lam, {l: u[l] for l in F.spectral_legs}) for F in self.factors]
+    def fold(self, lam, u):
+        """The factor pass: every factor's value at (lam, u) (a placed one
+        as its :class:`Placed` stack) in the plan's node of
+        :func:`contract_rows`, :func:`fold_product` at every pair."""
+        values = [_value(F, lam, {l: u[l] for l in F.spectral_legs}) for F in self.factors]
 
-    def contract(self, values):
-        """The product of factor values by the plan: a :class:`Placed`
-        factor when every factor is placed and they leave a leg free,
-        else a dense array."""
+        def node(t):
+            return values[t] if isinstance(t, int) else fold_product(node(t[0]), node(t[1]))
 
-        def product(t):
-            return values[t] if isinstance(t, int) else _times(product(t[0]), product(t[1]))
-
-        return product(self.tree)
+        return node(self.tree)
 
     def __call__(self, lam, u):
-        m = self.contract(self.values(lam, u))
+        m = contract_rows(self.fold(lam, u), slice(None))
         return m.m if isinstance(m, Placed) else m
 
 
@@ -955,6 +984,8 @@ class Automorphism:
 
     @classmethod
     def factorizable(cls, matrix_fn):
+        """g(u) = matrix_fn(u); matrix_fn takes an array of values, shape
+        (...), and returns their matrices, shape (..., n, n)."""
         return cls(cls.FACTORIZABLE, matrix_fn=matrix_fn)
 
     @classmethod
@@ -974,10 +1005,8 @@ class Automorphism:
         elif self.variant == self.FACTORIZABLE:
             if u is None:
                 raise SpectralValueError("factorizable automorphism needs a spectral value")
-            # matrix_fn takes one value: a batch is evaluated value by value
-            vals = [self.matrix_fn(complex(x)) for x in np.ravel(u)]
-            base = np.asarray(vals, dtype=complex)
-            base = base.reshape(np.shape(u) + base.shape[1:])
+            # matrix_fn takes the whole stack of values
+            base = np.asarray(self.matrix_fn(np.asarray(u, dtype=complex)), dtype=complex)
         else:
             raise AutomorphismError("spectral shift is not a finite matrix")
         if power == 1:

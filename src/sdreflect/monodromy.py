@@ -41,8 +41,10 @@ and its site blocks at each lam + gamma e_i.  The contraction pass forms
 the full-size products of one block of rows at a time from those rows
 of the factor values, by the same plans and in the same order, so the
 entries are the same dot products as when each block is evaluated on
-its own.  The partial trace (:func:`transfer_trace`) passes the factor
-pass through.
+its own.  A product whose operands do not depend on the row is formed
+once, in the factor pass: with b = q = 1 and every spectral value bound
+(``trivial_yangian``), each whole side of the factorization check.  The
+partial trace (:func:`transfer_trace`) passes the factor pass through.
 
 Every factorized core (this one, the non-similar one with a second
 matrix Rbar on the odd legs, and the automorphism-gauged one) is one
@@ -83,13 +85,17 @@ from .dyncore import (
     LegError,
     WeightScheme,
     _apply_right,
+    _row_free,
     _take_rows,
     adjoint_auto,
     chain_product,
     constant_dynmat,
+    contract_rows,
     dyn_shift,
     embed,
+    eval_factor,
     eval_rows,
+    fold_product,
 )
 from .parametrize import auto_dress
 from .shiftops import ShiftOpSum, _dense, shiftop_commutators
@@ -191,8 +197,9 @@ def _conjugate_weight_shifted(blocks, core: DynMat) -> ShiftOpSum:
 
     The factor pass evaluates the core's factors
     (:func:`~sdreflect.dyncore.eval_rows`), the inverted blocks at lam
-    and the blocks at each lam + gamma e_i over all the rows; the
-    contraction pass applies those rows of them.
+    and the blocks at each lam + gamma e_i over all the rows, and forms
+    each step whose operands do not depend on the row (O^-1 core, a
+    term) once; the contraction pass applies those rows of the others.
     """
     scheme, n = core.scheme, core.scheme.rank
     w = n ** (len(core.legs) - 1)
@@ -200,23 +207,28 @@ def _conjugate_weight_shifted(blocks, core: DynMat) -> ShiftOpSum:
     keys = [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
     def factor_pass(lam, u):
-        core_at = eval_rows(core, lam, u)
-        left = [inverse.eval(lam, u, local=True) for inverse in inverses]
-        right = [[B.eval(lam + scheme.gamma * np.asarray(key, dtype=complex), u, local=True)
+        Y = eval_rows(core, lam, u)
+        for inverse in inverses:
+            Y = fold_product(eval_factor(inverse, lam, u), Y)
+        right = [[eval_factor(B, lam + scheme.gamma * np.asarray(key, dtype=complex), u)
                   for B in blocks] for key in keys]
 
+        def term(Y, i, rows):
+            t = Y[..., i * w:(i + 1) * w]
+            for o in right[i]:
+                o = _take_rows(o, rows)
+                t = _apply_right(t, o.m, [p - 1 for p in o.positions], o.total - 1, n)
+            return t
+
+        fixed = {i: term(Y, i, slice(None)) for i in range(n)
+                 if _row_free(Y) and all(map(_row_free, right[i]))}
+        if len(fixed) == n:  # no term reads O^-1 core again
+            Y = None
+
         def contract(rows):
-            Y = core_at(rows)
-            for inverse in left:
-                Y = _take_rows(inverse, rows) @ Y
-            out = {}
-            for i, key in enumerate(keys):
-                term = Y[..., i * w:(i + 1) * w]
-                for o in right[i]:
-                    o = _take_rows(o, rows)
-                    term = _apply_right(term, o.m, [p - 1 for p in o.positions], o.total - 1, n)
-                out[key] = ColumnBlock(term, i, 0)
-            return out
+            Y_rows = None if Y is None else contract_rows(Y, rows)
+            return {key: ColumnBlock(fixed[i] if i in fixed else term(Y_rows, i, rows), i, 0)
+                    for i, key in enumerate(keys)}
 
         return contract
 

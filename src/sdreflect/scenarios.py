@@ -273,11 +273,19 @@ def compile_automorphism_spec(spec, rank, path="automorphism") -> Automorphism:
                 raise ScenarioError(f"{path}.entries[{i}][{j}]: factorizable entries may "
                                     f"reference u1 only (found {', '.join(sorted(extra))})")
 
-    def mfn(uval):
-        return np.array(
-            [[ep.eval_ast(a, [0.0], {1: uval}, 1.0) for a in row] for row in asts],
-            dtype=complex,
-        )
+    def mfn(u):
+        """f at the values ``u``, shape (...): one stacked call per entry, a
+        value per row (a tuple, hashable); raises the first failing value's error."""
+        values, errs = tuple(np.ravel(u).tolist()), []
+        m = np.empty((len(values), rank, rank), dtype=complex)
+        for i, j in np.ndindex(rank, rank):
+            try:
+                m[:, i, j] = ep.eval_ast(asts[i][j], np.zeros((len(values), 1)), {1: values}, 1.0)
+            except (ArithmeticError, ValueError) as exc:
+                errs.append(exc)
+        if errs:
+            raise min(errs, key=lambda e: e.row)  # the first listed among equal rows
+        return m.reshape(np.shape(u) + (rank, rank))
 
     return Automorphism.factorizable(mfn)
 

@@ -30,6 +30,14 @@ from sdreflect.solutions import build_K_nondyn
 SCH = WeightScheme(2, 1.0)
 RNG = np.random.default_rng(7)
 PTS = sample_points(SCH, (1, 2, 3), count=20, seed=7)
+
+
+def _stacked(fm):
+    """A one-value matrix function as the stacked one that
+    Automorphism.factorizable takes (values of shape (...) to (..., n, n))."""
+    return np.vectorize(fm, signature="()->(n,n)", otypes=[complex])
+
+
 E12 = np.zeros((2, 2))
 E12[0, 1] = 1.0
 
@@ -371,10 +379,10 @@ def test_gybce_factorizable_automorphism():
     # while a genuinely varying one correctly breaks the first relation
     R = yangian_r(SCH, (1, 2))
     I2 = identity_dynmat(SCH, (1, 2))
-    f_const = Automorphism.factorizable(lambda u: np.diag([1.3, 1.0]))
+    f_const = Automorphism.factorizable(_stacked(lambda u: np.diag([1.3, 1.0])))
     S1 = StructureSet(R, I2, I2, R, SCH, f_const)
     assert all(r.passed for r in residual_gybce(S1, PTS, 1e-9).values())
-    f_var = Automorphism.factorizable(lambda u: np.diag([1.0 + 0.1 * u, 1.0]))
+    f_var = Automorphism.factorizable(_stacked(lambda u: np.diag([1.0 + 0.1 * u, 1.0])))
     S2 = StructureSet(R, I2, I2, R, SCH, f_var)
     reps = residual_gybce(S2, PTS, 1e-9)
     assert not reps["gybce_a"].passed

@@ -34,6 +34,12 @@ SCH3 = WeightScheme(3, 1.0)
 RNG = np.random.default_rng(101)
 
 
+def _stacked(fm):
+    """A one-value matrix function as the stacked one that
+    Automorphism.factorizable takes (values of shape (...) to (..., n, n))."""
+    return np.vectorize(fm, signature="()->(n,n)", otypes=[complex])
+
+
 def rand_lam(n=2):
     return RNG.uniform(-1.5, 1.5, n) + 1j * RNG.uniform(-1.5, 1.5, n)
 
@@ -320,7 +326,7 @@ def test_weight_scheme_validation():
 def test_factorizable_automorphism_adjoint():
     # a spectrally dependent finite automorphism conjugates with its
     # value at the leg's own slot
-    f = Automorphism.factorizable(lambda u: np.diag([1.0 + 0.1 * u, 1.0]))
+    f = Automorphism.factorizable(_stacked(lambda u: np.diag([1.0 + 0.1 * u, 1.0])))
     R = yangian_r(SCH2, (1, 2))
     out = adjoint_auto(R, f, (1,), "conjugate", 1)
     lam = rand_lam()
@@ -331,7 +337,7 @@ def test_factorizable_automorphism_adjoint():
 
 
 def test_factorizable_automorphism_needs_slot_value():
-    f = Automorphism.factorizable(lambda u: np.diag([1.0 + 0.1 * u, 1.0]))
+    f = Automorphism.factorizable(_stacked(lambda u: np.diag([1.0 + 0.1 * u, 1.0])))
     X = identity_dynmat(SCH2, (1, 2))
     with pytest.raises(SpectralValueError):
         adjoint_auto(X, f, (1,), "conjugate", 1).eval(rand_lam())
@@ -413,7 +419,7 @@ def test_shifted_singular_inverse_names_the_callers_point(via):
 
 
 def test_sigma_conjugate_of_a_factorizable_automorphism_fails_on_evaluation():
-    f = Automorphism.factorizable(lambda u: np.diag([1.0 + 0.1 * u, 1.0]))
+    f = Automorphism.factorizable(_stacked(lambda u: np.diag([1.0 + 0.1 * u, 1.0])))
     X = sigma_conjugate(yangian_r(SCH2, (1, 2)), f, (1, 2), sign=-1)
     with pytest.raises(AutomorphismError):
         X.eval(rand_lam(), {1: 2.0, 2: -1.0})
@@ -478,7 +484,7 @@ def test_factorizable_conjugation_reads_the_value_moved_by_later_shifts(spectral
     def fm(u):
         return np.array([[1 + 0.1 * u, 0.3], [0, 1]])
 
-    f, shift = Automorphism.factorizable(fm), Automorphism.spectral_shift(1.0)
+    f, shift = Automorphism.factorizable(_stacked(fm)), Automorphism.spectral_shift(1.0)
     X = yangian_r(SCH2, (1, 2)) if spectral else constant_dynmat(
         SCH2, (1, 2), RNG.normal(size=(4, 4)))
     lam, u = rand_lam(), {1: 0.4 + 0.3j, 2: -0.7}

@@ -638,10 +638,18 @@ def test_perturbed_site_one_B_fails_the_planned_chain_linearly(monkeypatch):
 
 
 def _chain_forms(form):
-    """A two-site chain operator of each built form, its auxiliary slot
-    free: (operator, rows lam (5, 2), rows u)."""
-    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
-    if form == "direct":
+    """A two-site chain operator of each built form: (operator, rows lam
+    (5, 2), rows u).  Its auxiliary slot is free, except in the
+    ``row_free`` forms (b = q = 1), which do not depend on the row, and
+    the ``mixed_bound`` ones (b and q vary with lam); ``mixed_*_trivial``
+    has b = q = 1 and the slot free."""
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=not form.endswith("_trivial"))
+    u0 = 0.52 + 0.21j if form.startswith(("row_free", "mixed_bound")) else None
+    if form in ("row_free_direct_trivial", "mixed_bound_direct", "mixed_direct_trivial"):
+        T = build_monodromy_direct(S, K, chi, 2, U_Q, u0)
+    elif form in ("row_free_factored_trivial", "mixed_bound_factored"):
+        T = build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, u0)
+    elif form == "direct":
         T = build_monodromy_direct(S, K, chi, 2, U_Q, None)
     elif form == "factored":
         T = build_monodromy_factored(sch, R, b, q, Q, chi, 2, U_Q, None)
@@ -670,21 +678,33 @@ def _entries(table):
 
 
 @pytest.mark.parametrize("form", ["direct", "factored", "rbar", "constant_g", "shift_g",
-                                  "traced"])
+                                  "traced", "row_free_direct_trivial",
+                                  "row_free_factored_trivial", "mixed_bound_direct",
+                                  "mixed_bound_factored", "mixed_direct_trivial"])
 def test_factor_pass_tables_equal_per_row_calls(form):
     # the contraction pass at a block of rows (a slice, an index array, a
-    # single row) is, bit for bit, the table of each of its rows alone
+    # single row) is, bit for bit, the table of each of its rows alone; a
+    # table that does not depend on the row is one (d, d) matrix per
+    # entry, every row's
     T, lam, u = _chain_forms(form)
     contract = T.factor_pass(lam, u)
     for rows in (slice(0, 2), slice(2, 5), np.array([4, 1, 3]), slice(3, 4)):
         block = _entries(contract(rows))
         assert list(block) == list(T.terms)
+        assert {np.ndim(e[-1]) for e in block.values()} == {2 if "row_free" in form else 3}
         for k, r in enumerate(np.arange(5)[rows]):
             alone = _entries(T.raw_terms(lam[r], {0: u[0][r]}))
             assert list(alone) == list(block)
             for m, entry in alone.items():
                 assert entry[:-1] == block[m][:-1]
-                np.testing.assert_array_equal(block[m][-1][k], entry[-1])
+                row = block[m][-1] if "row_free" in form else block[m][-1][k]
+                np.testing.assert_array_equal(row, entry[-1])
+        # the table at a stack is broadcast to its rows
+        stacked = _entries(T.raw_terms(lam[rows], {0: u[0][rows]}))
+        for m, entry in stacked.items():
+            assert entry[-1].shape[0] == len(np.arange(5)[rows])
+            np.testing.assert_array_equal(entry[-1], np.broadcast_to(block[m][-1],
+                                                                     entry[-1].shape))
 
 
 def _counted_factors(monkeypatch):
@@ -755,3 +775,59 @@ def test_chain_suites_add_nothing_to_the_structure_memos(name):
     assert reports and all(r.passed for r in reports)
     assert any(r.check_name.startswith("transfer_commutation") for r in reports)
     assert [len(memo) for memo in memos] == sizes
+
+
+def _products_of_check(monkeypatch, Td, Tf, points):
+    """The report of the factorization check of Td and Tf at ``points``
+    and how many products it formed: chain products (``_times``),
+    left and right applications of placed factors."""
+    import sdreflect.dyncore as dc
+    import sdreflect.monodromy as mono
+
+    calls = []
+    for module, name in ((dc, "_times"), (dc, "_apply_left"), (dc, "_apply_right"),
+                         (mono, "_apply_right")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a))
+    rep = shiftop_difference_residual(Td, Tf, points, 1e-8, name="monodromy_factorization_N2")
+    monkeypatch.undo()
+    return rep, len(calls)
+
+
+def test_row_free_chain_is_contracted_once_per_check(monkeypatch):
+    # trivial_yangian at rank 3 (b = q = 1, every spectral value bound):
+    # neither side of the two-site factorization depends on the row, so
+    # each is contracted once per check, however many samples (d = 243,
+    # one row per block), and one residual is every sample's
+    from sdreflect.cli import Rig
+    from sdreflect.scenarios import builtin_scenario
+    from sdreflect.shiftops import _rows_per_call
+
+    rig = Rig(builtin_scenario("trivial_yangian", {"rank": 3, "sites": 2}), samples=8)
+    uq, u0 = rig.scenario.quantum_values(2), 0.52 + 0.21j
+    Td = build_monodromy_direct(rig.S, rig.K, rig.chi, 2, uq, u0)
+    Tf = build_monodromy_factored(rig.scheme, rig.R0, rig.b, rig.q, rig.Q, rig.chi, 2, uq, u0)
+    assert (Td.dim, _rows_per_call(Td.dim)) == (243, 1)
+    rep8, products8 = _products_of_check(monkeypatch, Td, Tf, rig.points[:8])
+    rep1, products1 = _products_of_check(monkeypatch, Td, Tf, rig.points[:1])
+    assert products8 == products1 > 0
+    assert rep8.passed and rep8.max_residual == rep1.max_residual
+    np.testing.assert_array_equal(rep8.worst_point[0], rig.points[0][0])
+
+
+@pytest.mark.parametrize("dressed", [False, True])
+def test_nan_in_a_row_free_factor_fails_at_the_first_point(dressed):
+    # a NaN in the constant Q of the factored core: with b = q = 1 no
+    # factor depends on the row and one residual serves every point; with
+    # b and q varying the row-free Q meets rows in each block.  Either
+    # way the check fails with the first point as its worst
+    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=dressed)
+    u0, pts = 0.52 + 0.21j, lam_points(2, count=4)
+    Td = build_monodromy_direct(S, K, chi, 2, U_Q, u0)
+    Q_nan = np.array(Q, dtype=complex)
+    Q_nan[0, 1] = np.nan
+    Tf = build_monodromy_factored(sch, R, b, q, Q_nan, chi, 2, U_Q, u0)
+    rep = shiftop_difference_residual(Td, Tf, pts, 1e-8)
+    assert np.isnan(rep.max_residual) and not rep.passed
+    np.testing.assert_array_equal(rep.worst_point[0], pts[0][0])

@@ -16,6 +16,7 @@ from sdreflect.scenarios import (
     ScenarioError,
     builtin_names,
     builtin_scenario,
+    compile_automorphism_spec,
     compile_matrix_spec,
     load_scenario,
     scenario_from_dict,
@@ -666,3 +667,30 @@ def test_builtin_default_samples_are_pinned(name):
         for leg in sorted(u):
             digest.update(np.complex128(u[leg]).tobytes())
     assert digest.hexdigest() == _SAMPLE_DIGESTS[name]
+
+
+def test_factorizable_automorphism_is_one_stacked_call_per_entry(monkeypatch):
+    # a 2 x 2 factorizable f over 50 values (a 5 x 10 stack): one stacked
+    # eval_ast call per entry, bit for bit the per-value point calls; a
+    # failing value raises the error of the first one, as the loop did
+    entries = [["1.3+0.1*u1", "0.2*u1^2"], ["exp(u1)/(u1-3)", "1"]]
+    f = compile_automorphism_spec({"kind": "factorizable", "entries": entries}, 2, "f")
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=(5, 10)) + 1j * rng.normal(size=(5, 10))
+    calls, real = [], exprparse.eval_ast
+    monkeypatch.setattr(exprparse, "eval_ast", lambda *a: calls.append(1) or real(*a))
+    got = f.matrix_at(u)
+    assert len(calls) == 4 and got.shape == (5, 10, 2, 2)
+    monkeypatch.undo()
+    asts = [[exprparse.parse_expr(e) for e in row] for row in entries]
+    for idx in np.ndindex(u.shape):
+        loop = [[exprparse.eval_ast(a, [0.0], {1: complex(u[idx])}, 1.0) for a in row]
+                for row in asts]
+        np.testing.assert_array_equal(got[idx], np.array(loop, dtype=complex))
+    np.testing.assert_array_equal(f.matrix_at(u[0, 0]), got[0, 0])
+    u[1, 3], u[0, 7] = 3.0, 3.0
+    with pytest.raises(ArithmeticError) as err:
+        f.matrix_at(u)
+    with pytest.raises(ArithmeticError) as point:
+        exprparse.eval_ast(asts[1][0], [0.0], {1: 3.0 + 0j}, 1.0)
+    assert err.value.row == 7 and str(err.value) == str(point.value)

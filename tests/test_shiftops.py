@@ -268,3 +268,44 @@ def test_family_member_on_a_leg_without_a_slot_is_refused():
     S = term((1, 0), lambda lam, u: np.diag([lam[0], 1.0]))
     with pytest.raises(SpectralValueError):
         shiftop_commutators(S, [{1: 0.5}, {1: 1.5}], PTS, 1e-10)
+
+
+@pytest.mark.parametrize("varying", [True, False])
+def test_family_with_a_row_free_table_entry(varying):
+    # a contraction pass may give an entry that does not depend on the
+    # row as one (d, d) matrix: the commutator engine reads it as every
+    # row's, bit for bit as if it were broadcast.  A table of row-free
+    # entries only is the same operator for every member: one exact 0.0
+    # serves every point, the first its worst
+    C = np.array([[1.0, 0.3], [0.2, 0.7]], dtype=complex)
+    E = np.array([[2.0, 0.0], [0.5, 3.0]], dtype=complex)
+
+    def family(broadcast):
+        def factor_pass(lam, u):
+            def contract(rows):
+                lam_r, u_r = lam[rows], u[1][rows]
+                if varying:
+                    M = np.zeros(lam_r.shape[:-1] + (2, 2), dtype=complex)
+                    M[..., 0, 0] = lam_r[..., 0] + u_r
+                    M[..., 0, 1], M[..., 1, 1] = u_r, 1.0
+                else:
+                    M = E
+                table = {(0, 0): C, (1, 0): M}
+                shape = lam_r.shape[:-1] + (2, 2)
+                return {m: np.broadcast_to(x, shape) if broadcast else x
+                        for m, x in table.items()}
+
+            return contract
+
+        return ShiftOpSum(SCH, LEGS, [(0, 0), (1, 0)], spectral_legs=LEGS,
+                          factor_pass=factor_pass)
+
+    members = [{1: 0.3}, {1: -0.5 + 0.2j}, {1: 1.1}]
+    free, broadcast = (shiftop_commutators(family(b), members, PTS, 1e-10) for b in (False, True))
+    assert len(free) == 3
+    for a, b in zip(free, broadcast):
+        assert a.passed != varying and a.max_residual == b.max_residual
+        np.testing.assert_array_equal(a.worst_point[0], b.worst_point[0])
+        if not varying:
+            assert a.max_residual == 0.0
+            np.testing.assert_array_equal(a.worst_point[0], PTS[0][0])

@@ -37,6 +37,14 @@ from sdreflect.solutions import (
 SCH = WeightScheme(2, 1.0)
 RNG = np.random.default_rng(33)
 PTS = sample_points(SCH, (1, 2, 3), count=20, seed=17)
+
+
+def _stacked(fm):
+    """A one-value matrix function as the stacked one that
+    Automorphism.factorizable takes (values of shape (...) to (..., n, n))."""
+    return np.vectorize(fm, signature="()->(n,n)", otypes=[complex])
+
+
 E12 = np.zeros((2, 2))
 E12[0, 1] = 1.0
 
@@ -102,7 +110,7 @@ def test_intertwiner_factorizable_one_sided_variant():
         return np.diag([1 + 0.1 * u, 1])
 
     R = yangian_r(SCH, (1, 2))
-    deco = [Decoration("right", [DecorationFactor(Automorphism.factorizable(fm), 1)])]
+    deco = [Decoration("right", [DecorationFactor(Automorphism.factorizable(_stacked(fm)), 1)])]
     Q = np.array([[1.0, 0.45], [0.21, 1.3]])
     rep = residual_intertwiner(IntertwinerSpec(R, R, deco), Q, PTS, 1e-9)
 
