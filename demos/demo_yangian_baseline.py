@@ -1,13 +1,12 @@
 """Walkthrough: the rational R-matrix and its basic certificates.
 
-Builds R(u1, u2) = 1 + P/(u1 - u2), checks the cubic exchange relation
-and the weight structure by sampled residuals, and reads off the
-diagonal/exchange tables of the zero-weight decomposition.
+Builds R(u1, u2) = 1 + P/(u1 - u2) and checks the cubic exchange
+relation and the weight structure by sampled residuals.
 """
 
 import numpy as np
 
-from sdreflect import WeightScheme, decompose_zero_weight, identity_dynmat, yangian_r
+from sdreflect import WeightScheme, identity_dynmat, yangian_r
 from sdreflect.consistency import StructureSet, residual_ybce, residual_zero_weight
 from sdreflect.sampling import sample_points
 
@@ -27,11 +26,8 @@ for n in (2, 3):
     for name, rep in residual_ybce(S, points, 1e-10).items():
         print(f"  {rep}")
 
-    # R is zero-weight in the diagonal sense, so it decomposes into
-    # d (weight) and Delta (exchange) tables
+    # R is zero-weight in the diagonal sense: it commutes with every
+    # h^(1) + h^(2), so its only entries are weight (e_ii x e_jj) and
+    # exchange (e_ij x e_ji) slots
     rep = residual_zero_weight(R, "D", points, 1e-13)
     print(f"  {rep}")
-    dec = decompose_zero_weight(R, points[:5])
-    d, delta = dec.tables(np.zeros(n), {1: 2.0, 2: 0.0})
-    print(f"  decomposition at gap 2: d diagonal {np.diag(d).real},"
-          f" exchange {delta[0, 1].real}")

@@ -11,7 +11,6 @@ from .dyncore import (
     WeightScheme,
     adjoint_auto,
     constant_dynmat,
-    decompose_zero_weight,
     dyn_shift,
     embed,
     eval_dynmat,
@@ -30,7 +29,6 @@ __all__ = [
     "WeightScheme",
     "adjoint_auto",
     "constant_dynmat",
-    "decompose_zero_weight",
     "dyn_shift",
     "embed",
     "eval_dynmat",

@@ -1210,62 +1210,3 @@ def sigma_conjugate(X: DynMat, g: Automorphism, legs, sign=-1) -> DynMat:
     power = "sigma" if sign > 0 else "-sigma"
     return decorate(X, legs, [Decoration("conjugate", [DecorationFactor(g, power)])])
 
-
-# -- zero-weight decomposition -------------------------------------------
-
-
-class ZeroWeightDecomposition:
-    """Slot tables of a zero-weight 2-leg matrix.
-
-    d[i, j] multiplies e_ii (x) e_jj and delta[i, j] (i != j) multiplies
-    e_ij (x) e_ji; any residual mass outside those slots is reported.
-    """
-
-    def __init__(self, D: DynMat):
-        if len(D.legs) != 2:
-            raise LegError("zero-weight decomposition needs a 2-leg matrix")
-        self.source = D
-        self.n = D.scheme.rank
-
-    def _split(self, m):
-        """(d, delta) read off a matrix; row (i, j) meets column (k, l)
-        at m4[i, j, k, l]."""
-        m4 = m.reshape((self.n,) * 4)
-        d = np.einsum("ijij->ij", m4).copy()
-        delta = np.einsum("ijji->ij", m4).copy()
-        np.fill_diagonal(delta, 0.0)
-        return d, delta
-
-    def _join(self, d, delta):
-        n = self.n
-        m4 = np.zeros((n,) * 4, dtype=complex)
-        i, j = np.indices((n, n))
-        m4[i, j, j, i] = delta
-        m4[i, j, i, j] = d  # after delta: the i == j slots are d's
-        return m4.reshape(n * n, n * n)
-
-    def tables(self, lam, u=None):
-        return self._split(self.source.eval(lam, u))
-
-    def offslot_residual(self, lam, u=None):
-        m = self.source.eval(lam, u)
-        return np.linalg.norm(m - self._join(*self._split(m))) / max(np.linalg.norm(m), 1.0)
-
-    def reassemble(self, lam, u=None):
-        return self._join(*self.tables(lam, u))
-
-
-def decompose_zero_weight(D: DynMat, points, tol=1e-9):
-    """Decompose a zero-weight 2-leg matrix into its d / Delta tables.
-
-    ``points`` is a list of (lam, u) pairs used to certify that no mass
-    sits outside the zero-weight slots; raises ValueError otherwise,
-    including for a non-finite off-slot residual.
-    """
-    dec = ZeroWeightDecomposition(D)
-    worst = float(np.max([dec.offslot_residual(lam, u) for lam, u in points], initial=0.0))
-    if not worst <= tol:
-        raise ValueError(
-            f"matrix is not zero-weight: off-slot residual {worst:.3e} exceeds {tol:.1e}"
-        )
-    return dec

@@ -9,16 +9,16 @@ Grammar (ASCII):
             | "u" digits | "(" expr ")" | "exp" "(" expr ")"
     number := decimal with optional fraction and exponent
 
-:func:`eval_ast` compiles each node once into two closures kept on the
-node: one for a point, and one for a stack of points that follows
-CPython's complex formulas, so that each row has the point's bits.  The
-tests cross-check it against an independent single-pass evaluator.
+:func:`eval_ast` compiles each node once into one closure kept on the
+node.  It evaluates a stack of points by CPython's complex formulas, so
+that each row has the bits of a tree walk on Python complex numbers; a
+point is a stack of one row.  The tests cross-check it against an
+independent single-pass evaluator.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -46,22 +46,12 @@ class EvalOverflowError(OverflowError):
     pass
 
 
-def _cexp(v):
-    try:
-        return cmath.exp(v)
-    except OverflowError:
-        raise EvalOverflowError("exponential overflow")
-
-
 # -- AST -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Num:
     value: float
-
-    def __str__(self):
-        return repr(self.value)
 
 
 @dataclass(frozen=True)
@@ -95,50 +85,16 @@ class BinOp:
     right: object
     pos: int = field(default=0, compare=False)
 
-    def __str__(self):
-        level = 1 if self.op in "+-" else 2
-        lhs = _wrap(self.left, level, left=True)
-        # the parser is left-associative, so a right child at the same
-        # precedence must keep its parentheses
-        rhs = _wrap(self.right, level, left=False, strict=True)
-        return f"{lhs}{self.op}{rhs}"
-
 
 @dataclass(frozen=True)
 class Pow:
     base: object
     exponent: int
 
-    def __str__(self):
-        return f"{_wrap(self.base, 3, left=True)}^{self.exponent}"
-
 
 @dataclass(frozen=True)
 class Exp:
     arg: object
-
-    def __str__(self):
-        return f"exp({self.arg})"
-
-
-def _level(node):
-    if isinstance(node, BinOp):
-        return 1 if node.op in "+-" else 2
-    if isinstance(node, Pow):
-        return 3
-    return 4
-
-
-def _wrap(node, parent_level, left, strict=False):
-    lvl = _level(node)
-    if lvl < parent_level or (strict and lvl == parent_level):
-        return f"({node})"
-    return str(node)
-
-
-def to_source(node) -> str:
-    """Print an AST back to grammar-conforming source."""
-    return str(node)
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -270,11 +226,9 @@ def parse_expr(src: str):
 POLE_FLOOR = 1e-12
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-# A stack closure carries complex values as (real, imaginary) float64
-# parts and combines them by CPython's own formulas (complexobject.c),
-# which numpy's complex arithmetic does not follow bit for bit.
+# A closure carries complex values as (real, imaginary) float64 parts and
+# combines them by CPython's own formulas (complexobject.c), which numpy's
+# complex arithmetic does not follow bit for bit.
 
 
 def _pair(z):
@@ -282,7 +236,7 @@ def _pair(z):
     return np.float64(z.real), np.float64(z.imag)
 
 
-_ONE = _pair(1.0)
+_ONE, _NAN = _pair(1.0), _pair(np.nan)
 
 
 def _mul(a, b):  # _Py_c_prod
@@ -297,7 +251,8 @@ _STACK_ARITH = {
 
 
 def _quot(a, b):
-    """_Py_c_quot: Smith's division, divided by the larger part of b."""
+    """_Py_c_quot's formula: Smith's division, divided by the larger part
+    of b; a value that is not finite may have other bits than CPython's."""
     (ar, ai), (br, bi) = a, b
     abs_r, abs_i = np.abs(br), np.abs(bi)
     ratio = bi / br
@@ -306,7 +261,6 @@ def _quot(a, b):
     ratio = br / bi
     denom = br * ratio + bi
     by_imag = ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
-    # b = 0 (EDOM in C) and a b with a NaN part come out NaN; callers mark such rows
     return tuple(np.where(abs_r >= abs_i, x, y) for x, y in zip(by_real, by_imag))
 
 
@@ -321,163 +275,170 @@ def _powu(x, e):
     return r
 
 
-def _near_zero(z):
-    """Rows whose abs() is below the pole floor, or is not a finite number."""
+def _finite(z):
+    return np.isfinite(z[0]) & np.isfinite(z[1])
+
+
+def _pole_test(z, errs, pole):
+    """abs(z) < POLE_FLOOR raises ``pole()``, as abs() tests it from a
+    clean errno: finite parts with an infinite modulus raise
+    OverflowError, and a NaN modulus is no pole."""
     h = np.hypot(*z)
-    return ~((h >= POLE_FLOOR) & (h < np.inf))
+    if np.all((h >= POLE_FLOOR) & (h < np.inf)):
+        return
+    errs.extend((k, pole()) for k in np.flatnonzero(h < POLE_FLOOR).tolist())
+    over = np.flatnonzero(np.isinf(h) & _finite(z)).tolist()
+    errs.extend((k, OverflowError("absolute value too large")) for k in over)
 
 
-def _rowwise(f, z, bad):
-    """f on each value of the parts z, NaN and marked in ``bad`` where it raises."""
-    re, im = np.broadcast_arrays(*z)
-    out, failed = np.empty(re.size, dtype=complex), np.zeros(re.size, dtype=bool)
-    for k, (x, y) in enumerate(zip(re.ravel().tolist(), im.ravel().tolist())):
+def _cpython(f, args, rows, errs, overflow=None):
+    """f of the Python complex numbers at the flat indices ``rows`` of the
+    pairs ``args``, which gives CPython's bits, as a complex array.  A row
+    where f raises appends (row, error) to ``errs``; ``overflow()``, if
+    given, stands in for f's OverflowError."""
+    shape = np.broadcast_shapes(*(np.shape(p) for z in args for p in z))
+    cols = [np.broadcast_to(p, shape).ravel()[rows].tolist() for z in args for p in z]
+    vals = np.empty(len(rows), dtype=complex)
+    for j, z in enumerate(zip(*(map(complex, cols[i], cols[i + 1])
+                                for i in range(0, len(cols), 2)))):
         try:
-            out[k] = f(complex(x, y))
-        except (ArithmeticError, ValueError):
-            out[k], failed[k] = np.nan, True
-    bad.append(failed)
-    return out.real, out.imag
+            vals[j] = f(*z)
+        except (ArithmeticError, ValueError) as exc:
+            errs.append((int(rows[j]), overflow() if overflow and isinstance(exc, OverflowError)
+                         else exc))
+    return vals
+
+
+def _non_finite_by_cpython(f, args, r, errs):
+    """r, with each value that is not finite computed by f as CPython
+    computes it: numpy's formula may give its NaNs other bits, and
+    CPython raises where an infinite or 0/0 result means an error."""
+    rows = np.flatnonzero(~_finite(r))
+    if not len(rows):
+        return r
+    re, im = (np.array(p, dtype=float).ravel() for p in r)
+    vals = _cpython(f, args, rows, errs)
+    re[rows], im[rows] = vals.real, vals.imag
+    return re, im
 
 
 def _compile(n):
-    """(point closure, stack closure, uses sigma) for an AST node.
+    """The closure that evaluates an AST node on a stack of points.
 
-    The point closure maps (lam, u, gamma, sigma) to the node's value by
-    the operations of a tree walk, in its order and with its pole and
-    overflow checks.  The stack closure maps (re, im, u, gamma, sigma,
-    bad), with the parts of m points (m, n) and of each spectral value
-    (a number, or one per point), to the parts of the m values by the
-    same operations in CPython's formulas, and marks in ``bad`` every
-    row where the point closure may raise.
+    It maps (re, im, u, gamma, sigma, errs), with the parts of m points
+    (m, n) and of each spectral value (a number, or one per point), to the
+    parts of the m values: one value for all rows, or one per row.  It
+    follows a tree walk on Python complex numbers: where that walk raises
+    at a row, the closure appends (row, error) to ``errs``, in the walk's
+    order, and the row's value is left unspecified; an error at every row
+    is appended once, as row 0's.  Rows where a numpy formula may give
+    other bits than CPython (a quotient or a power that is not finite, an
+    exponent beyond 100 and every exponential) are computed by CPython
+    itself.
     """
     if isinstance(n, Num) or n == Const("i"):
-        v = complex(n.value) if isinstance(n, Num) else 1j
-        pair = _pair(v)
-        return (lambda lam, u, g, s: v), (lambda *a: pair), False
+        pair = _pair(n.value if isinstance(n, Num) else 1j)
+        return lambda *a: pair
     if isinstance(n, Const):
         if n.name == "gamma":
-            return (lambda lam, u, g, s: complex(g)), (lambda re, im, u, g, s, bad: _pair(g)), False
-        return (lambda lam, u, g, s: s), (lambda re, im, u, g, s, bad: s), True
+            return lambda re, im, u, g, s, errs: _pair(g)
+        return lambda re, im, u, g, s, errs: s
     if isinstance(n, LambdaVar):
         k = n.index
 
-        def coord(lam):  # lam of shape (n,) or (n, m)
-            if k > len(lam):
-                raise ValueError(f"lambda{k} out of range for rank {len(lam)}")
-            return lam[k - 1]
+        def coord(re, im, u, g, s, errs):
+            if k <= re.shape[-1]:
+                return re[:, k - 1], im[:, k - 1]
+            errs.append((0, ValueError(f"lambda{k} out of range for rank {re.shape[-1]}")))
+            return _NAN
 
-        return ((lambda lam, u, g, s: complex(coord(lam))),
-                (lambda re, im, u, g, s, bad: (coord(re.T), coord(im.T))), False)
+        return coord
     if isinstance(n, UVar):
         k = n.index
 
-        def uvar(lam, u, g, s):
-            if k not in u:
-                raise ValueError(f"no spectral value bound for u{k}")
-            return u[k]
+        def uvar(re, im, u, g, s, errs):
+            if k in u:
+                return u[k]
+            errs.append((0, ValueError(f"no spectral value bound for u{k}")))
+            return _NAN
 
-        return ((lambda lam, u, g, s: complex(uvar(lam, u, g, s))),
-                (lambda re, im, u, g, s, bad: uvar(re, u, g, s)), False)
+        return uvar
     if isinstance(n, BinOp):
-        (fa, va, sa), (fb, vb, sb) = _compile(n.left), _compile(n.right)
-        if n.op in _ARITH:
-            op, vop = _ARITH[n.op], _STACK_ARITH[n.op]
-            return ((lambda lam, u, g, s: op(fa(lam, u, g, s), fb(lam, u, g, s))),
-                    (lambda *a: vop(va(*a), vb(*a))), sa or sb)
+        left, right = _compile(n.left), _compile(n.right)
+        if n.op in _STACK_ARITH:
+            op = _STACK_ARITH[n.op]
+            return lambda *a: op(left(*a), right(*a))
         pos = n.pos
 
-        def div(lam, u, g, s):
-            a, b = fa(lam, u, g, s), fb(lam, u, g, s)
-            if abs(b) < POLE_FLOOR:
-                raise EvalPoleError(f"division by (near-)zero at position {pos}", pos)
-            return a / b
+        def div(*a):
+            x, y = left(*a), right(*a)
+            _pole_test(y, a[-1], lambda: EvalPoleError(
+                f"division by (near-)zero at position {pos}", pos))
+            return _non_finite_by_cpython(operator.truediv, (x, y), _quot(x, y), a[-1])
 
-        def vdiv(*a):
-            x, y = va(*a), vb(*a)
-            a[-1].append(_near_zero(y))
-            return _quot(x, y)
-
-        return div, vdiv, sa or sb
+        return div
     if isinstance(n, Pow):
-        fb, vb, sb = _compile(n.base)
-        e = n.exponent
+        base, e = _compile(n.base), n.exponent
 
-        def power(lam, u, g, s):
-            base = fb(lam, u, g, s)
-            if e < 0 and abs(base) < POLE_FLOOR:
-                raise EvalPoleError("negative power of (near-)zero")
-            return base ** e
-
-        def vpower(*a):
-            x, bad = vb(*a), a[-1]
+        def power(*a):
+            x, errs = base(*a), a[-1]
             if e < 0:
-                bad.append(_near_zero(x))
+                _pole_test(x, errs, lambda: EvalPoleError("negative power of (near-)zero"))
             if abs(e) > 100:  # CPython's general complex power
-                return _rowwise(lambda z: z ** e, x, bad)
+                r = _cpython(lambda z: z ** e, (x,), np.arange(np.size(x[0])), errs)
+                return r.real, r.imag
             r = _powu(x, abs(e))
-            if e <= 0:  # c_powi: 1 / x**|e|, NaN where that divides by 0
+            if e <= 0:  # c_powi: 1 / x**|e|
                 r = _quot(_ONE, r)
             # an infinite part raises OverflowError, division by 0 ZeroDivisionError
-            bad.append(~(np.isfinite(r[0]) & np.isfinite(r[1])))
-            return r
+            return _non_finite_by_cpython(lambda z: z ** e, (x,), r, errs)
 
-        return power, vpower, sb
+        return power
     if isinstance(n, Exp):
-        fa, va, sa = _compile(n.arg)
-        # cmath.exp itself: numpy's exp, cos and sin differ from libm's
-        return ((lambda lam, u, g, s: _cexp(fa(lam, u, g, s))),
-                (lambda *a: _rowwise(cmath.exp, va(*a), a[-1])), sa)
+        arg = _compile(n.arg)
+
+        def exp(*a):
+            # cmath.exp itself: numpy's exp, cos and sin differ from libm's
+            z = arg(*a)
+            r = _cpython(cmath.exp, (z,), np.arange(np.size(z[0])), a[-1],
+                         lambda: EvalOverflowError("exponential overflow"))
+            return r.real, r.imag
+
+        return exp
     raise TypeError(f"unknown node {n!r}")
-
-
-def _at_point(code, lam, u, gamma):
-    fn, _, uses_sigma = code
-    return fn(lam, u, gamma, complex(np.sum(lam)) if uses_sigma else None)
 
 
 def eval_ast(node, lam, u=None, gamma=1.0):
     """Evaluate an AST at (lambda, u, gamma); sigma = sum(lambda).
 
     ``lam`` of shape (n,) is a point and gives a complex number; of shape
-    (..., n) a stack of points, giving an array (...) with the point
-    calls' values bit for bit, or the error of the first point that
-    raises, with that point's flat index as its ``row``.  For a stack,
-    each spectral value in ``u`` is a number or a sequence with one
-    value per point in flat order (a tuple keeps ``u`` hashable).  The
-    node is compiled on its first evaluation and keeps the closures.
+    (..., n) a stack of points, giving an array (...).  Each row has the
+    bits of a tree walk on Python complex numbers.  A failing evaluation
+    raises the first error of its first failing row, with that row's flat
+    index as its ``row``.  For a stack, each spectral value in ``u`` is a
+    number or a sequence with one value per point in flat order (a tuple
+    keeps ``u`` hashable).  The node is compiled on its first evaluation
+    and keeps the closure.
     """
     code = getattr(node, "_code", None)
     if code is None:
         code = _compile(node)
         object.__setattr__(node, "_code", code)
     lam = np.asarray(lam, dtype=complex)
-    u = {} if u is None else u
-    if lam.ndim == 1:
-        return _at_point(code, lam, u, gamma)
     flat = np.ascontiguousarray(lam.reshape(-1, lam.shape[-1]))
-    values = {k: np.asarray(v, dtype=complex) for k, v in u.items()}
-    per_row = [k for k, v in values.items() if v.ndim]
-    if any(values[k].shape != (len(flat),) for k in per_row):
+    values = {k: np.asarray(v, dtype=complex) for k, v in (u or {}).items()}
+    if any(v.ndim and v.shape != (len(flat),) for v in values.values()):
         raise ValueError("a spectral sequence needs one value per point")
-    out = np.empty(len(flat), dtype=complex)
-    bad = []
+    out, errs = np.empty(len(flat), dtype=complex), []
     with np.errstate(all="ignore"):
-        try:
-            s = np.sum(flat, axis=-1)
-            parts = {k: (v.real, v.imag) for k, v in values.items()}
-            out.real, out.imag = code[1](flat.real, flat.imag, parts, gamma, (s.real, s.imag), bad)
-            rows = np.flatnonzero(functools.reduce(np.logical_or, bad, np.zeros(len(flat), bool)))
-        except ValueError:  # an unbound variable, at every point
-            rows = range(len(flat))
-    # the point closure raises at the first failing row, or gives its value
-    for k in rows:
-        try:
-            out[k] = _at_point(code, flat[k], {**u, **{i: u[i][k] for i in per_row}}, gamma)
-        except (ArithmeticError, ValueError) as exc:
-            exc.row = int(k)
-            raise
-    return out.reshape(lam.shape[:-1])
+        s = np.sum(flat, axis=-1)
+        parts = {k: (v.real, v.imag) for k, v in values.items()}
+        out.real, out.imag = code(flat.real, flat.imag, parts, gamma, (s.real, s.imag), errs)
+    if errs:
+        row, exc = min(errs, key=lambda e: e[0])  # the first listed among equal rows
+        exc.row = row
+        raise exc
+    return complex(out[0]) if lam.ndim == 1 else out.reshape(lam.shape[:-1])
 
 
 def variables(node):

@@ -293,12 +293,6 @@ def build_ON_blocks(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = N
         lambda k: embed(q, (2 * k - 1,), legs) @ embed(b, (2 * k,), legs), N, legs)]
 
 
-def build_ON(b: DynMat, q: DynMat, N: int, u_quantum, g: Automorphism = None) -> DynMat:
-    """The quantum-leg conjugator O_N, the product of its site blocks
-    (:func:`build_ON_blocks`)."""
-    return chain_product(build_ON_blocks(b, q, N, u_quantum, g))
-
-
 def build_gauged_core(scheme: WeightScheme, R0: DynMat, q: DynMat, Q, QL,
                       g: Automorphism, N: int, u_quantum, u_aux) -> DynMat:
     """Automorphism-dressed chain core on legs 0..2N:

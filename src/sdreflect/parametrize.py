@@ -43,17 +43,6 @@ def auto_dress(b: DynMat, g: Automorphism) -> DynMat:
     return adjoint_auto(b, g, b.legs, "conjugate", 1)
 
 
-def build_b_family(b: DynMat, scheme: WeightScheme):
-    """The weight components b_i(lam) = b(lam)^-1 b(lam + gamma e_i)."""
-    if len(b.legs) != 1:
-        raise LegError("b must live on a single leg")
-    binv = b.inv()
-    out = []
-    for i in range(scheme.rank):
-        out.append(binv @ b.shift_lambda(scheme.gamma * scheme.unit(i)))
-    return out
-
-
 def build_BC(b: DynMat, g: Automorphism, scheme: WeightScheme):
     """B on legs (1, 2) with its flip C = B^pi.
 

@@ -294,7 +294,7 @@ def compile_automorphism_spec(spec, rank, path="automorphism") -> Automorphism:
 
 _FIELDS = {
     "name", "rank", "gamma", "spectral", "b", "q", "Q", "Q_L",
-    "g", "a", "f", "R0", "Rbar", "projectors", "chi0", "sites",
+    "g", "f", "R0", "Rbar", "projectors", "chi0", "sites",
     "quantum_spectral", "sampler", "tolerance",
 }
 
@@ -318,7 +318,6 @@ class Scenario:
     Q_L: np.ndarray
     R0: dict
     g: dict = None
-    a: dict = None
     f: dict = None
     Rbar: dict = None
     projectors: list = None
@@ -373,9 +372,6 @@ class Scenario:
             raise ScenarioError("g: must be a constant or a spectral shift; the structure "
                                 "matrices need exp(sigma log g), which a factorizable g lacks")
         return g
-
-    def a_auto(self):
-        return compile_automorphism_spec(self.a, self.rank, "a")
 
     def f_auto(self):
         return compile_automorphism_spec(self.f, self.rank, "f")
@@ -463,7 +459,7 @@ class Scenario:
             "sampler": dict(self.sampler),
             "tolerance": float(self.tolerance),
         }
-        for name in ("g", "a", "f", "Rbar", "chi0"):
+        for name in ("g", "f", "Rbar", "chi0"):
             val = getattr(self, name)
             if val is not None:
                 out[name] = val
@@ -505,6 +501,8 @@ def scenario_from_dict(data) -> Scenario:
         raise ScenarioError("scenario document must be an object")
     if "k" in data:
         raise ScenarioError("k: derived from b, g and q; remove this field")
+    if "a" in data:
+        raise ScenarioError("a: read by no check; remove this field")
     extra = set(data) - _FIELDS
     if extra:
         raise ScenarioError(f"unknown fields {sorted(extra)}")
@@ -542,7 +540,7 @@ def scenario_from_dict(data) -> Scenario:
     # compile everything once so malformed expressions surface with paths
     scen.b_mat(); scen.q_mat(); scen.R0_mat()
     scen.Rbar_mat(); scen.chi0_mat()
-    scen.g_auto(); scen.a_auto(); scen.f_auto(); scen.projector_list()
+    scen.g_auto(); scen.f_auto(); scen.projector_list()
     return scen
 
 
@@ -654,7 +652,6 @@ def _builtin_constant_g(rank=2):
         "Q_L": _pack_matrix([[1.1, 0.3], [-0.2, 0.9]]),
         "R0": {"kind": "yangian"},
         "g": {"kind": "constant", "matrix": _pack_matrix(np.diag([2.0, 1.0]))},
-        "a": {"kind": "constant", "matrix": _pack_matrix(np.diag([3.0, 1.0]))},
         "sites": 1,
         "quantum_spectral": "default",
         "sampler": {"seed": 4, "count": 50, "box": 1.6, "min_separation": 0.1},
@@ -727,7 +724,7 @@ def builtin_scenario(name, overrides=None) -> Scenario:
     rank = int(overrides.pop("rank", 2))
     data = _CATALOG[name](rank=rank)
     for key, val in overrides.items():
-        if key not in _FIELDS | {"k"}:  # a leftover k gets its reason from the loader
+        if key not in _FIELDS | {"k", "a"}:  # a removed field gets its reason from the loader
             raise ScenarioError(f"unknown override field {key!r}")
         data[key] = val
     return scenario_from_dict(data)

@@ -7,11 +7,21 @@ grammar-conforming sources for the cross-checks against
 """
 
 import cmath
+import math
 import re
 
 import numpy as np
 
 from sdreflect.exprparse import POLE_FLOOR, EvalOverflowError, EvalPoleError, ParseError
+
+
+def _modulus(v):
+    """abs(v) as CPython computes it from a clean errno; abs() itself
+    leaves errno as it was for a NaN, and raises if that was ERANGE."""
+    h = math.hypot(v.real, v.imag)
+    if math.isinf(h) and math.isfinite(v.real) and math.isfinite(v.imag):
+        raise OverflowError("absolute value too large")
+    return h
 
 
 def reference_eval(src: str, lam, u=None, gamma=1.0):
@@ -70,7 +80,7 @@ def reference_eval(src: str, lam, u=None, gamma=1.0):
             if op == "*":
                 v = v * w
             else:
-                if abs(w) < POLE_FLOOR:
+                if _modulus(w) < POLE_FLOOR:
                     raise EvalPoleError("division by (near-)zero", pos[0])
                 v = v / w
         return v
@@ -89,7 +99,7 @@ def reference_eval(src: str, lam, u=None, gamma=1.0):
                 raise ParseError("expected an integer exponent", pos[0])
             pos[0] += m.end()
             e = sign * int(m.group(0))
-            if e < 0 and abs(v) < POLE_FLOOR:
+            if e < 0 and _modulus(v) < POLE_FLOOR:
                 raise EvalPoleError("negative power of (near-)zero", pos[0])
             v = v ** e
         return v

@@ -140,6 +140,8 @@ def test_schema_error_exits_two(tmp_path):
     ("name", [], "name: expected a string"),
     ("name", {}, "name: expected a string"),
     ("k", {"kind": "identity"}, "k: derived from b, g and q; remove this field"),
+    ("a", {"kind": "constant", "matrix": [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+     "a: read by no check; remove this field"),
     ("sampler", {"seed": -1}, "sampler.seed: expected an integer >= 0"),
     ("sampler", {"count": 0}, "sampler.count: expected an integer >= 1"),
     ("sampler", {"count": -5}, "sampler.count: expected an integer >= 1"),
@@ -165,7 +167,7 @@ def test_schema_error_exits_two(tmp_path):
         "box-wide", "min-separation-nan", "min-separation-negative", "gamma-bool",
         "gamma-pair-bool", "quantum-spectral-preset", "quantum-spectral-empty", "name-nan",
         "name-bool", "name-null", "name-number", "name-list", "name-object", "k-retired",
-        "seed-negative", "count-zero", "count-negative", "factorizable-lambda",
+        "a-unread", "seed-negative", "count-zero", "count-negative", "factorizable-lambda",
         "factorizable-gamma", "factorizable-sigma", "factorizable-u2", "factorizable-g",
         "projector-not-idempotent", "second-projector-not-idempotent"])
 def test_malformed_scenario_field_exits_two(tmp_path, capsys, field, value, message):
@@ -244,13 +246,13 @@ def _matrix(rows, cols):
     ("diagonal_dressed", ("Q_L",), _matrix(3, 3), "Q_L: expected a 2 x 2 matrix, got 3 x 3"),
     ("constant_g", ("g", "matrix"), _matrix(3, 3),
      "g.matrix: expected a 2 x 2 matrix, got 3 x 3"),
-    ("constant_g", ("a", "matrix"), _matrix(2, 1),
-     "a.matrix: expected a 2 x 2 matrix, got 2 x 1"),
+    ("diagonal_dressed", ("f",), {"kind": "constant", "matrix": _matrix(2, 1)},
+     "f.matrix: expected a 2 x 2 matrix, got 2 x 1"),
     ("projector_b", ("projectors", 1), _matrix(3, 3),
      "projectors[1]: expected a 2 x 2 matrix, got 3 x 3"),
     ("diagonal_dressed", ("R0",), {"kind": "constant", "entries": _matrix(3, 3)},
      "R0.entries: expected a 4 x 4 matrix, got 3 x 3"),
-], ids=["Q-1x2", "Q-3x3", "Q-empty", "Q_L", "g-matrix", "a-matrix", "projectors",
+], ids=["Q-1x2", "Q-3x3", "Q-empty", "Q_L", "g-matrix", "f-matrix", "projectors",
         "R0-entries"])
 def test_wrong_matrix_dimension_names_its_field(tmp_path, capsys, name, field, value,
                                                message):

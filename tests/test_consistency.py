@@ -463,14 +463,6 @@ def test_nan_core_fails_both_exchange_residuals():
         np.testing.assert_array_equal(rep.worst_point[0], PTS[0][0])
 
 
-def test_nan_matrix_is_not_zero_weight():
-    from sdreflect import decompose_zero_weight
-
-    X = constant_dynmat(SCH, (1, 2), np.full((4, 4), np.nan))
-    with pytest.raises(ValueError):
-        decompose_zero_weight(X, PTS[:2])
-
-
 def test_nan_survives_index_placement_and_shift():
     # the index tables copy a NaN into its own entries only (no NaN*0
     # smear over identity blocks); the product check must still fail

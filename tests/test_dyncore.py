@@ -9,7 +9,6 @@ from sdreflect import (
     WeightScheme,
     adjoint_auto,
     constant_dynmat,
-    decompose_zero_weight,
     dyn_shift,
     embed,
     function_dynmat,
@@ -278,41 +277,6 @@ def test_sigma_power_rejects_cut():
         g.complex_power(0.6)
     with pytest.raises(AutomorphismError):
         DecorationFactor(g, "sigma").resolve(np.array([0.3, 0.3]))
-
-
-def test_decompose_identity():
-    D = identity_dynmat(SCH2, (1, 2))
-    dec = decompose_zero_weight(D, [(rand_lam(), {})])
-    d, delta = dec.tables(rand_lam())
-    np.testing.assert_allclose(d, np.ones((2, 2)))
-    np.testing.assert_allclose(delta, np.zeros((2, 2)))
-
-
-def test_decompose_yangian():
-    R = yangian_r(SCH2, (1, 2))
-    pts = [(rand_lam(), {1: 2.0, 2: 0.0})]
-    dec = decompose_zero_weight(R, pts)
-    d, delta = dec.tables(rand_lam(), {1: 2.0, 2: 0.0})
-    np.testing.assert_allclose(np.diag(d), [1.5, 1.5])
-    assert np.isclose(d[0, 1], 1.0) and np.isclose(delta[0, 1], 0.5)
-
-
-def test_decompose_rejects_nonzero_weight():
-    e12 = np.zeros((2, 2))
-    e12[0, 1] = 1.0
-    D = constant_dynmat(SCH2, (1, 2), np.kron(e12, SCH2.projector(0)))
-    with pytest.raises(ValueError):
-        decompose_zero_weight(D, [(rand_lam(), {})])
-
-
-def test_decompose_reassembly():
-    R = yangian_r(SCH2, (1, 2))
-    u = {1: 1.3, 2: -0.7}
-    dec = decompose_zero_weight(R, [(rand_lam(), u)])
-    lam = rand_lam()
-    orig = R.eval(lam, u)
-    rebuilt = dec.reassemble(lam, u)
-    assert np.linalg.norm(orig - rebuilt) / np.linalg.norm(orig) < 1e-13
 
 
 def test_weight_scheme_validation():

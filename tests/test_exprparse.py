@@ -10,7 +10,6 @@ from sdreflect.exprparse import (
     collect_u_indices,
     eval_ast,
     parse_expr,
-    to_source,
     variables,
 )
 from exproracle import random_expression, reference_eval
@@ -82,7 +81,6 @@ def test_roundtrip_and_reference_agreement():
     for _ in range(1000):
         src = random_expression(rng)
         ast = parse_expr(src)
-        assert parse_expr(to_source(ast)) == ast
 
         def run(f, *a):
             try:
@@ -142,32 +140,49 @@ def test_compiled_eval_is_reused_and_raises_like_the_walk():
         eval_ast(object(), [1.0, 2.0])
 
 
+def test_a_nan_row_is_no_pole_whatever_its_neighbours():
+    # abs() of a NaN leaves errno as it was, so a pole test by abs() at
+    # row 0 could raise the overflow that exp set at row 1
+    ast = parse_expr("lambda1^-2+exp(lambda2)")
+    with pytest.raises(EvalOverflowError) as err:
+        eval_ast(ast, [[np.nan, 0.5], [1.0, 800.0]])
+    assert err.value.row == 1
+    assert np.isnan(eval_ast(ast, [np.nan, 0.5]))
+    # finite parts with an infinite modulus raise, as abs() does
+    with pytest.raises(OverflowError, match="absolute value too large") as err:
+        eval_ast(parse_expr("1/lambda1"), [[1.0, 0.0], [1.5e308 + 1.5e308j, 0.0]])
+    assert err.value.row == 1
+
+
 # -- stacks of points -----------------------------------------------------------
 
 
 def _bits(values):
+    """The bits of each part, with every NaN as one: numpy's arithmetic
+    does not keep the sign and payload of a NaN as CPython's does."""
     values = np.asarray(values, dtype=complex)
-    return values.real.view(np.int64).tolist(), values.imag.view(np.int64).tolist()
+    parts = [np.where(np.isnan(p), np.nan, p) for p in (values.real, values.imag)]
+    return [p.view(np.int64).tolist() for p in parts]
 
 
-def _assert_stack_is_the_point_calls(ast, lam, u, gamma):
-    """The stacked call gives the point calls' values bit for bit, or
-    raises the error class of the first point that raises, with that
-    point's flat index as its ``row``.  A tuple in ``u`` holds one
-    spectral value per point."""
+def _assert_stack_is_the_reference(src, lam, u, gamma):
+    """The stacked call gives the reference's value at each row bit for
+    bit, or raises the error class of the first row where the reference
+    raises, with that row's flat index as its ``row``.  A tuple in ``u``
+    holds one spectral value per point."""
     rows = lam.reshape(-1, lam.shape[-1])
     at = [{k: v[r] if isinstance(v, tuple) else v for k, v in u.items()}
           for r in range(len(rows))]
-    outcomes = [_outcome(eval_ast, ast, row, ur, gamma) for row, ur in zip(rows, at)]
+    outcomes = [_outcome(reference_eval, src, row, ur, gamma) for row, ur in zip(rows, at)]
     failed = [(r, err) for r, (kind, err) in enumerate(outcomes) if kind == "raised"]
     if failed:
         with pytest.raises(Exception) as err:
-            eval_ast(ast, lam, u, gamma)
+            eval_ast(parse_expr(src), lam, u, gamma)
         assert (type(err.value), err.value.row) == (failed[0][1], failed[0][0])
         return failed[0][1]
-    got = eval_ast(ast, lam, u, gamma)
+    got = eval_ast(parse_expr(src), lam, u, gamma)
     assert got.shape == lam.shape[:-1]
-    assert _bits(got.ravel()) == _bits([eval_ast(ast, row, ur, gamma)
+    assert _bits(got.ravel()) == _bits([reference_eval(src, row, ur, gamma)
                                         for row, ur in zip(rows, at)])
     return None
 
@@ -176,27 +191,33 @@ def _assert_stack_is_the_point_calls(ast, lam, u, gamma):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @example(seed=13525)  # src itself raises a pole at the planted overflow row
 def test_stacked_eval_is_the_point_calls_bit_for_bit(seed):
+    # a point is a stack of one row, so each row is compared with the
+    # independent reference evaluator
     rng = np.random.default_rng(seed)
     src = random_expression(rng, rank=3, u_count=2, depth=int(rng.integers(1, 5)))
     lam = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
     u = {1: complex(*rng.normal(size=2)), 2: complex(*rng.normal(size=2))}
     gamma = complex(*rng.normal(size=2))
-    _assert_stack_is_the_point_calls(parse_expr(src), lam, u, gamma)
-    _assert_stack_is_the_point_calls(parse_expr(src), lam.reshape(2, 3, 3), u, gamma)
-    # a pole row (lambda1 = lambda2) and an exp-overflow row (lambda3 = 800),
-    # in either order
-    pole, overflow = rng.choice(6, size=2, replace=False)
+    _assert_stack_is_the_reference(src, lam, u, gamma)
+    _assert_stack_is_the_reference(src, lam.reshape(2, 3, 3), u, gamma)
+    # at random rows: a pole (lambda1 = lambda2), an exp overflow
+    # (lambda3 = 800) with a NaN divisor row ahead of it, and a divisor
+    # 1e308+1e308j, whose Smith denominator overflows
+    pole, nan_row, overflow, big = rng.choice(6, size=4, replace=False)
+    nan_row, overflow = sorted((nan_row, overflow))
     lam[pole, 1] = lam[pole, 0]
+    lam[nan_row, 0] = np.nan
     lam[overflow, 2] = 800.0
+    lam[big, :2] = 1e308 + 1e308j, 0.0
     first = min(pole, overflow)
-    ast = parse_expr(f"({src})/(lambda1-lambda2)*exp(lambda3)")
-    raised = _assert_stack_is_the_point_calls(ast, lam, u, gamma)
+    planted = f"({src})/(lambda1-lambda2)*exp(lambda3)"
+    raised = _assert_stack_is_the_reference(planted, lam, u, gamma)
     assert raised is not None
     # the planted class, unless src raises on its own at or before the
     # first planted row (lambda3 = 800 can underflow a divisor in src to 0)
     expected = EvalPoleError if first == pole else EvalOverflowError
     for row in lam[:first + 1]:
-        kind, own = _outcome(eval_ast, parse_expr(src), row, u, gamma)
+        kind, own = _outcome(reference_eval, src, row, u, gamma)
         if kind == "raised":
             expected = own
             break
@@ -208,8 +229,10 @@ def test_stacked_eval_is_the_point_calls_bit_for_bit(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_stacked_eval_with_a_spectral_value_per_row(seed):
     # u1 and u2 hold one distinct value per row; the planted rows are a
-    # pole (u1 = lambda1), an exponential overflow (u2 = 800) and a power
-    # overflow (u1 = 1e120), each set through the spectral values only
+    # pole (u1 = lambda1), an exponential overflow (u2 = 800) with a NaN
+    # divisor row ahead of it, a power overflow (u1 = 1e120) and a
+    # divisor u1 - lambda1 = 1e308+1e308j, whose Smith denominator
+    # overflows, each set through the spectral values only
     rng = np.random.default_rng(seed)
     src = random_expression(rng, rank=3, u_count=2, depth=int(rng.integers(1, 5)))
     lam = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
@@ -219,15 +242,18 @@ def test_stacked_eval_with_a_spectral_value_per_row(seed):
     def per_row():
         return {1: tuple(u1.tolist()), 2: tuple(u2.tolist())}
 
-    _assert_stack_is_the_point_calls(parse_expr(src), lam, per_row(), gamma)
-    _assert_stack_is_the_point_calls(parse_expr(src), lam.reshape(2, 3, 3), per_row(), gamma)
-    _assert_stack_is_the_point_calls(parse_expr(src), lam, {1: per_row()[1], 2: u2[0]}, gamma)
-    pole, over_exp, over_pow = rng.choice(6, size=3, replace=False)
+    _assert_stack_is_the_reference(src, lam, per_row(), gamma)
+    _assert_stack_is_the_reference(src, lam.reshape(2, 3, 3), per_row(), gamma)
+    _assert_stack_is_the_reference(src, lam, {1: per_row()[1], 2: u2[0]}, gamma)
+    pole, nan_row, over_exp, over_pow, big = rng.choice(6, size=5, replace=False)
+    nan_row, over_exp = sorted((nan_row, over_exp))
     u1[pole] = lam[pole, 0]
+    u1[nan_row] = np.nan
     u2[over_exp] = 800.0
     u1[over_pow] = 1e120
-    ast = parse_expr(f"({src})/(u1-lambda1)*exp(u2)*u1^3")
-    raised = _assert_stack_is_the_point_calls(ast, lam, per_row(), gamma)
+    u1[big] = lam[big, 0] + (1e308 + 1e308j)
+    raised = _assert_stack_is_the_reference(f"({src})/(u1-lambda1)*exp(u2)*u1^3", lam,
+                                            per_row(), gamma)
     assert raised is not None
     planted = {pole: EvalPoleError, over_exp: EvalOverflowError, over_pow: OverflowError}
     # the class planted at the first of these rows, unless src raises on
@@ -235,7 +261,7 @@ def test_stacked_eval_with_a_spectral_value_per_row(seed):
     first = min(planted)
     expected = planted[first]
     for r in range(first + 1):
-        kind, own = _outcome(eval_ast, parse_expr(src), lam[r], {1: u1[r], 2: u2[r]}, gamma)
+        kind, own = _outcome(reference_eval, src, lam[r], {1: u1[r], 2: u2[r]}, gamma)
         if kind == "raised":
             expected = own
             break
@@ -257,9 +283,11 @@ def test_spectral_sequence_needs_one_value_per_point():
 def test_stacked_eval_of_large_powers(src):
     # |exponent| <= 100 is repeated squaring, above it CPython's general
     # complex power; the last rows overflow, underflow to a zero
-    # divisor, or hit the pole floor
+    # divisor, or hit the pole floor; a NaN row is no pole, and a base
+    # with finite parts and an infinite modulus raises at the pole test
     rng = np.random.default_rng(11)
     lam = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
     extremes = [[1e3, 2.0], [0.05, 1.0], [1e-13, 1.0], [0.0, -0.0]]
-    for stack in (lam, np.concatenate([lam, extremes])):
-        _assert_stack_is_the_point_calls(parse_expr(src), stack, {}, 1.0)
+    non_finite = [[np.nan, 1.0], [1e308 + 1e308j, 1.0]]
+    for stack in (lam, np.concatenate([lam, extremes]), np.concatenate([lam, non_finite])):
+        _assert_stack_is_the_reference(src, stack, {}, 1.0)

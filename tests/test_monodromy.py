@@ -10,11 +10,12 @@ from sdreflect import (
     yangian_r,
 )
 from sdreflect.consistency import StructureSet, rel_residual
+from sdreflect.dyncore import chain_product
 from sdreflect.monodromy import (
     build_gauged_core,
     build_monodromy_direct,
     build_monodromy_factored,
-    build_ON,
+    build_ON_blocks,
     ingredient_reports,
     locality_preset,
     transfer_commutation,
@@ -94,11 +95,11 @@ def test_all_identity_structure_gives_pure_shift():
 
 def test_build_ON_examples():
     sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=False)
-    O = build_ON(b, q, 1, U_Q)
+    O = chain_product(build_ON_blocks(b, q, 1, U_Q))
     np.testing.assert_allclose(O.eval(np.zeros(2)), np.eye(8))
     # diagonal case: O_1 = q on leg 1 times b on leg 2
     sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
-    O = build_ON(b, q, 1, U_Q)
+    O = chain_product(build_ON_blocks(b, q, 1, U_Q))
     lam = RNG.uniform(-1, 1, 2)
     expect = np.kron(np.eye(2), np.kron(q.eval(lam), b.eval(lam)))
     np.testing.assert_allclose(O.eval(lam), expect, atol=1e-12)
@@ -300,8 +301,8 @@ def test_locality_preset_pattern():
 
 def test_build_ON_identity_automorphism_reduces():
     sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
-    O1 = build_ON(b, q, 2, U_Q)
-    O2 = build_ON(b, q, 2, U_Q, g=Automorphism.identity())
+    O1 = chain_product(build_ON_blocks(b, q, 2, U_Q))
+    O2 = chain_product(build_ON_blocks(b, q, 2, U_Q, g=Automorphism.identity()))
     lam = RNG.uniform(-1, 1, 2)
     np.testing.assert_allclose(O1.eval(lam), O2.eval(lam), atol=1e-13)
 
@@ -530,7 +531,7 @@ def test_shiftop_checks_give_one_report_at_every_block_size(monkeypatch):
 
 def test_rank3_two_site_conjugator_is_placed_on_the_quantum_legs():
     sch, S, R, b, q, Q, QL, K, chi = scenario(n=3)
-    O = build_ON(b, q, 2, U_Q)
+    O = chain_product(build_ON_blocks(b, q, 2, U_Q))
     Oinv = O.inv()
     assert O.positions == Oinv.positions == (1, 2, 3, 4)
     lam = lam_points(3)[0][0]

@@ -21,7 +21,6 @@ from sdreflect.consistency import (
 )
 from sdreflect.parametrize import (
     build_A,
-    build_b_family,
     build_BC,
     build_BC_projector,
     build_D_twist,
@@ -45,30 +44,35 @@ def diag_b(seed=3, scheme=SCH):
     return function_dynmat(scheme, (1,), lambda lam, u: np.diag(d + c @ lam))
 
 
+def b_family(b, lam):
+    """The weight components b_i(lam) = b(lam)^-1 b(lam + gamma e_i), read
+    off B (identity automorphism) as its leg-1 diagonal blocks."""
+    B = build_BC(b, IDENT, SCH)[0].eval(lam)
+    return [B[2 * i:2 * i + 2, 2 * i:2 * i + 2] for i in range(2)]
+
+
 def test_b_family_identity():
     b = identity_dynmat(SCH, (1,))
-    for bi in build_b_family(b, SCH):
-        np.testing.assert_allclose(bi.eval([0.4, -0.2]), np.eye(2))
+    for bi in b_family(b, [0.4, -0.2]):
+        np.testing.assert_allclose(bi, np.eye(2))
 
 
 def test_b_family_diagonal_substitution():
     b = function_dynmat(SCH, (1,), lambda lam, u: np.diag(lam))
-    b1, b2 = build_b_family(b, SCH)
-    lam = np.array([1.0, 1.0])
-    np.testing.assert_allclose(b1.eval(lam), np.diag([2.0, 1.0]))
-    np.testing.assert_allclose(b2.eval(lam), np.diag([1.0, 2.0]))
+    b1, b2 = b_family(b, np.array([1.0, 1.0]))
+    np.testing.assert_allclose(b1, np.diag([2.0, 1.0]))
+    np.testing.assert_allclose(b2, np.diag([1.0, 2.0]))
 
 
 def test_b_family_exchange_constraint():
     # b_i(lam) b_j(lam + gamma e_i) is symmetric in (i, j)
     b = diag_b()
-    fam = build_b_family(b, SCH)
     for _ in range(10):
         lam = RNG.uniform(-1, 1, 2) + 1j * RNG.uniform(-1, 1, 2)
         for i in range(2):
             for j in range(2):
-                lhs = fam[i].eval(lam) @ fam[j].eval(lam + SCH.unit(i))
-                rhs = fam[j].eval(lam) @ fam[i].eval(lam + SCH.unit(j))
+                lhs = b_family(b, lam)[i] @ b_family(b, lam + SCH.unit(i))[j]
+                rhs = b_family(b, lam)[j] @ b_family(b, lam + SCH.unit(j))[i]
                 assert rel_residual(lhs, rhs) < 1e-12
 
 
@@ -83,7 +87,8 @@ def test_build_BC_block_structure():
     b = diag_b()
     B, C = build_BC(b, IDENT, SCH)
     lam = RNG.uniform(-1, 1, 2) + 0.3j
-    fam = build_b_family(b, SCH)
+    # b_i = b^-1 b(lam + gamma e_i) in block i of leg 1
+    fam = [b.inv() @ b.shift_lambda(SCH.gamma * SCH.unit(i)) for i in range(2)]
     expect = sum(np.kron(SCH.projector(i), fam[i].eval(lam)) for i in range(2))
     np.testing.assert_allclose(B.eval(lam), expect, atol=1e-13)
     # zero-weight exactly by construction

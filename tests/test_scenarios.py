@@ -76,6 +76,8 @@ def test_rank_override_dimensions():
 def test_k_override_names_its_reason():
     with pytest.raises(ScenarioError, match="k: derived from b, g and q; remove this field"):
         builtin_scenario("constant_g", {"k": {"kind": "identity"}})
+    with pytest.raises(ScenarioError, match="a: read by no check; remove this field"):
+        builtin_scenario("constant_g", {"a": {"kind": "identity"}})
 
 
 def test_scenario_file_roundtrip(tmp_path):
