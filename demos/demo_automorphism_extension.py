@@ -10,7 +10,7 @@ once the weight-compatibility residual passes.
 
 import numpy as np
 
-from sdreflect.consistency import residual_gybce, residual_sdre, residual_zwc, StructureSet
+from sdreflect.consistency import CUBIC, residual_cubic, residual_sdre, residual_zwc, StructureSet
 from sdreflect.parametrize import auto_dress, build_A, build_BC, build_D_twist
 from sdreflect.scenarios import builtin_scenario
 from sdreflect.solutions import build_K_g, k_g_power
@@ -27,8 +27,8 @@ for name in ("constant_g", "spectral_shift_g"):
     S = StructureSet(build_A(R, b, g, scheme), B, C,
                      build_D_twist(R, q, scheme), scheme, g)
     print(f"--- {name} ---")
-    for rep in residual_gybce(S, points, 1e-9).values():
-        print(f"  {rep}")
+    for c in CUBIC:
+        print(f"  {residual_cubic(S, c, points, 1e-9, f'gybce_{c}')}")
     print(f"  {residual_zwc(S, points, 1e-9)}")
 
     scalar = auto_dress(b, g).inv() @ q

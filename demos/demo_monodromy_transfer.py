@@ -4,25 +4,20 @@ The site-by-site operator equals its factorized form (a bare chain of
 R-matrices conjugated by a quantum-leg operator) coefficient by
 coefficient, and the traced operators at different auxiliary values
 commute as shift-operator sums: the working definition of an integrable
-family here.  The family is checked in two steps: ``ingredient_reports``
-checks the hypotheses (weight conditions, cubic relations, the
-reflection equation, the factorization condition), and only if all hold
-``transfer_commutation`` traces one chain, built with its auxiliary
-value left free, and reports the worst pairwise commutator of its
-members at the given auxiliary values.
+family here.  The rig's ``transfer-commute`` suite checks the family in
+two steps: its gate runs the rows of the hypotheses' suites (weight
+conditions, cubic relations, the reflection equation, the factorization
+condition), and only if all hold ``transfer_commutation`` traces one
+chain per length, built with its auxiliary value left free, and reports
+the worst pairwise commutator of its members.
 """
 
+from sdreflect.cli import Rig
 from sdreflect.consistency import StructureSet
-from sdreflect.monodromy import (
-    build_monodromy_direct,
-    build_monodromy_factored,
-    ingredient_reports,
-    transfer_commutation,
-)
+from sdreflect.monodromy import build_monodromy_direct, build_monodromy_factored
 from sdreflect.parametrize import build_A, build_BC, build_D_twist
 from sdreflect.scenarios import builtin_scenario
 from sdreflect.shiftops import shiftop_difference_residual
-from sdreflect.dyncore import constant_dynmat
 from sdreflect.solutions import build_dual, build_K_nondyn
 
 for name in ("trivial_yangian", "diagonal_dressed"):
@@ -51,12 +46,7 @@ for name in ("trivial_yangian", "diagonal_dressed"):
         print(f"  operator has {len(direct.terms)} shift terms of dimension "
               f"{scheme.rank ** len(direct.legs)}")
 
-    gate = ingredient_reports(S, K, constant_dynmat(b.scheme, b.legs, scenario.Q),
-                              points[:6], 1e-9)
-    failed = [name for name, rep in gate.items() if not rep.passed]
-    print(f"  ingredients hold: {not failed} ({len(gate)} checks)")
-    uq = scenario.quantum_values(2)
-    rep = transfer_commutation(build_monodromy_direct(S, K, chi, 2, uq, None),
-                               [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j], points[:6])
-    print(f"  commuting family certified: {not failed and rep.passed}")
-    print(f"  {rep}")
+    reports, _ = Rig(scenario, samples=6).run_suite("transfer-commute")
+    print(f"  commuting family certified: {all(rep.passed for rep in reports)}")
+    for rep in reports:
+        print(f"  {rep}")

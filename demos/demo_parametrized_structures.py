@@ -8,7 +8,7 @@ lambda-independent core, while a wrong twist returns 'neither'.
 """
 
 from sdreflect import Automorphism
-from sdreflect.consistency import residual_sdre, residual_ybce, residual_zero_weight, StructureSet
+from sdreflect.consistency import CUBIC, residual_cubic, residual_sdre, residual_zero_weight, StructureSet
 from sdreflect.parametrize import build_A, build_BC, build_D_twist, detwist
 from sdreflect.scenarios import builtin_scenario
 
@@ -25,8 +25,8 @@ D = build_D_twist(R, q, scheme)
 S = StructureSet(A, B, C, D, scheme)
 
 print("coefficient set from (R, b, q):")
-for rep in residual_ybce(S, points, 1e-9).values():
-    print(f"  {rep}")
+for c in CUBIC:
+    print(f"  {residual_cubic(S, c, points, 1e-9, f'ybce_{c}')}")
 for X, kind in ((B, "B"), (C, "C"), (D, "D")):
     print(f"  {residual_zero_weight(X, kind, points, 1e-13)}")
 

@@ -7,7 +7,7 @@ relation and the weight structure by sampled residuals.
 import numpy as np
 
 from sdreflect import WeightScheme, identity_dynmat, yangian_r
-from sdreflect.consistency import StructureSet, residual_ybce, residual_zero_weight
+from sdreflect.consistency import CUBIC, StructureSet, residual_cubic, residual_zero_weight
 from sdreflect.sampling import sample_points
 
 for n in (2, 3):
@@ -23,8 +23,8 @@ for n in (2, 3):
     # the trivial structure set (A = D = R, B = C = 1) passes all four
     # cubic relations
     S = StructureSet(R, one, one, R, scheme)
-    for name, rep in residual_ybce(S, points, 1e-10).items():
-        print(f"  {rep}")
+    for c in CUBIC:
+        print(f"  {residual_cubic(S, c, points, 1e-10, f'ybce_{c}')}")
 
     # R is zero-weight in the diagonal sense: it commutes with every
     # h^(1) + h^(2), so its only entries are weight (e_ii x e_jj) and

@@ -1,7 +1,8 @@
-"""Command-line front end: suite selection, execution, reporting.
+"""Command-line front end: the check table, suite selection, execution,
+reporting.
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
-2 usage or configuration error.
+2 usage or configuration error (a run that checks nothing included).
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .consistency import (
     CUBIC,
@@ -27,7 +29,6 @@ from .exprparse import EvalOverflowError
 from .monodromy import (
     build_monodromy_direct,
     build_monodromy_factored,
-    ingredient_reports,
     transfer_commutation,
 )
 from .parametrize import (
@@ -92,112 +93,40 @@ class Rig:
         self.kappa = self.beta @ self.K @ self.q.inv()
         self.chi = build_dual(self.q, self.b, self.g, self.QL)
         self.points = scenario.sample(count=samples, seed=seed, leaves=(self.b, self.q))
-        # cubic-relation reports by letter: ybce / gybce and dybe share
-        # relation d
+        # cubic-relation reports by (letter, point count, bound): ybce /
+        # gybce, dybe and the transfer gate share them
         self._cubic = {}
 
     def monodromy_applicable(self):
         return self.Rbar is None and self.projs is None
 
-    def cubic(self, letter, name):
-        """Cubic relation ``letter`` under the check name ``name``; each
-        relation is evaluated once per rig."""
-        if letter not in self._cubic:
-            self._cubic[letter] = residual_cubic(self.kept, letter, self.points, self.tol)
-        return replace(self._cubic[letter], check_name=name)
-
-    def run_suite(self, suite):
-        """Returns (reports, notices); empty reports with a notice means
-        the suite does not apply to this scenario's ingredients."""
-        if suite not in SUITE_TABLE:
-            raise ScenarioError(f"unknown suite {suite!r}")
-        why_not, run = SUITE_TABLE[suite]
-        reason = why_not(self)
-        return ([], [reason]) if reason else run(self)
-
-    # -- suite bodies, each returning (reports, notices) --------------------
-
-    def _zero_weight(self):
-        return [residual_zero_weight(X, kind, self.points, 1e-13)
-                for X, kind in ((self.B, "B"), (self.C, "C"), (self.D, "D"))], []
-
-    def _sdre(self):
-        reps = [residual_sdre(self.kept, self.K, self.points, self.tol)]
-        notes = []
-        if self.Rbar is None:
-            scalar = self.beta.inv() @ self.q
-            reps.append(residual_sdre(self.kept, scalar, self.points, self.tol,
-                                      name="sdre_scalar"))
-        else:
-            notes.append("no invertible scalar solution exists when the "
-                         "twist core differs from R0; skipping sdre_scalar")
-        return reps, notes
-
-    def _intertwiner(self):
-        pts, tol = self.points, self.tol
-        reps = [
-            residual_intertwiner(IntertwinerSpec(self.R0, self.Rbar or self.R0), self.Q,
-                                 pts, tol, name="intertwiner_Q"),
-            residual_intertwiner(IntertwinerSpec(self.R0, self.R0), self.QL,
-                                 pts, tol, name="intertwiner_QL"),
-        ]
-        if self.projs is not None:
-            reps.append(residual_projector_compat(self.R0, self.projs, self.b, pts, tol))
-        return reps, []
-
-    def _detwist(self):
-        candidates = []
-        if self.scenario.f is not None:
-            candidates.append(("f", self.scenario.f_auto()))
-        result = detwist(self.D, self.q, self.scheme, self.points, self.tol,
-                         candidates=candidates)
-        reps = [result.nondyn_report] + list(result.quasi_reports.values())
-        return reps, [f"verdicts: {', '.join(result.verdicts)}"]
-
-    def _chain_sizes(self):
+    def chain_sizes(self):
         """The chain lengths the chain suites certify: one site and the
         requested length."""
         return sorted({1, self.sites})
 
-    def _monodromy_factor(self):
-        reps = []
-        for N in self._chain_sizes():
-            uq = self.scenario.quantum_values(N)
-            u0 = 0.52 + 0.21j
-            Td = build_monodromy_direct(self.S, self.K, self.chi, N, uq, u0)
-            Tf = build_monodromy_factored(
-                self.scheme, self.R0, self.b, self.q, self.Q,
-                self.chi, N, uq, u0,
-            )
-            reps.append(shiftop_difference_residual(
-                Td, Tf, self.points[: min(8, len(self.points))], 1e-8,
-                name=f"monodromy_factorization_N{N}",
-            ))
-        return reps, []
+    def cubic(self, letter, name, points, tol):
+        """Cubic relation ``letter`` under the check name ``name``; each
+        relation is evaluated once per point set (a prefix of the rig's
+        points) and bound."""
+        key = letter, len(points), tol
+        if key not in self._cubic:
+            self._cubic[key] = residual_cubic(self.kept, letter, points, tol)
+        return replace(self._cubic[key], check_name=name)
 
-    def _transfer_commute(self):
-        u_list = [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j]
-        points = self.points[: min(12, len(self.points))]
-        reps = []
-        gate = None  # the ingredient reports, computed for the first size only
-        for N in self._chain_sizes():
-            uq = self.scenario.quantum_values(N)
-            if gate is None:
-                gate = ingredient_reports(self.kept, self.K, self.kappa, points, self.tol)
-            failed = [rep for rep in gate.values() if not rep.passed]
-            if failed:
-                reps.extend(failed)
-                continue
-            # one chain per size, its auxiliary slot free: the family over u_list
-            if self.g.is_identity:
-                chain = build_monodromy_direct(self.S, self.K, self.chi, N, uq, None)
-            else:
-                chain = build_monodromy_factored(self.scheme, self.R0, self.b, self.q, self.Q,
-                                                 self.chi, N, uq, None, g=self.g, QL=self.QL)
-            rep = transfer_commutation(chain, u_list, points)
-            rep.check_name = f"transfer_commutation_N{N}"
-            reps.append(rep)
-        return reps, []
+    def run_suite(self, suite):
+        """Returns (reports, notices) of the suite's rows; empty reports
+        with a notice means the suite does not apply to this scenario's
+        ingredients."""
+        if suite not in SUITE_REASONS:
+            raise ScenarioError(f"unknown suite {suite!r}")
+        reason = SUITE_REASONS[suite](self)
+        if reason:
+            return [], [reason]
+        out = [x for row in CHECK_TABLE if row.suite == suite
+               for x in row.build(self, self.points[:row.count], row.tol or self.tol)]
+        return ([x for x in out if not isinstance(x, str)],
+                [x for x in out if isinstance(x, str)])
 
 
 def _unless(applies, reason):
@@ -209,36 +138,138 @@ _ALWAYS = _unless(lambda rig: True, None)  # applies to every scenario
 _NONTRIVIAL_G = _unless(lambda rig: not rig.g.is_identity,
                         "trivial for the identity automorphism")
 
-# suite -> (reason it does not apply to a rig, or None; run(rig) ->
-# (reports, notices)), in the order ``all`` runs them
-SUITE_TABLE = {
-    "zero-weight": (_ALWAYS, Rig._zero_weight),
-    "ybce": (_unless(lambda rig: rig.g.is_identity,
-                     "superseded by gybce for a non-trivial automorphism"),
-             lambda rig: ([rig.cubic(c, f"ybce_{c}") for c in CUBIC], [])),
-    "gybce": (_NONTRIVIAL_G, lambda rig: ([rig.cubic(c, f"gybce_{c}") for c in CUBIC], [])),
-    "dybe": (_ALWAYS, lambda rig: ([rig.cubic("d", "dybe")], [])),
-    "sdre": (_ALWAYS, Rig._sdre),
-    "intertwiner": (_ALWAYS, Rig._intertwiner),
-    "detwist": (_ALWAYS, Rig._detwist),
-    "theta-period": (_ALWAYS, lambda rig: (
-        [residual_theta_period(rig.kappa, rig.points, 1e-10)], [])),
-    "monodromy-factor": (
-        _unless(lambda rig: rig.g.is_identity and rig.monodromy_applicable(),
-                "needs the invertible identity-automorphism chain"),
-        Rig._monodromy_factor),
-    "transfer-commute": (_unless(Rig.monodromy_applicable,
-                                 "needs the invertible single-R0 chain"),
-                         Rig._transfer_commute),
-    "zwc": (_NONTRIVIAL_G, lambda rig: ([residual_zwc(rig.kept, rig.points, rig.tol)], [])),
+# suite -> its reason not to apply to a rig (None: it applies), in the
+# order ``all`` runs them
+SUITE_REASONS = {
+    "zero-weight": _ALWAYS,
+    "ybce": _unless(lambda rig: rig.g.is_identity,
+                    "superseded by gybce for a non-trivial automorphism"),
+    "gybce": _NONTRIVIAL_G,
+    "dybe": _ALWAYS,
+    "sdre": _ALWAYS,
+    "intertwiner": _ALWAYS,
+    "detwist": _ALWAYS,
+    "theta-period": _ALWAYS,
+    "monodromy-factor": _unless(lambda rig: rig.g.is_identity and rig.monodromy_applicable(),
+                                "needs the invertible identity-automorphism chain"),
+    "transfer-commute": _unless(Rig.monodromy_applicable, "needs the invertible single-R0 chain"),
+    "zwc": _NONTRIVIAL_G,
 }
-SUITES = tuple(SUITE_TABLE)
+SUITES = tuple(SUITE_REASONS)
+
+# the bounds of the rows that are not held to the rig's tolerance
+ZERO_WEIGHT_TOL = 1e-13
+THETA_TOL = 1e-10
+CHAIN_TOL = 1e-8
+# the auxiliary spectral value of the factorization check's chains, and
+# the members u_0 of the traced family whose commutation is checked
+CHAIN_AUX = 0.52 + 0.21j
+FAMILY = (0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j)
+# the names the transfer gate gives its reports, where they differ
+GATE_NAMES = {"zero_weight_D": "twist_zero_weight_D", "sdre": "sdre_reflection"}
+
+
+@dataclass(frozen=True)
+class Row:
+    """One row of the check table.
+
+    ``build(rig, points, tol)`` returns the row's reports, each over
+    ``points`` and held to ``tol``; a str among them is a notice.  A row
+    runs over the first ``count`` sampled points (None: all of them),
+    held to ``tol`` (None: the rig's tolerance).  ``gate`` marks a row
+    of the transfer gate, which holds it to max(rig tolerance, gate).
+    """
+
+    suite: str
+    build: Callable
+    tol: float = None
+    count: int = None
+    gate: float = None
+
+
+def _sdre_scalar(rig, points, tol):
+    if rig.Rbar is not None:
+        return ["no invertible scalar solution exists when the twist core differs "
+                "from R0; skipping sdre_scalar"]
+    return [residual_sdre(rig.kept, rig.beta.inv() @ rig.q, points, tol, name="sdre_scalar")]
+
+
+def _detwist(rig, points, tol):
+    candidates = [] if rig.scenario.f is None else [("f", rig.scenario.f_auto())]
+    result = detwist(rig.D, rig.q, rig.scheme, points, tol, candidates=candidates)
+    return [result.nondyn_report, *result.quasi_reports.values(),
+            f"verdicts: {', '.join(result.verdicts)}"]
+
+
+def _monodromy_factor(rig, points, tol):
+    reps = []
+    for N in rig.chain_sizes():
+        uq = rig.scenario.quantum_values(N)
+        Td = build_monodromy_direct(rig.S, rig.K, rig.chi, N, uq, CHAIN_AUX)
+        Tf = build_monodromy_factored(rig.scheme, rig.R0, rig.b, rig.q, rig.Q, rig.chi, N, uq,
+                                      CHAIN_AUX)
+        reps.append(shiftop_difference_residual(Td, Tf, points, tol,
+                                                name=f"monodromy_factorization_N{N}"))
+    return reps
+
+
+def _transfer_commute(rig, points, tol):
+    """Per chain size, the commutation of its traced family; or, when a
+    row of the gate fails at these points (each row held to its gate
+    bound), the failing gate reports in gate order instead."""
+    reps, failed = [], None  # the gate runs for the first size only
+    for N in rig.chain_sizes():
+        uq = rig.scenario.quantum_values(N)
+        if failed is None:
+            gate = [row for row in CHECK_TABLE
+                    if row.gate is not None and not SUITE_REASONS[row.suite](rig)]
+            failed = [replace(r, check_name=GATE_NAMES.get(r.check_name, r.check_name))
+                      for row in gate for r in row.build(rig, points, max(rig.tol, row.gate))
+                      if not r.passed]
+        if failed:
+            reps.extend(failed)
+            continue
+        # one chain per size, its auxiliary slot free: the family's members are its rows
+        if rig.g.is_identity:
+            chain = build_monodromy_direct(rig.S, rig.K, rig.chi, N, uq, None)
+        else:
+            chain = build_monodromy_factored(rig.scheme, rig.R0, rig.b, rig.q, rig.Q,
+                                             rig.chi, N, uq, None, g=rig.g, QL=rig.QL)
+        reps.append(transfer_commutation(chain, FAMILY, points, tol,
+                                         name=f"transfer_commutation_N{N}"))
+    return reps
+
+
+# every check, in the order a suite lists its reports; the gate rows are
+# in the transfer gate's order
+CHECK_TABLE = (
+    *(Row("zero-weight", lambda rig, pts, tol, k=k: [
+        residual_zero_weight(getattr(rig, k), k, pts, tol)], tol=ZERO_WEIGHT_TOL, gate=0.0)
+      for k in "BCD"),
+    *(Row(suite, lambda rig, pts, tol, c=c, s=suite: [rig.cubic(c, f"{s}_{c}", pts, tol)],
+          gate=0.0) for suite in ("ybce", "gybce") for c in CUBIC),
+    Row("zwc", lambda rig, pts, tol: [residual_zwc(rig.kept, pts, tol)], gate=0.0),
+    Row("dybe", lambda rig, pts, tol: [rig.cubic("d", "dybe", pts, tol)]),
+    Row("sdre", lambda rig, pts, tol: [residual_sdre(rig.kept, rig.K, pts, tol)], gate=0.0),
+    Row("sdre", _sdre_scalar),
+    Row("intertwiner", lambda rig, pts, tol: [residual_intertwiner(
+        IntertwinerSpec(rig.R0, rig.Rbar or rig.R0), rig.Q, pts, tol, name="intertwiner_Q")]),
+    Row("intertwiner", lambda rig, pts, tol: [residual_intertwiner(
+        IntertwinerSpec(rig.R0, rig.R0), rig.QL, pts, tol, name="intertwiner_QL")]),
+    Row("intertwiner", lambda rig, pts, tol: [] if rig.projs is None else [
+        residual_projector_compat(rig.R0, rig.projs, rig.b, pts, tol)]),
+    Row("detwist", _detwist),
+    Row("theta-period", lambda rig, pts, tol: [residual_theta_period(rig.kappa, pts, tol)],
+        tol=THETA_TOL, gate=THETA_TOL),
+    Row("monodromy-factor", _monodromy_factor, tol=CHAIN_TOL, count=8),
+    Row("transfer-commute", _transfer_commute, tol=CHAIN_TOL, count=12),
+)
 
 
 def applicable_suites(rig: Rig):
     """(applicable, skipped) suite names for this scenario's ingredients."""
     out, skipped = [], []
-    for suite, (why_not, _) in SUITE_TABLE.items():
+    for suite, why_not in SUITE_REASONS.items():
         reason = why_not(rig)
         if reason:
             skipped.append((suite, reason))
@@ -309,24 +340,28 @@ def run(argv=None) -> int:
             scenario = load_scenario(args.scenario)
         rig = Rig(scenario, samples=args.samples, seed=args.seed, tol=args.tol,
                   sites=args.sites)
-        wanted = args.suite or ["all"]
-        suites = []
-        notices = []
-        for s in wanted:
+        suites, notices, seen = [], [], set()  # each suite runs once, at its first request
+        for s in args.suite or ["all"]:
             if s == "all":
                 applicable, skipped = applicable_suites(rig)
-                suites.extend(applicable)
-                notices.extend(f"[{name}] skipped: {why}" for name, why in skipped)
-            elif s in SUITES:
-                suites.append(s)
-            else:
+                suites.extend(name for name in applicable if name not in seen)
+                notices.extend(f"[{name}] skipped: {why}" for name, why in skipped
+                               if name not in seen)
+                seen.update(SUITES)
+            elif s not in SUITES:
                 print(f"error: unknown suite {s!r} (see --list-suites)", file=sys.stderr)
                 return 2
+            elif s not in seen:
+                suites.append(s)
+                seen.add(s)
         reports = []
         for suite in suites:
             reps, notes = rig.run_suite(suite)
             reports.extend(reps)
             notices.extend(f"[{suite}] {n}" for n in notes)
+        if not reports:
+            print(f"error: no requested suite applies: {'; '.join(notices)}", file=sys.stderr)
+            return 2
     except (ScenarioError, OSError, ValueError, RetryCapError, EvalOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

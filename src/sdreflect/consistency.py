@@ -12,8 +12,8 @@ fails the check.  The worst point is the first point with a NaN
 residual, else the first with the largest.
 
 The :data:`CUBIC` table is the single place where the cubic relations
-(a)-(d) for (A, B, C, D) are written; ybce, gybce, dybe and the shifted
-YBE all read from it.
+(a)-(d) for (A, B, C, D) are written; :func:`residual_cubic` and the
+shifted YBE read from it.
 """
 
 from __future__ import annotations
@@ -255,30 +255,6 @@ def _cubic(mats, g, letter, points, tol, name):
 def residual_cubic(S: StructureSet, letter, points, tol=1e-9, name=None):
     """One cubic relation ('a' .. 'd') for S, dressed by S.g."""
     return _cubic(vars(S), S.g, letter, points, tol, name or f"cubic_{letter}")
-
-
-def residual_ybce(S: StructureSet, points, tol=1e-9):
-    """The four cubic relations for (A, B, C, D), plain case.
-
-    Returns one report per relation, keyed 'ybce_a' .. 'ybce_d'.
-    """
-    if not S.g.is_identity:
-        raise ValueError("plain consistency equations assume the identity automorphism")
-    return {f"ybce_{c}": residual_cubic(S, c, points, tol, f"ybce_{c}") for c in CUBIC}
-
-
-def residual_gybce(S: StructureSet, points, tol=1e-9):
-    """Automorphism-extended cubic relations, keyed 'gybce_a' .. 'gybce_d'.
-
-    All automorphism actions are adjoint, so every line is a finite
-    matrix identity; relation d does not involve g.
-    """
-    return {f"gybce_{c}": residual_cubic(S, c, points, tol, f"gybce_{c}") for c in CUBIC}
-
-
-def residual_dybe(D: DynMat, points, tol=1e-9, name="dybe"):
-    """Dynamical Yang-Baxter residual D12(h3) D13 D23(h1) = D23 D13(h2) D12."""
-    return _cubic({"D": D}, Automorphism.identity(), "d", points, tol, name)
 
 
 def residual_shifted_ybe(R0: DynMat, g: Automorphism, points, tol=1e-9, name="shifted_ybe"):

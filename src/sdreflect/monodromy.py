@@ -68,16 +68,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .consistency import (
-    ResidualReport,
-    StructureSet,
-    residual_gybce,
-    residual_sdre,
-    residual_theta_period,
-    residual_ybce,
-    residual_zero_weight,
-    residual_zwc,
-)
+from .consistency import StructureSet
 from .dyncore import (
     Automorphism,
     ColumnBlock,
@@ -395,45 +386,10 @@ def transfer_trace(T: ShiftOpSum) -> ShiftOpSum:
                       factor_pass=factor_pass)
 
 
-def transfer_commutation(T: ShiftOpSum, u_list, points, tol=1e-8) -> ResidualReport:
-    """The worst pairwise commutator of the traced family Tr_0 T(u_0), u_0
-    in ``u_list``: T is one chain operator whose auxiliary leg 0 keeps its
+def transfer_commutation(T: ShiftOpSum, u_list, points, tol, name="transfer_commutation"):
+    """The commutation report of the traced family Tr_0 T(u_0), u_0 in
+    ``u_list``: T is one chain operator whose auxiliary leg 0 keeps its
     spectral slot, and the members are rows of its traced table
-    (:func:`shiftop_commutators` on :func:`transfer_trace`), the first NaN
-    kept; a single value commutes, with residual 0.0 at the first point."""
-    if len(u_list) < 2:
-        return ResidualReport("transfer_commutation", len(points), 0.0, tol,
-                              (points[0][0], dict(points[0][1])))
-    worst = None
-    for r in shiftop_commutators(transfer_trace(T), [{0: u0} for u0 in u_list], points, tol,
-                                 name="transfer_commutation"):
-        # keep the first NaN: it compares false both ways
-        if worst is None or (worst.max_residual == worst.max_residual
-                             and not r.max_residual <= worst.max_residual):
-            worst = r
-    return worst
-
-
-def ingredient_reports(S: StructureSet, Q0: DynMat, kappa: DynMat, points, tol) -> dict:
-    """The hypotheses of a commuting traced family, by check name, in
-    gate order: the one-sided and diagonal weight conditions on (B, C,
-    D) -- the diagonal condition on the twisted coefficient is the
-    decisive one and is named ``twist_zero_weight_D`` -- the cubic
-    consistency relations, the reflection residual for Q0, and the
-    factorization condition for kappa (if given).  A failing report
-    names the violated hypothesis; none depends on the chain length."""
-    reports = {}
-    reports["zero_weight_B"] = residual_zero_weight(S.B, "B", points, tol)
-    reports["zero_weight_C"] = residual_zero_weight(S.C, "C", points, tol)
-    reports["twist_zero_weight_D"] = residual_zero_weight(
-        S.D, "D", points, tol, name="twist_zero_weight_D"
-    )
-    if S.g.is_identity:
-        reports.update(residual_ybce(S, points, tol))
-    else:
-        reports.update(residual_gybce(S, points, tol))
-        reports["zwc"] = residual_zwc(S, points, tol)
-    reports["sdre_reflection"] = residual_sdre(S, Q0, points, tol, name="sdre_reflection")
-    if kappa is not None:
-        reports["theta_period"] = residual_theta_period(kappa, points, max(tol, 1e-10))
-    return reports
+    (:func:`shiftop_commutators` on :func:`transfer_trace`)."""
+    return shiftop_commutators(transfer_trace(T), [{0: u0} for u0 in u_list], points, tol,
+                               name=name)

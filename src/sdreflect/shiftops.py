@@ -256,12 +256,14 @@ def shiftop_difference_residual(S1: ShiftOpSum, S2: ShiftOpSum, points, tol=1e-8
     return _report(name, points, tol, residuals)
 
 
-def shiftop_commutators(S: ShiftOpSum, members, points, tol=1e-8, name="shiftop_commutator"):
-    """Residuals of S_i S_j - S_j S_i for every pair i < j of the family
-    members S_i, in that order: the largest relative residual of a shift
-    group's coefficients, which certifies the exact operator identity.
-    S_i is S with the spectral values ``members[i]`` (a dict leg -> value
-    for some of S's spectral legs) in place of the point's.
+def shiftop_commutators(S: ShiftOpSum, members, points, tol, name="shiftop_commutator"):
+    """The report of S_i S_j = S_j S_i for every pair i < j of the family
+    members S_i: a pair's residual is the largest relative residual of a
+    shift group's coefficients, which certifies the exact operator
+    identity, and a point's is the worst over the pairs (NaN kept; 0.0
+    for fewer than two members).  S_i is S with the spectral values
+    ``members[i]`` (a dict leg -> value for some of S's spectral legs) in
+    place of the point's.
 
     The products need every member at lam and at each shifted lam +
     gamma*m, m in S's terms: a group of rows, one per point.  S's factor
@@ -287,7 +289,7 @@ def shiftop_commutators(S: ShiftOpSum, members, points, tol=1e-8, name="shiftop_
                         for _, m in groups]),
         {leg: np.concatenate([np.broadcast_to(v[leg], (count,)) for v in values])
          for leg in values[0]})
-    per_call, residuals = _rows_per_call(S.dim), [[] for _ in pairs]
+    per_call, residuals = _rows_per_call(S.dim), []
     size = max(1, per_call // len(groups))
     for s in range(0, count, size):
         block = np.arange(s, min(s + size, count))
@@ -298,9 +300,10 @@ def shiftop_commutators(S: ShiftOpSum, members, points, tol=1e-8, name="shiftop_
             for k, g in enumerate(chunk):
                 rows = slice(k * len(block), (k + 1) * len(block))
                 tables[groups[g]] = {m: _take_rows(x, rows) for m, x in table.items()}
-        for p, (i, j) in enumerate(pairs):
-            ab = _table_product(tables[i, None], lambda m1: tables[j, m1], dict.get)
-            ba = _table_product(tables[j, None], lambda m1: tables[i, m1], dict.get)
-            residuals[p].extend(np.broadcast_to(_difference(ab, ba, keys), block.shape))
-        tables = table = ab = ba = None
-    return [_report(name, points, tol, r) for r in residuals]
+        worst = worst_residual(
+            _difference(_table_product(tables[i, None], lambda m1: tables[j, m1], dict.get),
+                        _table_product(tables[j, None], lambda m1: tables[i, m1], dict.get), keys)
+            for i, j in pairs)
+        residuals.extend(np.broadcast_to(worst, block.shape))
+        tables = table = None
+    return _report(name, points, tol, residuals)

@@ -17,17 +17,17 @@ from sdreflect import (
     sigma_conjugate,
     yangian_r,
 )
+from sdreflect import cli
 from sdreflect.cli import run as cli_run
 from sdreflect.consistency import (
+    CUBIC,
     StructureSet,
     rel_residual,
-    residual_dybe,
-    residual_gybce,
+    residual_cubic,
     residual_projector_compat,
     residual_quasi_nondyn,
     residual_sdre,
     residual_theta_period,
-    residual_ybce,
     residual_zero_weight,
     residual_zwc,
 )
@@ -40,7 +40,6 @@ from sdreflect.exprparse import (
 from sdreflect.monodromy import (
     build_monodromy_direct,
     build_monodromy_factored,
-    ingredient_reports,
     transfer_commutation,
 )
 from sdreflect.parametrize import (
@@ -98,7 +97,7 @@ def test_criterion_1_yangian_baseline():
         I2 = identity_dynmat(sch, (1, 2))
         S = StructureSet(R, I2, I2, R, sch)
         pts = sample_points(sch, (1, 2, 3), count=100, seed=1)
-        rep = residual_ybce(S, pts, 1e-10)["ybce_a"]
+        rep = residual_cubic(S, "a", pts, 1e-10)
         worst = max(worst, rep.max_residual)
     dt = time.monotonic() - t0
     verdict(1, worst < 1e-10 and dt < 1.0,
@@ -108,7 +107,7 @@ def test_criterion_1_yangian_baseline():
 def test_criterion_2_parametrization_soundness():
     t0 = time.monotonic()
     sc, S, R, b, q, pts = structure_rig("diagonal_dressed", samples=50)
-    worst_ybce = max(r.max_residual for r in residual_ybce(S, pts, 1e-9).values())
+    worst_ybce = max(residual_cubic(S, c, pts, 1e-9).max_residual for c in CUBIC)
     worst_zw = max(
         residual_zero_weight(X, kind, pts, 1e-13).max_residual
         for X, kind in ((S.B, "B"), (S.C, "C"), (S.D, "D"))
@@ -183,15 +182,15 @@ def test_criterion_6_monodromy_factorization():
             f"per-shift coefficient residual {worst:.2e}, N in (1,2), {dt:.2f}s")
 
 
-def test_criterion_7_transfer_commutation():
+def test_criterion_7_transfer_commutation(monkeypatch):
     t0 = time.monotonic()
     u_list = [0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j]
     worst = 0.0
     for name in ("trivial_yangian", "diagonal_dressed"):
         sc, S, R, b, q, K, chi, pts = _monodromy_pieces(name)
-        kappa = constant_dynmat(b.scheme, b.legs, sc.Q)
-        gate = ingredient_reports(S, K, kappa, pts[:8], 1e-9)
-        assert all(r.passed for r in gate.values()), gate
+        # the rig's transfer-commute suite: its gate, then its own chains
+        reports, _ = cli.Rig(sc, samples=8).run_suite("transfer-commute")
+        assert reports and all(r.passed for r in reports), reports
         for N in (1, 2):
             uq = sc.quantum_values(N)
             rep = transfer_commutation(build_monodromy_direct(S, K, chi, N, uq, None), u_list,
@@ -200,11 +199,11 @@ def test_criterion_7_transfer_commutation():
             worst = max(worst, rep.max_residual)
     # deliberately broken diagonal weight condition: the gate must refuse
     # and point at the twisted-coefficient weight hypothesis
-    sc, S, R, b, q, K, chi, pts = _monodromy_pieces("diagonal_dressed")
-    bad = S.D + function_dynmat(sc.scheme, (1, 2),
-                                lambda lam, u: 0.05 * np.kron(E12, np.eye(2)))
-    Sbad = StructureSet(S.A, S.B, S.C, bad, sc.scheme)
-    named = not ingredient_reports(Sbad, K, None, pts[:6], 1e-9)["twist_zero_weight_D"].passed
+    sc = builtin_scenario("diagonal_dressed")
+    raising = function_dynmat(sc.scheme, (1, 2), lambda lam, u: 0.05 * np.kron(E12, np.eye(2)))
+    monkeypatch.setattr(cli, "build_D_twist", lambda *a: build_D_twist(*a) + raising)
+    reports, _ = cli.Rig(sc, samples=6).run_suite("transfer-commute")
+    named = ("twist_zero_weight_D", False) in [(r.check_name, r.passed) for r in reports]
     dt = time.monotonic() - t0
     verdict(7, worst < 1e-8 and named and dt < 15.0,
             f"commutator residual {worst:.2e}; broken variant names "
@@ -215,13 +214,12 @@ def test_criterion_8_automorphism_suite():
     # constant automorphism
     sc, Sg, R, b, q, pts = structure_rig("constant_g")
     g = sc.g_auto()
-    worst_g = max(r.max_residual for r in residual_gybce(Sg, pts, 1e-9).values())
+    worst_g = max(residual_cubic(Sg, c, pts, 1e-9).max_residual for c in CUBIC)
     K4a = build_K_g(E12, g, b, q, "prop4a")
     r4a = residual_sdre(Sg, K4a, pts, 1e-9)
     # spectral shift: the dressed coefficient carries shifted arguments
     sc2, Ss, R2, b2, q2, pts2 = structure_rig("spectral_shift_g")
-    reps = residual_gybce(Ss, pts2, 1e-9)
-    worst_s = max(reps[f"gybce_{x}"].max_residual for x in "abc")
+    worst_s = max(residual_cubic(Ss, x, pts2, 1e-9).max_residual for x in "abc")
     # integer automorphism powers under the verified weight compatibility
     zwc = residual_zwc(Sg, pts, 1e-9)
     k_scal = auto_dress(b, g).inv() @ q
@@ -330,11 +328,9 @@ def test_criterion_12_perturbation_sensitivity():
     checkers = {
         "zero_weight": lambda eps: residual_zero_weight(
             perturbed(S.D, raising, eps), "D", pts, 1e-9).max_residual,
-        "cubic_d": lambda eps: residual_ybce(
+        "cubic_d": lambda eps: residual_cubic(
             StructureSet(S.A, S.B, S.C, perturbed(S.D, zw_noise, eps), sch),
-            pts, 1e-9)["ybce_d"].max_residual,
-        "dynamical_cubic": lambda eps: residual_dybe(
-            perturbed(S.D, zw_noise, eps), pts, 1e-9).max_residual,
+            "d", pts, 1e-9).max_residual,
         "reflection": lambda eps: residual_sdre(
             S, perturbed(K, E12, eps), pts, 1e-9).max_residual,
         "quasi_nondyn": lambda eps: residual_quasi_nondyn(

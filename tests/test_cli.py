@@ -496,21 +496,21 @@ def test_rank3_two_site_factorization():
 
 
 def test_transfer_commute_gates_once_per_rig(monkeypatch):
-    # the ingredient gate does not depend on the chain length: two sizes
-    # (N = 1, 2) share one evaluation of it
-    from sdreflect import monodromy
+    # the gate does not depend on the chain length: two sizes (N = 1, 2)
+    # share one evaluation of it, each cubic relation once
+    from sdreflect import cli
 
-    ybce = monodromy.residual_ybce
+    cubic = cli.residual_cubic
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return ybce(*args, **kwargs)
+    def counted(S, letter, *args, **kwargs):
+        calls.append(letter)
+        return cubic(S, letter, *args, **kwargs)
 
-    monkeypatch.setattr(monodromy, "residual_ybce", counted)
+    monkeypatch.setattr(cli, "residual_cubic", counted)
     assert run(["--builtin", "diagonal_dressed", "--suite", "transfer-commute",
                 "--samples", "4", "--seed", "2"]) == 0
-    assert len(calls) == 1
+    assert calls == list("abcd")
 
 
 def test_sites_flag_sets_the_chain_length(capsys):
@@ -670,3 +670,184 @@ def test_chain_factor_pole_at_a_later_sample_is_named(suite, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: evaluation at a pole (lam=")
     assert f"(lam={bad}, u=" in err
+
+
+# -- one negative control per suite ---------------------------------------------
+
+
+def _added(builder, legs, per_lambda=False):
+    """A perturbation that adds eps X, X a seeded complex matrix on
+    ``legs`` (times lambda1 if ``per_lambda``), to what the ``cli``
+    builder ``builder`` returns."""
+    def perturb(data, monkeypatch, eps, rng):
+        from sdreflect import cli
+        from sdreflect.dyncore import function_dynmat
+
+        d = data["rank"] ** len(legs)
+        X = eps * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        term = function_dynmat(builtin_scenario(data["name"]).scheme, legs,
+                               lambda lam, u: lam[0] * X if per_lambda else X)
+        real = getattr(cli, builder)
+        monkeypatch.setattr(cli, builder, lambda *a: real(*a) + term)
+    return perturb
+
+
+def _field(path):
+    """A perturbation that adds eps X, X a seeded real matrix, to the
+    constant matrix field ``path`` (for ``g``, its ``matrix``)."""
+    from sdreflect.scenarios import _pack_matrix, _unpack_matrix
+
+    def perturb(data, monkeypatch, eps, rng):
+        spec = data[path]
+        m = _unpack_matrix(spec["matrix"] if path == "g" else spec, path)
+        packed = _pack_matrix(m + eps * rng.normal(size=m.shape))
+        data[path] = dict(spec, matrix=packed) if path == "g" else packed
+    return perturb
+
+
+def _q_offdiag(data, monkeypatch, eps, rng):
+    q1, q2 = data["q"]["entries"]
+    data["q"] = {"kind": "matrix", "entries": [[q1, repr(eps * rng.uniform(0.2, 0.6))],
+                                               ["0", q2]]}
+
+
+# suite -> (builtin, perturbation(data, monkeypatch, eps, rng), the check it fails)
+NEGATIVE_CONTROLS = {
+    "zero-weight": ("diagonal_dressed", _q_offdiag, "zero_weight_D"),
+    "ybce": ("diagonal_dressed", _added("build_A", (1, 2)), "ybce_a"),
+    "gybce": ("constant_g", _added("build_A", (1, 2)), "gybce_a"),
+    "dybe": ("diagonal_dressed", _added("build_D_twist", (1, 2)), "dybe"),
+    "sdre": ("diagonal_dressed", _added("build_K_nondyn", (1,)), "sdre"),
+    "intertwiner": ("nonsimilar_detwist", _field("Q"), "intertwiner_Q"),
+    "detwist": ("diagonal_dressed", _added("build_D_twist", (1, 2), per_lambda=True),
+                "detwist_nondynamical"),
+    "theta-period": ("diagonal_dressed", _added("build_K_nondyn", (1,), per_lambda=True),
+                     "theta_period"),
+    "monodromy-factor": ("diagonal_dressed", _added("build_K_nondyn", (1,)),
+                         "monodromy_factorization_N1"),
+    "transfer-commute": ("diagonal_dressed", _added("build_dual", (1,)),
+                         "transfer_commutation_N1"),
+    "zwc": ("constant_g", _field("g"), "zwc"),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_rejects_a_seeded_perturbation(suite, tmp_path, monkeypatch, capsys):
+    # a seeded eps perturbation fails the suite's named check, with a
+    # residual linear in eps over one decade
+    name, perturb, check = NEGATIVE_CONTROLS[suite]
+    residuals = []
+    for k, eps in enumerate((1e-6, 1e-5)):
+        data = builtin_scenario(name).to_dict()
+        perturb(data, monkeypatch, eps, np.random.default_rng(31))
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(data))
+        code = run(["--scenario", str(path), "--suite", suite, "--samples", "6",
+                    "--format", "structured"])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert code == 1 and not checks[check]["pass"], (eps, checks)
+        residuals.append(checks[check]["max_residual"])
+        monkeypatch.undo()
+    assert 5 <= residuals[1] / residuals[0] <= 20, residuals
+
+
+# -- the suite list of a run ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,reasons", [
+    (["--builtin", "constant_g", "--suite", "monodromy-factor"],
+     ["[monodromy-factor] needs the invertible identity-automorphism chain"]),
+    (["--builtin", "trivial_yangian", "--suite", "zwc", "--suite", "gybce", "--suite", "zwc"],
+     ["[zwc] trivial for the identity automorphism",
+      "[gybce] trivial for the identity automorphism"]),
+])
+def test_a_run_that_checks_nothing_is_a_usage_error(argv, reasons, capsys):
+    # no requested suite applies: nothing was certified, so it cannot pass
+    assert run(argv + ["--samples", "2", "--format", "structured"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no requested suite applies: {'; '.join(reasons)}\n"
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("suites", [
+    ["dybe"], ["dybe", "dybe"], ["zwc", "zwc", "sdre"], ["dybe", "all"], ["all", "dybe"],
+    ["zwc", "all", "zwc"], ["all", "all"],
+])
+def test_each_requested_suite_runs_once(name, suites, capsys):
+    # a suite named twice, or named and implied by all, runs (and gives
+    # its notice) once, at its first request
+    argv = ["--builtin", name, "--samples", "3", "--format", "structured"]
+    for s in suites:
+        argv += ["--suite", s]
+    assert run(argv) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    names = [c["name"] for c in doc["checks"]]
+    assert not any(n.startswith("twist_") for n in names)  # the gate passed
+    assert len(names) == len(set(names)), names
+    order = []
+    for s in suites:
+        order += [x for x in (SUITES if s == "all" else [s]) if x not in order]
+    ran = doc["suite"].split("+")
+    assert ran == [x for x in order if x in ran]
+    assert len(doc["notices"]) == len(set(doc["notices"])), doc["notices"]
+
+
+@pytest.mark.parametrize("tol", [None, "1e-30"])
+def test_every_report_carries_its_rows_bound_and_point_count(tol, tmp_path, monkeypatch,
+                                                             capsys):
+    # the check table is the one source of bounds and point sets: each
+    # report of --suite all states its row's bound and point count, or,
+    # for a row run by the transfer gate, the gate's (the rig's tolerance
+    # floored by the row's gate value, at the transfer-commute row's points)
+    from dataclasses import replace
+
+    from sdreflect import cli
+
+    expected, in_gate = set(), []
+    gate_count = next(row.count for row in cli.CHECK_TABLE if row.suite == "transfer-commute")
+
+    def recorded(row):
+        def build(rig, points, bound):
+            gate = bool(in_gate)
+            in_gate.append(row)
+            try:
+                out = row.build(rig, points, bound)
+            finally:
+                in_gate.pop()
+            n = len(rig.points)
+            for r in out:
+                if isinstance(r, str):
+                    continue
+                if gate:
+                    expected.add((cli.GATE_NAMES.get(r.check_name, r.check_name),
+                                  max(rig.tol, row.gate), min(gate_count, n)))
+                else:
+                    expected.add((r.check_name, row.tol or rig.tol, min(row.count or n, n)))
+            return out
+        return replace(row, build=build)
+
+    monkeypatch.setattr(cli, "CHECK_TABLE", tuple(map(recorded, cli.CHECK_TABLE)))
+    path = _q_offdiag_scenario(tmp_path)
+    gate_rows = set()
+    for source in [["--builtin", name] for name in builtin_names()] + [["--scenario", str(path)]]:
+        expected.clear()
+        argv = source + ["--suite", "all", "--samples", "14", "--format", "structured"]
+        assert run(argv + (["--tol", tol] if tol else [])) in (0, 1)
+        for c in json.loads(capsys.readouterr().out)["checks"]:
+            assert (c["name"], c["tolerance"], c["samples"]) in expected, (source, c)
+            if c["samples"] == gate_count:
+                gate_rows.add((source[0], c["name"]))
+    # the q_offdiag gate lists its failing rows at the gate's 12 points
+    assert {("--scenario", n) for n in ("twist_zero_weight_D", "ybce_c", "ybce_d")} <= gate_rows
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's library example is run as written, so it cannot go stale
+    import pathlib
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("[pass] ") for line in lines)

@@ -11,15 +11,14 @@ from sdreflect import (
     yangian_r,
 )
 from sdreflect.consistency import (
+    CUBIC,
     StructureSet,
-    residual_dybe,
-    residual_gybce,
+    residual_cubic,
     residual_projector_compat,
     residual_quasi_nondyn,
     residual_sdre,
     residual_shifted_ybe,
     residual_theta_period,
-    residual_ybce,
     residual_zero_weight,
     residual_zwc,
 )
@@ -28,6 +27,17 @@ from sdreflect.sampling import sample_points
 from sdreflect.solutions import build_K_nondyn
 
 SCH = WeightScheme(2, 1.0)
+
+
+def cubic_reports(S, tol):
+    """The four cubic relations of S, by letter."""
+    return {c: residual_cubic(S, c, PTS, tol) for c in CUBIC}
+
+
+def dybe(D, points, tol):
+    """Relation d, the dynamical YBE, which reads D alone."""
+    I2 = identity_dynmat(D.scheme, (1, 2))
+    return residual_cubic(StructureSet(I2, I2, I2, D, D.scheme), "d", points, tol)
 RNG = np.random.default_rng(7)
 PTS = sample_points(SCH, (1, 2, 3), count=20, seed=7)
 
@@ -98,19 +108,19 @@ def test_zero_weight_fails_on_raising_matrix():
 
 
 def test_ybce_all_identity():
-    for rep in residual_ybce(identity_set(), PTS, 1e-12).values():
+    for rep in cubic_reports(identity_set(), 1e-12).values():
         assert rep.passed and rep.max_residual < 1e-14
 
 
 def test_ybce_trivial_yangian():
-    reps = residual_ybce(yangian_trivial_set(), PTS, 1e-10)
+    reps = cubic_reports(yangian_trivial_set(), 1e-10)
     for rep in reps.values():
         assert rep.passed
 
 
 def test_ybce_dressed():
     S, _, _, _ = dressed_set()
-    for rep in residual_ybce(S, PTS, 1e-9).values():
+    for rep in cubic_reports(S, 1e-9).values():
         assert rep.passed
 
 
@@ -120,17 +130,20 @@ def test_ybce_detects_broken_d():
         SCH, (1, 2), lambda lam, u: np.exp(lam[0]) * np.eye(4, dtype=complex)
     )
     Sbad = StructureSet(S.A, S.B, S.C, bad, SCH)
-    rep = residual_ybce(Sbad, PTS, 1e-9)["ybce_d"]
+    rep = residual_cubic(Sbad, "d", PTS, 1e-9)
     assert not rep.passed and rep.max_residual > 1e-2
 
 
 def test_gybce_reduces_to_ybce_for_identity():
+    # the identity matrix as a constant automorphism conjugates every
+    # dressed factor, yet gives the plain relations' residuals
     S, _, _, _ = dressed_set()
-    plain = residual_ybce(S, PTS, 1e-9)
-    ext = residual_gybce(S, PTS, 1e-9)
+    plain = cubic_reports(S, 1e-9)
+    ext = cubic_reports(StructureSet(S.A, S.B, S.C, S.D, SCH, Automorphism.constant(np.eye(2))),
+                        1e-9)
     for key in "abcd":
         assert np.isclose(
-            plain[f"ybce_{key}"].max_residual, ext[f"gybce_{key}"].max_residual,
+            plain[key].max_residual, ext[key].max_residual,
             rtol=0, atol=1e-14,
         )
 
@@ -140,7 +153,7 @@ def test_gybce_spectral_shift_difference_form():
     R = yangian_r(SCH, (1, 2))
     I2 = identity_dynmat(SCH, (1, 2))
     S = StructureSet(R, I2, I2, R, SCH, g)
-    for rep in residual_gybce(S, PTS, 1e-9).values():
+    for rep in cubic_reports(S, 1e-9).values():
         assert rep.passed
 
 
@@ -149,7 +162,7 @@ def test_gybce_constant_compatible_g():
     R = yangian_r(SCH, (1, 2))  # zero weight, so [g x g, R] = 0
     I2 = identity_dynmat(SCH, (1, 2))
     S = StructureSet(R, I2, I2, R, SCH, g)
-    for rep in residual_gybce(S, PTS, 1e-9).values():
+    for rep in cubic_reports(S, 1e-9).values():
         assert rep.passed
 
 
@@ -202,10 +215,10 @@ def test_sdre_scaling_invariance():
 
 
 def test_dybe_identity_and_twist():
-    assert residual_dybe(identity_dynmat(SCH, (1, 2)), PTS, 1e-13).passed
+    assert dybe(identity_dynmat(SCH, (1, 2)), PTS, 1e-13).passed
     _, q = dressed_pieces()
     D = build_D_twist(yangian_r(SCH, (1, 2)), q, SCH)
-    assert residual_dybe(D, PTS, 1e-9).passed
+    assert dybe(D, PTS, 1e-9).passed
 
 
 def test_dybe_perturbation():
@@ -213,7 +226,7 @@ def test_dybe_perturbation():
     D = build_D_twist(yangian_r(SCH, (1, 2)), q, SCH)
     noise = np.kron(E12, E12.T)
     bad = D + function_dynmat(SCH, (1, 2), lambda lam, u: 0.01 * lam[0] * noise)
-    rep = residual_dybe(bad, PTS, 1e-9)
+    rep = dybe(bad, PTS, 1e-9)
     assert not rep.passed and rep.max_residual > 1e-3
 
 
@@ -358,13 +371,13 @@ def test_perturbation_linearity():
     res = []
     for eps in (1e-6, 1e-5, 1e-4):
         bad = D + constant_dynmat(SCH, (1, 2), eps * noise)
-        res.append(residual_dybe(bad, PTS, 1e-9).max_residual)
+        res.append(dybe(bad, PTS, 1e-9).max_residual)
     assert 5 <= res[1] / res[0] <= 20
     assert 5 <= res[2] / res[1] <= 20
 
 
 def test_report_fields_and_serialization():
-    rep = residual_dybe(identity_dynmat(SCH, (1, 2)), PTS, 1e-12)
+    rep = dybe(identity_dynmat(SCH, (1, 2)), PTS, 1e-12)
     doc = rep.to_dict()
     assert doc["pass"] is True and doc["samples"] == len(PTS)
     assert len(doc["worst_point"]["lambda"]) == 2
@@ -381,12 +394,12 @@ def test_gybce_factorizable_automorphism():
     I2 = identity_dynmat(SCH, (1, 2))
     f_const = Automorphism.factorizable(_stacked(lambda u: np.diag([1.3, 1.0])))
     S1 = StructureSet(R, I2, I2, R, SCH, f_const)
-    assert all(r.passed for r in residual_gybce(S1, PTS, 1e-9).values())
+    assert all(r.passed for r in cubic_reports(S1, 1e-9).values())
     f_var = Automorphism.factorizable(_stacked(lambda u: np.diag([1.0 + 0.1 * u, 1.0])))
     S2 = StructureSet(R, I2, I2, R, SCH, f_var)
-    reps = residual_gybce(S2, PTS, 1e-9)
-    assert not reps["gybce_a"].passed
-    assert reps["gybce_d"].passed
+    reps = cubic_reports(S2, 1e-9)
+    assert not reps["a"].passed
+    assert reps["d"].passed
 
 
 # -- non-finite residuals -----------------------------------------------------
@@ -394,7 +407,7 @@ def test_gybce_factorizable_automorphism():
 
 def test_all_nan_matrix_fails():
     X = constant_dynmat(SCH, (1, 2), np.full((4, 4), np.nan))
-    for rep in (residual_dybe(X, PTS, 1e-9), residual_zero_weight(X, "D", PTS, 1e-9)):
+    for rep in (dybe(X, PTS, 1e-9), residual_zero_weight(X, "D", PTS, 1e-9)):
         assert not rep.passed
         assert np.isnan(rep.max_residual)
         np.testing.assert_array_equal(rep.worst_point[0], PTS[0][0])
@@ -474,7 +487,7 @@ def test_nan_survives_index_placement_and_shift():
         return np.diag([2.0 + lam[0], 1.5])
 
     X = function_dynmat(SCH, (1,), fn)
-    rep = residual_dybe(embed(X, (1,), (1, 2)), PTS, 1e-9)
+    rep = dybe(embed(X, (1,), (1, 2)), PTS, 1e-9)
     assert not rep.passed
     assert np.isnan(rep.max_residual)
     np.testing.assert_array_equal(rep.worst_point[0], bad)
@@ -558,7 +571,7 @@ def test_blocked_shiftop_residuals_equal_the_per_point_calls(monkeypatch):
                 np.testing.assert_array_equal(r, expect)
         names |= {n for n, _ in per_point}
     assert {"monodromy_factorization_N1", "monodromy_factorization_N2",
-            "transfer_commutation"} <= names
+            "transfer_commutation_N1", "transfer_commutation_N2"} <= names
 
 
 def test_first_nan_of_a_batch_is_the_worst_point():

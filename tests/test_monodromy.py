@@ -9,14 +9,21 @@ from sdreflect import (
     identity_dynmat,
     yangian_r,
 )
-from sdreflect.consistency import StructureSet, rel_residual
+from sdreflect.consistency import (
+    CUBIC,
+    StructureSet,
+    rel_residual,
+    residual_cubic,
+    residual_sdre,
+    residual_zero_weight,
+    residual_zwc,
+)
 from sdreflect.dyncore import chain_product
 from sdreflect.monodromy import (
     build_gauged_core,
     build_monodromy_direct,
     build_monodromy_factored,
     build_ON_blocks,
-    ingredient_reports,
     locality_preset,
     transfer_commutation,
     transfer_trace,
@@ -62,6 +69,17 @@ def scenario(n=2, dressed=True, seed=3):
 def lam_points(n, count=4, seed=9):
     sch = WeightScheme(n, 1.0)
     return sample_points(sch, (1, 2, 3), count=count, seed=seed)
+
+
+def hypotheses(S, K, points, tol=1e-9):
+    """The reports of a commuting family's hypotheses on S and K: zero
+    weight, the cubic relations, zwc for g != 1 and the reflection
+    relation for K."""
+    reps = [residual_zero_weight(X, kind, points, tol)
+            for X, kind in ((S.B, "B"), (S.C, "C"), (S.D, "D"))]
+    reps += [residual_cubic(S, c, points, tol) for c in CUBIC]
+    reps += [] if S.g.is_identity else [residual_zwc(S, points, tol)]
+    return reps + [residual_sdre(S, K, points, tol)]
 
 
 def test_trivial_matrix_part_is_R_chain():
@@ -159,9 +177,8 @@ def test_transfer_trivial_coefficients():
 @pytest.mark.parametrize("N", [1, 2])
 def test_commuting_family(dressed, N):
     sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=dressed)
-    kappa = constant_dynmat(b.scheme, b.legs, Q)
-    gate = ingredient_reports(S, K, kappa, lam_points(2), 1e-9)
-    assert all(r.passed for r in gate.values()), gate
+    gate = hypotheses(S, K, lam_points(2))
+    assert all(r.passed for r in gate), gate
     rep = transfer_commutation(build_monodromy_direct(S, K, chi, N, U_Q, None), U_LIST,
                                lam_points(2), tol=1e-8)
     assert rep.passed and rep.max_residual < 1e-12
@@ -169,23 +186,25 @@ def test_commuting_family(dressed, N):
 
 def test_single_element_family_vacuous():
     sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=False)
-    gate = ingredient_reports(S, K, None, lam_points(2), 1e-9)
-    assert all(r.passed for r in gate.values()), gate
+    gate = hypotheses(S, K, lam_points(2))
+    assert all(r.passed for r in gate), gate
     rep = transfer_commutation(build_monodromy_direct(S, K, chi, 1, U_Q, None), [0.5],
-                               lam_points(2))
+                               lam_points(2), 1e-8)
     assert rep.passed and rep.max_residual == 0.0
 
 
-def test_broken_D_names_decisive_precondition():
-    sch, S, R, b, q, Q, QL, K, chi = scenario(dressed=True)
+def test_broken_D_names_decisive_precondition(monkeypatch):
+    # the rig's transfer gate, with a raising term added to the twisted D
+    from sdreflect import cli
+    from sdreflect.scenarios import builtin_scenario
+
+    sc = builtin_scenario("diagonal_dressed")
     e12 = np.zeros((2, 2))
     e12[0, 1] = 1.0
-    bad = S.D + function_dynmat(
-        sch, (1, 2), lambda lam, u: 0.05 * np.kron(e12, np.eye(2))
-    )
-    Sbad = StructureSet(S.A, S.B, S.C, bad, sch)
-    gate = ingredient_reports(Sbad, K, None, lam_points(2), 1e-9)
-    assert not gate["twist_zero_weight_D"].passed
+    raising = function_dynmat(sc.scheme, (1, 2), lambda lam, u: 0.05 * np.kron(e12, np.eye(2)))
+    monkeypatch.setattr(cli, "build_D_twist", lambda *a: build_D_twist(*a) + raising)
+    reports, _ = cli.Rig(sc, samples=4).run_suite("transfer-commute")
+    assert ("twist_zero_weight_D", False) in [(r.check_name, r.passed) for r in reports]
 
 
 def test_conjugation_neutrality():
@@ -196,8 +215,7 @@ def test_conjugation_neutrality():
     members = [{0: u0} for u0 in U_LIST]
     for T in (build_monodromy_direct(S, K, chi, 1, U_Q, None),
               build_monodromy_factored(sch, R, b, q, Q, chi, 1, U_Q, None)):
-        worst = max(r.max_residual for r in shiftop_commutators(transfer_trace(T), members,
-                                                                pts, 1e-8))
+        worst = shiftop_commutators(transfer_trace(T), members, pts, 1e-8).max_residual
         assert worst < 1e-12
 
 
@@ -229,10 +247,10 @@ def test_gauged_chain_constant_automorphism():
     QL = np.array([[1.1, 0.3], [-0.2, 0.9]])
     K = beta.inv() @ constant_dynmat(b.scheme, b.legs, Q) @ q
     chi = build_dual(q, b, g, QL)
-    gate = ingredient_reports(S, K, None, lam_points(2), 1e-9)
-    assert all(r.passed for r in gate.values()), gate
+    gate = hypotheses(S, K, lam_points(2))
+    assert all(r.passed for r in gate), gate
     chain = build_monodromy_factored(sch, R, b, q, Q, chi, 1, U_Q, None, g=g, QL=QL)
-    assert transfer_commutation(chain, U_LIST, lam_points(2)).passed
+    assert transfer_commutation(chain, U_LIST, lam_points(2), 1e-8).passed
 
 
 def _kron_legs(mats, L, n=2):
@@ -399,7 +417,7 @@ def test_commuting_family_evaluates_each_traced_table_once_per_block(monkeypatch
     monkeypatch.undo()
     members = [{0: u0} for u0 in (0.52 + 0.21j, -0.63 + 0.77j, 2.31 - 0.52j)]
     for t, rep in zip(traced, reports):
-        pairwise = [shiftop_commutators(t, [members[i], members[j]], rig.points, 1e-8)[0]
+        pairwise = [shiftop_commutators(t, [members[i], members[j]], rig.points, 1e-8)
                     for i, j in ((0, 1), (0, 2), (1, 2))]
         assert rep.max_residual == max(r.max_residual for r in pairwise)
 
@@ -485,7 +503,7 @@ def test_perturbed_B_fails_the_commutator_linearly_in_eps():
         for eps in (1e-8, 1e-6, 1e-4):
             S = StructureSet(rig.A, rig.B + eps * X, rig.C, rig.D, rig.scheme, rig.g)
             T = build_monodromy_direct(S, rig.K, rig.chi, N, rig.scenario.quantum_values(N), None)
-            rep = transfer_commutation(T, U_LIST, rig.points[:12])
+            rep = transfer_commutation(T, U_LIST, rig.points[:12], 1e-8)
             assert not rep.passed
             assert rep.max_residual / eps == pytest.approx(slope, rel=2e-4), (N, eps)
 
@@ -498,7 +516,7 @@ def test_bound_auxiliary_value_is_not_a_family():
     sch, S, R, b, q, Q, QL, K, chi = scenario()
     with pytest.raises(SpectralValueError):
         transfer_commutation(build_monodromy_direct(S, K, chi, 1, U_Q, U_LIST[0]), U_LIST,
-                             lam_points(2))
+                             lam_points(2), 1e-8)
 
 
 def test_shiftop_checks_give_one_report_at_every_block_size(monkeypatch):
@@ -519,7 +537,7 @@ def test_shiftop_checks_give_one_report_at_every_block_size(monkeypatch):
         monkeypatch.setattr(so, "BLOCK_BYTES", rows * 16 * 32 ** 2)
         sizes.clear()
         reps = [shiftop_difference_residual(Td, Tf, pts, 1e-8)]
-        reps += so.shiftop_commutators(t, members, pts, 1e-8)
+        reps.append(so.shiftop_commutators(t, members, pts, 1e-8))
         return list(sizes), [(r.max_residual, r.worst_point[0].tobytes(), r.worst_point[1])
                              for r in reps]
 

@@ -12,11 +12,11 @@ from sdreflect import (
     yangian_r,
 )
 from sdreflect.consistency import (
+    CUBIC,
     StructureSet,
     rel_residual,
-    residual_gybce,
+    residual_cubic,
     residual_sdre,
-    residual_ybce,
     residual_zero_weight,
 )
 from sdreflect.parametrize import (
@@ -175,8 +175,8 @@ def full_structure_set(g=IDENT, seed=3):
 
 def test_assembled_set_passes_all_relations():
     S, b, q, R = full_structure_set()
-    for rep in residual_ybce(S, PTS, 1e-9).values():
-        assert rep.passed
+    for c in CUBIC:
+        assert residual_cubic(S, c, PTS, 1e-9).passed
 
 
 def test_d_twist_trivial_and_roundtrip():
@@ -265,15 +265,13 @@ def test_gauge_consistency_constant_g():
     A = build_A(R, b, g, SCH)
     D = build_D_twist(R, q, SCH)
     S = StructureSet(A, B, C, D, SCH, g)
-    ext = residual_gybce(S, PTS, 1e-9)
-    assert all(r.passed for r in ext.values())
+    assert all(residual_cubic(S, c, PTS, 1e-9).passed for c in CUBIC)
 
     At = adjoint_auto(adjoint_auto(A, g, (1,), "left"), g, (2,), "right", -1)
     Bt = adjoint_auto(B, g, (2,), "left")
     Ct = adjoint_auto(C, g, (1,), "left")
     St = StructureSet(At, Bt, Ct, D, SCH)
-    plain = residual_ybce(St, PTS, 1e-9)
-    assert all(r.passed for r in plain.values())
+    assert all(residual_cubic(St, c, PTS, 1e-9).passed for c in CUBIC)
 
     # and breaking one of the originals breaks the gauged set too
     e12 = np.zeros((2, 2))
@@ -282,10 +280,10 @@ def test_gauge_consistency_constant_g():
     bad = A + function_dynmat(SCH, (1, 2),
                               lambda lam, u: 0.05 * lam[0] * noise)
     Sbad = StructureSet(bad, B, C, D, SCH, g)
-    assert not residual_gybce(Sbad, PTS, 1e-9)["gybce_a"].passed
+    assert not residual_cubic(Sbad, "a", PTS, 1e-9).passed
     badt = adjoint_auto(adjoint_auto(bad, g, (1,), "left"), g, (2,), "right", -1)
     Sbadt = StructureSet(badt, Bt, Ct, D, SCH)
-    assert not residual_ybce(Sbadt, PTS, 1e-9)["ybce_a"].passed
+    assert not residual_cubic(Sbadt, "a", PTS, 1e-9).passed
 
 
 def test_spectral_shift_A_has_shifted_wings():
